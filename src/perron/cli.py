@@ -227,6 +227,8 @@ def _cmd_cover(ns) -> int:
 
 
 def _cmd_split(ns) -> int:
+    if ns.blocks < 0:
+        raise DomainError("--blocks must be >= 0")
     fs = FamilySet(ns.sign, ns.prefix, ns.start, None)
     stream = split_to_finite(ns.system, fs, ns.alpha, ns.eps)
     for _ in range(ns.blocks):

@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ValidityError
 
@@ -125,52 +125,106 @@ class DigitRule:
         return cls("custom", phi0=phi0, fn=functools.lru_cache(maxsize=None)(fn))
 
 
-def _step_r(rule: DigitRule, prefix: DigitWord, last_digit: int) -> int:
-    """r value after appending last_digit (prefix includes it already).
+def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
+    """r_i, the rule value after the 1-based position i of word (unchecked).
 
-    For the builtin kinds this depends only on the last digit; custom rules
-    see the whole prefix.
+    For the builtin kinds this depends only on the digit c_i; custom rules
+    see the whole prefix word[:i].
     """
     k = rule.kind
+    c = word[i - 1]
     if k == "luroth":
         return 1
     if k == "engel":
-        return last_digit - 1
+        return c - 1
     if k in ("engel-mod", "pierce"):
-        return last_digit
+        return c
     if k == "oppenheim":
-        return rule.a * last_digit + rule.b
+        return rule.a * c + rule.b
     if k == "custom":
-        return rule.fn(prefix)
+        return rule.fn(word[:i])
     raise ValueError(f"unknown rule kind {k!r}")
+
+
+def _positive_r(r: int, i: int) -> int:
+    if r < 1:
+        raise ValidityError(
+            f"rule value {r} after position {i} is not a positive integer", index=i
+        )
+    return r
+
+
+def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
+    """Check digit i of word against r = r_{i-1}; return the checked r_i."""
+    c = word[i - 1]
+    if not isinstance(c, int) or c < r + 1:
+        raise ValidityError(
+            f"digit {c!r} at position {i} violates c >= {r + 1}", index=i
+        )
+    return _positive_r(_step_r(rule, word, i), i)
 
 
 def rule_value(rule: DigitRule, prefix: Sequence[int]) -> int:
     """r_k for the given valid prefix of length k (r_0 = phi_0 for ())."""
-    prefix = tuple(prefix)
-    validate_word(rule, prefix)
-    if not prefix:
-        return rule.phi0
-    return _step_r(rule, prefix, prefix[-1])
+    return _Frame.walk(rule, None, prefix).r
 
 
 def validate_word(rule: DigitRule, word: Sequence[int]) -> None:
     """Raise ValidityError (with 1-based .index) unless every digit obeys c_i >= r_{i-1}+1."""
-    word = tuple(word)
-    r = rule.phi0
-    if r < 1:
-        raise ValidityError("phi0 must be >= 1", index=0)
-    for i, c in enumerate(word, start=1):
-        if not isinstance(c, int) or c < r + 1:
-            raise ValidityError(
-                f"digit {c!r} at position {i} violates c >= {r + 1}", index=i
-            )
-        r = _step_r(rule, word[:i], c)
-        if r < 1:
-            raise ValidityError(
-                f"rule value {r} after position {i} is not a positive integer",
-                index=i,
-            )
+    _Frame.walk(rule, None, word)
+
+
+class _Frame(NamedTuple):
+    """Affine description (off, sc) of a valid word's cylinder, plus r.
+
+    The rank-k cylinder is the image of the tail space under y |-> off + sc*y
+    (tail space (0, 1] positive, (0, 1) alternating); sc is signed for the
+    alternating form (sign (-1)^k) and |sc| is the cylinder diameter.  r is
+    the rule value after the word.  walk() validates a word and builds its
+    frame in one pass; child(c) extends a frame by one checked digit.  With
+    sign None only the word and r are tracked (pure validation).
+    """
+
+    rule: DigitRule
+    sign: Sign | None
+    word: DigitWord
+    off: ExactQ
+    sc: ExactQ
+    r: int
+
+    @classmethod
+    def walk(cls, rule: DigitRule, sign: Sign | None, word: Sequence[int]) -> "_Frame":
+        word = tuple(word)
+        off, sc, r = Fraction(0), Fraction(1), _positive_r(rule.phi0, 0)
+        for i in range(1, len(word) + 1):
+            off, sc, r = _compose(rule, sign, word, i, off, sc, r)
+        return cls(rule, sign, word, off, sc, r)
+
+    def child(self, c: int) -> "_Frame":
+        word = self.word + (c,)
+        step = _compose(self.rule, self.sign, word, len(word), self.off, self.sc, self.r)
+        return _Frame(self.rule, self.sign, word, *step)
+
+    @property
+    def lo_hi(self) -> tuple[ExactQ, ExactQ]:
+        """The cylinder's endpoints in increasing order."""
+        end = self.off + self.sc
+        return (self.off, end) if self.sc > 0 else (end, self.off)
+
+
+def _compose(rule, sign, word, i, off, sc, r):
+    """(off, sc, r) after digit c = word[i-1], checked against r = r_{i-1}.
+
+    Composes the rank-i map y |-> r/c + y*r/((c-1)c) (positive) or
+    y |-> r/(c-1) - y*r/((c-1)c) (alternating) onto y |-> off + sc*y.
+    """
+    c = word[i - 1]
+    r_next = _next_r(rule, r, word, i)
+    if sign is None:
+        return off, sc, r_next
+    if sign is Sign.POSITIVE:
+        return off + sc * Fraction(r, c), sc * Fraction(r, (c - 1) * c), r_next
+    return off + sc * Fraction(r, c - 1), sc * Fraction(-r, (c - 1) * c), r_next
 
 
 @dataclass(frozen=True)
@@ -241,23 +295,18 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
-    digits: list[int] = []
+    digits: DigitWord = ()
     r = rule.phi0
-    for _ in range(n):
+    for i in range(1, n + 1):
         p = (r * b) // a + 1
         # remainder (x - r/p)(p-1)p/r = (a*p - r*b)(p-1) / (b*r), still in (0, 1]
         a, b = (a * p - r * b) * (p - 1), b * r
         g = gcd(a, b)
         a //= g
         b //= g
-        digits.append(p)
-        r = _step_r(rule, tuple(digits), p)
-        if r < 1:
-            raise ValidityError(
-                f"rule value {r} after position {len(digits)} is not positive",
-                index=len(digits),
-            )
-    return tuple(digits)
+        digits += (p,)
+        r = _next_r(rule, r, digits, i)
+    return digits
 
 
 def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoint:
@@ -273,25 +322,20 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
-    digits: list[int] = []
+    digits: DigitWord = ()
     r = rule.phi0
-    for _ in range(n):
+    for i in range(1, n + 1):
         if (r * b) % a == 0:
-            return ISPoint(rank=len(digits) + 1, digits=tuple(digits))
+            return ISPoint(rank=i, digits=digits)
         q = (r * b) // a + 1
         # remainder (r/(q-1) - x)(q-1)q/r = (r*b - a*(q-1))*q / (b*r), in (0, 1)
         a, b = (r * b - a * (q - 1)) * q, b * r
         g = gcd(a, b)
         a //= g
         b //= g
-        digits.append(q)
-        r = _step_r(rule, tuple(digits), q)
-        if r < 1:
-            raise ValidityError(
-                f"rule value {r} after position {len(digits)} is not positive",
-                index=len(digits),
-            )
-    return tuple(digits)
+        digits += (q,)
+        r = _next_r(rule, r, digits, i)
+    return digits
 
 
 def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
@@ -316,31 +360,9 @@ def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
         else:
             term = Fraction(num, den * (c - 1))
             total += -term if ni % 2 else term
-        num *= _step_r(rule, word[: ni + 1], c)
+        num *= _step_r(rule, word, ni + 1)
         den *= (c - 1) * c
     return total
-
-
-def _affine(rule: DigitRule, word: DigitWord, sign: Sign):
-    """(off, sc, r) for a valid word: the cylinder's affine description.
-
-    The rank-k cylinder is the image of the tail space under y |-> off + sc*y
-    (tail space (0, 1] positive, (0, 1) alternating); sc is signed for the
-    alternating form (sign (-1)^k) and |sc| is the cylinder diameter.  r is
-    the rule value after the word.  Assumes word already validated.
-    """
-    off = Fraction(0)
-    sc = Fraction(1)
-    r = rule.phi0
-    for i, c in enumerate(word):
-        if sign is Sign.POSITIVE:
-            off += sc * Fraction(r, c)
-            sc *= Fraction(r, (c - 1) * c)
-        else:
-            off += sc * Fraction(r, c - 1)
-            sc *= Fraction(-r, (c - 1) * c)
-        r = _step_r(rule, word[: i + 1], c)
-    return off, sc, r
 
 
 def cylinder(rule: DigitRule, word: Sequence[int], sign: Sign) -> CylinderInterval:
@@ -351,15 +373,11 @@ def cylinder(rule: DigitRule, word: Sequence[int], sign: Sign) -> CylinderInterv
     y |-> r/(q-1) - y*r/((q-1)q)   (alternating, orientation flipped),
     so the diameter is exactly r_0...r_{k-1} / prod (c_i - 1)c_i for both.
     """
-    word = tuple(word)
-    validate_word(rule, word)
-    if not word:
+    frame = _Frame.walk(rule, sign, word)
+    if not frame.word:
         raise ValidityError("word must be nonempty", index=None)
-    off, sc, _ = _affine(rule, word, sign)
-    if sign is Sign.POSITIVE:
-        return CylinderInterval(off, off + sc, False, True, sign, word)
-    lo, hi = (off + sc, off) if sc < 0 else (off, off + sc)
-    return CylinderInterval(lo, hi, False, False, sign, word)
+    lo, hi = frame.lo_hi
+    return CylinderInterval(lo, hi, False, sign is Sign.POSITIVE, sign, frame.word)
 
 
 def word_diameter(rule: DigitRule, word: Sequence[int]) -> ExactQ:
@@ -373,7 +391,7 @@ def word_diameter(rule: DigitRule, word: Sequence[int]) -> ExactQ:
     for i, c in enumerate(word):
         den *= (c - 1) * c
         if i + 1 < len(word):
-            num *= _step_r(rule, word[: i + 1], c)
+            num *= _step_r(rule, word, i + 1)
     return Fraction(num, den)
 
 

@@ -35,9 +35,8 @@ from .core import (
     ExactQ,
     ISPoint,
     Sign,
-    _affine,
+    _Frame,
     alternating_digits,
-    validate_word,
 )
 from .errors import DomainError, ValidityError
 
@@ -73,18 +72,16 @@ class FamilySet:
         object.__setattr__(self, "prefix", tuple(self.prefix))
 
 
-def _validate_family_set(rule: DigitRule, fs: FamilySet) -> int:
-    """Check fs against the rule; return the parent's rule value r."""
-    validate_word(rule, fs.prefix)
-    off_sc_r = _affine(rule, fs.prefix, fs.sign)
-    r = off_sc_r[2]
-    if fs.start < r + 1:
+def _validate_family_set(rule: DigitRule, fs: FamilySet) -> _Frame:
+    """Check fs against the rule; return the frame of its prefix."""
+    frame = _Frame.walk(rule, fs.sign, fs.prefix)
+    if fs.start < frame.r + 1:
         raise ValidityError(
-            f"start {fs.start} below first admissible digit {r + 1}", index=None
+            f"start {fs.start} below first admissible digit {frame.r + 1}", index=None
         )
     if fs.end is not None and fs.end < fs.start:
         raise ValidityError(f"end {fs.end} below start {fs.start}", index=None)
-    return r
+    return frame
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,11 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  Positive
     hulls are half-open (lo, hi]; alternating hulls are open.
     """
-    r = _validate_family_set(rule, fs)
-    off, sc, _ = _affine(rule, fs.prefix, fs.sign)
-    top = Fraction(r, fs.start - 1)
-    bot = Fraction(0) if fs.end is None else Fraction(r, fs.end)
-    a = off + sc * bot
-    b = off + sc * top
+    frame = _validate_family_set(rule, fs)
+    top = Fraction(frame.r, fs.start - 1)
+    bot = Fraction(0) if fs.end is None else Fraction(frame.r, fs.end)
+    a = frame.off + frame.sc * bot
+    b = frame.off + frame.sc * top
     lo, hi = (a, b) if a < b else (b, a)
     if fs.sign is Sign.POSITIVE:
         return QInterval(lo, hi, False, True)
@@ -234,28 +230,28 @@ def cover_boundary(
     if side not in (FROM_INF, TO_SUP):
         raise DomainError(f"unknown side {side!r}")
     cut = Fraction(cut)
-    prefix = tuple(prefix)
-    validate_word(rule, prefix)
-    off, sc, r = _affine(rule, prefix, sign)
-    lo, hi = (off, off + sc) if sc > 0 else (off + sc, off)
+    frame = _Frame.walk(rule, sign, prefix)
+    lo, hi = frame.lo_hi
     if side == FROM_INF:
         if not lo < cut <= hi:
             raise DomainError(f"cut {cut} outside ({lo}, {hi}]")
     else:
         if not lo <= cut < hi:
             raise DomainError(f"cut {cut} outside [{lo}, {hi})")
+    return _cover_boundary(frame, cut, side)
 
+
+def _cover_boundary(frame: _Frame, cut: Fraction, side: str) -> BoundaryCover:
+    """cover_boundary on an already validated frame with the cut inside it."""
     while True:
-        u = (cut - off) / sc
-        rel_low = (side == FROM_INF) == (sc > 0)
-        if rel_low:
-            return _solve_low(sign, prefix, r, u)
-        if u > Fraction(r, r + 1):
+        u = (cut - frame.off) / frame.sc
+        if (side == FROM_INF) == (frame.sc > 0):
+            return _solve_low(frame.sign, frame.word, frame.r, u)
+        if u > Fraction(frame.r, frame.r + 1):
             # piece (u, 1] strictly inside the first child: descend
-            prefix = prefix + (r + 1,)
-            off, sc, r = _affine(rule, prefix, sign)
+            frame = frame.child(frame.r + 1)
             continue
-        return _solve_high(sign, prefix, r, u)
+        return _solve_high(frame.sign, frame.word, frame.r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -298,29 +294,31 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     _interval_conventions(sign, U)
     x1, x2 = U.lo, U.hi
     W = x2 - x1
-    prefix: DigitWord = ()
+    frame = _Frame.walk(rule, sign, ())
 
     while True:
-        off, sc, r = _affine(rule, prefix, sign)
+        off, sc, r = frame.off, frame.sc, frame.r
         u1 = (x1 - off) / sc
         u2 = (x2 - off) / sc
         t_lo, t_hi = (u1, u2) if u1 < u2 else (u2, u1)
         if t_lo == 0 and t_hi == 1:
-            return [FamilySet(sign, prefix, r + 1, None)]
+            return [FamilySet(sign, frame.word, r + 1, None)]
         if t_lo == 0:
             side = FROM_INF if sc > 0 else TO_SUP
             cut = x2 if sc > 0 else x1
-            return list(cover_boundary(rule, sign, prefix, cut, side).tight)
+            return list(_cover_boundary(frame, cut, side).tight)
         if t_hi == 1:
             side = TO_SUP if sc > 0 else FROM_INF
             cut = x1 if sc > 0 else x2
-            return list(cover_boundary(rule, sign, prefix, cut, side).tight)
+            return list(_cover_boundary(frame, cut, side).tight)
         d_lo, lo_exact = _child_ceil(r, t_lo)
         d_hi, hi_exact = _child_floor(r, t_hi)
         if d_lo == d_hi:
-            prefix = prefix + (d_lo,)
+            frame = frame.child(d_lo)
             continue
         break
+
+    prefix = frame.word
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
     scale = abs(sc)
@@ -339,10 +337,10 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         hi_side, hi_cut = TO_SUP, x1
 
     def lo_cover() -> BoundaryCover:
-        return cover_boundary(rule, sign, prefix + (d_lo,), lo_cut, lo_side)
+        return _cover_boundary(frame.child(d_lo), lo_cut, lo_side)
 
     def hi_cover() -> BoundaryCover:
-        return cover_boundary(rule, sign, prefix + (d_hi,), hi_cut, hi_side)
+        return _cover_boundary(frame.child(d_hi), hi_cut, hi_side)
 
     if d_lo == d_hi + 1:
         # adjacent children, no middle block
@@ -401,15 +399,10 @@ def split_to_finite(
     costs in floating point; far down the stream the diameters drop below
     the double-precision underflow threshold and such terms contribute 0.0.
     """
-    if alpha <= 0 or eps <= 0:
-        raise DomainError("alpha and eps must be positive")
+    s = split_parameters(alpha, eps)
     if fs.end is not None:
         raise DomainError("split_to_finite needs an unbounded family set")
     _validate_family_set(rule, fs)
-
-    s = 2
-    while s**alpha <= 1 + 1 / eps:
-        s += 1
 
     t = fs.start
     while True:
@@ -419,12 +412,27 @@ def split_to_finite(
 
 
 def split_parameters(alpha: float, eps: float) -> int:
-    """The geometric ratio s chosen by split_to_finite (exposed for checks)."""
-    if alpha <= 0 or eps <= 0:
+    """The geometric ratio s chosen by split_to_finite (exposed for checks).
+
+    The minimal integer s >= 2 passing the float test s**alpha > 1 + 1/eps:
+    the closed-form guess floor((1 + 1/eps)**(1/alpha)) is moved by single
+    steps until s passes the test and s - 1 (when >= 2) does not.  A guess
+    beyond 2**53, where consecutive integers stop being distinct floats, is a
+    DomainError.
+    """
+    if not (alpha > 0 and eps > 0):
         raise DomainError("alpha and eps must be positive")
-    s = 2
-    while s**alpha <= 1 + 1 / eps:
+    bound = 1 + 1 / eps
+    try:
+        s = max(2, int(bound ** (1 / alpha)))
+    except OverflowError:  # the guess is beyond float range
+        s = 2**53
+    if s >= 2**53:
+        raise DomainError(f"split ratio for alpha={alpha}, eps={eps} exceeds 2**53")
+    while s**alpha <= bound:
         s += 1
+    while s > 2 and (s - 1) ** alpha > bound:
+        s -= 1
     return s
 
 
@@ -440,11 +448,11 @@ class CoverReport:
     cost: float
 
 
-def _is_alt_endpoint(rule: DigitRule, x: Fraction) -> bool:
-    """Exact membership test for the countable alternating endpoint set."""
+def _is_alt_endpoint(rule: DigitRule, x: Fraction, depth: int) -> bool:
+    """Exact membership test for alternating cylinder endpoints of rank <= depth."""
     if x <= 0 or x >= 1:
         return True  # 0/1 bound the space; treat as exempt
-    probe = alternating_digits(rule, x, 64)
+    probe = alternating_digits(rule, x, depth)
     return isinstance(probe, ISPoint)
 
 
@@ -466,12 +474,16 @@ def verify_cover(
     hulls = []
     max_d = Fraction(0)
     sign = None
+    # hull endpoints are cylinder endpoints of rank <= len(prefix) + 1, so
+    # an endpoint probe terminates within this many digits
+    depth = 0
     for fs in sets:
         h = family_set_hull(rule, fs)
         hulls.append(h)
         if h.diameter > max_d:
             max_d = h.diameter
         sign = fs.sign
+        depth = max(depth, len(fs.prefix) + 2)
     cost = math.fsum(float(h.diameter) ** alpha for h in hulls)
     if not hulls:
         return CoverReport(False, Fraction(0), 0.0)
@@ -490,7 +502,7 @@ def verify_cover(
         if best is None and alternating:
             # allow crossing a stall point that no open hull can contain,
             # provided it is a certified endpoint-set point
-            if _is_alt_endpoint(rule, reach) and any(h.lo == reach for h in hulls):
+            if _is_alt_endpoint(rule, reach, depth) and any(h.lo == reach for h in hulls):
                 best = max(h.hi for h in hulls if h.lo == reach)
         if best is None or best <= reach:
             return CoverReport(False, max_d, cost)

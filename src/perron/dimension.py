@@ -171,7 +171,7 @@ def enumerate_compatible_bases(
             child = word + (c,)
             if not predicate(child):
                 continue
-            r_child = _step_r(rule, child, c)
+            r_child = _step_r(rule, child, len(child))
             if r_child < 1:
                 continue  # digit admissible but rule value degenerates: prune
             if len(child) == rank:

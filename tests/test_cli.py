@@ -92,6 +92,19 @@ def test_split_blocks(capsys):
         assert b["from"] == a["to"] + 1
 
 
+def test_split_negative_blocks_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        [
+            "split", "--system", "luroth", "--sign", "P",
+            "--from", "2", "--alpha", "1", "--eps", "0.5", "--blocks", "-1",
+        ],
+    )
+    assert code == 3
+    assert out == ""
+    assert "--blocks" in err
+
+
 def test_cover_pipes_into_verify(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

@@ -21,6 +21,7 @@ from perron import (
     cover_interval,
     cylinder,
     family_set_hull,
+    partial_sum,
     positive_digits,
     rule_value,
     split_parameters,
@@ -296,6 +297,29 @@ def test_cover_interval_contracts(case):
     assert verify_cover(rule, U, sets, 1.0).covers
 
 
+PARITY = DigitRule.custom(lambda prefix: 1 + sum(prefix) % 2)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_custom_rule_deep_cylinders_and_covers(sign):
+    # r depends on the whole prefix, so no last-digit shortcut applies
+    word = positive_digits(PARITY, Fraction(271828, 314159), 70)
+    for k in (1, 2, 35, 70):
+        cyl = cylinder(PARITY, word[:k], sign)
+        assert cyl.diameter == word_diameter(PARITY, word[:k])
+        upper = sign is Sign.ALTERNATING and k % 2
+        assert partial_sum(PARITY, word[:k], sign) == (cyl.hi if upper else cyl.lo)
+
+    cyl = cylinder(PARITY, word, sign)
+    U = interval_for(sign, cyl.lo + cyl.diameter / 7, cyl.lo + cyl.diameter * 5 / 9)
+    sets = cover_interval(PARITY, sign, U)
+    assert 1 <= len(sets) <= 3
+    assert min(len(fs.prefix) for fs in sets) > 64
+    for fs in sets:
+        assert family_set_hull(PARITY, fs).diameter <= U.diameter
+    assert verify_cover(PARITY, U, sets, 1.0).covers
+
+
 # ---------------------------------------------------------------------------
 # splitting unbounded sets
 # ---------------------------------------------------------------------------
@@ -309,6 +333,34 @@ def test_split_parameter_choice():
         split_parameters(0.0, 0.5)
     with pytest.raises(DomainError):
         split_parameters(1.0, -1.0)
+
+
+def _split_parameters_by_search(alpha, eps):
+    """The minimal s >= 2 with s**alpha > 1 + 1/eps, by linear search."""
+    s = 2
+    while s**alpha <= 1 + 1 / eps:
+        s += 1
+    return s
+
+
+def test_split_parameters_match_linear_search():
+    # includes exact roots (bound**(1/alpha) an integer) where the float test
+    # decides between the guess and its successor
+    for alpha in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+        for eps in (0.1, 1 / 8, 0.25, 1 / 3, 0.5, 1.0, 2.0, 10.0):
+            assert split_parameters(alpha, eps) == _split_parameters_by_search(alpha, eps)
+
+
+def test_split_parameters_far_beyond_linear_search():
+    alpha, eps = 0.05, 0.5
+    s = split_parameters(alpha, eps)
+    assert s**alpha > 1 + 1 / eps >= (s - 1) ** alpha
+    # guesses that overflow a float (or pass 2**53) are rejected, not searched
+    for alpha, eps in ((0.001, 0.5), (0.01, 1e-300), (0.02, 0.5)):
+        with pytest.raises(DomainError):
+            split_parameters(alpha, eps)
+    with pytest.raises(DomainError):
+        split_parameters(float("nan"), 0.5)
 
 
 def test_split_requires_unbounded_set():
@@ -400,6 +452,19 @@ def test_verify_crosses_certified_junction_points():
         FamilySet(Sign.ALTERNATING, (), 2, 2),
     ]
     assert verify_cover(PIERCE, U, sets, 1.0).covers
+
+
+def test_verify_certifies_junctions_deeper_than_64():
+    # the sets abut at the junction of children 5 and 6 of the (2,)*k
+    # cylinder, a rank-(k+1) endpoint with no alternating expansion
+    for k in (63, 64, 100):
+        prefix = (2,) * k
+        sets = [
+            FamilySet(Sign.ALTERNATING, prefix, 2, 5),
+            FamilySet(Sign.ALTERNATING, prefix, 6, None),
+        ]
+        U = family_set_hull(LUROTH, FamilySet(Sign.ALTERNATING, prefix, 2, None))
+        assert verify_cover(LUROTH, U, sets, 1.0).covers
 
 
 def test_verify_rejects_real_alternating_gap():
