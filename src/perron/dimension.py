@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import DigitRule, DigitWord, ExactQ, Sign, _step_r, cylinder
+from .core import DigitRule, DigitWord, ExactQ, Sign, _positive_r, _step_r
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = [
@@ -128,18 +128,18 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     return DigitPredicate(classify, f"ratio-window({alpha},{delta})")
 
 
-def enumerate_compatible_bases(
+def _bases_with_diameters(
     rule: DigitRule,
     predicate: DigitPredicate,
     rank: int,
     digit_cap: int,
-) -> Iterator[DigitWord]:
-    """All valid rank-`rank` words with digits <= digit_cap passing the predicate.
+) -> Iterator[tuple[DigitWord, int, int]]:
+    """enumerate_compatible_bases, each word with its cylinder diameter.
 
-    Deterministic lexicographic order.  Warns CapTooSmallWarning (once) when
-    the cap cuts off every admissible digit at some position, i.e. when a
-    compatible prefix has no rule-admissible child <= digit_cap although
-    admissible children exist beyond it.
+    The diameter r_0...r_{k-1} / prod (c_i - 1)c_i is the same for both
+    signs.  It is carried down the tree as an unreduced pair: a child's
+    numerator is its parent's times r, its denominator its parent's times
+    (c-1)c.  Each base yields (word, num, den); the caller reduces it.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
@@ -157,7 +157,9 @@ def enumerate_compatible_bases(
                 stacklevel=3,
             )
 
-    def descend(word: DigitWord, r: int) -> Iterator[DigitWord]:
+    def descend(
+        word: DigitWord, r: int, num: int, den: int
+    ) -> Iterator[tuple[DigitWord, int, int]]:
         lo = r + 1
         if allowed is not None:
             candidates = [c for c in allowed if lo <= c <= digit_cap]
@@ -167,6 +169,7 @@ def enumerate_compatible_bases(
             if lo > digit_cap:
                 warn_once()
             candidates = range(lo, digit_cap + 1)
+        num_child = num * r
         for c in candidates:
             child = word + (c,)
             if not predicate(child):
@@ -174,12 +177,30 @@ def enumerate_compatible_bases(
             r_child = _step_r(rule, child, len(child))
             if r_child < 1:
                 continue  # digit admissible but rule value degenerates: prune
+            den_child = den * (c - 1) * c
             if len(child) == rank:
-                yield child
+                yield child, num_child, den_child
             else:
-                yield from descend(child, r_child)
+                yield from descend(child, r_child, num_child, den_child)
 
-    yield from descend((), rule.phi0)
+    yield from descend((), _positive_r(rule.phi0, 0), 1, 1)
+
+
+def enumerate_compatible_bases(
+    rule: DigitRule,
+    predicate: DigitPredicate,
+    rank: int,
+    digit_cap: int,
+) -> Iterator[DigitWord]:
+    """All valid rank-`rank` words with digits <= digit_cap passing the predicate.
+
+    Deterministic lexicographic order.  Warns CapTooSmallWarning (once) when
+    the cap cuts off every admissible digit at some position, i.e. when a
+    compatible prefix has no rule-admissible child <= digit_cap although
+    admissible children exist beyond it.
+    """
+    for word, _, _ in _bases_with_diameters(rule, predicate, rank, digit_cap):
+        yield word
 
 
 @dataclass(frozen=True)
@@ -198,11 +219,6 @@ class DimensionEstimate:
     bases_count: int
 
 
-def _log_diameter(rule: DigitRule, word: DigitWord, sign: Sign) -> float:
-    d = cylinder(rule, word, sign).diameter
-    return math.log(d.numerator) - math.log(d.denominator)
-
-
 def pressure_root(
     rule: DigitRule,
     sign: Sign,
@@ -219,17 +235,22 @@ def pressure_root(
     brackets on [0, 1.5] and stops when |sum - 1| <= tol.  One base forces
     s = 0 exactly; no bases reports s = 0 with bases_count 0.
 
-    Diameters are computed through the sign-aware cylinder endpoints, so the
-    positive and alternating estimates agree bit-for-bit exactly when the two
-    affine endpoint routes produce equal diameters, which the equal-diameter
-    law guarantees.
+    Diameters come from the enumeration itself: each base's exact diameter
+    r_0...r_{k-1} / prod (c_i - 1)c_i is carried down the tree and reduced
+    once.  That diameter does not depend on the sign (the equal-diameter
+    law), so the positive and alternating estimates agree bit for bit.
+    tol must be finite and positive; if the bisection runs out before
+    |sum - 1| <= tol (a tol below float resolution), DomainError names the
+    best residual it reached.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    bases = list(enumerate_compatible_bases(rule, predicate, rank, digit_cap))
-    if not bases:
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
+    logs = []
+    for _, num, den in _bases_with_diameters(rule, predicate, rank, digit_cap):
+        d = Fraction(num, den)
+        logs.append(math.log(d.numerator) - math.log(d.denominator))
+    if not logs:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
-    logs = [_log_diameter(rule, w, sign) for w in bases]
 
     def f(s: float) -> float:
         return math.fsum(math.exp(s * ld) for ld in logs) - 1.0
@@ -237,23 +258,23 @@ def pressure_root(
     lo, hi = 0.0, 1.5
     f_lo = f(lo)
     if abs(f_lo) <= tol:
-        return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), len(bases))
+        return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), len(logs))
     if f_lo < 0:  # cannot happen: f(0) = bases_count - 1 >= 0
         raise DomainError("pressure sum below 1 at s = 0")
+    best = abs(f_lo)
     for _ in range(_MAX_BISECT):
         mid = (lo + hi) / 2
         fm = f(mid)
         if abs(fm) <= tol:
-            s, residual = mid, abs(fm)
-            break
+            return DimensionEstimate(rank, digit_cap, mid, abs(fm), len(logs))
+        best = min(best, abs(fm))
         if fm > 0:
             lo = mid
         else:
             hi = mid
-    else:
-        mid = (lo + hi) / 2
-        s, residual = mid, abs(f(mid))
-    return DimensionEstimate(rank, digit_cap, s, residual, len(bases))
+    raise DomainError(
+        f"tol {tol} not reached in {_MAX_BISECT} bisection steps; best residual {best}"
+    )
 
 
 def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
@@ -265,8 +286,8 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
     [0, 1].  Requires every ratio in (0, 1) exactly and sum of ratios <= 1
     (so the root lies in the bracket).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
     ratios = [Fraction(r) for r in ratios]
     if not ratios:
         raise DomainError("need at least one ratio")
@@ -310,7 +331,9 @@ def measure_at_rank(
     unrestricted predicate, where rank-k cylinders tile the whole space and
     the telescoped total is exactly 1; any other predicate needs a finite
     cap.  Non-increasing in rank for hereditary predicates (children of a
-    compatible word cover at most their parent).
+    compatible word cover at most their parent).  Each diameter is
+    accumulated along the enumeration rather than read off a cylinder; it
+    is the same for both signs.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
@@ -319,6 +342,6 @@ def measure_at_rank(
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
     total = Fraction(0)
-    for word in enumerate_compatible_bases(rule, predicate, rank, digit_cap):
-        total += cylinder(rule, word, sign).diameter
+    for _, num, den in _bases_with_diameters(rule, predicate, rank, digit_cap):
+        total += Fraction(num, den)
     return total

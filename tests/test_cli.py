@@ -243,6 +243,16 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_3(capsys, tol):
+    code, out, err = run_cli(
+        capsys, ["dim", "--system", "luroth", "--rank", "1", "--cap", "5", "--tol", tol]
+    )
+    assert (code, out) == (3, "") and "tol" in err
+    code, out, err = run_cli(capsys, ["moran", "--ratios", "1/2,1/6", "--tol", tol])
+    assert (code, out) == (3, "") and "tol" in err
+
+
 def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("PERRON_THREADS", "0")
     code, _, err = run_cli(capsys, ["moran", "--ratios", "1/2"])

@@ -1,5 +1,7 @@
 """Base enumeration, pressure roots, the independent Moran solver, measures."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from perron import (
     all_digits,
     alphabet_restrict,
     bounded_ratio,
+    cylinder,
     enumerate_compatible_bases,
     growth_floor,
     measure_at_rank,
@@ -202,6 +205,21 @@ def test_pressure_tol_domain():
         pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 1, 5, 0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_non_finite_tol_is_a_domain_error(tol):
+    with pytest.raises(DomainError):
+        pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 1, 5, tol)
+    with pytest.raises(DomainError):
+        moran_dimension([Fraction(1, 2), Fraction(1, 6)], tol=tol)
+
+
+def test_unreachable_tol_is_a_domain_error():
+    # 1e-18 is below the spacing of doubles near 1, so no bisection step can
+    # bring |sum - 1| within it; the contract residual <= tol cannot be kept
+    with pytest.raises(DomainError, match="residual"):
+        pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)
+
+
 def test_custom_rule_enumeration_never_reevaluates_prefixes():
     calls = []
 
@@ -299,3 +317,57 @@ def test_measure_all_with_cap_matches_telescoped_tail(cap, rank):
     # tail, and deeper ranks miss more
     value = measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), rank, cap)
     assert value == (1 - Fraction(1, cap)) ** rank
+
+
+# ---------------------------------------------------------------------------
+# carried diameters against sign-aware cylinders
+# ---------------------------------------------------------------------------
+
+ORACLE_RULES = {
+    "luroth": LUROTH,
+    "engel": ENGEL,
+    "engel-mod": ENGEL_MOD,
+    "pierce": PIERCE,
+    "oppenheim": DigitRule.oppenheim(2, 1),
+    "custom": DigitRule.custom(lambda prefix: 1 + sum(prefix) % 2),
+}
+
+
+def _cylinder_root(rule, sign, pred, rank, cap, tol):
+    """The pressure root with every diameter read off cylinder(); returns the
+    estimate and the exact diameters it summed."""
+    bases = list(enumerate_compatible_bases(rule, pred, rank, cap))
+    diams = [cylinder(rule, w, sign).diameter for w in bases]
+    if not bases:
+        return DimensionEstimate(rank, cap, 0.0, 1.0, 0), diams
+    logs = [math.log(d.numerator) - math.log(d.denominator) for d in diams]
+
+    def f(s):
+        return math.fsum(math.exp(s * ld) for ld in logs) - 1.0
+
+    lo, hi = 0.0, 1.5
+    if abs(f(lo)) <= tol:
+        return DimensionEstimate(rank, cap, 0.0, abs(f(lo)), len(bases)), diams
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return DimensionEstimate(rank, cap, mid, abs(fm), len(bases)), diams
+        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
+    raise AssertionError("reference bisection did not converge")
+
+
+@pytest.mark.parametrize("sign", [Sign.POSITIVE, Sign.ALTERNATING], ids=["P", "A"])
+@pytest.mark.parametrize("name", list(ORACLE_RULES))
+def test_carried_diameters_match_cylinder_oracle(name, sign):
+    rule = ORACLE_RULES[name]
+    preds = [all_digits(), alphabet_restrict([2, 3, 5, 8]), bounded_ratio(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        for rank in (1, 2, 3):
+            for pred in preds:
+                ref, diams = _cylinder_root(rule, sign, pred, rank, 9, 1e-9)
+                got = pressure_root(rule, sign, pred, rank, 9, 1e-9)
+                assert got == ref, (name, sign, rank, pred)
+                measure = measure_at_rank(rule, sign, pred, rank, 9)
+                assert measure == sum(diams, Fraction(0)), (name, sign, rank, pred)
