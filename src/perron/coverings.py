@@ -342,25 +342,22 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     def hi_cover() -> BoundaryCover:
         return _cover_boundary(frame.child(d_hi), hi_cut, hi_side)
 
-    if d_lo == d_hi + 1:
-        # adjacent children, no middle block
-        if lo_exact and hi_exact:
-            return [FamilySet(sign, prefix, d_hi, d_lo)]
-        if lo_exact:
-            return [FamilySet(sign, prefix, d_lo, d_lo), *hi_cover().tight]
-        if hi_exact:
-            return [*lo_cover().tight, FamilySet(sign, prefix, d_hi, d_hi)]
-        if 2 * w_lo >= W:
-            return [*lo_cover().tight, hi_cover().single]
-        return [lo_cover().single, *hi_cover().tight]
-
-    # middle block present: digits d_hi+1 .. d_lo-1
+    # junction endpoints: the exact side's child joins the block between
+    # (digits d_hi+1 .. d_lo-1, empty when the children are adjacent)
     if lo_exact and hi_exact:
         return [FamilySet(sign, prefix, d_hi, d_lo)]
     if lo_exact:
         return [FamilySet(sign, prefix, d_hi + 1, d_lo), *hi_cover().tight]
     if hi_exact:
         return [*lo_cover().tight, FamilySet(sign, prefix, d_hi, d_lo - 1)]
+
+    if d_lo == d_hi + 1:
+        # adjacent children, no middle block
+        if 2 * w_lo >= W:
+            return [*lo_cover().tight, hi_cover().single]
+        return [lo_cover().single, *hi_cover().tight]
+
+    # middle block present: digits d_hi+1 .. d_lo-1
     if 2 * mid_w >= W:
         return [
             lo_cover().single,

@@ -53,8 +53,13 @@ class DigitPredicate:
 
     classify(word) returns True (compatible) or False (incompatible); it must
     be hereditary: once a word is incompatible, every extension is too.  The
-    enumeration below relies on that to prune whole subtrees.
+    enumeration below relies on that to prune whole subtrees.  Such an opaque
+    predicate is asked about each whole child word; the built-in predicates
+    are local and test only the new digit.
     """
+
+    _alphabet: tuple[int, ...] | None = None  # finite digit set, if declared
+    _unrestricted = False  # admits every word
 
     def __init__(self, classify: Callable[[DigitWord], bool], description: str):
         self.classify = classify
@@ -66,25 +71,47 @@ class DigitPredicate:
     def __repr__(self):
         return f"DigitPredicate({self.description})"
 
+    def _admits(self, child: DigitWord) -> bool:
+        """Is child compatible, given that child[:-1] is?"""
+        return self.classify(child)
+
+
+class _LocalPredicate(DigitPredicate):
+    """A predicate stated as test(prev, c, n) on each digit c, its
+    predecessor prev (None for the first digit) and its 1-based position n.
+    A word is compatible when every digit passes, so the predicate is
+    hereditary by construction and the enumerator tests one digit per child.
+    """
+
+    def __init__(self, test, description, alphabet=None, unrestricted=False):
+        super().__init__(self._classify, description)
+        self._test, self._alphabet, self._unrestricted = test, alphabet, unrestricted
+
+    def _classify(self, word: DigitWord) -> bool:
+        padded = (None, *word)  # padded[n - 1] precedes the n-th digit
+        return all(self._test(padded[n - 1], c, n) for n, c in enumerate(padded[1:], 1))
+
+    def _admits(self, child: DigitWord) -> bool:
+        n = len(child)
+        return self._test(child[-2] if n > 1 else None, child[-1], n)
+
 
 def all_digits() -> DigitPredicate:
     """No restriction beyond rule validity."""
-    pred = DigitPredicate(lambda word: True, "all")
-    pred.is_all = True
-    return pred
+    return _LocalPredicate(lambda prev, c, n: True, "all", unrestricted=True)
 
 
 def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
-    """Every digit drawn from a fixed finite set."""
+    """Every digit drawn from a fixed finite set of integers."""
     allowed_set = frozenset(allowed)
     if not allowed_set:
         raise DomainError("allowed digit set must be nonempty")
-    pred = DigitPredicate(
-        lambda word: all(c in allowed_set for c in word),
-        f"alphabet{sorted(allowed_set)}",
+    if not all(isinstance(c, int) for c in allowed_set):
+        raise DomainError("allowed digits must be integers")
+    alphabet = tuple(sorted(allowed_set))  # the enumerator's candidates
+    return _LocalPredicate(
+        lambda prev, c, n: c in allowed_set, f"alphabet{list(alphabet)}", alphabet
     )
-    pred.allowed = tuple(sorted(allowed_set))  # enables the fast enumeration path
-    return pred
 
 
 def bounded_ratio(k: ExactQ) -> DigitPredicate:
@@ -93,19 +120,15 @@ def bounded_ratio(k: ExactQ) -> DigitPredicate:
     if k <= 0:
         raise DomainError("ratio bound must be positive")
 
-    def classify(word: DigitWord) -> bool:
-        return all(word[i + 1] <= k * word[i] for i in range(len(word) - 1))
+    def test(prev, c, n):
+        return prev is None or c <= k * prev
 
-    return DigitPredicate(classify, f"ratio<={k}")
+    return _LocalPredicate(test, f"ratio<={k}")
 
 
 def growth_floor(psi: Callable[[int], ExactQ]) -> DigitPredicate:
     """Digit at 1-based position n at least psi(n), for all n."""
-
-    def classify(word: DigitWord) -> bool:
-        return all(c >= psi(n) for n, c in enumerate(word, start=1))
-
-    return DigitPredicate(classify, "growth-floor")
+    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor")
 
 
 def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
@@ -113,19 +136,18 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
 
     A prefix relaxation of sets defined by the limit of log-digit ratios:
     every word of the limit set eventually satisfies the window, and the
-    predicate approximates such sets from outside at each rank.
+    predicate approximates such sets from outside at each rank.  NaN alpha
+    or delta would admit every word, so both are rejected.
     """
+    if math.isnan(alpha) or math.isnan(delta):
+        raise DomainError("alpha and delta must not be NaN")
     if delta < 0:
         raise DomainError("delta must be >= 0")
 
-    def classify(word: DigitWord) -> bool:
-        for i in range(len(word) - 1):
-            ratio = math.log(word[i + 1]) / math.log(word[i])
-            if abs(ratio - alpha) > delta:
-                return False
-        return True
+    def test(prev, c, n):
+        return prev is None or abs(math.log(c) / math.log(prev) - alpha) <= delta
 
-    return DigitPredicate(classify, f"ratio-window({alpha},{delta})")
+    return _LocalPredicate(test, f"ratio-window({alpha},{delta})")
 
 
 def _bases_with_diameters(
@@ -145,7 +167,7 @@ def _bases_with_diameters(
         raise DomainError("rank must be >= 1")
     if digit_cap < rule.phi0 + 1:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
-    allowed = getattr(predicate, "allowed", None)
+    alphabet, admits = predicate._alphabet, predicate._admits
     warned = [False]
 
     def warn_once():
@@ -161,18 +183,16 @@ def _bases_with_diameters(
         word: DigitWord, r: int, num: int, den: int
     ) -> Iterator[tuple[DigitWord, int, int]]:
         lo = r + 1
-        if allowed is not None:
-            candidates = [c for c in allowed if lo <= c <= digit_cap]
-            if not candidates and any(c >= lo for c in allowed):
-                warn_once()
-        else:
-            if lo > digit_cap:
-                warn_once()
+        if alphabet is None:
             candidates = range(lo, digit_cap + 1)
+        else:
+            candidates = [c for c in alphabet if lo <= c <= digit_cap]
+        if not candidates and (alphabet is None or alphabet[-1] >= lo):
+            warn_once()
         num_child = num * r
         for c in candidates:
             child = word + (c,)
-            if not predicate(child):
+            if not admits(child):
                 continue
             r_child = _step_r(rule, child, len(child))
             if r_child < 1:
@@ -338,7 +358,7 @@ def measure_at_rank(
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if digit_cap is None:
-        if not getattr(predicate, "is_all", False):
+        if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
     total = Fraction(0)

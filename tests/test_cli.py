@@ -218,6 +218,8 @@ def test_usage_errors_exit_64(capsys):
         ["expand", "--system", "engel", "--x", "one half", "--n", "3"],
         ["expand", "--system", "engel", "--x", "1/2"],
         ["eval", "--system", "engel", "--word", "2,3", "--sign", "Q"],
+        ["dim", "--system", "luroth", "--predicate", "ratio-window:nan,0.1",
+         "--rank", "2", "--cap", "9"],
         [],
     ):
         code, _, err = run_cli(capsys, argv)

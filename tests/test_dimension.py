@@ -1,5 +1,6 @@
 """Base enumeration, pressure roots, the independent Moran solver, measures."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from perron import (
     CapTooSmallWarning,
+    DigitPredicate,
     DigitRule,
     DimensionEstimate,
     DomainError,
@@ -106,6 +108,12 @@ def test_predicate_constructors_validate():
         bounded_ratio(0)
     with pytest.raises(DomainError):
         ratio_limit_window(1.0, -0.1)
+    with pytest.raises(DomainError):
+        ratio_limit_window(math.nan, 0.1)
+    with pytest.raises(DomainError):
+        ratio_limit_window(1.0, math.nan)
+    with pytest.raises(DomainError):
+        alphabet_restrict([2.5, 3])
 
 
 def test_bounded_ratio_enumeration():
@@ -291,6 +299,9 @@ def test_measure_examples():
 def test_measure_requires_cap_for_restrictions():
     with pytest.raises(DomainError):
         measure_at_rank(LUROTH, Sign.POSITIVE, alphabet_restrict([2, 3]), 2, None)
+    opaque_all = DigitPredicate(lambda w: True, "all")  # cannot declare itself unrestricted
+    with pytest.raises(DomainError):
+        measure_at_rank(LUROTH, Sign.POSITIVE, opaque_all, 2, None)
     with pytest.raises(DomainError):
         measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 0, None)
 
@@ -371,3 +382,92 @@ def test_carried_diameters_match_cylinder_oracle(name, sign):
                 assert got == ref, (name, sign, rank, pred)
                 measure = measure_at_rank(rule, sign, pred, rank, 9)
                 assert measure == sum(diams, Fraction(0)), (name, sign, rank, pred)
+
+
+# ---------------------------------------------------------------------------
+# local predicates against whole-word classifiers
+# ---------------------------------------------------------------------------
+
+
+def _whole_word_alphabet(allowed):
+    allowed_set = frozenset(allowed)
+    return lambda word: all(c in allowed_set for c in word)
+
+
+def _whole_word_ratio(k):
+    k = Fraction(k)
+    return lambda word: all(word[i + 1] <= k * word[i] for i in range(len(word) - 1))
+
+
+def _whole_word_growth(psi):
+    return lambda word: all(c >= psi(n) for n, c in enumerate(word, start=1))
+
+
+def _whole_word_window(alpha, delta):
+    def classify(word):
+        for i in range(len(word) - 1):
+            ratio = math.log(word[i + 1]) / math.log(word[i])
+            if abs(ratio - alpha) > delta:
+                return False
+        return True
+
+    return classify
+
+
+# (built-in, opaque whole-word classifier) pairs; the windows (1.5, 0.5),
+# (1.0, 1.0) and (2.0, 0.0) have pairs such as (2, 2), (2, 4) and (3, 9),
+# whose float log-ratio 1.0 or 2.0 lies exactly on the window's edge
+LOCAL_CASES = {
+    "all": (all_digits(), lambda word: True),
+    "alphabet": (alphabet_restrict([2, 3, 5, 8]), _whole_word_alphabet([2, 3, 5, 8])),
+    "ratio-3/2": (bounded_ratio(Fraction(3, 2)), _whole_word_ratio(Fraction(3, 2))),
+    "ratio-2": (bounded_ratio(2), _whole_word_ratio(2)),
+    "growth-n": (growth_floor(lambda n: n), _whole_word_growth(lambda n: n)),
+    "growth-n^2": (growth_floor(lambda n: n * n), _whole_word_growth(lambda n: n * n)),
+    "window-1,0.5": (ratio_limit_window(1.0, 0.5), _whole_word_window(1.0, 0.5)),
+    "window-1.5,0.5": (ratio_limit_window(1.5, 0.5), _whole_word_window(1.5, 0.5)),
+    "window-1,1": (ratio_limit_window(1.0, 1.0), _whole_word_window(1.0, 1.0)),
+    "window-2,0": (ratio_limit_window(2.0, 0.0), _whole_word_window(2.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_local_predicates_match_whole_word_oracle(case):
+    local, classify = LOCAL_CASES[case]
+    opaque = DigitPredicate(classify, case)
+    words = [()] + [w for k in (1, 2, 3) for w in itertools.product(range(2, 10), repeat=k)]
+    assert [local(w) for w in words] == [opaque(w) for w in words]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        for name, rule in ORACLE_RULES.items():
+            for rank, cap in itertools.product((1, 2, 3), (4, 9, 16)):
+                key = (name, rank, cap)
+                got = list(enumerate_compatible_bases(rule, local, rank, cap))
+                assert got == list(enumerate_compatible_bases(rule, opaque, rank, cap)), key
+                for sign in (Sign.POSITIVE, Sign.ALTERNATING):
+                    assert pressure_root(rule, sign, local, rank, cap, 1e-9) == pressure_root(
+                        rule, sign, opaque, rank, cap, 1e-9
+                    ), (key, sign)
+                    assert measure_at_rank(rule, sign, local, rank, cap) == measure_at_rank(
+                        rule, sign, opaque, rank, cap
+                    ), (key, sign)
+
+
+def test_growth_floor_tests_one_digit_per_child():
+    # the enumerator asks the opaque form once per child it tests; the
+    # built-in form must evaluate psi exactly once per such child, however
+    # long the word
+    calls = [0, 0]
+
+    def psi(n):
+        calls[0] += 1
+        return n + 1
+
+    def classify(word):
+        calls[1] += 1
+        return all(c >= n + 1 for n, c in enumerate(word, start=1))
+
+    local = list(enumerate_compatible_bases(LUROTH, growth_floor(psi), 4, 7))
+    opaque = list(enumerate_compatible_bases(LUROTH, DigitPredicate(classify, "g"), 4, 7))
+    assert local == opaque and local
+    assert calls[0] == calls[1]
