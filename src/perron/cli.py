@@ -15,6 +15,7 @@ errors (unknown flags or unparsable flag values).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,6 +69,25 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _flag_parser(parse):
+    """Make parse's failures argparse usage errors that keep their message.
+
+    argparse replaces the text of a plain ValueError from a type= parser
+    with "invalid <name> value", and lets any other exception escape; an
+    ArgumentTypeError is printed as it is.
+    """
+
+    @functools.wraps(parse)
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return wrapped
+
+
+@_flag_parser
 def _parse_system(text: str) -> DigitRule:
     if text == "luroth":
         return DigitRule.luroth()
@@ -85,16 +105,19 @@ def _parse_system(text: str) -> DigitRule:
     raise ValueError(f"unknown system {text!r}")
 
 
+@_flag_parser
 def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+@_flag_parser
 def _parse_word(text: str) -> tuple:
     if not text:
         return ()
     return tuple(int(t) for t in text.split(","))
 
 
+@_flag_parser
 def _parse_sign(text: str) -> Sign:
     try:
         return Sign(text)
@@ -102,6 +125,7 @@ def _parse_sign(text: str) -> Sign:
         raise ValueError(f"sign must be P or P-, got {text!r}")
 
 
+@_flag_parser
 def _parse_cap(text: str) -> int | None:
     if text == "inf":
         return None
@@ -122,6 +146,7 @@ def _parse_growth(expr: str):
     raise ValueError(f"growth shape {expr!r} not one of: c, n^k, b^n")
 
 
+@_flag_parser
 def _parse_predicate(text: str):
     if text == "all":
         return all_digits()
@@ -139,10 +164,12 @@ def _parse_predicate(text: str):
     raise ValueError(f"unknown predicate {text!r}")
 
 
+@_flag_parser
 def _parse_ratios(text: str) -> list:
     return [Fraction(t) for t in text.split(",")]
 
 
+@_flag_parser
 def _parse_kind(text: str) -> str:
     if text not in ("fp", "t", "g"):
         raise ValueError(f"kind must be fp, t, or g, got {text!r}")

@@ -24,6 +24,10 @@ diameter
     r_0 r_1 ... r_{k-1} / ((c_1-1)c_1 (c_2-1)c_2 ... (c_k-1)c_k).
 
 Everything in this module is exact rational arithmetic; no floats anywhere.
+Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
+off and sc as numerators over one common denominator, updated per digit with
+a few integer products and no gcd, and a value is reduced to a lowest-terms
+Fraction once, when it is read (cylinder endpoints, hull endpoints).
 
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).
@@ -129,7 +133,7 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     """r_i, the rule value after the 1-based position i of word (unchecked).
 
     For the builtin kinds this depends only on the digit c_i; custom rules
-    see the whole prefix word[:i].
+    see the whole prefix word[:i], always as a tuple (their fn is memoized).
     """
     k = rule.kind
     c = word[i - 1]
@@ -142,7 +146,7 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     if k == "oppenheim":
         return rule.a * c + rule.b
     if k == "custom":
-        return rule.fn(word[:i])
+        return rule.fn(tuple(word[:i]))
     raise ValueError(f"unknown rule kind {k!r}")
 
 
@@ -175,56 +179,79 @@ def validate_word(rule: DigitRule, word: Sequence[int]) -> None:
 
 
 class _Frame(NamedTuple):
-    """Affine description (off, sc) of a valid word's cylinder, plus r.
+    """Affine description of a valid word's cylinder, plus r.
 
     The rank-k cylinder is the image of the tail space under y |-> off + sc*y
     (tail space (0, 1] positive, (0, 1) alternating); sc is signed for the
     alternating form (sign (-1)^k) and |sc| is the cylinder diameter.  r is
-    the rule value after the word.  walk() validates a word and builds its
-    frame in one pass; child(c) extends a frame by one checked digit.  With
-    sign None only the word and r are tracked (pure validation).
+    the rule value after the word.
+
+    off and sc are carried as integers over one common denominator,
+    off = off_num/den and sc = sc_num/den with den > 0, and are never reduced
+    along the walk: each digit is a few integer products and no gcd.  Exact
+    values are read through at(), which reduces one point to a Fraction, and
+    relative(), which maps a point back into the unreduced relative frame.
+    walk() validates a word and builds its frame in one pass; child(c)
+    extends a frame by one checked digit.  With sign None only the word and r
+    are tracked (pure validation, no arithmetic).
     """
 
     rule: DigitRule
     sign: Sign | None
     word: DigitWord
-    off: ExactQ
-    sc: ExactQ
+    off_num: int
+    sc_num: int
+    den: int
     r: int
 
     @classmethod
     def walk(cls, rule: DigitRule, sign: Sign | None, word: Sequence[int]) -> "_Frame":
         word = tuple(word)
-        off, sc, r = Fraction(0), Fraction(1), _positive_r(rule.phi0, 0)
+        step = (0, 1, 1, _positive_r(rule.phi0, 0))
         for i in range(1, len(word) + 1):
-            off, sc, r = _compose(rule, sign, word, i, off, sc, r)
-        return cls(rule, sign, word, off, sc, r)
+            step = _compose(rule, sign, word, i, *step)
+        return cls(rule, sign, word, *step)
 
     def child(self, c: int) -> "_Frame":
         word = self.word + (c,)
-        step = _compose(self.rule, self.sign, word, len(word), self.off, self.sc, self.r)
+        step = _compose(
+            self.rule, self.sign, word, len(word),
+            self.off_num, self.sc_num, self.den, self.r,
+        )
         return _Frame(self.rule, self.sign, word, *step)
+
+    def at(self, num: int, den: int) -> ExactQ:
+        """The point off + sc * num/den (den > 0), reduced once."""
+        return Fraction(self.off_num * den + self.sc_num * num, self.den * den)
+
+    def relative(self, x: ExactQ) -> tuple[int, int]:
+        """(x - off)/sc as an unreduced pair (num, den) with den > 0."""
+        num = x.numerator * self.den - self.off_num * x.denominator
+        den = self.sc_num * x.denominator
+        return (num, den) if den > 0 else (-num, -den)
 
     @property
     def lo_hi(self) -> tuple[ExactQ, ExactQ]:
         """The cylinder's endpoints in increasing order."""
-        end = self.off + self.sc
-        return (self.off, end) if self.sc > 0 else (end, self.off)
+        off, end = self.at(0, 1), self.at(1, 1)
+        return (off, end) if self.sc_num > 0 else (end, off)
 
 
-def _compose(rule, sign, word, i, off, sc, r):
-    """(off, sc, r) after digit c = word[i-1], checked against r = r_{i-1}.
+def _compose(rule, sign, word, i, a, s, d, r):
+    """(off_num, sc_num, den, r) after digit c = word[i-1], checked against r.
 
     Composes the rank-i map y |-> r/c + y*r/((c-1)c) (positive) or
-    y |-> r/(c-1) - y*r/((c-1)c) (alternating) onto y |-> off + sc*y.
+    y |-> r/(c-1) - y*r/((c-1)c) (alternating) onto y |-> (a + s*y)/d, over
+    the common denominator d*(c-1)c.
     """
     c = word[i - 1]
     r_next = _next_r(rule, r, word, i)
     if sign is None:
-        return off, sc, r_next
+        return a, s, d, r_next
+    block = (c - 1) * c
     if sign is Sign.POSITIVE:
-        return off + sc * Fraction(r, c), sc * Fraction(r, (c - 1) * c), r_next
-    return off + sc * Fraction(r, c - 1), sc * Fraction(-r, (c - 1) * c), r_next
+        return a * block + s * r * (c - 1), s * r, d * block, r_next
+    return a * block + s * r * c, -s * r, d * block, r_next
 
 
 @dataclass(frozen=True)
@@ -295,7 +322,7 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
-    digits: DigitWord = ()
+    digits: list[int] = []
     r = rule.phi0
     for i in range(1, n + 1):
         p = (r * b) // a + 1
@@ -304,9 +331,9 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
         g = gcd(a, b)
         a //= g
         b //= g
-        digits += (p,)
+        digits.append(p)
         r = _next_r(rule, r, digits, i)
-    return digits
+    return tuple(digits)
 
 
 def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoint:
@@ -322,20 +349,20 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
-    digits: DigitWord = ()
+    digits: list[int] = []
     r = rule.phi0
     for i in range(1, n + 1):
         if (r * b) % a == 0:
-            return ISPoint(rank=i, digits=digits)
+            return ISPoint(rank=i, digits=tuple(digits))
         q = (r * b) // a + 1
         # remainder (r/(q-1) - x)(q-1)q/r = (r*b - a*(q-1))*q / (b*r), in (0, 1)
         a, b = (r * b - a * (q - 1)) * q, b * r
         g = gcd(a, b)
         a //= g
         b //= g
-        digits += (q,)
+        digits.append(q)
         r = _next_r(rule, r, digits, i)
-    return digits
+    return tuple(digits)
 
 
 def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:

@@ -20,6 +20,9 @@ occupies the relative interval (r/c, r/(c-1)], the first child (digit r+1)
 sits at the top, and children accumulate toward relative 0.  The alternating
 form's rank-parity orientation flip is entirely absorbed by the sign of sc,
 so one relative-frame case analysis serves both signs and every parity.
+Relative positions are unreduced integer pairs (core._Frame.relative), so
+the descent compares by cross-multiplication; Fractions are formed only for
+hull endpoints and for the piece widths that choose between covers.
 """
 
 from __future__ import annotations
@@ -113,11 +116,9 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     hulls are half-open (lo, hi]; alternating hulls are open.
     """
     frame = _validate_family_set(rule, fs)
-    top = Fraction(frame.r, fs.start - 1)
-    bot = Fraction(0) if fs.end is None else Fraction(frame.r, fs.end)
-    a = frame.off + frame.sc * bot
-    b = frame.off + frame.sc * top
-    lo, hi = (a, b) if a < b else (b, a)
+    a = frame.at(0, 1) if fs.end is None else frame.at(frame.r, fs.end)
+    b = frame.at(frame.r, fs.start - 1)
+    lo, hi = (a, b) if frame.sc_num > 0 else (b, a)
     if fs.sign is Sign.POSITIVE:
         return QInterval(lo, hi, False, True)
     return QInterval(lo, hi, False, False)
@@ -145,33 +146,33 @@ class BoundaryCover:
     single: FamilySet
 
 
-def _child_ceil(r: int, t: Fraction) -> tuple[int, bool]:
+def _child_ceil(r: int, t: tuple[int, int]) -> tuple[int, bool]:
     """Child whose closure contains t from below: c with r/c <= t < r/(c-1).
 
-    Returns (c, exact) where exact means t == r/c (t is child c's relative
-    infimum, a junction).
+    t = num/den > 0 is a relative position as an integer pair, reduced or
+    not: the quotient of r*den by num is the same either way, and the
+    remainder is zero exactly at a junction.  Returns (c, exact) where exact
+    means t == r/c (t is child c's relative infimum, a junction).
     """
-    num, den = t.numerator, t.denominator
+    num, den = t
     q, rem = divmod(r * den, num)
     if rem == 0:
         return q, True
     return q + 1, False
 
 
-def _child_floor(r: int, t: Fraction) -> tuple[int, bool]:
+def _child_floor(r: int, t: tuple[int, int]) -> tuple[int, bool]:
     """Child containing t from above: c with r/c < t <= r/(c-1).
 
-    Returns (c, exact) where exact means t == r/(c-1) (t is child c's
-    relative supremum, a junction).
+    t is an integer pair as in _child_ceil.  Returns (c, exact) where exact
+    means t == r/(c-1) (t is child c's relative supremum, a junction).
     """
-    num, den = t.numerator, t.denominator
+    num, den = t
     q, rem = divmod(r * den, num)
-    if rem == 0:
-        return q + 1, True
-    return q + 1, False
+    return q + 1, rem == 0
 
 
-def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: Fraction) -> BoundaryCover:
+def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> BoundaryCover:
     """Cover the relative piece (0, t], 0 < t <= 1, of the prefix cylinder.
 
     Exact junction t = r/m: the single set {m+1..inf} is the piece exactly.
@@ -187,7 +188,7 @@ def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: Fraction) -> BoundaryCo
     return BoundaryCover(tight, FamilySet(sign, prefix, m, None))
 
 
-def _solve_high(sign: Sign, prefix: DigitWord, r: int, t: Fraction) -> BoundaryCover:
+def _solve_high(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> BoundaryCover:
     """Cover the relative piece (t, 1] of the prefix cylinder, 0 <= t < r/(r+1).
 
     Caller guarantees the piece is not strictly inside the first child
@@ -195,7 +196,7 @@ def _solve_high(sign: Sign, prefix: DigitWord, r: int, t: Fraction) -> BoundaryC
     {r+1..m}.  Interior t in child m (m >= r+2 here): tight = whole child m
     plus {r+1..m-1}; single = {r+1..m}.
     """
-    if t == 0:
+    if t[0] == 0:
         fs = FamilySet(sign, prefix, r + 1, None)
         return BoundaryCover((fs,), fs)
     m, exact = _child_ceil(r, t)
@@ -244,10 +245,10 @@ def cover_boundary(
 def _cover_boundary(frame: _Frame, cut: Fraction, side: str) -> BoundaryCover:
     """cover_boundary on an already validated frame with the cut inside it."""
     while True:
-        u = (cut - frame.off) / frame.sc
-        if (side == FROM_INF) == (frame.sc > 0):
+        u = frame.relative(cut)
+        if (side == FROM_INF) == (frame.sc_num > 0):
             return _solve_low(frame.sign, frame.word, frame.r, u)
-        if u > Fraction(frame.r, frame.r + 1):
+        if u[0] * (frame.r + 1) > frame.r * u[1]:
             # piece (u, 1] strictly inside the first child: descend
             frame = frame.child(frame.r + 1)
             continue
@@ -297,19 +298,19 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     frame = _Frame.walk(rule, sign, ())
 
     while True:
-        off, sc, r = frame.off, frame.sc, frame.r
-        u1 = (x1 - off) / sc
-        u2 = (x2 - off) / sc
-        t_lo, t_hi = (u1, u2) if u1 < u2 else (u2, u1)
-        if t_lo == 0 and t_hi == 1:
+        r, ascending = frame.r, frame.sc_num > 0
+        u1, u2 = frame.relative(x1), frame.relative(x2)
+        t_lo, t_hi = (u1, u2) if ascending else (u2, u1)
+        lo_at_0, hi_at_1 = t_lo[0] == 0, t_hi[0] == t_hi[1]
+        if lo_at_0 and hi_at_1:
             return [FamilySet(sign, frame.word, r + 1, None)]
-        if t_lo == 0:
-            side = FROM_INF if sc > 0 else TO_SUP
-            cut = x2 if sc > 0 else x1
+        if lo_at_0:
+            side = FROM_INF if ascending else TO_SUP
+            cut = x2 if ascending else x1
             return list(_cover_boundary(frame, cut, side).tight)
-        if t_hi == 1:
-            side = TO_SUP if sc > 0 else FROM_INF
-            cut = x1 if sc > 0 else x2
+        if hi_at_1:
+            side = TO_SUP if ascending else FROM_INF
+            cut = x1 if ascending else x2
             return list(_cover_boundary(frame, cut, side).tight)
         d_lo, lo_exact = _child_ceil(r, t_lo)
         d_hi, hi_exact = _child_floor(r, t_hi)
@@ -321,15 +322,9 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     prefix = frame.word
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
-    scale = abs(sc)
-    # piece widths and middle-block hull, all absolute
-    w_lo = (Fraction(r, d_lo - 1) - t_lo) * scale
-    w_hi = (t_hi - Fraction(r, d_hi)) * scale
-    mid_w = (Fraction(r, d_hi) - Fraction(r, d_lo - 1)) * scale  # 0 iff adjacent
-
     # boundary subtasks, in absolute terms (orientation decides which
     # endpoint is interior to which child)
-    if sc > 0:
+    if ascending:
         lo_side, lo_cut = TO_SUP, x1  # piece inside child d_lo
         hi_side, hi_cut = FROM_INF, x2  # piece inside child d_hi
     else:
@@ -351,13 +346,18 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     if hi_exact:
         return [*lo_cover().tight, FamilySet(sign, prefix, d_hi, d_lo - 1)]
 
+    # absolute widths of the d_lo piece and of the middle block decide which
+    # pieces are covered tightly
+    scale = Fraction(abs(frame.sc_num), frame.den)
     if d_lo == d_hi + 1:
         # adjacent children, no middle block
+        w_lo = (Fraction(r, d_lo - 1) - Fraction(*t_lo)) * scale
         if 2 * w_lo >= W:
             return [*lo_cover().tight, hi_cover().single]
         return [lo_cover().single, *hi_cover().tight]
 
     # middle block present: digits d_hi+1 .. d_lo-1
+    mid_w = (Fraction(r, d_hi) - Fraction(r, d_lo - 1)) * scale
     if 2 * mid_w >= W:
         return [
             lo_cover().single,

@@ -207,24 +207,100 @@ def test_measure_infinite_cap(capsys):
 
 
 # ---------------------------------------------------------------------------
+# frozen stdout: exact bytes of representative commands, both signs
+# ---------------------------------------------------------------------------
+
+# the first 64 luroth digits of 271828/314159
+LUROTH_64 = (
+    "2,2,3,2,2,16,2,419,2,3,7,919,3,3,2,5,2,2,2,13,3,2,3,2,4,3,15,2,8,6,2,2,"
+    "13,2,2,2,2,15,2,2,2,3,2,4,6,2,2,2,2,2,7,2,2,2,2,2,2,5,2,2,6,2,2,4"
+)
+ENGEL_COVER_P = (
+    '{"sign":"P","prefix":[5],"from":6,"to":25}\n'
+    '{"sign":"P","prefix":[],"from":3,"to":4}\n'
+    '{"sign":"P","prefix":[2],"from":11,"to":"inf"}\n'
+)
+PIERCE_COVER_A = (
+    '{"sign":"P-","prefix":[],"from":3,"to":7}\n'
+    '{"sign":"P-","prefix":[2,3],"from":10,"to":"inf"}\n'
+)
+FROZEN_STDOUT = [
+    (["expand", "--system", "engel", "--x", "271828/314159", "--n", "12"], "",
+     '{"digits":[2,2,3,3,7,23,41,189,933,1200,1304,2992]}\n'),
+    (["alt-expand", "--system", "pierce", "--x", "271828/314159", "--n", "10"], "",
+     '{"digits":[2,8,18,29,30,33,76,92,189,276]}\n'),
+    (["cylinder", "--system", "luroth", "--word", LUROTH_64, "--sign", "P"], "",
+     '{"lo":"3114251192524793433652144150720073282972780409412803071/'
+     '3599224658211797829225554226371335927518304665600000000",'
+     '"hi":"700706518318078522571732433912016488668875592117880691/'
+     '809825548097654511575749700933550583691618549760000000",'
+     '"diam":"1/32393021923906180463029988037342023347664741990400000000"}\n'),
+    (["cylinder", "--system", "engel", "--word", ",".join(["3"] * 60), "--sign", "P-"], "",
+     '{"lo":"5298894784402025439286804150/14130386091738734504764811067",'
+     '"hi":"31793368706412152635720824901/84782316550432407028588866402",'
+     '"diam":"1/84782316550432407028588866402"}\n'),
+    (["cover", "--system", "engel-mod", "--sign", "P", "--lo", "21/100", "--hi", "3/5"], "",
+     ENGEL_COVER_P),
+    (["verify", "--system", "engel-mod", "--sign", "P", "--lo", "21/100", "--hi", "3/5",
+      "--alpha", "0.5"], ENGEL_COVER_P,
+     '{"covers":true,"max_diameter":"1/4","cost":1.016227766016838}\n'),
+    (["cover", "--system", "pierce", "--sign", "P-", "--lo", "1/7", "--hi", "5/9"], "",
+     PIERCE_COVER_A),
+    (["verify", "--system", "pierce", "--sign", "P-", "--lo", "1/7", "--hi", "5/9",
+      "--alpha", "0.5"], PIERCE_COVER_A,
+     '{"covers":true,"max_diameter":"5/14","cost":0.8333165650627126}\n'),
+    (["dim", "--system", "luroth", "--predicate", "alphabet:2,3", "--rank", "4",
+      "--cap", "3"], "",
+     '{"s":0.6009668516926467,"rank":4,"cap":3,"residual":3.3718561276430137e-10,'
+     '"bases":16}\n'),
+    (["dim", "--system", "engel", "--sign", "P-", "--predicate", "bounded-ratio:3/2",
+      "--rank", "3", "--cap", "12"], "",
+     '{"s":0.7004208251601085,"rank":3,"cap":12,"residual":3.700004747031471e-10,'
+     '"bases":98}\n'),
+    (["measure", "--system", "luroth", "--sign", "P-", "--predicate", "bounded-ratio:2",
+      "--rank", "3", "--cap", "8"], "",
+     '{"measure":"2527/4608"}\n'),
+    (["measure", "--system", "engel", "--predicate", "alphabet:3,4,6", "--rank", "3",
+      "--cap", "6"], "",
+     '{"measure":"91/1728"}\n'),
+]
+
+
+def test_stdout_bytes_are_frozen(capsys, monkeypatch):
+    for argv, stdin, expected in FROZEN_STDOUT:
+        code, out, _ = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (0, expected), argv
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
 
 def test_usage_errors_exit_64(capsys):
-    for argv in (
-        ["no-such-command"],
-        ["expand", "--system", "martian", "--x", "1/2", "--n", "3"],
-        ["expand", "--system", "engel", "--x", "one half", "--n", "3"],
-        ["expand", "--system", "engel", "--x", "1/2"],
-        ["eval", "--system", "engel", "--word", "2,3", "--sign", "Q"],
-        ["dim", "--system", "luroth", "--predicate", "ratio-window:nan,0.1",
-         "--rank", "2", "--cap", "9"],
-        [],
+    dim = ["dim", "--system", "luroth", "--rank", "2", "--cap", "9", "--predicate"]
+    for argv, message in (
+        (["no-such-command"], "invalid choice"),
+        (["expand", "--system", "martian", "--x", "1/2", "--n", "3"],
+         "unknown system 'martian'"),
+        (["expand", "--system", "engel", "--x", "one half", "--n", "3"],
+         "Invalid literal for Fraction: 'one half'"),
+        (["expand", "--system", "engel", "--x", "1/0", "--n", "3"], "Fraction(1, 0)"),
+        (["expand", "--system", "engel", "--x", "1/2"], "--n"),
+        (["expand", "--system", "oppenheim:-1,2", "--x", "1/2", "--n", "3"],
+         "oppenheim needs a >= 0"),
+        (["eval", "--system", "engel", "--word", "2,3", "--sign", "Q"],
+         "sign must be P or P-, got 'Q'"),
+        (dim + ["ratio-window:nan,0.1"], "alpha and delta must not be NaN"),
+        (dim + ["ratio-window:1,-0.1"], "delta must be >= 0"),
+        (dim + ["bounded-ratio:0"], "ratio bound must be positive"),
+        (dim + ["foo"], "unknown predicate 'foo'"),
+        (["moran", "--ratios", "1/2,1/0"], "Fraction(1, 0)"),
+        ([], "required"),
     ):
         code, _, err = run_cli(capsys, argv)
         assert code == 64, argv
-        assert err
+        assert message in err, argv
 
 
 def test_validity_errors_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Digit extraction, series evaluation, and exact cylinder geometry."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -374,3 +375,35 @@ def test_alternating_prefix_coherence(rule, x, n):
         assert longer.digits[:n] == shorter
     else:
         assert longer[:n] == shorter
+
+
+# ---------------------------------------------------------------------------
+# deep words: the cylinder walk against the term-by-term series oracles
+# ---------------------------------------------------------------------------
+
+PARITY = DigitRule.custom(lambda prefix: 1 + sum(prefix) % 2)
+DEEP_RULES = [*RULES, PARITY]
+DEEP_IDS = ["luroth", "engel", "engel-mod", "pierce", "oppenheim-2-1", "parity"]
+
+
+@pytest.mark.parametrize("sign", [Sign.POSITIVE, Sign.ALTERNATING], ids=["P", "A"])
+@pytest.mark.parametrize("rule", DEEP_RULES, ids=DEEP_IDS)
+def test_deep_cylinders_match_series_oracles(rule, sign):
+    """Rank 40-80 words from the positive digits of random rationals.
+
+    The cylinder's frame carries its endpoints unreduced over one growing
+    common denominator; partial_sum and word_diameter sum the series term by
+    term instead, so exact equality checks the reduction at depth.
+    """
+    rng = random.Random(40)
+    for _ in range(4):
+        q = rng.randrange(2, 10**6)
+        x = Fraction(rng.randrange(1, q), q)
+        word = positive_digits(rule, x, rng.randint(40, 80))
+        cyl = cylinder(rule, word, sign)
+        assert cyl.diameter == word_diameter(rule, word)
+        upper = sign is Sign.ALTERNATING and len(word) % 2
+        assert partial_sum(rule, word, sign) == (cyl.hi if upper else cyl.lo)
+        if sign is Sign.POSITIVE:
+            assert cyl.contains(x)
+

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from perron import (
     FROM_INF,
     TO_SUP,
+    BoundaryCover,
     DigitRule,
     DomainError,
     FamilySet,
@@ -29,6 +31,7 @@ from perron import (
     verify_cover,
     word_diameter,
 )
+from perron.core import _Frame
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -318,6 +321,46 @@ def test_custom_rule_deep_cylinders_and_covers(sign):
     for fs in sets:
         assert family_set_hull(PARITY, fs).diameter <= U.diameter
     assert verify_cover(PARITY, U, sets, 1.0).covers
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_deep_junction_endpoints_resolve_exactly(sign):
+    """Endpoints exactly on child junctions of a rank-48 engel cylinder.
+
+    The frame's scale numerator and denominator share the factor
+    prod (c_i - 1) here, so every relative position is an unreduced pair and
+    the exact-junction branches must recognise it without reducing.
+    """
+    word = positive_digits(ENGEL, Fraction(271828, 314159), 48)
+    frame = _Frame.walk(ENGEL, sign, word)
+    assert gcd(frame.sc_num, frame.den) > 2**64
+    r = frame.r
+    for fs in (
+        FamilySet(sign, word, r + 3, r + 7),  # both ends strictly inside
+        FamilySet(sign, word, r + 4, None),  # from the accumulating end
+        FamilySet(sign, word, r + 1, r + 5),  # up to the first child's end
+    ):
+        U = family_set_hull(ENGEL, fs)
+        assert gcd(*frame.relative(U.lo)) > 1 and gcd(*frame.relative(U.hi)) > 1
+        assert cover_interval(ENGEL, sign, U) == [fs]
+        assert verify_cover(ENGEL, U, [fs], 1.0).covers
+
+    cyl = cylinder(ENGEL, word, sign)
+    for m in (r + 1, r + 2, r + 6):
+        low, high = FamilySet(sign, word, m + 1, None), FamilySet(sign, word, r + 1, m)
+        h_low, h_high = family_set_hull(ENGEL, low), family_set_hull(ENGEL, high)
+        below, above = (low, high) if h_low.lo < h_high.lo else (high, low)
+        cut = family_set_hull(ENGEL, below).hi
+        assert cyl.lo < cut < cyl.hi
+        assert cover_boundary(ENGEL, sign, word, cut, FROM_INF) == BoundaryCover((below,), below)
+        assert cover_boundary(ENGEL, sign, word, cut, TO_SUP) == BoundaryCover((above,), above)
+        # one end on the junction, the other inside a child on either side
+        for lo, hi in ((cut, cut + (cyl.hi - cut) / 3), (cut - (cut - cyl.lo) / 3, cut)):
+            U = interval_for(sign, lo, hi)
+            sets = cover_interval(ENGEL, sign, U)
+            assert 1 <= len(sets) <= 3
+            assert all(family_set_hull(ENGEL, fs).diameter <= U.diameter for fs in sets)
+            assert verify_cover(ENGEL, U, sets, 1.0).covers
 
 
 # ---------------------------------------------------------------------------
