@@ -30,7 +30,12 @@ a few integer products and no gcd, and a value is reduced to a lowest-terms
 Fraction once, when it is read (cylinder endpoints, hull endpoints).
 
 Digit extraction is a derived recursion (obtained by factoring the series into
-affine self-similar form; see positive_digits / alternating_digits).
+affine self-similar form; see positive_digits / alternating_digits).  Its
+remainder step (_tail) is also how a point's position relative to a frame
+moves down one digit: _Frame.relative maps a point into a frame once, and
+the pair is then stepped with a product by small integers per level.
+Digits are bounded by _MAX_DIGIT_BITS bits (2**16): extraction raises
+DomainError naming the position rather than grow one digit past it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ ExactQ = Fraction
 
 # A digit word is a plain tuple of digits (c_1, ..., c_k); () is the whole space.
 DigitWord = tuple
+
+# Digit extraction refuses a digit longer than this many bits.  Digits can
+# roughly square at each step (the engel alternating digit of 61/215 at
+# position 31 has 126835 bits, and about 2**21 by position 40), so without a
+# bound a short request can run for hours; digits of practical cylinders are
+# far below it.
+_MAX_DIGIT_BITS = 1 << 16
 
 __all__ = [
     "ExactQ",
@@ -191,6 +203,9 @@ class _Frame(NamedTuple):
     along the walk: each digit is a few integer products and no gcd.  Exact
     values are read through at(), which reduces one point to a Fraction, and
     relative(), which maps a point back into the unreduced relative frame.
+    relative() multiplies two numbers that both grow with the rank, so a
+    descent calls it once and then steps the pair down one digit at a time
+    with _tail, which needs only the sign, r and the digit.
     walk() validates a word and builds its frame in one pass; child(c)
     extends a frame by one checked digit.  With sign None only the word and r
     are tracked (pure validation, no arithmetic).
@@ -307,6 +322,29 @@ def _check_domain_alternating(x: Fraction) -> None:
         raise DomainError(f"x = {x} outside (0, 1)")
 
 
+def _tail(sign: Sign, r: int, c: int, num: int, den: int) -> tuple[int, int]:
+    """Tail position y of the point num/den (den > 0) whose next digit is c.
+
+    The remainder step of digit extraction, unreduced, with r the rule value
+    before c: positive x = r/c + y*r/((c-1)c) gives
+    y = (num*c - r*den)(c-1) / (den*r); alternating x = r/(c-1) - y*r/((c-1)c)
+    gives y = (r*den - num*(c-1))*c / (den*r).  Applied to a position
+    relative to a frame (_Frame.relative), it gives the position relative to
+    the child frame of digit c, with products by small integers only.
+    """
+    if sign is Sign.POSITIVE:
+        return (num * c - r * den) * (c - 1), den * r
+    return (r * den - num * (c - 1)) * c, den * r
+
+
+def _digit_too_long(c: int, i: int) -> DomainError:
+    """The error for digit c at position i, which exceeds the bit bound."""
+    return DomainError(
+        f"digit at position {i} has {c.bit_length()} bits, beyond the "
+        f"{_MAX_DIGIT_BITS}-bit digit bound"
+    )
+
+
 def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     """First n digits of x in (0, 1] under the positive form.
 
@@ -315,7 +353,8 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     unique digit with r/p < x <= r/(p-1), i.e. p = floor(r/x) + 1 (when r/x is
     an integer, x is the included supremum of the digit-(r/x + 1) cylinder).
     Rationals never terminate: an exact supremum leaves remainder exactly 1,
-    after which digits stay minimal.
+    after which digits stay minimal.  A digit longer than _MAX_DIGIT_BITS
+    bits is a DomainError naming its position.
     """
     x = Fraction(x)
     _check_domain_positive(x)
@@ -326,7 +365,10 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     r = rule.phi0
     for i in range(1, n + 1):
         p = (r * b) // a + 1
-        # remainder (x - r/p)(p-1)p/r = (a*p - r*b)(p-1) / (b*r), still in (0, 1]
+        if p.bit_length() > _MAX_DIGIT_BITS:
+            raise _digit_too_long(p, i)
+        # _tail's positive step, inlined (a call per digit slows this loop
+        # measurably): (a*p - r*b)(p-1) / (b*r), still in (0, 1]
         a, b = (a * p - r * b) * (p - 1), b * r
         g = gcd(a, b)
         a //= g
@@ -342,7 +384,8 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     Analogous factoring: x = r/(q-1) - y * r/((q-1)q) with tail y in (0, 1),
     so y = (r/(q-1) - x)(q-1)q/r and q = floor(r/x) + 1.  When r/x is an
     integer, x is an endpoint of a cylinder (it has no representation); the
-    ISPoint outcome reports the rank and the digits found so far.
+    ISPoint outcome reports the rank and the digits found so far.  A digit
+    longer than _MAX_DIGIT_BITS bits is a DomainError naming its position.
     """
     x = Fraction(x)
     _check_domain_alternating(x)
@@ -355,7 +398,10 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
         if (r * b) % a == 0:
             return ISPoint(rank=i, digits=tuple(digits))
         q = (r * b) // a + 1
-        # remainder (r/(q-1) - x)(q-1)q/r = (r*b - a*(q-1))*q / (b*r), in (0, 1)
+        if q.bit_length() > _MAX_DIGIT_BITS:
+            raise _digit_too_long(q, i)
+        # _tail's alternating step, inlined as above: (r*b - a*(q-1))*q / (b*r),
+        # still in (0, 1)
         a, b = (r * b - a * (q - 1)) * q, b * r
         g = gcd(a, b)
         a //= g

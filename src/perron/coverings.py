@@ -20,9 +20,14 @@ occupies the relative interval (r/c, r/(c-1)], the first child (digit r+1)
 sits at the top, and children accumulate toward relative 0.  The alternating
 form's rank-parity orientation flip is entirely absorbed by the sign of sc,
 so one relative-frame case analysis serves both signs and every parity.
-Relative positions are unreduced integer pairs (core._Frame.relative), so
-the descent compares by cross-multiplication; Fractions are formed only for
-hull endpoints and for the piece widths that choose between covers.
+Relative positions are unreduced integer pairs, so the descent compares by
+cross-multiplication; Fractions are formed only for hull endpoints and for
+the piece widths that choose between covers.  Each endpoint is mapped into
+a frame once (core._Frame.relative) and its pair is then stepped down one
+digit per level with the digit-extraction remainder (core._tail), so a
+level costs products by small integers.  The descent itself tracks only the
+word, r and the cylinder diameter |sc| (an unreduced pair), on validation
+frames without affine arithmetic; the orientation is the rank's parity.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .core import (
     ISPoint,
     Sign,
     _Frame,
+    _tail,
     alternating_digits,
 )
 from .errors import DomainError, ValidityError
@@ -77,7 +83,11 @@ class FamilySet:
 
 def _validate_family_set(rule: DigitRule, fs: FamilySet) -> _Frame:
     """Check fs against the rule; return the frame of its prefix."""
-    frame = _Frame.walk(rule, fs.sign, fs.prefix)
+    return _check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs)
+
+
+def _check_range(frame: _Frame, fs: FamilySet) -> _Frame:
+    """Check fs's digit range against frame, its prefix's frame; return it."""
     if fs.start < frame.r + 1:
         raise ValidityError(
             f"start {fs.start} below first admissible digit {frame.r + 1}", index=None
@@ -115,13 +125,15 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  Positive
     hulls are half-open (lo, hi]; alternating hulls are open.
     """
-    frame = _validate_family_set(rule, fs)
+    lo, hi = _hull_ends(_validate_family_set(rule, fs), fs)
+    return QInterval(lo, hi, False, fs.sign is Sign.POSITIVE)
+
+
+def _hull_ends(frame: _Frame, fs: FamilySet) -> tuple[ExactQ, ExactQ]:
+    """(lo, hi) of fs's hull, given the frame of its prefix."""
     a = frame.at(0, 1) if fs.end is None else frame.at(frame.r, fs.end)
     b = frame.at(frame.r, fs.start - 1)
-    lo, hi = (a, b) if frame.sc_num > 0 else (b, a)
-    if fs.sign is Sign.POSITIVE:
-        return QInterval(lo, hi, False, True)
-    return QInterval(lo, hi, False, False)
+    return (a, b) if frame.sc_num > 0 else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +251,35 @@ def cover_boundary(
     else:
         if not lo <= cut < hi:
             raise DomainError(f"cut {cut} outside [{lo}, {hi})")
-    return _cover_boundary(frame, cut, side)
+    return _cover_boundary(sign, frame._replace(sign=None), frame.relative(cut), side)
 
 
-def _cover_boundary(frame: _Frame, cut: Fraction, side: str) -> BoundaryCover:
-    """cover_boundary on an already validated frame with the cut inside it."""
+def _ascending(sign: Sign, word: DigitWord) -> bool:
+    """Whether the cylinder of word keeps the tail space's orientation.
+
+    Positive frames always do; alternating frames flip at every digit.
+    """
+    return sign is Sign.POSITIVE or len(word) % 2 == 0
+
+
+def _cover_boundary(
+    sign: Sign, frame: _Frame, u: tuple[int, int], side: str
+) -> BoundaryCover:
+    """cover_boundary with the cut, checked to lie in the cylinder, at u.
+
+    u is the cut's position relative to frame, an integer pair.  Only the
+    frame's word and r are read, so a validation frame (sign None) serves.
+    """
     while True:
-        u = frame.relative(cut)
-        if (side == FROM_INF) == (frame.sc_num > 0):
-            return _solve_low(frame.sign, frame.word, frame.r, u)
-        if u[0] * (frame.r + 1) > frame.r * u[1]:
+        r = frame.r
+        if (side == FROM_INF) == _ascending(sign, frame.word):
+            return _solve_low(sign, frame.word, r, u)
+        if u[0] * (r + 1) > r * u[1]:
             # piece (u, 1] strictly inside the first child: descend
-            frame = frame.child(frame.r + 1)
+            u = _tail(sign, r, r + 1, *u)
+            frame = frame.child(r + 1)
             continue
-        return _solve_high(frame.sign, frame.word, frame.r, u)
+        return _solve_high(sign, frame.word, r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +322,29 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     _interval_conventions(sign, U)
     x1, x2 = U.lo, U.hi
     W = x2 - x1
-    frame = _Frame.walk(rule, sign, ())
+    # the root frame is the identity for both signs, so a validation frame
+    # maps the endpoints in; below, their pairs are stepped digit by digit
+    frame = _Frame.walk(rule, None, ())
+    u1, u2 = frame.relative(x1), frame.relative(x2)
+    sc_num, sc_den = 1, 1  # |sc|, the frame's cylinder diameter, unreduced
 
     while True:
-        r, ascending = frame.r, frame.sc_num > 0
-        u1, u2 = frame.relative(x1), frame.relative(x2)
+        r, ascending = frame.r, _ascending(sign, frame.word)
         t_lo, t_hi = (u1, u2) if ascending else (u2, u1)
         lo_at_0, hi_at_1 = t_lo[0] == 0, t_hi[0] == t_hi[1]
         if lo_at_0 and hi_at_1:
             return [FamilySet(sign, frame.word, r + 1, None)]
         if lo_at_0:
             side = FROM_INF if ascending else TO_SUP
-            cut = x2 if ascending else x1
-            return list(_cover_boundary(frame, cut, side).tight)
+            return list(_cover_boundary(sign, frame, t_hi, side).tight)
         if hi_at_1:
             side = TO_SUP if ascending else FROM_INF
-            cut = x1 if ascending else x2
-            return list(_cover_boundary(frame, cut, side).tight)
+            return list(_cover_boundary(sign, frame, t_lo, side).tight)
         d_lo, lo_exact = _child_ceil(r, t_lo)
         d_hi, hi_exact = _child_floor(r, t_hi)
         if d_lo == d_hi:
+            u1, u2 = _tail(sign, r, d_lo, *u1), _tail(sign, r, d_lo, *u2)
+            sc_num, sc_den = sc_num * r, sc_den * (d_lo - 1) * d_lo
             frame = frame.child(d_lo)
             continue
         break
@@ -322,20 +352,17 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     prefix = frame.word
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
-    # boundary subtasks, in absolute terms (orientation decides which
-    # endpoint is interior to which child)
-    if ascending:
-        lo_side, lo_cut = TO_SUP, x1  # piece inside child d_lo
-        hi_side, hi_cut = FROM_INF, x2  # piece inside child d_hi
-    else:
-        lo_side, lo_cut = FROM_INF, x2
-        hi_side, hi_cut = TO_SUP, x1
+    # boundary subtasks, in absolute terms (orientation decides which side
+    # of its child each endpoint's piece lies on)
+    lo_side, hi_side = (TO_SUP, FROM_INF) if ascending else (FROM_INF, TO_SUP)
 
     def lo_cover() -> BoundaryCover:
-        return _cover_boundary(frame.child(d_lo), lo_cut, lo_side)
+        u = _tail(sign, r, d_lo, *t_lo)
+        return _cover_boundary(sign, frame.child(d_lo), u, lo_side)
 
     def hi_cover() -> BoundaryCover:
-        return _cover_boundary(frame.child(d_hi), hi_cut, hi_side)
+        u = _tail(sign, r, d_hi, *t_hi)
+        return _cover_boundary(sign, frame.child(d_hi), u, hi_side)
 
     # junction endpoints: the exact side's child joins the block between
     # (digits d_hi+1 .. d_lo-1, empty when the children are adjacent)
@@ -348,7 +375,7 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
 
     # absolute widths of the d_lo piece and of the middle block decide which
     # pieces are covered tightly
-    scale = Fraction(abs(frame.sc_num), frame.den)
+    scale = Fraction(sc_num, sc_den)
     if d_lo == d_hi + 1:
         # adjacent children, no middle block
         w_lo = (Fraction(r, d_lo - 1) - Fraction(*t_lo)) * scale
@@ -461,47 +488,80 @@ def verify_cover(
 ) -> CoverReport:
     """Exact coverage check plus diameter/cost report.
 
-    Coverage is a sweep over the exact hulls.  Positive targets (x1, x2] are
-    covered iff the half-open hulls chain across them.  Alternating targets
-    are open intervals covered modulo endpoint-set points: the sweep may
-    cross a stall point only when alternating_digits certifies it as such.
-    Cost is sum |hull|**alpha in floating point (math.fsum of exact-diameter
-    floats); coverage and diameters are exact.
+    The sets must share one sign, and alpha must be > 0 (DomainError
+    otherwise).  Each distinct prefix is walked once: its frame extends the
+    longest one already built in this call by child().  Coverage is one
+    sort of the exact hulls plus one greedy pass (_chains_across).
+    Positive targets (x1, x2] are covered iff the half-open hulls chain
+    across them.  Alternating targets are open intervals covered modulo
+    endpoint-set points: the pass may cross a stall point only when
+    alternating_digits certifies it as such.  Cost is sum |hull|**alpha in
+    floating point (math.fsum of exact-diameter floats); coverage and
+    diameters are exact.
     """
-    hulls = []
-    max_d = Fraction(0)
-    sign = None
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    sets = list(sets)  # read twice below; an iterator of sets stays accepted
+    signs = {fs.sign for fs in sets}
+    if len(signs) > 1:
+        raise DomainError("the sets of a cover must all have one sign")
+    if not sets:
+        return CoverReport(False, Fraction(0), 0.0)
+    (sign,) = signs
+    frames = {(): _Frame.walk(rule, sign, ())}  # each prefix built so far
+
+    def frame_of(prefix: DigitWord) -> _Frame:
+        k = len(prefix)
+        while prefix[:k] not in frames:
+            k -= 1
+        frame = frames[prefix[:k]]
+        for c in prefix[k:]:
+            frame = frame.child(c)
+            frames[frame.word] = frame
+        return frame
+
+    spans = [_hull_ends(_check_range(frame_of(fs.prefix), fs), fs) for fs in sets]
+    diameters = [hi - lo for lo, hi in spans]
+    cost = math.fsum(float(d) ** alpha for d in diameters)
     # hull endpoints are cylinder endpoints of rank <= len(prefix) + 1, so
     # an endpoint probe terminates within this many digits
-    depth = 0
-    for fs in sets:
-        h = family_set_hull(rule, fs)
-        hulls.append(h)
-        if h.diameter > max_d:
-            max_d = h.diameter
-        sign = fs.sign
-        depth = max(depth, len(fs.prefix) + 2)
-    cost = math.fsum(float(h.diameter) ** alpha for h in hulls)
-    if not hulls:
-        return CoverReport(False, Fraction(0), 0.0)
+    depth = max(len(fs.prefix) for fs in sets) + 2
+    covers = _chains_across(rule, U, sign is Sign.ALTERNATING, spans, depth)
+    return CoverReport(covers, max(diameters), cost)
 
-    hulls.sort(key=lambda h: (h.lo, h.hi))
-    alternating = sign is Sign.ALTERNATING
+
+def _chains_across(
+    rule: DigitRule,
+    U: QInterval,
+    alternating: bool,
+    spans: list[tuple[ExactQ, ExactQ]],
+    depth: int,
+) -> bool:
+    """Whether the hulls (lo, hi) in spans chain across U.
+
+    One sort by (lo, hi), then one pointer: reach advances to best, the
+    furthest hi among the hulls consumed so far, which are those starting
+    before reach (or at it, for half-open positive hulls and at U.lo).
+    When best does not pass reach, an alternating pass may still cross the
+    stall point reach onto the hulls starting exactly there, provided reach
+    is a certified endpoint point; sorted by hi, the last of them reaches
+    furthest.
+    """
+    spans.sort()
+    n, i, best = len(spans), 0, None
     reach = U.lo
     while reach < U.hi:
-        best = None
-        for h in hulls:
-            if h.hi <= reach:
-                continue
-            if h.lo < reach or (h.lo == reach and (not alternating or reach == U.lo)):
-                if best is None or h.hi > best:
-                    best = h.hi
-        if best is None and alternating:
-            # allow crossing a stall point that no open hull can contain,
-            # provided it is a certified endpoint-set point
-            if _is_alt_endpoint(rule, reach, depth) and any(h.lo == reach for h in hulls):
-                best = max(h.hi for h in hulls if h.lo == reach)
+        closed = not alternating or reach == U.lo
+        while i < n and (spans[i][0] < reach or (closed and spans[i][0] == reach)):
+            if best is None or spans[i][1] > best:
+                best = spans[i][1]
+            i += 1
         if best is None or best <= reach:
-            return CoverReport(False, max_d, cost)
+            stalled = i < n and spans[i][0] == reach
+            if not (alternating and stalled and _is_alt_endpoint(rule, reach, depth)):
+                return False
+            while i < n and spans[i][0] == reach:
+                best = spans[i][1]
+                i += 1
         reach = best
-    return CoverReport(True, max_d, cost)
+    return True

@@ -321,6 +321,42 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("alpha", ["nan", "0", "-1"])
+def test_verify_non_positive_alpha_exits_3(capsys, monkeypatch, alpha):
+    # --alpha nan printed "cost":NaN, which is not JSON, and -1 a cost of 3.33
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify", "--system", "luroth", "--sign", "P",
+            "--lo", "1/5", "--hi", "1/2", "--alpha", alpha,
+        ],
+        stdin='{"sign":"P","prefix":[],"from":3,"to":5}\n',
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (3, "") and "alpha" in err
+
+
+def test_verify_mixed_signs_exits_3(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify", "--system", "luroth", "--sign", "P",
+            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
+        ],
+        stdin='{"sign":"P","prefix":[],"from":3,"to":3}\n'
+        '{"sign":"P-","prefix":[],"from":4,"to":5}\n',
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (3, "") and "sign" in err
+
+
+def test_oversized_digit_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, ["alt-expand", "--system", "engel", "--x", "61/215", "--n", "48"]
+    )
+    assert (code, out) == (3, "") and "position 31" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_3(capsys, tol):
     code, out, err = run_cli(

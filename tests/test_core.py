@@ -131,6 +131,22 @@ def test_alternating_digits_domain():
         alternating_digits(PIERCE, Fraction(0), 3)
 
 
+def test_digit_bit_length_is_bounded():
+    # engel alternating digits of 61/215 roughly square at each step; the
+    # one at position 31 has 126835 bits, past the 2**16-bit bound, so the
+    # request stops there instead of running for hours
+    with pytest.raises(DomainError, match="position 31 has 126835 bits"):
+        alternating_digits(ENGEL, Fraction(61, 215), 48)
+    assert len(alternating_digits(ENGEL, Fraction(61, 215), 30)) == 30
+    # a first digit just past the bound, and one just inside it, in both
+    # forms (x = 2/(2N+1) is no cylinder endpoint, and floor(1/x) = N)
+    tiny = Fraction(2, 2**65537 + 1)
+    for extract in (positive_digits, alternating_digits):
+        with pytest.raises(DomainError, match="position 1 has 65537 bits"):
+            extract(LUROTH, tiny, 1)
+        assert extract(LUROTH, 2 * tiny, 1) == (2**65535 + 1,)
+
+
 def test_zero_digits_requested():
     assert positive_digits(LUROTH, Fraction(1, 3), 0) == ()
     assert alternating_digits(LUROTH, Fraction(1, 3), 0) == ()

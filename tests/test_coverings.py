@@ -1,7 +1,9 @@
 """Family-set hulls, boundary covers, three-set interval covers, splitting."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,12 +15,15 @@ from perron import (
     FROM_INF,
     TO_SUP,
     BoundaryCover,
+    CoverReport,
     DigitRule,
     DomainError,
     FamilySet,
+    ISPoint,
     QInterval,
     Sign,
     ValidityError,
+    alternating_digits,
     cover_boundary,
     cover_interval,
     cylinder,
@@ -31,7 +36,7 @@ from perron import (
     verify_cover,
     word_diameter,
 )
-from perron.core import _Frame
+from perron.core import _Frame, _tail
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -525,3 +530,196 @@ def test_verify_positive_needs_left_closed_chaining():
         FamilySet(Sign.POSITIVE, (), 5, 5),
     ]
     assert verify_cover(LUROTH, U, sets, 1.0).covers
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, float("-inf")])
+def test_verify_rejects_non_positive_alpha(alpha):
+    U = QInterval(Fraction(1, 5), Fraction(1, 2), False, True)
+    for sets in ([FamilySet(Sign.POSITIVE, (), 3, 5)], []):
+        with pytest.raises(DomainError, match="alpha"):
+            verify_cover(LUROTH, U, sets, alpha)
+
+
+def test_verify_rejects_mixed_signs():
+    # hulls (1/3, 1/2] and the open (1/5, 1/3): neither contains 1/3, so
+    # whichever sign decided the sweep, the answer "covers" would be wrong
+    U = QInterval(Fraction(1, 5), Fraction(1, 2), False, True)
+    sets = [FamilySet(Sign.POSITIVE, (), 3, 3), FamilySet(Sign.ALTERNATING, (), 4, 5)]
+    for order in (sets, sets[::-1]):
+        with pytest.raises(DomainError, match="sign"):
+            verify_cover(LUROTH, U, order, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sweep against the rescanning sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def _is_alt_endpoint_oracle(rule, x, depth):
+    if x <= 0 or x >= 1:
+        return True
+    return isinstance(alternating_digits(rule, x, depth), ISPoint)
+
+
+def verify_cover_oracle(rule, U, sets, alpha):
+    """The earlier verify_cover: every prefix walked from the root, and a
+    rescan of all hulls at each advance of reach (quadratic)."""
+    hulls = []
+    max_d = Fraction(0)
+    sign = None
+    depth = 0
+    for fs in sets:
+        h = family_set_hull(rule, fs)
+        hulls.append(h)
+        if h.diameter > max_d:
+            max_d = h.diameter
+        sign = fs.sign
+        depth = max(depth, len(fs.prefix) + 2)
+    cost = math.fsum(float(h.diameter) ** alpha for h in hulls)
+    if not hulls:
+        return CoverReport(False, Fraction(0), 0.0)
+
+    hulls.sort(key=lambda h: (h.lo, h.hi))
+    alternating = sign is Sign.ALTERNATING
+    reach = U.lo
+    while reach < U.hi:
+        best = None
+        for h in hulls:
+            if h.hi <= reach:
+                continue
+            if h.lo < reach or (h.lo == reach and (not alternating or reach == U.lo)):
+                if best is None or h.hi > best:
+                    best = h.hi
+        if best is None and alternating:
+            if _is_alt_endpoint_oracle(rule, reach, depth) and any(
+                h.lo == reach for h in hulls
+            ):
+                best = max(h.hi for h in hulls if h.lo == reach)
+        if best is None or best <= reach:
+            return CoverReport(False, max_d, cost)
+        reach = best
+    return CoverReport(True, max_d, cost)
+
+
+@st.composite
+def set_list_case(draw):
+    """Single-sign sets under one prefix of depth up to 90: runs of
+    consecutive children with gaps or touching ends (alternating stall
+    points), an optional unbounded tail, sets nested one level deeper,
+    duplicates; U spans hull endpoints or points between them."""
+    rule = draw(st.sampled_from(RULES + [PARITY]))
+    sign = draw(st.sampled_from(SIGNS))
+    q = draw(st.integers(2, 10**4))
+    base = positive_digits(rule, Fraction(draw(st.integers(1, q)), q), draw(st.integers(0, 90)))
+    r = rule_value(rule, base)
+    sets, c = [], r + 1
+    runs = st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 4))  # mostly touching
+    for gap, length in draw(st.lists(runs, max_size=5)):
+        sets.append(FamilySet(sign, base, c + gap, c + gap + length))
+        c += gap + length + 1
+    if draw(st.booleans()):
+        sets.append(FamilySet(sign, base, c + draw(st.integers(0, 2)), None))
+    for digit in draw(st.lists(st.integers(r + 1, r + 12), max_size=3)):
+        sub = base + (digit,)
+        start = rule_value(rule, sub) + 1 + draw(st.integers(0, 3))
+        end = draw(st.one_of(st.none(), st.integers(start, start + 5)))
+        sets.append(FamilySet(sign, sub, start, end))
+    if not sets:
+        sets.append(FamilySet(sign, base, r + 1, None))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=2))  # duplicates
+    sets = draw(st.permutations(sets))
+
+    hulls = [family_set_hull(rule, fs) for fs in sets]
+    ends = sorted({h.lo for h in hulls} | {h.hi for h in hulls})
+    points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    lo, hi = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):  # the whole union's span: every junction inside U
+        lo, hi = ends[0], ends[-1]
+    return rule, interval_for(sign, lo, hi), sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_list_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+def test_one_pass_verify_matches_rescanning_sweep(case, alpha):
+    rule, U, sets = case
+    assert verify_cover(rule, U, sets, alpha) == verify_cover_oracle(rule, U, sets, alpha)
+
+
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+def test_verify_scales_to_thousands_of_split_blocks(sign):
+    # the blocks chain across the hull of their union; the rescanning sweep
+    # took minutes here, since every advance of reach rescanned all hulls
+    fs = FamilySet(sign, (3,), 5, None)
+    blocks = list(itertools.islice(split_to_finite(LUROTH, fs, 1.0, 0.5), 4000))
+    U = family_set_hull(LUROTH, FamilySet(sign, (3,), 5, blocks[-1].end))
+    began = time.perf_counter()
+    report = verify_cover(LUROTH, U, blocks, 1.0)
+    elapsed = time.perf_counter() - began
+    assert report.covers
+    assert report.max_diameter == family_set_hull(LUROTH, blocks[0]).diameter
+    assert elapsed < 10.0
+
+
+# ---------------------------------------------------------------------------
+# stepped relative positions and deep junction covers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+@pytest.mark.parametrize("rule", RULES + [PARITY], ids=lambda r: r.kind)
+def test_stepped_relative_positions_match_frame_relative(rule, sign):
+    word = positive_digits(rule, Fraction(271828, 314159), 90)
+    cyl = cylinder(rule, word, sign)
+    for x in (cyl.lo + cyl.diameter / 3, cyl.hi):
+        frame = _Frame.walk(rule, sign, ())
+        u = frame.relative(x)
+        for c in word:
+            u = _tail(sign, frame.r, c, *u)
+            frame = frame.child(c)
+            assert u[1] > 0
+            assert Fraction(*u) == Fraction(*frame.relative(x))
+
+
+def _deep_cases():
+    for rule in RULES + [PARITY]:
+        for sign in SIGNS:
+            for depth in (40, 65, 90):
+                yield pytest.param(rule, sign, depth, id=f"{rule.kind}-{sign.name[0]}-{depth}")
+
+
+@pytest.mark.parametrize("rule,sign,depth", _deep_cases())
+def test_deep_junction_covers_meet_their_contracts(rule, sign, depth):
+    """Covers whose endpoints sit on child and grandchild junctions of a
+    rank 40-90 cylinder, or inside a child next to such a junction."""
+    word = positive_digits(rule, Fraction(314159, 271828 * 2), depth)
+    r = rule_value(rule, word)
+    cyl = cylinder(rule, word, sign)
+    child = cylinder(rule, word + (r + 2,), sign)
+    grandchild = cylinder(rule, word + (r + 2, rule_value(rule, word + (r + 2,)) + 3), sign)
+    ends = {grandchild.lo, grandchild.hi}
+    for m in range(r + 1, r + 5):
+        ends |= {cylinder(rule, word + (m,), sign).lo, cylinder(rule, word + (m,), sign).hi}
+    junctions = sorted(p for p in ends if cyl.lo < p < cyl.hi)
+    assert len(junctions) == 6 and child.lo in junctions and child.hi in junctions
+    points = sorted(junctions + [(a + b) / 2 for a, b in zip(junctions, junctions[1:])])
+    for lo, hi in itertools.combinations(points, 2):
+        U = interval_for(sign, lo, hi)
+        sets = cover_interval(rule, sign, U)
+        assert 1 <= len(sets) <= 3
+        assert all(fs.sign is sign for fs in sets)
+        assert all(family_set_hull(rule, fs).diameter <= U.diameter for fs in sets)
+        assert verify_cover(rule, U, sets, 1.0).covers
+
+    for cut in junctions:
+        for side, width in ((FROM_INF, cut - cyl.lo), (TO_SUP, cyl.hi - cut)):
+            cov = cover_boundary(rule, sign, word, cut, side)
+            assert 1 <= len(cov.tight) <= 2
+            assert all(family_set_hull(rule, fs).diameter <= width for fs in cov.tight)
+            assert family_set_hull(rule, cov.single).diameter <= 2 * width
+            piece = (
+                interval_for(sign, cyl.lo, cut)
+                if side == FROM_INF
+                else interval_for(sign, cut, cyl.hi)
+            )
+            for sets in (cov.tight, [cov.single]):
+                assert verify_cover(rule, piece, sets, 1.0).covers
