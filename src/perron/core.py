@@ -88,6 +88,12 @@ class Sign(enum.Enum):
     ALTERNATING = "P-"
 
 
+# Module-level aliases for the per-digit loops: reading Sign.POSITIVE is an
+# enum class attribute lookup, several times slower than a global (CPython
+# 3.11), and digit extraction does one per digit through _tail.
+_POSITIVE, _ALTERNATING = Sign.POSITIVE, Sign.ALTERNATING
+
+
 @dataclass(frozen=True)
 class DigitRule:
     """A digit rule: phi_0 plus the map from digit prefixes to r_n.
@@ -332,16 +338,16 @@ def _tail(sign: Sign, r: int, c: int, num: int, den: int) -> tuple[int, int]:
     relative to a frame (_Frame.relative), it gives the position relative to
     the child frame of digit c, with products by small integers only.
     """
-    if sign is Sign.POSITIVE:
+    if sign is _POSITIVE:
         return (num * c - r * den) * (c - 1), den * r
     return (r * den - num * (c - 1)) * c, den * r
 
 
-def _digit_too_long(c: int, i: int) -> DomainError:
-    """The error for digit c at position i, which exceeds the bit bound."""
+def _digit_too_long(c: int, i: int, max_bits: int) -> DomainError:
+    """The error for digit c at position i, which exceeds max_bits bits."""
     return DomainError(
         f"digit at position {i} has {c.bit_length()} bits, beyond the "
-        f"{_MAX_DIGIT_BITS}-bit digit bound"
+        f"{max_bits}-bit digit bound"
     )
 
 
@@ -366,10 +372,8 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     for i in range(1, n + 1):
         p = (r * b) // a + 1
         if p.bit_length() > _MAX_DIGIT_BITS:
-            raise _digit_too_long(p, i)
-        # _tail's positive step, inlined (a call per digit slows this loop
-        # measurably): (a*p - r*b)(p-1) / (b*r), still in (0, 1]
-        a, b = (a * p - r * b) * (p - 1), b * r
+            raise _digit_too_long(p, i, _MAX_DIGIT_BITS)
+        a, b = _tail(_POSITIVE, r, p, a, b)  # still in (0, 1]
         g = gcd(a, b)
         a //= g
         b //= g
@@ -387,6 +391,17 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     ISPoint outcome reports the rank and the digits found so far.  A digit
     longer than _MAX_DIGIT_BITS bits is a DomainError naming its position.
     """
+    return _alternating_digits(rule, x, n, _MAX_DIGIT_BITS)
+
+
+def _alternating_digits(
+    rule: DigitRule, x: ExactQ, n: int, max_bits: int
+) -> DigitWord | ISPoint:
+    """alternating_digits with digits bounded by max_bits bits instead.
+
+    verify_cover's endpoint probe passes a bound no smaller than the digits
+    of the prefixes it was given, which are the only digits the probe meets.
+    """
     x = Fraction(x)
     _check_domain_alternating(x)
     if n < 0:
@@ -398,11 +413,9 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
         if (r * b) % a == 0:
             return ISPoint(rank=i, digits=tuple(digits))
         q = (r * b) // a + 1
-        if q.bit_length() > _MAX_DIGIT_BITS:
-            raise _digit_too_long(q, i)
-        # _tail's alternating step, inlined as above: (r*b - a*(q-1))*q / (b*r),
-        # still in (0, 1)
-        a, b = (r * b - a * (q - 1)) * q, b * r
+        if q.bit_length() > max_bits:
+            raise _digit_too_long(q, i, max_bits)
+        a, b = _tail(_ALTERNATING, r, q, a, b)  # still in (0, 1)
         g = gcd(a, b)
         a //= g
         b //= g

@@ -43,9 +43,10 @@ from .core import (
     ExactQ,
     ISPoint,
     Sign,
+    _MAX_DIGIT_BITS,
+    _alternating_digits,
     _Frame,
     _tail,
-    alternating_digits,
 )
 from .errors import DomainError, ValidityError
 
@@ -472,11 +473,11 @@ class CoverReport:
     cost: float
 
 
-def _is_alt_endpoint(rule: DigitRule, x: Fraction, depth: int) -> bool:
+def _is_alt_endpoint(rule: DigitRule, x: Fraction, depth: int, max_bits: int) -> bool:
     """Exact membership test for alternating cylinder endpoints of rank <= depth."""
     if x <= 0 or x >= 1:
         return True  # 0/1 bound the space; treat as exempt
-    probe = alternating_digits(rule, x, depth)
+    probe = _alternating_digits(rule, x, depth, max_bits)
     return isinstance(probe, ISPoint)
 
 
@@ -495,7 +496,9 @@ def verify_cover(
     Positive targets (x1, x2] are covered iff the half-open hulls chain
     across them.  Alternating targets are open intervals covered modulo
     endpoint-set points: the pass may cross a stall point only when
-    alternating_digits certifies it as such.  Cost is sum |hull|**alpha in
+    alternating_digits certifies it as such.  The probe meets only the
+    digits of the sets' prefixes, so its digit bound is the longer of
+    _MAX_DIGIT_BITS and the longest of those.  Cost is sum |hull|**alpha in
     floating point (math.fsum of exact-diameter floats); coverage and
     diameters are exact.
     """
@@ -524,9 +527,11 @@ def verify_cover(
     diameters = [hi - lo for lo, hi in spans]
     cost = math.fsum(float(d) ** alpha for d in diameters)
     # hull endpoints are cylinder endpoints of rank <= len(prefix) + 1, so
-    # an endpoint probe terminates within this many digits
+    # an endpoint probe terminates within this many digits, and the digits
+    # it meets are those of the prefixes (each the last digit of a frame)
     depth = max(len(fs.prefix) for fs in sets) + 2
-    covers = _chains_across(rule, U, sign is Sign.ALTERNATING, spans, depth)
+    bits = max([_MAX_DIGIT_BITS] + [w[-1].bit_length() for w in frames if w])
+    covers = _chains_across(rule, U, sign is Sign.ALTERNATING, spans, depth, bits)
     return CoverReport(covers, max(diameters), cost)
 
 
@@ -536,6 +541,7 @@ def _chains_across(
     alternating: bool,
     spans: list[tuple[ExactQ, ExactQ]],
     depth: int,
+    max_bits: int,
 ) -> bool:
     """Whether the hulls (lo, hi) in spans chain across U.
 
@@ -558,7 +564,7 @@ def _chains_across(
             i += 1
         if best is None or best <= reach:
             stalled = i < n and spans[i][0] == reach
-            if not (alternating and stalled and _is_alt_endpoint(rule, reach, depth)):
+            if not (alternating and stalled and _is_alt_endpoint(rule, reach, depth, max_bits)):
                 return False
             while i < n and spans[i][0] == reach:
                 best = spans[i][1]

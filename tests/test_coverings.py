@@ -550,6 +550,25 @@ def test_verify_rejects_mixed_signs():
             verify_cover(LUROTH, U, order, 1.0)
 
 
+@pytest.mark.parametrize("prefix", [(2**70000,), (3, 2**70000)], ids=["1", "2"])
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+def test_covers_under_digits_past_the_extraction_bound_verify(sign, prefix):
+    # a cover inside the cylinder of a 70001-bit digit: the endpoint probe
+    # at its stall points meets that digit, which the sets themselves
+    # supply, so the bound digit extraction applies must not stop it
+    cyl = cylinder(LUROTH, prefix, sign)
+    w = cyl.hi - cyl.lo
+    U = interval_for(sign, cyl.lo + w / 7, cyl.lo + 5 * w / 7)
+    sets = cover_interval(LUROTH, sign, U)
+    assert all(fs.prefix[: len(prefix)] == prefix for fs in sets)
+    assert verify_cover(LUROTH, U, sets, 1.0).covers
+    for i in range(len(sets)):
+        assert not verify_cover(LUROTH, U, sets[:i] + sets[i + 1 :], 1.0).covers
+    extract = positive_digits if sign is Sign.POSITIVE else alternating_digits
+    with pytest.raises(DomainError, match=f"position {len(prefix)} has 70001 bits"):
+        extract(LUROTH, cyl.lo + w / 2, len(prefix))
+
+
 # ---------------------------------------------------------------------------
 # the one-pass sweep against the rescanning sweep it replaced
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Run bench/run.py in alternating base/change pairs and record every run.
 
-    python3 tools/bench_pairs.py --out BENCH_6.json --workloads cover \
-        --pairs 10 --seconds 25 --seeds 11,13 [--base HEAD]
+    python3 tools/bench_pairs.py --out BENCH_6.json [--base HEAD]
 
 The base side is the git revision --base (default HEAD), exported with
 ``git archive`` into a temporary directory; the change side is the working
-tree this script belongs to, uncommitted edits included.  Pair i runs both
-sides at seed seeds[i % len(seeds)], the base first when i is even and the
+tree this script belongs to, uncommitted edits included.  Every workload
+of BENCHMARK.json runs PAIRS pairs at its run_seconds; pair i runs both
+sides at seed SEEDS[i % len(SEEDS)], the base first when i is even and the
 change first when i is odd, so a slow drift of the host weighs on both
-sides alike.  One benchmark process runs at a time.
+sides alike.  The protocol is fixed (a performance claim needs at least
+10 pairs on every workload at the benchmark's run length), so only the
+output file and the base revision are options.  One benchmark process
+runs at a time.
 
 The output file records the host, the Python version, the seeds, every
 run's metrics and verdict counts, and for each end-to-end metric of
@@ -32,22 +35,15 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 1800
+PAIRS = 10
+SEEDS = (11, 13)
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_6.json")
-    p.add_argument("--workloads", required=True, help="comma-separated workload names")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=25)
-    p.add_argument("--seeds", default="11,13", help="comma-separated seeds, used in turn")
     p.add_argument("--base", default="HEAD", help="git revision of the base side")
-    args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    args.seeds = [int(s) for s in args.seeds.split(",")]
-    if args.pairs < 1 or args.seconds < 1:
-        p.error("--pairs and --seconds must be at least 1")
-    return args
+    return p.parse_args(argv)
 
 
 def git(*argv) -> bytes:
@@ -107,7 +103,7 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
+        q1, _, q3 = statistics.quantiles(base, n=4)
         gain = statistics.median(change) - statistics.median(base)
         gain = gain if higher else -gain
         summary[name] = {
@@ -126,32 +122,33 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        end_to_end = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    seconds = benchmark["run_seconds"]
     record = {
         "host": host(),
         "python": platform.python_version(),
-        "seconds": args.seconds,
-        "seeds": args.seeds,
+        "seconds": seconds,
+        "seeds": list(SEEDS),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir:
         record["base"] = export_base(args.base, base_dir)
         sides = {"base": base_dir, "change": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
-            for i in range(args.pairs):
-                seed = args.seeds[i % len(args.seeds)]
+            for i in range(PAIRS):
+                seed = SEEDS[i % len(SEEDS)]
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"pair": i, "seed": seed, "order": list(order)}
                 for side in order:
-                    pair[side] = bench_once(sides[side], workload, seed, args.seconds)
+                    pair[side] = bench_once(sides[side], workload, seed, seconds)
                     ops = pair[side]["metrics"]["ops_per_s"]
                     print(f"{workload} pair {i} seed {seed} {side}: ops_per_s {ops:.2f}",
                           file=sys.stderr)
                 pairs.append(pair)
             record["workloads"][workload] = {
                 "pairs": pairs,
-                "summary": summarise(pairs, end_to_end),
+                "summary": summarise(pairs, benchmark["end_to_end"]),
             }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
