@@ -465,6 +465,24 @@ def _check_threads_env() -> str | None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command; return its exit code.
+
+    Digits, endpoints and diameters can have more decimal digits than
+    CPython's int/str conversion limit (4300 by default), which int() and
+    json enforce, so the limit is lifted while the command runs and
+    restored afterwards for in-process callers.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     problem = _check_threads_env()
     if problem is not None:
         print(f"perron: error: {problem}", file=sys.stderr)

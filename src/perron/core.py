@@ -30,12 +30,16 @@ a few integer products and no gcd, and a value is reduced to a lowest-terms
 Fraction once, when it is read (cylinder endpoints, hull endpoints).
 
 Digit extraction is a derived recursion (obtained by factoring the series into
-affine self-similar form; see positive_digits / alternating_digits).  Its
-remainder step (_tail) is also how a point's position relative to a frame
-moves down one digit: _Frame.relative maps a point into a frame once, and
-the pair is then stepped with a product by small integers per level.
-Digits are bounded by _MAX_DIGIT_BITS bits (2**16): extraction raises
-DomainError naming the position rather than grow one digit past it.
+affine self-similar form; see positive_digits / alternating_digits).  Both
+forms run one loop (_digits) that names its sign: the sign picks the domain,
+the remainder step (_tail) and what a junction means (an included supremum
+in the positive form, an ISPoint in the alternating one), and the next digit
+always comes from one child step (_child).  The same two steps move a
+point's position relative to a frame down one digit: _Frame.relative maps a
+point into a frame once, and the pair is then stepped with a product by
+small integers per level.  Digits are bounded by _MAX_DIGIT_BITS bits
+(2**16): extraction raises DomainError naming the position rather than grow
+one digit past it.
 """
 
 from __future__ import annotations
@@ -318,14 +322,28 @@ class CylinderInterval:
         return True
 
 
-def _check_domain_positive(x: Fraction) -> None:
-    if not 0 < x <= 1:
-        raise DomainError(f"x = {x} outside (0, 1]")
-
-
-def _check_domain_alternating(x: Fraction) -> None:
-    if not 0 < x < 1:
+def _check_domain(sign: Sign, x: Fraction) -> None:
+    """DomainError unless x lies in sign's tail space, (0, 1] or (0, 1)."""
+    if sign is _POSITIVE:
+        if not 0 < x <= 1:
+            raise DomainError(f"x = {x} outside (0, 1]")
+    elif not 0 < x < 1:
         raise DomainError(f"x = {x} outside (0, 1)")
+
+
+def _child(r: int, num: int, den: int) -> tuple[int, bool]:
+    """(c, at_junction) for the point num/den > 0 under rule value r.
+
+    c = floor(r*den/num) + 1 is the digit whose relative interval
+    (r/c, r/(c-1)] contains the point, and at_junction says that the point
+    is that interval's supremum r/(c-1), i.e. a cylinder junction.  The pair
+    may be unreduced: the quotient and the zero remainder do not depend on
+    a common factor.  Digit extraction and the cover descent both read their
+    next digit here; a caller that wants the child whose closure contains
+    the point from below takes c - at_junction.
+    """
+    q, rem = divmod(r * den, num)
+    return q + 1, rem == 0
 
 
 def _tail(sign: Sign, r: int, c: int, num: int, den: int) -> tuple[int, int]:
@@ -362,24 +380,7 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     after which digits stay minimal.  A digit longer than _MAX_DIGIT_BITS
     bits is a DomainError naming its position.
     """
-    x = Fraction(x)
-    _check_domain_positive(x)
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    a, b = x.numerator, x.denominator
-    digits: list[int] = []
-    r = rule.phi0
-    for i in range(1, n + 1):
-        p = (r * b) // a + 1
-        if p.bit_length() > _MAX_DIGIT_BITS:
-            raise _digit_too_long(p, i, _MAX_DIGIT_BITS)
-        a, b = _tail(_POSITIVE, r, p, a, b)  # still in (0, 1]
-        g = gcd(a, b)
-        a //= g
-        b //= g
-        digits.append(p)
-        r = _next_r(rule, r, digits, i)
-    return tuple(digits)
+    return _digits(rule, _POSITIVE, x, n, _MAX_DIGIT_BITS)
 
 
 def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoint:
@@ -391,35 +392,39 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     ISPoint outcome reports the rank and the digits found so far.  A digit
     longer than _MAX_DIGIT_BITS bits is a DomainError naming its position.
     """
-    return _alternating_digits(rule, x, n, _MAX_DIGIT_BITS)
+    return _digits(rule, _ALTERNATING, x, n, _MAX_DIGIT_BITS)
 
 
-def _alternating_digits(
-    rule: DigitRule, x: ExactQ, n: int, max_bits: int
+def _digits(
+    rule: DigitRule, sign: Sign, x: ExactQ, n: int, max_bits: int
 ) -> DigitWord | ISPoint:
-    """alternating_digits with digits bounded by max_bits bits instead.
+    """The extraction loop of both forms, digits bounded by max_bits bits.
 
-    verify_cover's endpoint probe passes a bound no smaller than the digits
-    of the prefixes it was given, which are the only digits the probe meets.
+    The forms differ only in the domain, the remainder step (_tail) and the
+    junction rule: a positive junction is the included supremum of its
+    child, an alternating one is an ISPoint.  verify_cover's endpoint probe
+    passes a bound no smaller than the digits of the prefixes it was given,
+    which are the only digits the probe meets.
     """
     x = Fraction(x)
-    _check_domain_alternating(x)
+    _check_domain(sign, x)
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
     digits: list[int] = []
     r = rule.phi0
+    alternating = sign is _ALTERNATING
     for i in range(1, n + 1):
-        if (r * b) % a == 0:
+        c, at_junction = _child(r, a, b)
+        if at_junction and alternating:
             return ISPoint(rank=i, digits=tuple(digits))
-        q = (r * b) // a + 1
-        if q.bit_length() > max_bits:
-            raise _digit_too_long(q, i, max_bits)
-        a, b = _tail(_ALTERNATING, r, q, a, b)  # still in (0, 1)
+        if c.bit_length() > max_bits:
+            raise _digit_too_long(c, i, max_bits)
+        a, b = _tail(sign, r, c, a, b)  # in the tail space again
         g = gcd(a, b)
         a //= g
         b //= g
-        digits.append(q)
+        digits.append(c)
         r = _next_r(rule, r, digits, i)
     return tuple(digits)
 
@@ -514,7 +519,7 @@ def traditional_pierce_digits(x: ExactQ) -> DigitWord:
     rationals always terminate and the digits strictly increase.
     """
     x = Fraction(x)
-    _check_domain_alternating(x)
+    _check_domain(_ALTERNATING, x)
     a, b = x.numerator, x.denominator
     digits = []
     while a:

@@ -22,12 +22,16 @@ form's rank-parity orientation flip is entirely absorbed by the sign of sc,
 so one relative-frame case analysis serves both signs and every parity.
 Relative positions are unreduced integer pairs, so the descent compares by
 cross-multiplication; Fractions are formed only for hull endpoints and for
-the piece widths that choose between covers.  Each endpoint is mapped into
-a frame once (core._Frame.relative) and its pair is then stepped down one
-digit per level with the digit-extraction remainder (core._tail), so a
-level costs products by small integers.  The descent itself tracks only the
-word, r and the cylinder diameter |sc| (an unreduced pair), on validation
+the piece widths that choose between covers.  The descent runs on the two
+steps of digit extraction: each endpoint is mapped into a frame once
+(core._Frame.relative), each level reads the endpoints' children with the
+extraction's child step (core._child) and steps both pairs down one digit
+with its remainder step (core._tail), so a level costs products by small
+integers.  It tracks only the word, r and the two positions, on validation
 frames without affine arithmetic; the orientation is the rank's parity.
+The piece widths are compared with |U| in the relative frame, where |U| is
+the distance between the two positions: the cylinder diameter |sc| scales
+both sides alike, so it is never formed.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ from .core import (
     ExactQ,
     ISPoint,
     Sign,
+    _ALTERNATING,
     _MAX_DIGIT_BITS,
-    _alternating_digits,
+    _child,
+    _digits,
     _Frame,
     _tail,
 )
@@ -159,32 +165,6 @@ class BoundaryCover:
     single: FamilySet
 
 
-def _child_ceil(r: int, t: tuple[int, int]) -> tuple[int, bool]:
-    """Child whose closure contains t from below: c with r/c <= t < r/(c-1).
-
-    t = num/den > 0 is a relative position as an integer pair, reduced or
-    not: the quotient of r*den by num is the same either way, and the
-    remainder is zero exactly at a junction.  Returns (c, exact) where exact
-    means t == r/c (t is child c's relative infimum, a junction).
-    """
-    num, den = t
-    q, rem = divmod(r * den, num)
-    if rem == 0:
-        return q, True
-    return q + 1, False
-
-
-def _child_floor(r: int, t: tuple[int, int]) -> tuple[int, bool]:
-    """Child containing t from above: c with r/c < t <= r/(c-1).
-
-    t is an integer pair as in _child_ceil.  Returns (c, exact) where exact
-    means t == r/(c-1) (t is child c's relative supremum, a junction).
-    """
-    num, den = t
-    q, rem = divmod(r * den, num)
-    return q + 1, rem == 0
-
-
 def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> BoundaryCover:
     """Cover the relative piece (0, t], 0 < t <= 1, of the prefix cylinder.
 
@@ -193,7 +173,8 @@ def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> Bou
     plus the whole child m (diameter below the previous, monotone
     diameters); single = {m..inf} with diameter r/(m-1) <= 2t.
     """
-    m, exact = _child_ceil(r, t)
+    m, exact = _child(r, *t)
+    m -= exact  # the child whose closure holds t from below
     if exact:
         fs = FamilySet(sign, prefix, m + 1, None)
         return BoundaryCover((fs,), fs)
@@ -212,7 +193,8 @@ def _solve_high(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> Bo
     if t[0] == 0:
         fs = FamilySet(sign, prefix, r + 1, None)
         return BoundaryCover((fs,), fs)
-    m, exact = _child_ceil(r, t)
+    m, exact = _child(r, *t)
+    m -= exact  # the child whose closure holds t from below
     if exact:
         fs = FamilySet(sign, prefix, r + 1, m)
         return BoundaryCover((fs,), fs)
@@ -321,13 +303,10 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         covering it tightly and the other one singly.
     """
     _interval_conventions(sign, U)
-    x1, x2 = U.lo, U.hi
-    W = x2 - x1
     # the root frame is the identity for both signs, so a validation frame
     # maps the endpoints in; below, their pairs are stepped digit by digit
     frame = _Frame.walk(rule, None, ())
-    u1, u2 = frame.relative(x1), frame.relative(x2)
-    sc_num, sc_den = 1, 1  # |sc|, the frame's cylinder diameter, unreduced
+    u1, u2 = frame.relative(U.lo), frame.relative(U.hi)
 
     while True:
         r, ascending = frame.r, _ascending(sign, frame.word)
@@ -341,11 +320,11 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         if hi_at_1:
             side = TO_SUP if ascending else FROM_INF
             return list(_cover_boundary(sign, frame, t_lo, side).tight)
-        d_lo, lo_exact = _child_ceil(r, t_lo)
-        d_hi, hi_exact = _child_floor(r, t_hi)
+        d_lo, lo_exact = _child(r, *t_lo)
+        d_lo -= lo_exact  # a junction resolves toward U's interior
+        d_hi, hi_exact = _child(r, *t_hi)
         if d_lo == d_hi:
             u1, u2 = _tail(sign, r, d_lo, *u1), _tail(sign, r, d_lo, *u2)
-            sc_num, sc_den = sc_num * r, sc_den * (d_lo - 1) * d_lo
             frame = frame.child(d_lo)
             continue
         break
@@ -374,18 +353,20 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     if hi_exact:
         return [*lo_cover().tight, FamilySet(sign, prefix, d_hi, d_lo - 1)]
 
-    # absolute widths of the d_lo piece and of the middle block decide which
-    # pieces are covered tightly
-    scale = Fraction(sc_num, sc_den)
+    # the widths of the d_lo piece and of the middle block, against |U|,
+    # decide which pieces are covered tightly; all three are compared in the
+    # relative frame, where |U| is t_hi - t_lo (|sc| > 0 scales them alike)
+    t_lo_q = Fraction(*t_lo)
+    W = Fraction(*t_hi) - t_lo_q
     if d_lo == d_hi + 1:
         # adjacent children, no middle block
-        w_lo = (Fraction(r, d_lo - 1) - Fraction(*t_lo)) * scale
+        w_lo = Fraction(r, d_lo - 1) - t_lo_q
         if 2 * w_lo >= W:
             return [*lo_cover().tight, hi_cover().single]
         return [lo_cover().single, *hi_cover().tight]
 
     # middle block present: digits d_hi+1 .. d_lo-1
-    mid_w = (Fraction(r, d_hi) - Fraction(r, d_lo - 1)) * scale
+    mid_w = Fraction(r, d_hi) - Fraction(r, d_lo - 1)
     if 2 * mid_w >= W:
         return [
             lo_cover().single,
@@ -423,17 +404,22 @@ def split_to_finite(
     where D(t) is the tail diameter from digit t on.  Callers evaluate the
     costs in floating point; far down the stream the diameters drop below
     the double-precision underflow threshold and such terms contribute 0.0.
+    The arguments are checked when the call is made, before any block is
+    asked for.
     """
     s = split_parameters(alpha, eps)
     if fs.end is not None:
         raise DomainError("split_to_finite needs an unbounded family set")
     _validate_family_set(rule, fs)
 
-    t = fs.start
-    while True:
-        t_next = (s + 1) * (t - 1) + 2
-        yield FamilySet(fs.sign, fs.prefix, t, t_next - 1)
-        t = t_next
+    def blocks() -> Iterator[FamilySet]:
+        t = fs.start
+        while True:
+            t_next = (s + 1) * (t - 1) + 2
+            yield FamilySet(fs.sign, fs.prefix, t, t_next - 1)
+            t = t_next
+
+    return blocks()
 
 
 def split_parameters(alpha: float, eps: float) -> int:
@@ -477,8 +463,7 @@ def _is_alt_endpoint(rule: DigitRule, x: Fraction, depth: int, max_bits: int) ->
     """Exact membership test for alternating cylinder endpoints of rank <= depth."""
     if x <= 0 or x >= 1:
         return True  # 0/1 bound the space; treat as exempt
-    probe = _alternating_digits(rule, x, depth, max_bits)
-    return isinstance(probe, ISPoint)
+    return isinstance(_digits(rule, _ALTERNATING, x, depth, max_bits), ISPoint)
 
 
 def verify_cover(
@@ -489,9 +474,11 @@ def verify_cover(
 ) -> CoverReport:
     """Exact coverage check plus diameter/cost report.
 
-    The sets must share one sign, and alpha must be > 0 (DomainError
-    otherwise).  Each distinct prefix is walked once: its frame extends the
-    longest one already built in this call by child().  Coverage is one
+    The sets must share one sign, alpha must be > 0, and U must follow that
+    sign's conventions as in cover_interval: positive targets are half-open
+    (x1, x2] inside (0, 1], alternating ones open inside (0, 1)
+    (DomainError otherwise).  Each distinct prefix is walked once: its
+    frame extends the longest one already built in this call by child().  Coverage is one
     sort of the exact hulls plus one greedy pass (_chains_across).
     Positive targets (x1, x2] are covered iff the half-open hulls chain
     across them.  Alternating targets are open intervals covered modulo
@@ -511,6 +498,7 @@ def verify_cover(
     if not sets:
         return CoverReport(False, Fraction(0), 0.0)
     (sign,) = signs
+    _interval_conventions(sign, U)
     frames = {(): _Frame.walk(rule, sign, ())}  # each prefix built so far
 
     def frame_of(prefix: DigitWord) -> _Frame:

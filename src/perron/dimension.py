@@ -162,6 +162,7 @@ def _bases_with_diameters(
     signs.  It is carried down the tree as an unreduced pair: a child's
     numerator is its parent's times r, its denominator its parent's times
     (c-1)c.  Each base yields (word, num, den); the caller reduces it.
+    The arguments are checked when the call is made, not at the first base.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
@@ -203,7 +204,7 @@ def _bases_with_diameters(
             else:
                 yield from descend(child, r_child, num_child, den_child)
 
-    yield from descend((), _positive_r(rule.phi0, 0), 1, 1)
+    return descend((), _positive_r(rule.phi0, 0), 1, 1)
 
 
 def enumerate_compatible_bases(
@@ -217,10 +218,11 @@ def enumerate_compatible_bases(
     Deterministic lexicographic order.  Warns CapTooSmallWarning (once) when
     the cap cuts off every admissible digit at some position, i.e. when a
     compatible prefix has no rule-admissible child <= digit_cap although
-    admissible children exist beyond it.
+    admissible children exist beyond it.  The arguments are checked when
+    the call is made, before any base is asked for.
     """
-    for word, _, _ in _bases_with_diameters(rule, predicate, rank, digit_cap):
-        yield word
+    bases = _bases_with_diameters(rule, predicate, rank, digit_cap)
+    return (word for word, _, _ in bases)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ Three maps, each induced by a digitwise rewrite:
   * g_pierce: c'_n = c_n + 1 shifts a strictly increasing word (pierce rule)
     to another valid pierce word.
 
+Each kind resolves once (_spec) to what it reads and writes: a source rule
+and sign, a target rule and sign, and a per-position digit shift.  Both
+operations then take one path for all three: transform_digits validates the
+word against the source rule and shifts it; transform_point extracts the
+source digits with core's sign-generic extraction loop and brackets the
+image by the shifted word's target cylinder.
+
 Point images are generally irrational, so the point-level operation returns
 the exact rank-n target cylinder bracketing the image instead of a value;
 the bracket width shrinks to 0 as the rank grows.
@@ -30,9 +37,9 @@ from .core import (
     ExactQ,
     ISPoint,
     Sign,
-    alternating_digits,
+    _MAX_DIGIT_BITS,
+    _digits,
     cylinder,
-    positive_digits,
     validate_word,
     word_diameter,
 )
@@ -70,14 +77,22 @@ class TransformKind:
         return cls("g-pierce")
 
 
-def _shift(kind: TransformKind, word: DigitWord) -> DigitWord:
+def _spec(kind: TransformKind):
+    """(source rule, source sign, target rule, target sign, shift) of kind,
+    where image digit i (0-based) is word[i] + shift(i)."""
     if kind.name == "fp":
-        return word
+        if kind.rule is None:
+            raise DomainError("fp transform needs a digit rule")
+        return kind.rule, Sign.POSITIVE, kind.rule, Sign.ALTERNATING, lambda i: 0
     if kind.name == "t-engel":
-        return tuple(c + i for i, c in enumerate(word))
+        return _ENGEL, Sign.POSITIVE, _ENGEL_MOD, Sign.POSITIVE, lambda i: i
     if kind.name == "g-pierce":
-        return tuple(c + 1 for c in word)
+        return _PIERCE, Sign.ALTERNATING, _PIERCE, Sign.ALTERNATING, lambda i: 1
     raise DomainError(f"unknown transform {kind.name!r}")
+
+
+def _image(shift, word: DigitWord) -> DigitWord:
+    return tuple(c + shift(i) for i, c in enumerate(word))
 
 
 def transform_digits(kind: TransformKind, word: Sequence[int]) -> DigitWord:
@@ -91,18 +106,9 @@ def transform_digits(kind: TransformKind, word: Sequence[int]) -> DigitWord:
     g_pierce adds 1 to every digit of a pierce-valid word.
     """
     word = tuple(word)
-    if kind.name == "fp":
-        if kind.rule is None:
-            raise DomainError("fp transform needs a digit rule")
-        validate_word(kind.rule, word)
-        return word
-    if kind.name == "t-engel":
-        validate_word(_ENGEL, word)
-        return _shift(kind, word)
-    if kind.name == "g-pierce":
-        validate_word(_PIERCE, word)
-        return _shift(kind, word)
-    raise DomainError(f"unknown transform {kind.name!r}")
+    source, _, _, _, shift = _spec(kind)
+    validate_word(source, word)
+    return _image(shift, word)
 
 
 def transform_point(
@@ -119,20 +125,11 @@ def transform_point(
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
-    if kind.name == "fp":
-        if kind.rule is None:
-            raise DomainError("fp transform needs a digit rule")
-        digits = positive_digits(kind.rule, x, rank)
-        return cylinder(kind.rule, digits, Sign.ALTERNATING)
-    if kind.name == "t-engel":
-        digits = positive_digits(_ENGEL, x, rank)
-        return cylinder(_ENGEL_MOD, _shift(kind, digits), Sign.POSITIVE)
-    if kind.name == "g-pierce":
-        outcome = alternating_digits(_PIERCE, x, rank)
-        if isinstance(outcome, ISPoint):
-            return ISPoint(rank=outcome.rank, digits=_shift(kind, outcome.digits))
-        return cylinder(_PIERCE, _shift(kind, outcome), Sign.ALTERNATING)
-    raise DomainError(f"unknown transform {kind.name!r}")
+    source, source_sign, target, target_sign, shift = _spec(kind)
+    outcome = _digits(source, source_sign, x, rank, _MAX_DIGIT_BITS)
+    if isinstance(outcome, ISPoint):
+        return ISPoint(rank=outcome.rank, digits=_image(shift, outcome.digits))
+    return cylinder(target, _image(shift, outcome), target_sign)
 
 
 def t_ratio(word: Sequence[int]) -> ExactQ:

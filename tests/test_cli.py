@@ -2,10 +2,12 @@
 
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from perron import cli
+from perron import DigitRule, alternating_digits, cli
 
 
 def run_cli(capsys, argv, stdin="", env=None, monkeypatch=None):
@@ -103,6 +105,19 @@ def test_split_negative_blocks_is_a_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert "--blocks" in err
+
+
+@pytest.mark.parametrize("start,alpha,code", [("1", "0.5", 2), ("2", "-1", 3)])
+def test_split_checks_its_arguments_without_blocks(capsys, start, alpha, code):
+    # --blocks 0 asks for no block; a bad --from or --alpha is still an error
+    got, out, err = run_cli(
+        capsys,
+        [
+            "split", "--system", "luroth", "--sign", "P",
+            "--from", start, "--alpha", alpha, "--eps", "0.5", "--blocks", "0",
+        ],
+    )
+    assert (got, out) == (code, "") and "error" in err
 
 
 def test_cover_pipes_into_verify(capsys, monkeypatch):
@@ -355,6 +370,73 @@ def test_oversized_digit_exits_3(capsys):
         capsys, ["alt-expand", "--system", "engel", "--x", "61/215", "--n", "48"]
     )
     assert (code, out) == (3, "") and "position 31" in err
+
+
+def test_verify_positive_target_with_alternating_sets_exits_3(capsys, monkeypatch):
+    # --sign P makes the target half-open, which no alternating cover follows
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify", "--system", "luroth", "--sign", "P",
+            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
+        ],
+        stdin='{"sign":"P-","prefix":[],"from":3,"to":5}\n',
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (3, "") and "open" in err
+
+
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+
+
+def parse_big(out):
+    """The JSON lines of out, read with the int/str digit limit lifted."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return lines(out)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@needs_int_limit
+def test_output_digits_past_the_int_string_limit(capsys):
+    # digit 30 of 61/215 has about 63 kbit, some 19000 decimal digits
+    saved = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, ["alt-expand", "--system", "engel", "--x", "61/215", "--n", "30"]
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == saved
+    word = alternating_digits(DigitRule.engel(), Fraction(61, 215), 30)
+    assert word[-1].bit_length() > 60000
+    assert parse_big(out) == [{"digits": list(word)}]
+
+
+@needs_int_limit
+def test_verify_reads_a_prefix_digit_past_the_int_string_limit(capsys, monkeypatch):
+    # a 5000-digit prefix digit on stdin, and its cylinder as the target
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        d = 10**4999
+        lo, hi, diam = f"1/{d}", f"1/{d - 1}", f"1/{d * (d - 1)}"
+        line = '{"sign":"P","prefix":[%d],"from":2,"to":"inf"}\n' % d
+    finally:
+        sys.set_int_max_str_digits(saved)
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--system", "luroth", "--sign", "P", "--lo", lo, "--hi", hi,
+         "--alpha", "1"],
+        stdin=line,
+        monkeypatch=monkeypatch,
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == saved
+    report = parse_big(out)[0]
+    assert (report["covers"], report["max_diameter"]) == (True, diam)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -265,6 +265,47 @@ def test_cover_whole_space():
     assert sets == [FamilySet(Sign.POSITIVE, (), 2, None)]
 
 
+def _tie_cases():
+    # (22/75, 28/75): adjacent children 4 and 3 whose junction 1/3 is U's
+    # midpoint, so the lower piece is exactly |U|/2; (3/10, 19/30): the
+    # middle block, child 3, is exactly |U|/2.  A tie keeps the lower piece
+    # tight in the first case and the middle block on its own in the second.
+    P, A = Sign.POSITIVE, Sign.ALTERNATING
+    yield "adjacent-P", P, (Fraction(22, 75), Fraction(28, 75)), [
+        ((4, 2), 2, 25), ((3,), 5, None)]
+    yield "middle-P", P, (Fraction(3, 10), Fraction(19, 30)), [
+        ((4, 2), 2, 5), ((), 3, 3), ((2,), 4, None)]
+    yield "adjacent-A", A, (Fraction(22, 75), Fraction(28, 75)), [
+        ((4,), 4, None), ((4,), 3, 3), ((3, 2), 3, None)]
+    yield "middle-A", A, (Fraction(3, 10), Fraction(19, 30)), [
+        ((4,), 3, None), ((), 3, 3), ((2, 2), 2, None)]
+
+
+@pytest.mark.parametrize("depth", [0, 40, 41])
+@pytest.mark.parametrize(
+    "sign,rel,expected", [pytest.param(*case[1:], id=case[0]) for case in _tie_cases()]
+)
+def test_cover_width_ties_are_exact(sign, rel, expected, depth):
+    """A piece of width exactly |U|/2 counts as wide: the lists below are
+    the >= branch.  luroth cylinders are all alike, so U placed at the same
+    relative position inside a deep cylinder gives the same list under it."""
+    word = positive_digits(LUROTH, Fraction(271828, 314159), depth)
+    if word:
+        cyl = cylinder(LUROTH, word, sign)
+        if sign is Sign.POSITIVE or depth % 2 == 0:
+            ends = [cyl.lo + cyl.diameter * t for t in rel]
+        else:  # an odd alternating cylinder is flipped
+            ends = [cyl.hi - cyl.diameter * t for t in rel]
+        lo, hi = sorted(ends)
+    else:
+        lo, hi = rel
+    U = interval_for(sign, lo, hi)
+    sets = cover_interval(LUROTH, sign, U)
+    assert sets == [FamilySet(sign, word + extra, a, b) for extra, a, b in expected]
+    assert all(family_set_hull(LUROTH, fs).diameter <= U.diameter for fs in sets)
+    assert verify_cover(LUROTH, U, sets, 1.0).covers
+
+
 def test_cover_interval_conventions():
     with pytest.raises(DomainError):
         cover_interval(LUROTH, Sign.POSITIVE, QInterval(0, Fraction(1, 2), True, True))
@@ -472,6 +513,16 @@ def test_split_cost_bound_sampled():
         assert total < bound
 
 
+def test_split_checks_its_arguments_at_the_call():
+    # no block is asked for: the errors come from the call itself
+    with pytest.raises(ValidityError, match="start 1"):
+        split_to_finite(LUROTH, FamilySet(Sign.POSITIVE, (), 1, None), 1.0, 0.5)
+    with pytest.raises(DomainError, match="alpha"):
+        split_to_finite(LUROTH, FamilySet(Sign.POSITIVE, (), 2, None), -1.0, 0.5)
+    with pytest.raises(DomainError, match="unbounded"):
+        split_to_finite(LUROTH, FamilySet(Sign.POSITIVE, (), 2, 5), 1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # the verification oracle itself
 # ---------------------------------------------------------------------------
@@ -567,6 +618,24 @@ def test_covers_under_digits_past_the_extraction_bound_verify(sign, prefix):
     extract = positive_digits if sign is Sign.POSITIVE else alternating_digits
     with pytest.raises(DomainError, match=f"position {len(prefix)} has 70001 bits"):
         extract(LUROTH, cyl.lo + w / 2, len(prefix))
+
+
+def test_verify_enforces_the_target_conventions():
+    # 0 is not in the hull (0, 1] of the whole positive space, so a closed
+    # target must not be reported as covered
+    whole = [FamilySet(Sign.POSITIVE, (), 2, None)]
+    with pytest.raises(DomainError, match="half-open"):
+        verify_cover(LUROTH, QInterval(0, 1, True, True), whole, 1.0)
+    with pytest.raises(DomainError, match="not inside"):
+        verify_cover(LUROTH, QInterval(0, Fraction(3, 2), False, True), whole, 1.0)
+    alternating = [FamilySet(Sign.ALTERNATING, (), 2, None)]
+    with pytest.raises(DomainError, match="open"):
+        verify_cover(LUROTH, QInterval(Fraction(1, 5), Fraction(1, 2)), alternating, 1.0)
+    # the alpha and sign checks still come first
+    with pytest.raises(DomainError, match="alpha"):
+        verify_cover(LUROTH, QInterval(0, 1, True, True), whole, 0.0)
+    with pytest.raises(DomainError, match="sign"):
+        verify_cover(LUROTH, QInterval(0, 1, True, True), whole + alternating, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def test_enumeration_domain():
         list(enumerate_compatible_bases(LUROTH, all_digits(), 2, 1))
 
 
+def test_enumeration_checks_its_arguments_at_the_call():
+    # no base is asked for: the errors come from the call itself
+    with pytest.raises(DomainError, match="rank"):
+        enumerate_compatible_bases(LUROTH, all_digits(), 0, 5)
+    with pytest.raises(DomainError, match="digit_cap"):
+        enumerate_compatible_bases(LUROTH, all_digits(), 2, 1)
+
+
 def test_cap_warning_when_digits_run_out():
     # strictly increasing digits need 2,3,4 by rank 3; cap 3 starves rank 3
     with pytest.warns(CapTooSmallWarning):
