@@ -13,11 +13,16 @@ limit-defined sets these predicates approximate are asymptotic statements
 and are not computed here; only cap/rank-indexed approximants are reported,
 always together with their rank and cap.
 
-Exact cylinder diameters feed the floating-point pressure sums; diameters
-enter as exp(s * (log num - log den)) so even astronomically small cylinders
-contribute without intermediate underflow, and summation is compensated
-(math.fsum).  Terms below the double-precision underflow threshold contribute
-0.0; coverage of that regime is out of scope.
+Neither sum lists the bases.  The compatible words are merged level by
+level into states that extend alike (the last digit, for the built-in rules
+and predicates; the whole word otherwise), as in transfer-operator
+dimension algorithms, and the rank-k sum is a recursion over those states.
+Exact integer factors feed the floating-point pressure sums; each enters as
+exp(s * (log num - log den)), so even astronomically small cylinders
+contribute without intermediate underflow, and every sum over states is
+compensated (math.fsum).  A state value below the double-precision underflow
+threshold is 0.0, and so is every term that passes through it; per-level
+rescaling in log space would cover that regime and is out of scope.
 """
 
 from __future__ import annotations
@@ -71,9 +76,9 @@ class DigitPredicate:
     def __repr__(self):
         return f"DigitPredicate({self.description})"
 
-    def _admits(self, child: DigitWord) -> bool:
-        """Is child compatible, given that child[:-1] is?"""
-        return self.classify(child)
+    def _admits(self, word: DigitWord, c: int) -> bool:
+        """Is word + (c,) compatible, given that word is?"""
+        return self.classify(word + (c,))
 
 
 class _LocalPredicate(DigitPredicate):
@@ -91,9 +96,8 @@ class _LocalPredicate(DigitPredicate):
         padded = (None, *word)  # padded[n - 1] precedes the n-th digit
         return all(self._test(padded[n - 1], c, n) for n, c in enumerate(padded[1:], 1))
 
-    def _admits(self, child: DigitWord) -> bool:
-        n = len(child)
-        return self._test(child[-2] if n > 1 else None, child[-1], n)
+    def _admits(self, word: DigitWord, c: int) -> bool:
+        return self._test(word[-1] if word else None, c, len(word) + 1)
 
 
 def all_digits() -> DigitPredicate:
@@ -150,61 +154,128 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     return _LocalPredicate(test, f"ratio-window({alpha},{delta})")
 
 
-def _bases_with_diameters(
-    rule: DigitRule,
-    predicate: DigitPredicate,
-    rank: int,
-    digit_cap: int,
-) -> Iterator[tuple[DigitWord, int, int]]:
-    """enumerate_compatible_bases, each word with its cylinder diameter.
-
-    The diameter r_0...r_{k-1} / prod (c_i - 1)c_i is the same for both
-    signs.  It is carried down the tree as an unreduced pair: a child's
-    numerator is its parent's times r, its denominator its parent's times
-    (c-1)c.  Each base yields (word, num, den); the caller reduces it.
-    The arguments are checked when the call is made, not at the first base.
-    """
+def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if digit_cap < rule.phi0 + 1:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
+
+
+def _warn_cut(cut: tuple[int, int], digit_cap: int, stacklevel: int) -> None:
+    message = (f"digit_cap {digit_cap} excludes all digits at position {cut[0]}, "
+               f"cutting off {cut[1]} compatible prefix(es)")
+    warnings.warn(CapTooSmallWarning(message, *cut), stacklevel=stacklevel + 1)
+
+
+def _group(pairs) -> list:
+    """(key, item) pairs grouped by key in order of first appearance, as a
+    list of (key, items); a run of pairs with the same key object costs no
+    lookup."""
+    groups, where, prev, items = [], {}, None, None
+    for key, item in pairs:
+        if key is not prev:
+            prev = key
+            items = where.get(key)
+            if items is None:
+                items = where[key] = []
+                groups.append((key, items))
+        items.append(item)
+    return groups
+
+
+def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh):
+    """The compatible rank-k words, merged into states one position at a time.
+
+    A state at level n stands for compatible length-n words that extend
+    alike.  It is keyed by the last digit when the rule is built in (r_n
+    depends on c_n alone) and the predicate is local (its test reads only
+    (prev, c, n)); otherwise by the whole word, which never repeats, so
+    such states never merge and the levels are the enumeration tree.
+
+    A word's diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i is phi_0 times
+    one factor r / (c - 1)c per digit, r being the rule value the digit
+    leads to, or 1 at the last position, where it drops out.  Each state is
+    an expression (sources, num, den): its value is (num/den)**s times the
+    sum of the values that sources index, value 0 being the root's,
+    phi_0**s.  A state reached from one source extends that source's
+    expression by its own factor, so a chain of such states is one
+    expression and costs nothing per link.  A state reached from several
+    sources is its own factor times the sum of their values, and each of
+    those sources becomes a value: weigh(num, den) of its expression.
+
+    Returns (kept, final, bases, cut).  kept holds one list per level that
+    adds values, each a list of groups (sources, weights): one new value per
+    weight, indexed in order after the earlier ones.  final is that list for
+    the rank-k states, whose values sum to the rank-k sum.  bases counts
+    the compatible rank-k words (an integer count per state, carried in the
+    same pass); cut is None, or (position, prefixes): the first 1-based
+    position at which the cap excludes every admissible digit, and how many
+    compatible prefixes it cuts off there.
+    """
+    _check_rank_cap(rule, rank, digit_cap)
     alphabet, admits = predicate._alphabet, predicate._admits
-    warned = [False]
-
-    def warn_once():
-        if not warned[0]:
-            warned[0] = True
-            warnings.warn(
-                f"digit_cap {digit_cap} excludes all digits at some position",
-                CapTooSmallWarning,
-                stacklevel=3,
-            )
-
-    def descend(
-        word: DigitWord, r: int, num: int, den: int
-    ) -> Iterator[tuple[DigitWord, int, int]]:
-        lo = r + 1
-        if alphabet is None:
-            candidates = range(lo, digit_cap + 1)
-        else:
-            candidates = [c for c in alphabet if lo <= c <= digit_cap]
-        if not candidates and (alphabet is None or alphabet[-1] >= lo):
-            warn_once()
-        num_child = num * r
-        for c in candidates:
-            child = word + (c,)
-            if not admits(child):
-                continue
-            r_child = _step_r(rule, child, len(child))
-            if r_child < 1:
-                continue  # digit admissible but rule value degenerates: prune
-            den_child = den * (c - 1) * c
-            if len(child) == rank:
-                yield child, num_child, den_child
+    merge = rule.kind != "custom" and isinstance(predicate, _LocalPredicate)
+    # the states of the level before: words, rule values, counts, expressions
+    words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
+    srcs, fracs = [(0,)], [(1, 1)]
+    kept, values, cut = [], 1, None
+    for n in range(1, rank + 1):
+        last = n == rank
+        state = {} if merge and len(words) > 1 else None  # digit -> target
+        t_src, t_srcs, t_frac, t_r, t_word = [], [], [], [], []  # per target
+        merged, cut_count = [], 0
+        for i, (word, r) in enumerate(zip(words, rs)):
+            lo = r + 1
+            if alphabet is None:
+                candidates = range(lo, digit_cap + 1)
             else:
-                yield from descend(child, r_child, num_child, den_child)
-
-    return descend((), _positive_r(rule.phi0, 0), 1, 1)
+                candidates = [c for c in alphabet if lo <= c <= digit_cap]
+            if not candidates and (alphabet is None or alphabet[-1] >= lo):
+                cut_count += counts[i]
+            sources, (num, den) = srcs[i], fracs[i]
+            for c in candidates:
+                if not admits(word, c):
+                    continue
+                t = None if state is None else state.get(c)
+                if t is not None:  # one more source of a merged state
+                    if t_src[t].__class__ is int:
+                        t_src[t] = [t_src[t]]
+                        t_frac[t] = weigh(1, (c - 1) * c) if last else (t_r[t], (c - 1) * c)
+                        merged.append(t)
+                    t_src[t].append(i)
+                    continue
+                child = word + (c,)
+                r_child = _step_r(rule, child, n)
+                if r_child < 1:
+                    continue  # digit admissible but rule value degenerates: prune
+                if state is not None:
+                    state[c] = len(t_src)
+                t_src.append(i)
+                t_srcs.append(sources)
+                if last:
+                    t_frac.append(weigh(num, den * (c - 1) * c))
+                else:
+                    t_frac.append((num * r_child, den * (c - 1) * c))
+                    t_r.append(r_child)
+                    t_word.append(child)
+        if cut is None and cut_count:
+            cut = (n, cut_count)
+        # the sources of merged states become values, grouped by their sources
+        batch = _group((srcs[i], i) for i in sorted({i for t in merged for i in t_src[t]}))
+        order = [i for _, members in batch for i in members]
+        value = dict(zip(order, range(values, values + len(order))))
+        values += len(order)
+        if batch:
+            kept.append([(key, [weigh(*fracs[i]) for i in members]) for key, members in batch])
+        for t in merged:
+            t_srcs[t] = tuple(map(value.__getitem__, t_src[t]))
+        counts = [
+            counts[src] if src.__class__ is int else sum(map(counts.__getitem__, src))
+            for src in t_src
+        ]
+        if last:
+            return kept, _group(zip(t_srcs, t_frac)), sum(counts), cut
+        words, rs, srcs, fracs = t_word, t_r, t_srcs, t_frac
 
 
 def enumerate_compatible_bases(
@@ -215,23 +286,55 @@ def enumerate_compatible_bases(
 ) -> Iterator[DigitWord]:
     """All valid rank-`rank` words with digits <= digit_cap passing the predicate.
 
-    Deterministic lexicographic order.  Warns CapTooSmallWarning (once) when
-    the cap cuts off every admissible digit at some position, i.e. when a
-    compatible prefix has no rule-admissible child <= digit_cap although
-    admissible children exist beyond it.  The arguments are checked when
-    the call is made, before any base is asked for.
+    Deterministic lexicographic order, one word at a time by depth-first
+    descent.  Warns CapTooSmallWarning (once) when the cap cuts off every
+    admissible digit at some position, i.e. when a compatible prefix has no
+    rule-admissible child <= digit_cap although admissible children exist
+    beyond it.  The warning comes when the descent first meets such a
+    prefix; its position and count are the first position where the cap
+    does so and how many compatible prefixes it cuts off there.  The
+    arguments are checked when the call is made, before any base is asked
+    for.
     """
-    bases = _bases_with_diameters(rule, predicate, rank, digit_cap)
-    return (word for word, _, _ in bases)
+    _check_rank_cap(rule, rank, digit_cap)
+    alphabet, admits = predicate._alphabet, predicate._admits
+    warned = False
+
+    def descend(word: DigitWord, r: int) -> Iterator[DigitWord]:
+        nonlocal warned
+        lo = r + 1
+        if alphabet is None:
+            candidates = range(lo, digit_cap + 1)
+        else:
+            candidates = [c for c in alphabet if lo <= c <= digit_cap]
+        if not candidates and (alphabet is None or alphabet[-1] >= lo) and not warned:
+            warned = True
+            _, _, _, cut = _levels(rule, predicate, len(word) + 1, digit_cap, Fraction)
+            _warn_cut(cut, digit_cap, stacklevel=2)
+        for c in candidates:
+            if not admits(word, c):
+                continue
+            child = word + (c,)
+            r_child = _step_r(rule, child, len(child))
+            if r_child < 1:
+                continue  # digit admissible but rule value degenerates: prune
+            if len(child) == rank:
+                yield child
+            else:
+                yield from descend(child, r_child)
+
+    return descend((), _positive_r(rule.phi0, 0))
 
 
 @dataclass(frozen=True)
 class DimensionEstimate:
     """Pressure-equation root at a given rank and digit cap.
 
-    residual is |sum |cylinder|**s - 1| at the returned s; it is <= the
-    requested tolerance whenever at least one base exists (for an empty base
-    set s = 0 is reported by convention and the residual is the honest 1.0).
+    residual is |sum |cylinder|**s - 1| at the returned s, a float
+    diagnostic: it is <= the requested tolerance whenever at least one base
+    exists (for an empty base set s = 0 is reported by convention and the
+    residual is the honest 1.0), and its last bits depend on the order of
+    float operations in the sum.
     """
 
     rank: int
@@ -257,38 +360,57 @@ def pressure_root(
     brackets on [0, 1.5] and stops when |sum - 1| <= tol.  One base forces
     s = 0 exactly; no bases reports s = 0 with bases_count 0.
 
-    Diameters come from the enumeration itself: each base's exact diameter
-    r_0...r_{k-1} / prod (c_i - 1)c_i is carried down the tree and reduced
-    once.  That diameter does not depend on the sign (the equal-diameter
-    law), so the positive and alternating estimates agree bit for bit.
-    tol must be finite and positive; if the bisection runs out before
-    |sum - 1| <= tol (a tol below float resolution), DomainError names the
-    best residual it reached.
+    The bases are not listed one by one.  The compatible words are merged,
+    position by position, into states that extend alike: keyed by the last
+    digit for the built-in rules and predicates, by the whole word
+    otherwise.  That structure is built once, and each f(s) is a recursion
+    over it: one compensated sum per group of states sharing their sources,
+    and one exp per state with a value of its own.  With the built-in rules
+    and predicates a level has at most one state per digit, so the work
+    grows with rank times the cap squared, not with the number of bases.
+    The diameter r_0...r_{k-1} / prod (c_i - 1)c_i does not depend on the
+    sign (the equal-diameter law), so the positive and alternating
+    estimates agree bit for bit.  tol must be finite and positive; if the
+    bisection runs out before |sum - 1| <= tol (a tol below float
+    resolution), DomainError names the best residual it reached.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
-    logs = []
-    for _, num, den in _bases_with_diameters(rule, predicate, rank, digit_cap):
-        d = Fraction(num, den)
-        logs.append(math.log(d.numerator) - math.log(d.denominator))
-    if not logs:
+    log, exp, fsum = math.log, math.exp, math.fsum
+    kept, final, bases, cut = _levels(
+        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den)
+    )
+    if cut:
+        _warn_cut(cut, digit_cap, stacklevel=2)
+    if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
+    log_phi0 = log(rule.phi0)
+
+    def values(level, get, s):  # one compensated sum per group, one exp per value
+        return [
+            total * exp(s * lw)
+            for sources, lws in level
+            for total in [fsum(map(get, sources))]
+            for lw in lws
+        ]
 
     def f(s: float) -> float:
-        return math.fsum(math.exp(s * ld) for ld in logs) - 1.0
+        u = [exp(s * log_phi0)]
+        get = u.__getitem__
+        for level in kept:
+            u += values(level, get, s)
+        return fsum(values(final, get, s)) - 1.0
 
     lo, hi = 0.0, 1.5
-    f_lo = f(lo)
+    f_lo = float(bases - 1)  # f(0): every term is 1
     if abs(f_lo) <= tol:
-        return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), len(logs))
-    if f_lo < 0:  # cannot happen: f(0) = bases_count - 1 >= 0
-        raise DomainError("pressure sum below 1 at s = 0")
+        return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), bases)
     best = abs(f_lo)
     for _ in range(_MAX_BISECT):
         mid = (lo + hi) / 2
         fm = f(mid)
         if abs(fm) <= tol:
-            return DimensionEstimate(rank, digit_cap, mid, abs(fm), len(logs))
+            return DimensionEstimate(rank, digit_cap, mid, abs(fm), bases)
         best = min(best, abs(fm))
         if fm > 0:
             lo = mid
@@ -353,9 +475,10 @@ def measure_at_rank(
     unrestricted predicate, where rank-k cylinders tile the whole space and
     the telescoped total is exactly 1; any other predicate needs a finite
     cap.  Non-increasing in rank for hereditary predicates (children of a
-    compatible word cover at most their parent).  Each diameter is
-    accumulated along the enumeration rather than read off a cylinder; it
-    is the same for both signs.
+    compatible word cover at most their parent).  The sum runs over the
+    same rank-k states as pressure_root, at s = 1 in exact Fractions, so no
+    base is listed and no cylinder is built; the diameters are the same for
+    both signs.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
@@ -363,7 +486,16 @@ def measure_at_rank(
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
-    total = Fraction(0)
-    for _, num, den in _bases_with_diameters(rule, predicate, rank, digit_cap):
-        total += Fraction(num, den)
-    return total
+    kept, final, _, cut = _levels(rule, predicate, rank, digit_cap, Fraction)
+    if cut:
+        _warn_cut(cut, digit_cap, stacklevel=2)
+    u = [Fraction(rule.phi0)]
+    get = u.__getitem__
+    for level in kept:
+        u += [
+            total * w
+            for sources, weights in level
+            for total in [sum(map(get, sources))]
+            for w in weights
+        ]
+    return sum((sum(map(get, sources)) * sum(weights) for sources, weights in final), Fraction(0))

@@ -18,4 +18,14 @@ class DomainError(ValueError):
 
 
 class CapTooSmallWarning(UserWarning):
-    """A digit cap excludes every admissible digit at some position."""
+    """A digit cap excludes every admissible digit at some position.
+
+    `position` is the first 1-based digit position where that happens and
+    `count` the number of compatible prefixes the cap cuts off there; both
+    are None when the warning is raised without them.
+    """
+
+    def __init__(self, message, position=None, count=None):
+        super().__init__(message)
+        self.position = position
+        self.count = count

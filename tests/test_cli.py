@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from perron import DigitRule, alternating_digits, cli
+from perron import CapTooSmallWarning, DigitRule, alternating_digits, cli
 
 
 def run_cli(capsys, argv, stdin="", env=None, monkeypatch=None):
@@ -194,6 +194,19 @@ def test_dim_fields(capsys):
     assert 0.59 < obj["s"] < 0.61
 
 
+def test_dim_cost_does_not_grow_with_the_base_count(capsys):
+    # 118 827 850 bases, which the built-in rule and predicate merge into at
+    # most 1200 states per level: no base is listed one by one
+    with pytest.warns(CapTooSmallWarning, match="position 2"):
+        code, out, _ = run_cli(
+            capsys,
+            ["dim", "--system", "pierce", "--predicate", "growth:10^n", "--rank", "3",
+             "--cap", "1200"],
+        )
+    assert code == 0
+    assert '"bases":118827850' in out
+
+
 def test_moran(capsys):
     code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2,1/2"])
     assert code == 0
@@ -266,7 +279,7 @@ FROZEN_STDOUT = [
      '{"covers":true,"max_diameter":"5/14","cost":0.8333165650627126}\n'),
     (["dim", "--system", "luroth", "--predicate", "alphabet:2,3", "--rank", "4",
       "--cap", "3"], "",
-     '{"s":0.6009668516926467,"rank":4,"cap":3,"residual":3.3718561276430137e-10,'
+     '{"s":0.6009668516926467,"rank":4,"cap":3,"residual":3.371858348089063e-10,'
      '"bases":16}\n'),
     (["dim", "--system", "engel", "--sign", "P-", "--predicate", "bounded-ratio:3/2",
       "--rank", "3", "--cap", "12"], "",

@@ -1,5 +1,6 @@
 """Base enumeration, pressure roots, the independent Moran solver, measures."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -26,6 +27,7 @@ from perron import (
     moran_dimension,
     pressure_root,
     ratio_limit_window,
+    rule_value,
 )
 
 LUROTH = DigitRule.luroth()
@@ -48,7 +50,7 @@ def test_enumeration_examples():
     ]
     # the prefix (4,) has admissible children only beyond the cap, so this
     # enumeration also demonstrates the cap warning firing mid-stream
-    with pytest.warns(CapTooSmallWarning):
+    with pytest.warns(CapTooSmallWarning, match="position 2, cutting off 1 compatible"):
         assert list(enumerate_compatible_bases(ENGEL_MOD, all_digits(), 2, 4)) == [
             (2, 3),
             (2, 4),
@@ -81,19 +83,37 @@ def test_enumeration_checks_its_arguments_at_the_call():
 
 
 def test_cap_warning_when_digits_run_out():
-    # strictly increasing digits need 2,3,4 by rank 3; cap 3 starves rank 3
-    with pytest.warns(CapTooSmallWarning):
+    # strictly increasing digits need 2,3,4 by rank 3; cap 3 starves rank 3,
+    # and the prefix (3,) is already cut off at position 2
+    with pytest.warns(CapTooSmallWarning, match="position 2, cutting off 1 compatible"):
         words = list(enumerate_compatible_bases(ENGEL_MOD, all_digits(), 3, 3))
     assert words == []
 
 
 def test_cap_warning_for_alphabet_cut_off():
     # the allowed digit 5 is admissible after (2,) but sits beyond the cap
-    with pytest.warns(CapTooSmallWarning):
+    with pytest.warns(CapTooSmallWarning, match="position 2, cutting off 1 compatible"):
         words = list(
             enumerate_compatible_bases(ENGEL_MOD, alphabet_restrict([2, 5]), 2, 4)
         )
     assert words == []
+
+
+def test_cap_warning_carries_position_and_count():
+    # r = 2c + 1 leaves the prefixes (4,) ... (9,) no digit <= 9 at position 2
+    rule = DigitRule.oppenheim(2, 1)
+    calls = [
+        lambda: list(enumerate_compatible_bases(rule, all_digits(), 3, 9)),
+        lambda: pressure_root(rule, Sign.POSITIVE, all_digits(), 3, 9, 1e-9),
+        lambda: measure_at_rank(rule, Sign.ALTERNATING, all_digits(), 3, 9),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [CapTooSmallWarning]
+        assert (caught[0].message.position, caught[0].message.count) == (2, 6)
+        assert "digit_cap 9 excludes all digits at position 2" in str(caught[0].message)
 
 
 def test_no_warning_when_alphabet_is_really_exhausted():
@@ -376,6 +396,13 @@ def _cylinder_root(rule, sign, pred, rank, cap, tol):
     raise AssertionError("reference bisection did not converge")
 
 
+def _assert_same_estimate(got, ref, key):
+    """Every field equal except residual, a float diagnostic whose last bits
+    depend on the order of the float operations in the sum."""
+    assert dataclasses.replace(got, residual=ref.residual) == ref, key
+    assert abs(got.residual - ref.residual) <= 1e-15, key
+
+
 @pytest.mark.parametrize("sign", [Sign.POSITIVE, Sign.ALTERNATING], ids=["P", "A"])
 @pytest.mark.parametrize("name", list(ORACLE_RULES))
 def test_carried_diameters_match_cylinder_oracle(name, sign):
@@ -387,7 +414,7 @@ def test_carried_diameters_match_cylinder_oracle(name, sign):
             for pred in preds:
                 ref, diams = _cylinder_root(rule, sign, pred, rank, 9, 1e-9)
                 got = pressure_root(rule, sign, pred, rank, 9, 1e-9)
-                assert got == ref, (name, sign, rank, pred)
+                _assert_same_estimate(got, ref, (name, sign, rank, pred))
                 measure = measure_at_rank(rule, sign, pred, rank, 9)
                 assert measure == sum(diams, Fraction(0)), (name, sign, rank, pred)
 
@@ -453,9 +480,11 @@ def test_local_predicates_match_whole_word_oracle(case):
                 got = list(enumerate_compatible_bases(rule, local, rank, cap))
                 assert got == list(enumerate_compatible_bases(rule, opaque, rank, cap)), key
                 for sign in (Sign.POSITIVE, Sign.ALTERNATING):
-                    assert pressure_root(rule, sign, local, rank, cap, 1e-9) == pressure_root(
-                        rule, sign, opaque, rank, cap, 1e-9
-                    ), (key, sign)
+                    _assert_same_estimate(
+                        pressure_root(rule, sign, local, rank, cap, 1e-9),
+                        pressure_root(rule, sign, opaque, rank, cap, 1e-9),
+                        (key, sign),
+                    )
                     assert measure_at_rank(rule, sign, local, rank, cap) == measure_at_rank(
                         rule, sign, opaque, rank, cap
                     ), (key, sign)
@@ -479,3 +508,98 @@ def test_growth_floor_tests_one_digit_per_child():
     opaque = list(enumerate_compatible_bases(LUROTH, DigitPredicate(classify, "g"), 4, 7))
     assert local == opaque and local
     assert calls[0] == calls[1]
+
+
+# ---------------------------------------------------------------------------
+# the state recursion against enumeration and per-base cylinders
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _diff_predicates(draw):
+    """(constructor, its declared alphabet or None): one of the five local
+    predicate kinds or an opaque whole-word one, which keys states by word."""
+    kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window", "opaque"]))
+    if kind == "all":
+        return all_digits, None
+    if kind == "alphabet":
+        digits = sorted(draw(st.sets(st.sampled_from(range(2, 15)), min_size=1, max_size=4)))
+        return (lambda: alphabet_restrict(digits)), digits
+    if kind == "ratio":
+        k = draw(st.sampled_from([Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)]))
+        return (lambda: bounded_ratio(k)), None
+    if kind == "growth":
+        psi = draw(st.sampled_from([lambda n: 3, lambda n: n, lambda n: n * n, lambda n: 2**n]))
+        return (lambda: growth_floor(psi)), None
+    if kind == "window":
+        alpha = draw(st.sampled_from([0.8, 1.0, 1.5, 2.0]))
+        delta = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+        return (lambda: ratio_limit_window(alpha, delta)), None
+    bound = draw(st.sampled_from(range(4, 41)))
+    return (lambda: DigitPredicate(lambda w: sum(w) <= bound, "digit-sum")), None
+
+
+@st.composite
+def _diff_configs(draw):
+    rank = draw(st.sampled_from([1, 2, 3, 4]))
+    cap = draw(st.sampled_from(range(2, 13 if rank < 4 else 9)))
+    name = draw(st.sampled_from(list(ORACLE_RULES)))
+    sign = draw(st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]))
+    make, alphabet = draw(_diff_predicates())
+    tol = draw(st.sampled_from([1e-6, 1e-9]))
+    return name, sign, make, alphabet, rank, cap, tol
+
+
+def _recorded(call):
+    """call() with every warning recorded: (result, CapTooSmallWarnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    cuts = [w.message for w in caught if issubclass(w.category, CapTooSmallWarning)]
+    assert len(cuts) == len(caught)
+    return result, cuts
+
+
+def _first_cut(rule, pred, alphabet, rank, cap):
+    """(position, prefixes) of the first cap cut, counted prefix by prefix."""
+    for length in range(rank):
+        prefixes = [()] if length == 0 else enumerate_compatible_bases(rule, pred, length, cap)
+        cut = 0
+        for word in prefixes:
+            lo = rule_value(rule, word) + 1
+            if alphabet is None:
+                cut += lo > cap
+            else:
+                cut += not any(lo <= c <= cap for c in alphabet) and alphabet[-1] >= lo
+        if cut:
+            return length + 1, cut
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diff_configs())
+def test_state_recursion_matches_enumeration(config):
+    name, sign, make, alphabet, rank, cap, tol = config
+    rule = ORACLE_RULES[name]
+    bases, oracle_cuts = _recorded(lambda: list(enumerate_compatible_bases(rule, make(), rank, cap)))
+    (ref, diams), _ = _recorded(lambda: _cylinder_root(rule, sign, make(), rank, cap, tol))
+    got, root_cuts = _recorded(lambda: pressure_root(rule, sign, make(), rank, cap, tol))
+    measure, measure_cuts = _recorded(lambda: measure_at_rank(rule, sign, make(), rank, cap))
+
+    assert got.bases_count == ref.bases_count == len(bases)
+    assert got.s_value == ref.s_value
+    assert got.residual <= tol or not bases
+    assert abs(got.residual - ref.residual) <= 1e-15
+    assert measure == sum(diams, Fraction(0))
+    first = _first_cut(rule, make(), alphabet, rank, cap)
+    for cuts in (oracle_cuts, root_cuts, measure_cuts):
+        assert [(w.position, w.count) for w in cuts] == ([first] if first else [])
+
+
+def test_luroth_rank_30_factorises():
+    # every word of digits 2..10 is compatible, so the rank-30 sum is g(s)**30
+    # for the rank-1 sum g: 9**30 bases, the same root, measure (9/10)**30
+    est = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 30, 10, 1e-9)
+    one = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 1, 10, 1e-9)
+    assert est.bases_count == 9**30
+    assert abs(est.s_value - one.s_value) <= 1e-9
+    assert measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 30, 10) == Fraction(9, 10) ** 30
