@@ -6,102 +6,24 @@ cylinder geometry, constructive interval covers by unions of consecutive
 cylinders with certified cardinality and diameter bounds, digit
 transformations between the systems, and rank-k Hausdorff-dimension
 estimation via pressure-equation roots.
+
+The public names are those of each module's __all__, plus __version__.
 """
 
-from .core import (
-    CylinderInterval,
-    DigitRule,
-    DigitWord,
-    ExactQ,
-    ISPoint,
-    Sign,
-    alternating_digits,
-    cylinder,
-    partial_sum,
-    pierce_notation_convert,
-    positive_digits,
-    rule_value,
-    traditional_pierce_digits,
-    validate_word,
-    word_diameter,
-)
-from .coverings import (
-    FROM_INF,
-    TO_SUP,
-    BoundaryCover,
-    CoverReport,
-    FamilySet,
-    QInterval,
-    cover_boundary,
-    cover_interval,
-    family_set_hull,
-    split_parameters,
-    split_to_finite,
-    verify_cover,
-)
-from .dimension import (
-    DigitPredicate,
-    DimensionEstimate,
-    all_digits,
-    alphabet_restrict,
-    bounded_ratio,
-    enumerate_compatible_bases,
-    growth_floor,
-    measure_at_rank,
-    moran_dimension,
-    pressure_root,
-    ratio_limit_window,
-)
-from .errors import CapTooSmallWarning, DomainError, ValidityError
-from .transforms import TransformKind, t_ratio, transform_digits, transform_point
+from . import core, coverings, dimension, errors, transforms
+from .core import *
+from .coverings import *
+from .dimension import *
+from .errors import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CylinderInterval",
-    "DigitRule",
-    "DigitWord",
-    "ExactQ",
-    "ISPoint",
-    "Sign",
-    "alternating_digits",
-    "cylinder",
-    "partial_sum",
-    "pierce_notation_convert",
-    "positive_digits",
-    "rule_value",
-    "traditional_pierce_digits",
-    "validate_word",
-    "word_diameter",
-    "FROM_INF",
-    "TO_SUP",
-    "BoundaryCover",
-    "CoverReport",
-    "FamilySet",
-    "QInterval",
-    "cover_boundary",
-    "cover_interval",
-    "family_set_hull",
-    "split_parameters",
-    "split_to_finite",
-    "verify_cover",
-    "DigitPredicate",
-    "DimensionEstimate",
-    "all_digits",
-    "alphabet_restrict",
-    "bounded_ratio",
-    "enumerate_compatible_bases",
-    "growth_floor",
-    "measure_at_rank",
-    "moran_dimension",
-    "pressure_root",
-    "ratio_limit_window",
-    "CapTooSmallWarning",
-    "DomainError",
-    "ValidityError",
-    "TransformKind",
-    "t_ratio",
-    "transform_digits",
-    "transform_point",
+    *core.__all__,
+    *coverings.__all__,
+    *dimension.__all__,
+    *errors.__all__,
+    *transforms.__all__,
     "__version__",
 ]

@@ -1,10 +1,13 @@
 """Batch command-line front end with exact rational JSON-lines output.
 
-Every command maps 1-to-1 onto a library operation and prints one JSON
-object per result line (compact separators, insertion-ordered keys, so
-output is byte-identical across runs).  Exact rationals are serialized as
-lowest-terms strings ("3/8"); floating-point fields (costs, pressure roots)
-are serialized with repr precision.
+Every command maps 1-to-1 onto a library operation.  Its handler returns
+(split: yields, so blocks stream) the records of its result, and one print
+path writes each record as one JSON line (compact separators,
+insertion-ordered keys, so output is byte-identical across runs).  Exact
+rationals are serialized as lowest-terms strings ("3/8"); floating-point
+fields (costs, pressure roots) are serialized with repr precision.  Flags
+that several commands take are declared once (_FLAGS); each command lists
+the flags it takes (_COMMANDS).
 
 Exit codes: 0 success (including ISPoint outcomes, reported with
 "is_point": true); 2 validation errors (bad digit words, malformed input
@@ -23,6 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    CylinderInterval,
     DigitRule,
     ISPoint,
     Sign,
@@ -177,12 +181,17 @@ def _parse_kind(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Records: each handler returns (or yields) the JSON objects of its result
 # ---------------------------------------------------------------------------
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _record(outcome) -> dict:
+    """The record of a digit word, an ISPoint or a CylinderInterval."""
+    if isinstance(outcome, ISPoint):
+        return {"digits": list(outcome.digits), "is_point": True, "rank": outcome.rank}
+    if isinstance(outcome, CylinderInterval):
+        return {"lo": str(outcome.lo), "hi": str(outcome.hi), "diam": str(outcome.diameter)}
+    return {"digits": list(outcome)}
 
 
 def _family_set_json(fs: FamilySet) -> dict:
@@ -194,31 +203,31 @@ def _family_set_json(fs: FamilySet) -> dict:
     }
 
 
-def _family_set_from_json(obj: dict) -> FamilySet:
+def _family_set_from_line(line: str) -> FamilySet:
+    """The family set of one input line, read strictly.
+
+    prefix is a JSON array of integers, from a JSON integer, and to a JSON
+    integer or "inf"; anything else is a malformed family set, never a value
+    rounded or split into digits.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidityError(f"bad JSON input line: {exc}", index=None)
     try:
         sign = Sign(obj["sign"])
-        prefix = tuple(int(c) for c in obj["prefix"])
-        start = int(obj["from"])
-        end = None if obj["to"] == "inf" else int(obj["to"])
+        prefix, start, end = obj["prefix"], obj["from"], obj["to"]
+        end = None if end == "inf" else end
+        numbers = [start, *prefix] if end is None else [start, end, *prefix]
+        if type(prefix) is not list or any(type(v) is not int for v in numbers):
+            raise TypeError("prefix digits, from and to must be JSON integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidityError(f"malformed family set {obj!r}: {exc}", index=None)
-    return FamilySet(sign, prefix, start, end)
+    return FamilySet(sign, tuple(prefix), start, end)
 
 
-def _interval(sign: Sign, lo: Fraction, hi: Fraction) -> QInterval:
-    if sign is Sign.POSITIVE:
-        return QInterval(lo, hi, False, True)
-    return QInterval(lo, hi, False, False)
-
-
-def _digits_json(outcome) -> dict:
-    if isinstance(outcome, ISPoint):
-        return {
-            "digits": list(outcome.digits),
-            "is_point": True,
-            "rank": outcome.rank,
-        }
-    return {"digits": list(outcome)}
+def _interval(ns) -> QInterval:
+    return QInterval(ns.lo, ns.hi, False, ns.sign is Sign.POSITIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,63 +235,42 @@ def _digits_json(outcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_expand(ns) -> int:
-    _emit({"digits": list(positive_digits(ns.system, ns.x, ns.n))})
-    return 0
+def _cmd_expand(ns):
+    return [_record(positive_digits(ns.system, ns.x, ns.n))]
 
 
-def _cmd_alt_expand(ns) -> int:
-    _emit(_digits_json(alternating_digits(ns.system, ns.x, ns.n)))
-    return 0
+def _cmd_alt_expand(ns):
+    return [_record(alternating_digits(ns.system, ns.x, ns.n))]
 
 
-def _cmd_eval(ns) -> int:
-    _emit({"value": str(partial_sum(ns.system, ns.word, ns.sign))})
-    return 0
+def _cmd_eval(ns):
+    return [{"value": str(partial_sum(ns.system, ns.word, ns.sign))}]
 
 
-def _cmd_cylinder(ns) -> int:
-    cyl = cylinder(ns.system, ns.word, ns.sign)
-    _emit({"lo": str(cyl.lo), "hi": str(cyl.hi), "diam": str(cyl.diameter)})
-    return 0
+def _cmd_cylinder(ns):
+    return [_record(cylinder(ns.system, ns.word, ns.sign))]
 
 
-def _cmd_cover(ns) -> int:
-    for fs in cover_interval(ns.system, ns.sign, _interval(ns.sign, ns.lo, ns.hi)):
-        _emit(_family_set_json(fs))
-    return 0
+def _cmd_cover(ns):
+    return [_family_set_json(fs) for fs in cover_interval(ns.system, ns.sign, _interval(ns))]
 
 
-def _cmd_split(ns) -> int:
+def _cmd_split(ns):
     if ns.blocks < 0:
         raise DomainError("--blocks must be >= 0")
     fs = FamilySet(ns.sign, ns.prefix, ns.start, None)
     stream = split_to_finite(ns.system, fs, ns.alpha, ns.eps)
     for _ in range(ns.blocks):
-        _emit(_family_set_json(next(stream)))
-    return 0
+        yield _family_set_json(next(stream))
 
 
-def _cmd_verify(ns) -> int:
-    sets = []
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidityError(f"bad JSON input line: {exc}", index=None)
-        sets.append(_family_set_from_json(obj))
-    report = verify_cover(ns.system, _interval(ns.sign, ns.lo, ns.hi), sets, ns.alpha)
-    _emit(
-        {
-            "covers": report.covers,
-            "max_diameter": str(report.max_diameter),
-            "cost": report.cost,
-        }
-    )
-    return 0
+def _cmd_verify(ns):
+    lines = (line.strip() for line in sys.stdin)
+    sets = [_family_set_from_line(line) for line in lines if line]
+    report = verify_cover(ns.system, _interval(ns), sets, ns.alpha)
+    return [
+        {"covers": report.covers, "max_diameter": str(report.max_diameter), "cost": report.cost}
+    ]
 
 
 def _transform_kind(ns) -> TransformKind:
@@ -295,154 +283,101 @@ def _transform_kind(ns) -> TransformKind:
     return TransformKind.g_pierce()
 
 
-def _cmd_transform(ns) -> int:
-    _emit({"digits": list(transform_digits(_transform_kind(ns), ns.word))})
-    return 0
+def _cmd_transform(ns):
+    return [_record(transform_digits(_transform_kind(ns), ns.word))]
 
 
-def _cmd_transform_point(ns) -> int:
-    outcome = transform_point(_transform_kind(ns), ns.x, ns.rank)
-    if isinstance(outcome, ISPoint):
-        _emit(_digits_json(outcome))
-    else:
-        _emit(
-            {
-                "lo": str(outcome.lo),
-                "hi": str(outcome.hi),
-                "diam": str(outcome.diameter),
-            }
-        )
-    return 0
+def _cmd_transform_point(ns):
+    return [_record(transform_point(_transform_kind(ns), ns.x, ns.rank))]
 
 
-def _cmd_dim(ns) -> int:
+def _cmd_dim(ns):
     est = pressure_root(ns.system, ns.sign, ns.predicate, ns.rank, ns.cap, ns.tol)
-    _emit(
-        {
-            "s": est.s_value,
-            "rank": est.rank,
-            "cap": est.digit_cap,
-            "residual": est.residual,
-            "bases": est.bases_count,
-        }
-    )
-    return 0
+    return [
+        {"s": est.s_value, "rank": est.rank, "cap": est.digit_cap,
+         "residual": est.residual, "bases": est.bases_count}
+    ]
 
 
-def _cmd_moran(ns) -> int:
-    _emit({"s": moran_dimension(ns.ratios, ns.tol)})
-    return 0
+def _cmd_moran(ns):
+    return [{"s": moran_dimension(ns.ratios, ns.tol)}]
 
 
-def _cmd_measure(ns) -> int:
-    value = measure_at_rank(ns.system, ns.sign, ns.predicate, ns.rank, ns.cap)
-    _emit({"measure": str(value)})
-    return 0
+def _cmd_measure(ns):
+    return [{"measure": str(measure_at_rank(ns.system, ns.sign, ns.predicate, ns.rank, ns.cap))}]
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+# The flags that several subcommands take, each declared once.  A flag is
+# required unless its declaration (or a subcommand's override) gives a default.
+_FLAGS = {
+    "--system": dict(
+        type=_parse_system, help="luroth | engel | engel-mod | pierce | oppenheim:a,b"
+    ),
+    "--sign": dict(type=_parse_sign, help="P (positive) or P- (alternating)"),
+    "--x": dict(type=_parse_rational),
+    "--n": dict(type=int),
+    "--word": dict(type=_parse_word),
+    "--lo": dict(type=_parse_rational),
+    "--hi": dict(type=_parse_rational),
+    "--alpha": dict(type=float),
+    "--kind": dict(type=_parse_kind, help="fp | t (engel to engel-mod) | g (pierce shift)"),
+    "--predicate": dict(
+        type=_parse_predicate,
+        default=all_digits(),
+        help="all | alphabet:2,3 | bounded-ratio:3/2 | growth:c|n^k|b^n | ratio-window:a,d",
+    ),
+    "--rank": dict(type=int),
+}
+_OPTIONAL_SYSTEM = ("--system", dict(default=None))
+_SIGN_P = ("--sign", dict(default=Sign.POSITIVE))
+
+# (name, handler, help, *flags): a flag is a name from _FLAGS, or a pair of a
+# name and the keywords that declare it (or override its _FLAGS entry)
+_COMMANDS = (
+    ("expand", _cmd_expand, "positive-form digits of x", "--system", "--x", "--n"),
+    ("alt-expand", _cmd_alt_expand, "alternating-form digits of x", "--system", "--x", "--n"),
+    ("eval", _cmd_eval, "exact partial sum of a digit word", "--system", "--word", "--sign"),
+    ("cylinder", _cmd_cylinder, "exact cylinder of a digit word", "--system", "--word", "--sign"),
+    ("cover", _cmd_cover, "cover an interval by at most 3 family sets",
+     "--system", "--sign", "--lo", "--hi"),
+    ("split", _cmd_split, "split an unbounded family set into blocks",
+     "--system", "--sign", ("--prefix", dict(type=_parse_word, default=())),
+     ("--from", dict(dest="start", type=int)), "--alpha", ("--eps", dict(type=float)),
+     ("--blocks", dict(type=int, default=10))),
+    ("verify", _cmd_verify, "verify a cover read as JSON lines from standard input",
+     "--system", "--sign", "--lo", "--hi", "--alpha"),
+    ("transform", _cmd_transform, "digit-map a word between systems",
+     "--kind", "--word", _OPTIONAL_SYSTEM),
+    ("transform-point", _cmd_transform_point, "bracket the image of a point under a digit map",
+     "--kind", "--x", "--rank", _OPTIONAL_SYSTEM),
+    ("dim", _cmd_dim, "pressure-equation dimension estimate",
+     "--system", _SIGN_P, "--predicate", "--rank", ("--cap", dict(type=int)),
+     ("--tol", dict(type=float, default=1e-9))),
+    ("moran", _cmd_moran, "self-similar dimension from a ratio list",
+     ("--ratios", dict(type=_parse_ratios,
+                       help="comma-separated rationals in (0,1), e.g. 1/2,1/6")),
+     ("--tol", dict(type=float, default=1e-12))),
+    ("measure", _cmd_measure, "exact rank-k outer measure bound",
+     "--system", _SIGN_P, "--predicate", "--rank",
+     ("--cap", dict(type=_parse_cap,
+                    help="positive integer, or inf (unrestricted predicate only)"))),
+)
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="perron", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, func, help_text, *flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    def flag_system(p, required=True):
-        p.add_argument("--system", type=_parse_system, required=required,
-                       default=None,
-                       help="luroth | engel | engel-mod | pierce | oppenheim:a,b")
-
-    def flag_sign(p, default=None):
-        p.add_argument("--sign", type=_parse_sign,
-                       default=default, required=default is None,
-                       help="P (positive) or P- (alternating)")
-
-    p = add("expand", _cmd_expand, help="positive-form digits of x")
-    flag_system(p)
-    p.add_argument("--x", type=_parse_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("alt-expand", _cmd_alt_expand, help="alternating-form digits of x")
-    flag_system(p)
-    p.add_argument("--x", type=_parse_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("eval", _cmd_eval, help="exact partial sum of a digit word")
-    flag_system(p)
-    p.add_argument("--word", type=_parse_word, required=True)
-    flag_sign(p)
-
-    p = add("cylinder", _cmd_cylinder, help="exact cylinder of a digit word")
-    flag_system(p)
-    p.add_argument("--word", type=_parse_word, required=True)
-    flag_sign(p)
-
-    p = add("cover", _cmd_cover, help="cover an interval by at most 3 family sets")
-    flag_system(p)
-    flag_sign(p)
-    p.add_argument("--lo", type=_parse_rational, required=True)
-    p.add_argument("--hi", type=_parse_rational, required=True)
-
-    p = add("split", _cmd_split, help="split an unbounded family set into blocks")
-    flag_system(p)
-    flag_sign(p)
-    p.add_argument("--prefix", type=_parse_word, default=())
-    p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--blocks", type=int, default=10)
-
-    p = add("verify", _cmd_verify,
-            help="verify a cover read as JSON lines from standard input")
-    flag_system(p)
-    flag_sign(p)
-    p.add_argument("--lo", type=_parse_rational, required=True)
-    p.add_argument("--hi", type=_parse_rational, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-
-    p = add("transform", _cmd_transform, help="digit-map a word between systems")
-    p.add_argument("--kind", type=_parse_kind, required=True,
-                   help="fp | t (engel to engel-mod) | g (pierce shift)")
-    p.add_argument("--word", type=_parse_word, required=True)
-    flag_system(p, required=False)
-
-    p = add("transform-point", _cmd_transform_point,
-            help="bracket the image of a point under a digit map")
-    p.add_argument("--kind", type=_parse_kind, required=True)
-    p.add_argument("--x", type=_parse_rational, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    flag_system(p, required=False)
-
-    p = add("dim", _cmd_dim, help="pressure-equation dimension estimate")
-    flag_system(p)
-    flag_sign(p, default=Sign.POSITIVE)
-    p.add_argument("--predicate", type=_parse_predicate, default=all_digits(),
-                   help="all | alphabet:2,3 | bounded-ratio:3/2 | "
-                        "growth:c|n^k|b^n | ratio-window:a,d")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("moran", _cmd_moran, help="self-similar dimension from a ratio list")
-    p.add_argument("--ratios", type=_parse_ratios, required=True,
-                   help="comma-separated rationals in (0,1), e.g. 1/2,1/6")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add("measure", _cmd_measure, help="exact rank-k outer measure bound")
-    flag_system(p)
-    flag_sign(p, default=Sign.POSITIVE)
-    p.add_argument("--predicate", type=_parse_predicate, default=all_digits())
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--cap", type=_parse_cap, required=True,
-                   help="positive integer, or inf (unrestricted predicate only)")
-
+        for flag in flags:
+            flag, own = (flag, {}) if isinstance(flag, str) else flag
+            kwargs = {**_FLAGS.get(flag, {}), **own}
+            p.add_argument(flag, required="default" not in kwargs, **kwargs)
     return parser
 
 
@@ -493,13 +428,12 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return ns.func(ns)
-    except ValidityError as exc:
+        for record in ns.func(ns):
+            print(json.dumps(record, separators=(",", ":")))
+    except (ValidityError, DomainError) as exc:
         print(f"perron: error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"perron: error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidityError) else 3
+    return 0
 
 
 def main() -> None:

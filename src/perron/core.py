@@ -102,16 +102,20 @@ _POSITIVE, _ALTERNATING = Sign.POSITIVE, Sign.ALTERNATING
 class DigitRule:
     """A digit rule: phi_0 plus the map from digit prefixes to r_n.
 
-    kind is one of "luroth", "engel", "engel-mod", "pierce", "oppenheim",
-    "custom".  Use the constructors below rather than instantiating directly.
+    Every built-in rule is affine in the digit, r_n = a*c_n + b, and has fn
+    None; a custom rule has r_n = fn(prefix).  kind names the rule.  Use the
+    constructors below, which set a and b, rather than instantiating
+    directly.
 
-      luroth:    r_n = 1 for all n
-      engel:     phi_0 = 1, r_n = c_n - 1        (digits may repeat)
-      engel-mod: phi_0 = 1, r_n = c_n            (digits strictly increase)
+      luroth:    a = 0, b = 1    r_n = 1 for all n
+      engel:     a = 1, b = -1   r_n = c_n - 1  (digits may repeat)
+      engel-mod: a = 1, b = 0    r_n = c_n      (digits strictly increase)
       pierce:    same rule as engel-mod; conventionally used with the
                  alternating form
-      oppenheim: r_n = a*c_n + b (must stay >= 1)
+      oppenheim: r_n = a*c_n + b for the given a >= 0 and b (must stay >= 1)
       custom:    r_n = fn(prefix), any pure total function of the prefix
+
+    phi_0 is 1 unless oppenheim or custom is given another.
     """
 
     kind: str
@@ -122,19 +126,19 @@ class DigitRule:
 
     @classmethod
     def luroth(cls) -> "DigitRule":
-        return cls("luroth")
+        return cls("luroth", a=0, b=1)
 
     @classmethod
     def engel(cls) -> "DigitRule":
-        return cls("engel")
+        return cls("engel", a=1, b=-1)
 
     @classmethod
     def engel_mod(cls) -> "DigitRule":
-        return cls("engel-mod")
+        return cls("engel-mod", a=1, b=0)
 
     @classmethod
     def pierce(cls) -> "DigitRule":
-        return cls("pierce")
+        return cls("pierce", a=1, b=0)
 
     @classmethod
     def oppenheim(cls, a: int, b: int, phi0: int = 1) -> "DigitRule":
@@ -154,22 +158,12 @@ class DigitRule:
 def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     """r_i, the rule value after the 1-based position i of word (unchecked).
 
-    For the builtin kinds this depends only on the digit c_i; custom rules
-    see the whole prefix word[:i], always as a tuple (their fn is memoized).
+    For the built-in rules this is a*c_i + b; custom rules see the whole
+    prefix word[:i], always as a tuple (their fn is memoized).
     """
-    k = rule.kind
-    c = word[i - 1]
-    if k == "luroth":
-        return 1
-    if k == "engel":
-        return c - 1
-    if k in ("engel-mod", "pierce"):
-        return c
-    if k == "oppenheim":
-        return rule.a * c + rule.b
-    if k == "custom":
-        return rule.fn(tuple(word[:i]))
-    raise ValueError(f"unknown rule kind {k!r}")
+    if rule.fn is None:
+        return rule.a * word[i - 1] + rule.b
+    return rule.fn(tuple(word[:i]))
 
 
 def _positive_r(r: int, i: int) -> int:

@@ -61,6 +61,8 @@ __all__ = [
     "QInterval",
     "BoundaryCover",
     "CoverReport",
+    "FROM_INF",
+    "TO_SUP",
     "family_set_hull",
     "cover_boundary",
     "cover_interval",
@@ -271,16 +273,13 @@ def _cover_boundary(
 
 
 def _interval_conventions(sign: Sign, U: QInterval) -> None:
-    if sign is Sign.POSITIVE:
-        if U.lo_included or not U.hi_included:
-            raise DomainError("positive intervals must be half-open (lo, hi]")
-        if not (0 <= U.lo and U.hi <= 1):
-            raise DomainError(f"interval {U} not inside (0, 1]")
-    else:
-        if U.lo_included or U.hi_included:
-            raise DomainError("alternating intervals must be open (lo, hi)")
-        if not (0 <= U.lo and U.hi <= 1):
-            raise DomainError(f"interval {U} not inside (0, 1)")
+    """DomainError unless U is (lo, hi] (positive) or (lo, hi) (alternating) in [0, 1]."""
+    positive = sign is Sign.POSITIVE
+    form, space = ("half-open (lo, hi]", "(0, 1]") if positive else ("open (lo, hi)", "(0, 1)")
+    if U.lo_included or U.hi_included != positive:
+        raise DomainError(f"{sign.name.lower()} intervals must be {form}")
+    if not (0 <= U.lo and U.hi <= 1):
+        raise DomainError(f"interval {U} not inside {space}")
 
 
 def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]:

@@ -214,7 +214,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     """
     _check_rank_cap(rule, rank, digit_cap)
     alphabet, admits = predicate._alphabet, predicate._admits
-    merge = rule.kind != "custom" and isinstance(predicate, _LocalPredicate)
+    merge = rule.fn is None and isinstance(predicate, _LocalPredicate)
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
     srcs, fracs = [(0,)], [(1, 1)]

@@ -1,5 +1,7 @@
 """Shared exception and warning types."""
 
+__all__ = ["ValidityError", "DomainError", "CapTooSmallWarning"]
+
 
 class ValidityError(ValueError):
     """A digit word (or word-derived input) violates the digit constraints.

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -399,6 +401,31 @@ def test_verify_positive_target_with_alternating_sets_exits_3(capsys, monkeypatc
     assert (code, out) == (3, "") and "open" in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"sign":"P","prefix":[],"from":3.9,"to":5.9}',
+        '{"sign":"P","prefix":[2.5],"from":2,"to":"inf"}',
+        '{"sign":"P","prefix":"2","from":2,"to":"inf"}',
+        '{"sign":"P","prefix":[],"from":true,"to":5}',
+        '{"sign":"P","prefix":[],"from":3,"to":false}',
+        '{"sign":"P","prefix":[false],"from":3,"to":5}',
+    ],
+)
+def test_verify_reads_family_sets_strictly(capsys, monkeypatch, record):
+    # a float was truncated (3.9 read as 3) and a string split into digits
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify", "--system", "luroth", "--sign", "P",
+            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
+        ],
+        stdin=record + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "") and "malformed family set" in err
+
+
 needs_int_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
 )
@@ -499,3 +526,99 @@ def test_rationals_always_lowest_terms(capsys):
     assert code == 0
     value = lines(out)[0]["value"]
     assert value == "3/4"
+
+
+# ---------------------------------------------------------------------------
+# the command surface: flags, defaults, the real entry point
+# ---------------------------------------------------------------------------
+
+# each subcommand's required flags with a valid value, and its optional flags
+COMMAND_FLAGS = {
+    "expand": (["--system", "engel", "--x", "1/2", "--n", "3"], []),
+    "alt-expand": (["--system", "engel", "--x", "1/2", "--n", "3"], []),
+    "eval": (["--system", "engel", "--word", "2", "--sign", "P"], []),
+    "cylinder": (["--system", "engel", "--word", "2", "--sign", "P"], []),
+    "cover": (["--system", "engel", "--sign", "P", "--lo", "1/7", "--hi", "5/9"], []),
+    "split": (
+        ["--system", "luroth", "--sign", "P", "--from", "2", "--alpha", "1", "--eps", "0.5"],
+        ["--prefix", "--blocks"],
+    ),
+    "verify": (
+        ["--system", "engel", "--sign", "P", "--lo", "1/7", "--hi", "5/9", "--alpha", "1"],
+        [],
+    ),
+    "transform": (["--kind", "t", "--word", "2,3"], ["--system"]),
+    "transform-point": (["--kind", "t", "--x", "3/8", "--rank", "2"], ["--system"]),
+    "dim": (
+        ["--system", "luroth", "--rank", "1", "--cap", "5"], ["--sign", "--predicate", "--tol"]
+    ),
+    "moran": (["--ratios", "1/2,1/6"], ["--tol"]),
+    "measure": (["--system", "luroth", "--rank", "1", "--cap", "5"], ["--sign", "--predicate"]),
+}
+
+
+def test_every_subcommand_names_its_flags(capsys):
+    code, out, _ = run_cli(capsys, ["-h"])
+    assert code == 0
+    assert all(command in out for command in COMMAND_FLAGS)
+    for command, (required, optional) in COMMAND_FLAGS.items():
+        code, out, _ = run_cli(capsys, [command, "-h"])
+        assert code == 0, command
+        for flag in required[::2] + optional:
+            assert flag in out, (command, flag)
+
+
+def test_every_required_flag_is_required(capsys):
+    for command, (required, _) in COMMAND_FLAGS.items():
+        for i in range(0, len(required), 2):
+            argv = [command] + required[:i] + required[i + 2 :]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (64, ""), argv
+            assert "required" in err and required[i] in err, argv
+
+
+@pytest.mark.parametrize(
+    "omitted,explicit",
+    [
+        (["dim", "--system", "engel", "--rank", "2", "--cap", "9"],
+         ["--sign", "P", "--predicate", "all", "--tol", "1e-9"]),
+        (["measure", "--system", "engel", "--rank", "2", "--cap", "9"],
+         ["--sign", "P", "--predicate", "all"]),
+        (["split", "--system", "luroth", "--sign", "P", "--from", "2", "--alpha", "1",
+          "--eps", "0.5"],
+         ["--prefix", "", "--blocks", "10"]),
+        (["moran", "--ratios", "1/2,1/6"], ["--tol", "1e-12"]),
+    ],
+)
+def test_omitted_flags_take_their_defaults(capsys, omitted, explicit):
+    code, out, err = run_cli(capsys, omitted)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, omitted + explicit) == (0, out, "")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_python_m_cover_pipes_into_verify():
+    # the pierce pair of FROZEN_STDOUT, as two processes joined by a pipe
+    cover = next(argv for argv, _, out in FROZEN_STDOUT if out == PIERCE_COVER_A)
+    verify, _, verify_out = next(case for case in FROZEN_STDOUT if case[1] == PIERCE_COVER_A)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    entry = [sys.executable, "-m", "perron.cli"]
+    with subprocess.Popen(entry + cover, stdout=subprocess.PIPE, env=env) as first:
+        with subprocess.Popen(
+            entry + verify, stdin=first.stdout, stdout=subprocess.PIPE, env=env
+        ) as second:
+            first.stdout.close()
+            out, _ = second.communicate(timeout=120)
+        assert first.wait(timeout=120) == 0
+    assert second.returncode == 0
+    assert out.decode() == verify_out
+
+
+def test_main_exits_64_on_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["perron", "expand", "--system", "martian"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 64
+    assert "unknown system 'martian'" in capsys.readouterr().err
