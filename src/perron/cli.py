@@ -109,8 +109,21 @@ def _parse_system(text: str) -> DigitRule:
     raise ValueError(f"unknown system {text!r}")
 
 
+# The largest decimal exponent a rational flag may carry: Fraction reads
+# "1e-N" as 10**N, so the exponent, not the length, sets the cost.  This is
+# the longest single argument Linux passes (MAX_ARG_STRLEN), in characters.
+_MAX_EXPONENT = 131072
+
+
 @_flag_parser
 def _parse_rational(text: str) -> Fraction:
+    """A rational as Fraction reads it ("3/8", "0.375", "1e-3"), its decimal
+    exponent at most _MAX_EXPONENT in magnitude."""
+    _, e, exponent = text.upper().partition("E")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    too_long = len(digits) > len(str(_MAX_EXPONENT))
+    if e and digits.isdecimal() and (too_long or int(digits) > _MAX_EXPONENT):
+        raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
     return Fraction(text)
 
 
@@ -157,7 +170,7 @@ def _parse_predicate(text: str):
     if text.startswith("alphabet:"):
         return alphabet_restrict(_parse_word(text[len("alphabet:") :]))
     if text.startswith("bounded-ratio:"):
-        return bounded_ratio(Fraction(text[len("bounded-ratio:") :]))
+        return bounded_ratio(_parse_rational(text[len("bounded-ratio:") :]))
     if text.startswith("growth:"):
         return growth_floor(_parse_growth(text[len("growth:") :]))
     if text.startswith("ratio-window:"):
@@ -170,7 +183,7 @@ def _parse_predicate(text: str):
 
 @_flag_parser
 def _parse_ratios(text: str) -> list:
-    return [Fraction(t) for t in text.split(",")]
+    return [_parse_rational(t) for t in text.split(",")]
 
 
 @_flag_parser

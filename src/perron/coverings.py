@@ -20,6 +20,10 @@ occupies the relative interval (r/c, r/(c-1)], the first child (digit r+1)
 sits at the top, and children accumulate toward relative 0.  The alternating
 form's rank-parity orientation flip is entirely absorbed by the sign of sc,
 so one relative-frame case analysis serves both signs and every parity.
+A one-sided piece of a cylinder is named in that frame too: low (0, u], on
+the side the children accumulate toward, or high (u, 1], on the first
+child's side; only the public cover_boundary reads an absolute side
+(FROM_INF, TO_SUP) and turns it into a relative one.
 Relative positions are unreduced integer pairs, so the descent compares by
 cross-multiplication; Fractions are formed only for hull endpoints and for
 the piece widths that choose between covers.  The descent runs on the two
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     DigitRule,
@@ -90,11 +94,6 @@ class FamilySet:
         object.__setattr__(self, "prefix", tuple(self.prefix))
 
 
-def _validate_family_set(rule: DigitRule, fs: FamilySet) -> _Frame:
-    """Check fs against the rule; return the frame of its prefix."""
-    return _check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs)
-
-
 def _check_range(frame: _Frame, fs: FamilySet) -> _Frame:
     """Check fs's digit range against frame, its prefix's frame; return it."""
     if fs.start < frame.r + 1:
@@ -134,7 +133,7 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  Positive
     hulls are half-open (lo, hi]; alternating hulls are open.
     """
-    lo, hi = _hull_ends(_validate_family_set(rule, fs), fs)
+    lo, hi = _hull_ends(_check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs), fs)
     return QInterval(lo, hi, False, fs.sign is Sign.POSITIVE)
 
 
@@ -167,43 +166,6 @@ class BoundaryCover:
     single: FamilySet
 
 
-def _solve_low(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> BoundaryCover:
-    """Cover the relative piece (0, t], 0 < t <= 1, of the prefix cylinder.
-
-    Exact junction t = r/m: the single set {m+1..inf} is the piece exactly.
-    Interior t in (r/m, r/(m-1)): tight = {m+1..inf} (diameter r/m < t)
-    plus the whole child m (diameter below the previous, monotone
-    diameters); single = {m..inf} with diameter r/(m-1) <= 2t.
-    """
-    m, exact = _child(r, *t)
-    m -= exact  # the child whose closure holds t from below
-    if exact:
-        fs = FamilySet(sign, prefix, m + 1, None)
-        return BoundaryCover((fs,), fs)
-    tight = (FamilySet(sign, prefix, m + 1, None), FamilySet(sign, prefix, m, m))
-    return BoundaryCover(tight, FamilySet(sign, prefix, m, None))
-
-
-def _solve_high(sign: Sign, prefix: DigitWord, r: int, t: tuple[int, int]) -> BoundaryCover:
-    """Cover the relative piece (t, 1] of the prefix cylinder, 0 <= t < r/(r+1).
-
-    Caller guarantees the piece is not strictly inside the first child
-    (descent handles that).  Exact junction t = r/m: single exact set
-    {r+1..m}.  Interior t in child m (m >= r+2 here): tight = whole child m
-    plus {r+1..m-1}; single = {r+1..m}.
-    """
-    if t[0] == 0:
-        fs = FamilySet(sign, prefix, r + 1, None)
-        return BoundaryCover((fs,), fs)
-    m, exact = _child(r, *t)
-    m -= exact  # the child whose closure holds t from below
-    if exact:
-        fs = FamilySet(sign, prefix, r + 1, m)
-        return BoundaryCover((fs,), fs)
-    tight = (FamilySet(sign, prefix, m, m), FamilySet(sign, prefix, r + 1, m - 1))
-    return BoundaryCover(tight, FamilySet(sign, prefix, r + 1, m))
-
-
 def cover_boundary(
     rule: DigitRule,
     sign: Sign,
@@ -218,12 +180,12 @@ def cover_boundary(
     (cut in [inf, sup)).  Alternating pieces are covered modulo the countable
     endpoint set, which the family's open cylinders can never contain.
 
-    For the piece on the non-accumulating side, the construction may first
-    descend ranks while the piece sits strictly inside the first child; the
+    The side and the cylinder's orientation make the piece a relative low
+    piece (0, u] or high piece (u, 1] (module docstring).  A high piece may
+    first descend ranks while it sits strictly inside the first child; the
     piece width is invariant, the enclosing cylinder shrinks geometrically,
-    so the descent terminates.  For the alternating form the layout parity
-    alternates, so that descent happens at most once in a row before the
-    relative task flips to the accumulating side.
+    so the descent terminates.  An alternating child flips orientation, so
+    there one descent turns the high piece into a low one.
     """
     if side not in (FROM_INF, TO_SUP):
         raise DomainError(f"unknown side {side!r}")
@@ -236,7 +198,8 @@ def cover_boundary(
     else:
         if not lo <= cut < hi:
             raise DomainError(f"cut {cut} outside [{lo}, {hi})")
-    return _cover_boundary(sign, frame._replace(sign=None), frame.relative(cut), side)
+    low = (side == FROM_INF) == _ascending(sign, frame.word)
+    return _cover_boundary(sign, frame._replace(sign=None), frame.relative(cut), low)
 
 
 def _ascending(sign: Sign, word: DigitWord) -> bool:
@@ -247,24 +210,40 @@ def _ascending(sign: Sign, word: DigitWord) -> bool:
     return sign is Sign.POSITIVE or len(word) % 2 == 0
 
 
-def _cover_boundary(
-    sign: Sign, frame: _Frame, u: tuple[int, int], side: str
-) -> BoundaryCover:
-    """cover_boundary with the cut, checked to lie in the cylinder, at u.
+def _cover_boundary(sign: Sign, frame: _Frame, u: tuple[int, int], low: bool) -> BoundaryCover:
+    """Cover the relative piece (0, u] (low) or (u, 1] (high) of frame's cylinder.
 
-    u is the cut's position relative to frame, an integer pair.  Only the
-    frame's word and r are read, so a validation frame (sign None) serves.
+    u is an integer pair with 0 < u <= 1 for a low piece and 0 <= u < 1 for
+    a high one.  Only the frame's word and r are read, so a validation frame
+    (sign None) serves.  A high piece strictly inside the first child
+    descends into it; an alternating child flips, so there it is a low piece.
+    Then c is the child whose relative interval (r/c, r/(c-1)] holds u:
+
+      * low, u interior: tight = {c+1..inf} (diameter r/c < u) plus the
+        whole child c (diameter below the previous, monotone diameters);
+        single = {c..inf}, diameter r/(c-1) < 2u;
+      * high, u interior (c >= r+2 after the descent): tight = the whole
+        child c plus {r+1..c-1}; single = {r+1..c};
+      * u = r/(c-1), an exact junction: one set is the piece exactly, the
+        low single {c..inf} or the high {r+1..c-1} (the whole cylinder
+        when u = 0).
     """
-    while True:
-        r = frame.r
-        if (side == FROM_INF) == _ascending(sign, frame.word):
-            return _solve_low(sign, frame.word, r, u)
-        if u[0] * (r + 1) > r * u[1]:
-            # piece (u, 1] strictly inside the first child: descend
-            u = _tail(sign, r, r + 1, *u)
-            frame = frame.child(r + 1)
-            continue
-        return _solve_high(sign, frame.word, r, u)
+    r = frame.r
+    while not low and u[0] * (r + 1) > r * u[1]:
+        u, frame = _tail(sign, r, r + 1, *u), frame.child(r + 1)
+        r, low = frame.r, sign is _ALTERNATING
+    word = frame.word
+    if u[0] == 0:
+        whole = FamilySet(sign, word, r + 1, None)
+        return BoundaryCover((whole,), whole)
+    c, exact = _child(r, *u)
+    if low:
+        tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
+        single = one = FamilySet(sign, word, c, None)
+    else:
+        tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
+        single, one = FamilySet(sign, word, r + 1, c), tight[1]
+    return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +293,9 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         if lo_at_0 and hi_at_1:
             return [FamilySet(sign, frame.word, r + 1, None)]
         if lo_at_0:
-            side = FROM_INF if ascending else TO_SUP
-            return list(_cover_boundary(sign, frame, t_hi, side).tight)
+            return list(_cover_boundary(sign, frame, t_hi, True).tight)
         if hi_at_1:
-            side = TO_SUP if ascending else FROM_INF
-            return list(_cover_boundary(sign, frame, t_lo, side).tight)
+            return list(_cover_boundary(sign, frame, t_lo, False).tight)
         d_lo, lo_exact = _child(r, *t_lo)
         d_lo -= lo_exact  # a junction resolves toward U's interior
         d_hi, hi_exact = _child(r, *t_hi)
@@ -328,20 +305,19 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
             continue
         break
 
-    prefix = frame.word
+    prefix, positive = frame.word, sign is Sign.POSITIVE
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
-    # boundary subtasks, in absolute terms (orientation decides which side
-    # of its child each endpoint's piece lies on)
-    lo_side, hi_side = (TO_SUP, FROM_INF) if ascending else (FROM_INF, TO_SUP)
+    # Its piece lies above it, the other piece below the upper endpoint; a
+    # positive child keeps that relative side, an alternating one flips it
 
     def lo_cover() -> BoundaryCover:
         u = _tail(sign, r, d_lo, *t_lo)
-        return _cover_boundary(sign, frame.child(d_lo), u, lo_side)
+        return _cover_boundary(sign, frame.child(d_lo), u, not positive)
 
     def hi_cover() -> BoundaryCover:
         u = _tail(sign, r, d_hi, *t_hi)
-        return _cover_boundary(sign, frame.child(d_hi), u, hi_side)
+        return _cover_boundary(sign, frame.child(d_hi), u, positive)
 
     # junction endpoints: the exact side's child joins the block between
     # (digits d_hi+1 .. d_lo-1, empty when the children are adjacent)
@@ -409,7 +385,7 @@ def split_to_finite(
     s = split_parameters(alpha, eps)
     if fs.end is not None:
         raise DomainError("split_to_finite needs an unbounded family set")
-    _validate_family_set(rule, fs)
+    _check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs)
 
     def blocks() -> Iterator[FamilySet]:
         t = fs.start
@@ -456,13 +432,6 @@ class CoverReport:
     covers: bool
     max_diameter: ExactQ
     cost: float
-
-
-def _is_alt_endpoint(rule: DigitRule, x: Fraction, depth: int, max_bits: int) -> bool:
-    """Exact membership test for alternating cylinder endpoints of rank <= depth."""
-    if x <= 0 or x >= 1:
-        return True  # 0/1 bound the space; treat as exempt
-    return isinstance(_digits(rule, _ALTERNATING, x, depth, max_bits), ISPoint)
 
 
 def verify_cover(
@@ -518,43 +487,35 @@ def verify_cover(
     # it meets are those of the prefixes (each the last digit of a frame)
     depth = max(len(fs.prefix) for fs in sets) + 2
     bits = max([_MAX_DIGIT_BITS] + [w[-1].bit_length() for w in frames if w])
-    covers = _chains_across(rule, U, sign is Sign.ALTERNATING, spans, depth, bits)
+
+    def crossable(x: ExactQ) -> bool:
+        return isinstance(_digits(rule, _ALTERNATING, x, depth, bits), ISPoint)
+
+    covers = _chains_across(U, spans, None if sign is Sign.POSITIVE else crossable)
     return CoverReport(covers, max(diameters), cost)
 
 
 def _chains_across(
-    rule: DigitRule,
     U: QInterval,
-    alternating: bool,
     spans: list[tuple[ExactQ, ExactQ]],
-    depth: int,
-    max_bits: int,
+    crossable: Callable[[ExactQ], bool] | None,
 ) -> bool:
     """Whether the hulls (lo, hi) in spans chain across U.
 
-    One sort by (lo, hi), then one pointer: reach advances to best, the
-    furthest hi among the hulls consumed so far, which are those starting
-    before reach (or at it, for half-open positive hulls and at U.lo).
-    When best does not pass reach, an alternating pass may still cross the
-    stall point reach onto the hulls starting exactly there, provided reach
-    is a certified endpoint point; sorted by hi, the last of them reaches
-    furthest.
+    One greedy pass over the hulls sorted by (lo, hi), with reach the
+    furthest hi so far: a hull starting past reach leaves a gap.  A hull
+    starting at reach continues the chain when reach is covered: always for
+    half-open positive hulls (crossable None) and at U.lo, which U excludes;
+    for open alternating hulls, whose earlier hulls all end at or before
+    reach, only when crossable(reach) certifies an endpoint-set point.
     """
-    spans.sort()
-    n, i, best = len(spans), 0, None
     reach = U.lo
-    while reach < U.hi:
-        closed = not alternating or reach == U.lo
-        while i < n and (spans[i][0] < reach or (closed and spans[i][0] == reach)):
-            if best is None or spans[i][1] > best:
-                best = spans[i][1]
-            i += 1
-        if best is None or best <= reach:
-            stalled = i < n and spans[i][0] == reach
-            if not (alternating and stalled and _is_alt_endpoint(rule, reach, depth, max_bits)):
-                return False
-            while i < n and spans[i][0] == reach:
-                best = spans[i][1]
-                i += 1
-        reach = best
-    return True
+    for lo, hi in sorted(spans):
+        if reach >= U.hi:
+            break
+        if lo > reach or (
+            lo == reach and reach != U.lo and crossable is not None and not crossable(reach)
+        ):
+            return False
+        reach = max(reach, hi)
+    return reach >= U.hi

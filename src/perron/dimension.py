@@ -310,7 +310,8 @@ def enumerate_compatible_bases(
         if not candidates and (alphabet is None or alphabet[-1] >= lo) and not warned:
             warned = True
             _, _, _, cut = _levels(rule, predicate, len(word) + 1, digit_cap, Fraction)
-            _warn_cut(cut, digit_cap, stacklevel=2)
+            # one generator frame per digit of word, plus the root's
+            _warn_cut(cut, digit_cap, stacklevel=2 + len(word))
         for c in candidates:
             if not admits(word, c):
                 continue

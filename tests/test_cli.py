@@ -1,5 +1,6 @@
 """Command-line front end: JSON output, exit codes, pipelines."""
 
+import argparse
 import io
 import json
 import os
@@ -614,6 +615,35 @@ def test_python_m_cover_pipes_into_verify():
         assert first.wait(timeout=120) == 0
     assert second.returncode == 0
     assert out.decode() == verify_out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--system", "luroth", "--x", "1e-100000000", "--n", "2"],
+        ["cover", "--system", "luroth", "--sign", "P", "--lo", "1e-100000000", "--hi", "1/2"],
+        ["dim", "--system", "luroth", "--rank", "2", "--cap", "9",
+         "--predicate", "bounded-ratio:1e100000000"],
+        ["moran", "--ratios", "1/2,1E-100000000"],
+    ],
+)
+def test_rational_exponents_are_bounded(argv):
+    # Fraction reads 1e-N as 10**N: a 15-character argument used to run for
+    # minutes, so the exponent is refused before it is expanded
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "perron.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 64
+    assert "exceeds 131072 in magnitude" in proc.stderr
+
+
+def test_rational_exponent_bound_is_inclusive():
+    assert cli._parse_rational("1e-131072") == Fraction(1, 10**131072)
+    assert cli._parse_rational("2E+0131072") == 2 * 10**131072
+    with pytest.raises(argparse.ArgumentTypeError, match="exceeds 131072"):
+        cli._parse_rational("1e131073")
 
 
 def test_main_exits_64_on_a_usage_error(capsys, monkeypatch):

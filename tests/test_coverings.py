@@ -168,6 +168,44 @@ def test_boundary_interior_cut_gives_tight_pair():
     assert family_set_hull(LUROTH, cov.single).diameter <= 2 * Fraction(3, 10)
 
 
+# (rule, prefix, cut, side, tight, single) for the alternating sign, each set
+# as (prefix, start, end).  Luroth's alternating (2,) is (1/2, 1) with the
+# relative position y = 2(1 - x), so its cylinder is descending: FROM_INF is
+# a relative high piece there and TO_SUP a low one.
+ALT_BOUNDARY_COVERS = [
+    # root, low piece, interior cut in the digit-4 child
+    (LUROTH, (), Fraction(3, 10), FROM_INF,
+     [((), 5, None), ((), 4, 4)], ((), 4, None)),
+    # root, high piece, exact junction: digits 2..4 are [1/4, 1) exactly
+    (LUROTH, (), Fraction(1, 4), TO_SUP, [((), 2, 4)], ((), 2, 4)),
+    # root, high piece inside the first child: descends and flips to low
+    (LUROTH, (), Fraction(7, 10), TO_SUP,
+     [((2,), 3, None), ((2,), 2, 2)], ((2,), 2, None)),
+    # descending (2,), FROM_INF is high: y = 3/10 interior in child 4
+    (LUROTH, (2,), Fraction(17, 20), FROM_INF,
+     [((2,), 4, 4), ((2,), 2, 3)], ((2,), 2, 4)),
+    # descending (2,), TO_SUP is low: y = 1/5, the junction of child 6
+    (LUROTH, (2,), Fraction(9, 10), TO_SUP, [((2,), 6, None)], ((2,), 6, None)),
+    # descending (2,), FROM_INF high with y = 4/5 inside the first child
+    (LUROTH, (2,), Fraction(3, 5), FROM_INF,
+     [((2, 2), 4, None), ((2, 2), 3, 3)], ((2, 2), 3, None)),
+    # engel's (3,) is (1/3, 1/2), descending: both sides of one cut
+    (ENGEL, (3,), Fraction(5, 14), TO_SUP,
+     [((3,), 4, None), ((3,), 3, 3)], ((3,), 3, None)),
+    (ENGEL, (3,), Fraction(5, 14), FROM_INF,
+     [((3, 3), 6, None), ((3, 3), 5, 5)], ((3, 3), 5, None)),
+]
+
+
+@pytest.mark.parametrize("rule, prefix, cut, side, tight, single", ALT_BOUNDARY_COVERS)
+def test_alternating_boundary_covers_are_frozen(rule, prefix, cut, side, tight, single):
+    cov = cover_boundary(rule, Sign.ALTERNATING, prefix, cut, side)
+    assert cov == BoundaryCover(
+        tuple(FamilySet(Sign.ALTERNATING, *fs) for fs in tight),
+        FamilySet(Sign.ALTERNATING, *single),
+    )
+
+
 def test_boundary_cut_outside_cylinder():
     with pytest.raises(DomainError):
         cover_boundary(LUROTH, Sign.POSITIVE, (2,), Fraction(1, 4), FROM_INF)

@@ -116,6 +116,17 @@ def test_cap_warning_carries_position_and_count():
         assert "digit_cap 9 excludes all digits at position 2" in str(caught[0].message)
 
 
+def test_enumeration_warning_points_at_the_caller():
+    # the depth-first descent first meets a cut-off prefix of 1, 2 or 3
+    # digits, (4,), (2, 4) or (2, 3, 4), one generator frame per digit deep
+    for rank in (2, 3, 5):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            list(enumerate_compatible_bases(ENGEL_MOD, all_digits(), rank, 4))
+        assert [w.category for w in caught] == [CapTooSmallWarning]
+        assert caught[0].filename == __file__
+
+
 def test_no_warning_when_alphabet_is_really_exhausted():
     # after (2,) the only allowed digit 2 is inadmissible everywhere, cap or
     # not; that is emptiness, not a cap artifact

@@ -16,7 +16,9 @@ runs at a time.
 The output file records the host, the Python version, the seeds, every
 run's metrics and verdict counts, and for each end-to-end metric of
 BENCHMARK.json: the median of each side, the base's interquartile range,
-the pairs the change won, and whether the median gain exceeds that range.
+the pairs the change won, and whether the median gain exceeds that range;
+and for each side the failed share of ops (failed over attempted, summed
+over the pairs) and whether every run was correct.
 Standard library only.
 """
 
@@ -97,7 +99,20 @@ def bench_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    summary = {}
+    """Per end-to-end metric, the sides' medians and the change's wins; per
+    side, the failed share of ops over all pairs and whether every run was
+    correct."""
+    summary = {"failures": {}}
+    for side in ("base", "change"):
+        runs = [p[side] for p in pairs]
+        failed = sum(run["failed"] for run in runs)
+        attempted = sum(run["attempted"] for run in runs)
+        summary["failures"][side] = {
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share": failed / attempted if attempted else 0.0,
+            "all_correct": all(run["correct"] for run in runs),
+        }
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         base = [p["base"]["metrics"][name] for p in pairs]
