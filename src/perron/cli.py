@@ -149,17 +149,33 @@ def _parse_cap(text: str) -> int | None:
     return int(text)
 
 
+# Every digit that dim or measure tests is at most its --cap, one argument of
+# at most _MAX_EXPONENT characters, so below 10**_MAX_EXPONENT < 2**_FLOOR_BITS.
+_FLOOR_BITS = 4 * _MAX_EXPONENT
+
+
+def _power(base: int, exponent: int):
+    """base**exponent, or 2**_FLOOR_BITS when the bit lengths show that the
+    power is at least that: either floor is above every digit a run tests."""
+    if base > 1 and exponent * (base.bit_length() - 1) >= _FLOOR_BITS:
+        return 1 << _FLOOR_BITS
+    return base**exponent
+
+
 def _parse_growth(expr: str):
-    """Growth-floor shapes: constant 'c', polynomial 'n^k', geometric 'b^n'."""
+    """Growth-floor shapes: constant 'c', polynomial 'n^k', geometric 'b^n'.
+
+    A power floor is worked out once per position (_power), however many
+    digits are tested against it."""
     if expr.isdigit():
         value = int(expr)
         return lambda n: value
     if expr.startswith("n^"):
         k = int(expr[2:])
-        return lambda n: n**k
+        return functools.cache(lambda n: _power(n, k))
     if expr.endswith("^n"):
         base = int(expr[:-2])
-        return lambda n: base**n
+        return functools.cache(lambda n: _power(base, n))
     raise ValueError(f"growth shape {expr!r} not one of: c, n^k, b^n")
 
 

@@ -23,6 +23,11 @@ contribute without intermediate underflow, and every sum over states is
 compensated (math.fsum).  A state value below the double-precision underflow
 threshold is 0.0, and so is every term that passes through it; per-level
 rescaling in log space would cover that regime and is out of scope.
+
+The state recursion (_levels) and the base enumeration take one candidate
+step (_candidates): the digits a compatible word may be extended by, and
+whether the cap cuts the word off.  _levels is the one place that raises
+CapTooSmallWarning, at the stack level its caller names.
 """
 
 from __future__ import annotations
@@ -161,29 +166,19 @@ def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
 
 
-def _warn_cut(cut: tuple[int, int], digit_cap: int, stacklevel: int) -> None:
-    message = (f"digit_cap {digit_cap} excludes all digits at position {cut[0]}, "
-               f"cutting off {cut[1]} compatible prefix(es)")
-    warnings.warn(CapTooSmallWarning(message, *cut), stacklevel=stacklevel + 1)
+def _candidates(alphabet, r: int, digit_cap: int):
+    """The digits to test after a compatible word whose rule value is r (the
+    admissible digits up to the cap, inside the alphabet if one is declared),
+    and whether the cap cuts the word off: no candidate, though admissible
+    digits exist beyond the cap."""
+    if alphabet is None:
+        return range(r + 1, digit_cap + 1), r >= digit_cap
+    candidates = [c for c in alphabet if r < c <= digit_cap]
+    return candidates, not candidates and alphabet[-1] > r
 
 
-def _group(pairs) -> list:
-    """(key, item) pairs grouped by key in order of first appearance, as a
-    list of (key, items); a run of pairs with the same key object costs no
-    lookup."""
-    groups, where, prev, items = [], {}, None, None
-    for key, item in pairs:
-        if key is not prev:
-            prev = key
-            items = where.get(key)
-            if items is None:
-                items = where[key] = []
-                groups.append((key, items))
-        items.append(item)
-    return groups
-
-
-def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh):
+def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh,
+            stacklevel: int):
     """The compatible rank-k words, merged into states one position at a time.
 
     A state at level n stands for compatible length-n words that extend
@@ -203,14 +198,20 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     sources is its own factor times the sum of their values, and each of
     those sources becomes a value: weigh(num, den) of its expression.
 
-    Returns (kept, final, bases, cut).  kept holds one list per level that
-    adds values, each a list of groups (sources, weights): one new value per
-    weight, indexed in order after the earlier ones.  final is that list for
-    the rank-k states, whose values sum to the rank-k sum.  bases counts
-    the compatible rank-k words (an integer count per state, carried in the
-    same pass); cut is None, or (position, prefixes): the first 1-based
-    position at which the cap excludes every admissible digit, and how many
-    compatible prefixes it cuts off there.
+    Each word's candidate digits, and whether the cap cuts it off, come
+    from _candidates, the step that enumerate_compatible_bases takes too.
+
+    Returns (kept, final, bases).  kept holds one list per level that adds
+    values, each a list of groups (sources, weights): one new value per
+    weight, indexed in order after the earlier ones; a group gathers the
+    items that share their sources, in order of first appearance.  final
+    holds such groups for the rank-k states, whose values sum to the rank-k
+    sum.
+    bases counts the compatible rank-k words (an integer count per state,
+    carried in the same pass).  When the cap cuts off every admissible
+    digit of some compatible prefix, CapTooSmallWarning names the first
+    1-based position where it does and how many compatible prefixes it cuts
+    off there, raised at the given stacklevel once the levels are built.
     """
     _check_rank_cap(rule, rank, digit_cap)
     alphabet, admits = predicate._alphabet, predicate._admits
@@ -218,19 +219,15 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
     srcs, fracs = [(0,)], [(1, 1)]
-    kept, values, cut = [], 1, None
+    kept, values, warning = [], 1, None
     for n in range(1, rank + 1):
         last = n == rank
         state = {} if merge and len(words) > 1 else None  # digit -> target
         t_src, t_srcs, t_frac, t_r, t_word = [], [], [], [], []  # per target
         merged, cut_count = [], 0
         for i, (word, r) in enumerate(zip(words, rs)):
-            lo = r + 1
-            if alphabet is None:
-                candidates = range(lo, digit_cap + 1)
-            else:
-                candidates = [c for c in alphabet if lo <= c <= digit_cap]
-            if not candidates and (alphabet is None or alphabet[-1] >= lo):
+            candidates, cuts = _candidates(alphabet, r, digit_cap)
+            if cuts:
                 cut_count += counts[i]
             sources, (num, den) = srcs[i], fracs[i]
             for c in candidates:
@@ -258,15 +255,19 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                     t_frac.append((num * r_child, den * (c - 1) * c))
                     t_r.append(r_child)
                     t_word.append(child)
-        if cut is None and cut_count:
-            cut = (n, cut_count)
+        if warning is None and cut_count:  # the first position the cap cuts
+            warning = CapTooSmallWarning(
+                f"digit_cap {digit_cap} excludes all digits at position {n}, "
+                f"cutting off {cut_count} compatible prefix(es)", n, cut_count)
         # the sources of merged states become values, grouped by their sources
-        batch = _group((srcs[i], i) for i in sorted({i for t in merged for i in t_src[t]}))
-        order = [i for _, members in batch for i in members]
+        batch = {}
+        for i in sorted({i for t in merged for i in t_src[t]}):
+            batch.setdefault(srcs[i], []).append(i)
+        order = [i for group in batch.values() for i in group]
         value = dict(zip(order, range(values, values + len(order))))
         values += len(order)
         if batch:
-            kept.append([(key, [weigh(*fracs[i]) for i in members]) for key, members in batch])
+            kept.append([(key, [weigh(*fracs[i]) for i in group]) for key, group in batch.items()])
         for t in merged:
             t_srcs[t] = tuple(map(value.__getitem__, t_src[t]))
         counts = [
@@ -274,7 +275,12 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
             for src in t_src
         ]
         if last:
-            return kept, _group(zip(t_srcs, t_frac)), sum(counts), cut
+            if warning is not None:
+                warnings.warn(warning, stacklevel=stacklevel)
+            final = {}
+            for sources, frac in zip(t_srcs, t_frac):
+                final.setdefault(sources, []).append(frac)
+            return kept, final.items(), sum(counts)
         words, rs, srcs, fracs = t_word, t_r, t_srcs, t_frac
 
 
@@ -302,16 +308,12 @@ def enumerate_compatible_bases(
 
     def descend(word: DigitWord, r: int) -> Iterator[DigitWord]:
         nonlocal warned
-        lo = r + 1
-        if alphabet is None:
-            candidates = range(lo, digit_cap + 1)
-        else:
-            candidates = [c for c in alphabet if lo <= c <= digit_cap]
-        if not candidates and (alphabet is None or alphabet[-1] >= lo) and not warned:
+        candidates, cuts = _candidates(alphabet, r, digit_cap)
+        if cuts and not warned:
             warned = True
-            _, _, _, cut = _levels(rule, predicate, len(word) + 1, digit_cap, Fraction)
-            # one generator frame per digit of word, plus the root's
-            _warn_cut(cut, digit_cap, stacklevel=2 + len(word))
+            # _levels warns past its own frame, one generator frame per
+            # digit of word and the root's, to the caller
+            _levels(rule, predicate, len(word) + 1, digit_cap, Fraction, 3 + len(word))
         for c in candidates:
             if not admits(word, c):
                 continue
@@ -378,11 +380,9 @@ def pressure_root(
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
     log, exp, fsum = math.log, math.exp, math.fsum
-    kept, final, bases, cut = _levels(
-        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den)
+    kept, final, bases = _levels(
+        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den), 3
     )
-    if cut:
-        _warn_cut(cut, digit_cap, stacklevel=2)
     if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
     log_phi0 = log(rule.phi0)
@@ -487,9 +487,7 @@ def measure_at_rank(
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
-    kept, final, _, cut = _levels(rule, predicate, rank, digit_cap, Fraction)
-    if cut:
-        _warn_cut(cut, digit_cap, stacklevel=2)
+    kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction, 3)
     u = [Fraction(rule.phi0)]
     get = u.__getitem__
     for level in kept:

@@ -646,6 +646,36 @@ def test_rational_exponent_bound_is_inclusive():
         cli._parse_rational("1e131073")
 
 
+def test_growth_exponents_are_bounded():
+    # n^k used to be worked out exactly for every child tested: a 10**7-bit
+    # power per child at position 2, minutes for a 17-character predicate
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "perron.cli", "dim", "--system", "luroth",
+         "--predicate", "growth:n^10000000", "--rank", "3", "--cap", "50"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"s":0.0,"rank":3,"cap":50,"residual":1.0,"bases":0}\n'
+
+
+def test_growth_floor_bound_keeps_every_comparison():
+    # a --cap has at most 131072 characters, so every digit tested lies
+    # below the floor bound; below it a power floor is exact, at or above it
+    # the floor is replaced by the bound itself
+    bound = 1 << cli._FLOOR_BITS
+    assert 10**cli._MAX_EXPONENT < bound
+    cases = [("n^262144", 2), ("n^262144", 3), ("n^262144", 4), ("n^262144", 5),
+             ("n^524287", 2), ("n^524288", 2), ("n^-2", 4), ("n^3", 1000),
+             ("2^n", 524287), ("2^n", 524288), ("3^n", 262144), ("7^n", 262144), ("1^n", 10**6)]
+    for shape, n in cases:
+        base, exponent = (n, int(shape[2:])) if shape.startswith("n^") else (int(shape[:-2]), n)
+        exact = Fraction(base) ** exponent
+        floor = cli._parse_growth(shape)(n)
+        assert min(floor, bound) == min(exact, bound), (shape, n)
+        assert floor == exact or floor == bound, (shape, n)
+
+
 def test_main_exits_64_on_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["perron", "expand", "--system", "martian"])
     with pytest.raises(SystemExit) as exc:

@@ -849,3 +849,123 @@ def test_deep_junction_covers_meet_their_contracts(rule, sign, depth):
             )
             for sets in (cov.tight, [cov.single]):
                 assert verify_cover(rule, piece, sets, 1.0).covers
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: covers against exact point sampling
+# ---------------------------------------------------------------------------
+
+BUILT_IN = RULES + [DigitRule.oppenheim(2, 1)]
+
+
+def _textbook_digits(rule, sign, x, n):
+    """The first n digits of x in the sign's form, or None when x is an
+    alternating endpoint (it has no representation) before the n-th digit.
+
+    The recursion of the positive_digits and alternating_digits docstrings,
+    on plain Fractions: the digit is floor(r/x) + 1, and the tail is
+    (x - r/p)(p-1)p/r (positive) or (r/(q-1) - x)(q-1)q/r (alternating);
+    r_n = a*c_n + b for the built-in rules.
+    """
+    digits, r = [], rule.phi0
+    for _ in range(n):
+        c = r // x + 1
+        if sign is Sign.ALTERNATING and r == (c - 1) * x:
+            return None
+        if sign is Sign.POSITIVE:
+            x = (x - Fraction(r, c)) * (c - 1) * c / r
+        else:
+            x = (Fraction(r, c - 1) - x) * (c - 1) * c / r
+        digits.append(c)
+        r = rule.a * c + rule.b
+    return tuple(digits)
+
+
+def _cylinder_ends(rule, sign, word):
+    """The two endpoints of word's cylinder in the sign's form, read off the
+    partial sum and the diameter ((0, 1) for the empty word)."""
+    if not word:
+        return Fraction(0), Fraction(1)
+    s, d = partial_sum(rule, word, sign), word_diameter(rule, word)
+    return (s - d, s) if sign is Sign.ALTERNATING and len(word) % 2 else (s, s + d)
+
+
+def _set_diameter(rule, fs):
+    """The hull diameter of a family set: the spread of its outer children's
+    endpoints, and the children's accumulation point partial_sum(prefix)
+    when the set is unbounded."""
+    ends = [*_cylinder_ends(rule, fs.sign, fs.prefix + (fs.start,))]
+    if fs.end is None:
+        ends.append(partial_sum(rule, fs.prefix, fs.sign) if fs.prefix else Fraction(0))
+    else:
+        ends += _cylinder_ends(rule, fs.sign, fs.prefix + (fs.end,))
+    return max(ends) - min(ends)
+
+
+@st.composite
+def nested_cover_case(draw):
+    """U inside a random rank-0..40 cylinder of a built-in rule, its ends
+    drawn from the cylinder's own ends, its children's ends in either form,
+    and relative positions with small or fine denominators; plus relative
+    positions of interior sample points."""
+    rule = draw(st.sampled_from(BUILT_IN))
+    sign = draw(st.sampled_from(SIGNS))
+    word, r = (), rule.phi0
+    for _ in range(draw(st.integers(0, 40))):
+        word += (r + 1 + draw(st.integers(0, 3)),)
+        r = rule.a * word[-1] + rule.b
+    lo, hi = _cylinder_ends(rule, sign, word)
+    ends = {lo, hi}
+    for c, form in itertools.product(range(r + 1, r + 7), SIGNS):
+        ends.update(_cylinder_ends(rule, form, word + (c,)))
+    fine = st.integers(1, 10**6 - 1).map(lambda k: Fraction(k, 10**6))
+    position = st.one_of(st.fractions(0, 1, max_denominator=12), fine)
+    end = st.one_of(st.sampled_from(sorted(p for p in ends if lo <= p <= hi)),
+                    position.map(lambda t: lo + (hi - lo) * t))
+    x1, x2 = sorted(draw(st.lists(end, min_size=2, max_size=2, unique=True)))
+    inner = draw(st.lists(st.one_of(position, fine).filter(lambda t: 0 < t < 1),
+                          min_size=1, max_size=3))
+    return rule, sign, word, x1, x2, inner
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_cover_case())
+def test_covers_hold_every_sampled_point(case):
+    """Every exact point of U sampled here lies in one of its cover's sets,
+    read off the point's own digits; no set is wider than U.
+
+    The points are interior points, U's included end, points a hair inside
+    both ends, the cylinder junctions of ranks 1-3 below U's cylinder, in
+    both forms, that fall inside U, and one point between each two of these.  Alternating endpoints are exempt: the
+    cover holds modulo that countable set.
+    """
+    rule, sign, word, lo, hi, inner = case
+    U = interval_for(sign, lo, hi)
+    sets = cover_interval(rule, sign, U)
+    assert 1 <= len(sets) <= 3
+    for fs in sets:
+        assert fs.sign is sign
+        assert _set_diameter(rule, fs) <= U.diameter
+
+    hair = U.diameter / 2**60
+    points = {lo + U.diameter * t for t in inner} | {lo + hair, hi - hair}
+    if sign is Sign.POSITIVE:
+        points.add(hi)
+    for x in list(points):
+        below = _textbook_digits(rule, Sign.POSITIVE, x, len(word) + 3)
+        for k in range(len(word) + 1, len(word) + 4):
+            for form in SIGNS:
+                points.update(_cylinder_ends(rule, form, below[:k]))
+    points = sorted(p for p in points if lo < p < hi or (p == hi and sign is Sign.POSITIVE))
+    points += [(a + b) / 2 for a, b in zip(points, points[1:])]  # one between each two
+    n = max(len(fs.prefix) for fs in sets) + 1
+    for x in points:
+        digits = _textbook_digits(rule, sign, x, n)
+        if digits is None:
+            continue
+        assert any(
+            digits[: len(fs.prefix)] == fs.prefix
+            and fs.start <= digits[len(fs.prefix)]
+            and (fs.end is None or digits[len(fs.prefix)] <= fs.end)
+            for fs in sets
+        ), (x, digits, sets)

@@ -606,6 +606,34 @@ def test_state_recursion_matches_enumeration(config):
         assert [(w.position, w.count) for w in cuts] == ([first] if first else [])
 
 
+def test_opaque_predicate_is_asked_alike_by_all_three():
+    # an opaque predicate is asked about every child word the descent tests;
+    # the state recursion must ask about the same children, no more
+    calls = [0]
+
+    def classify(word):
+        calls[0] += 1
+        return sum(word) <= 15 and all(c % 4 for c in word)
+
+    runs = {
+        "pressure_root": lambda rule, rank, pred: pressure_root(
+            rule, Sign.POSITIVE, pred, rank, 7, 1e-9),
+        "measure_at_rank": lambda rule, rank, pred: measure_at_rank(
+            rule, Sign.ALTERNATING, pred, rank, 7),
+        "enumerate": lambda rule, rank, pred: list(
+            enumerate_compatible_bases(rule, pred, rank, 7)),
+    }
+    for name, rank in itertools.product(("engel", "luroth", "custom"), (2, 3)):
+        counts = {}
+        for run, call in runs.items():
+            calls[0] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CapTooSmallWarning)
+                call(ORACLE_RULES[name], rank, DigitPredicate(classify, "sum<=15, no 4k"))
+            counts[run] = calls[0]
+        assert len(set(counts.values())) == 1 and counts["enumerate"], (name, rank, counts)
+
+
 def test_luroth_rank_30_factorises():
     # every word of digits 2..10 is compatible, so the rank-30 sum is g(s)**30
     # for the rank-1 sum g: 9**30 bases, the same root, measure (9/10)**30

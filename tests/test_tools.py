@@ -1,0 +1,78 @@
+"""The benchmark pair summary of tools/bench_pairs.py, on synthetic pairs."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py")
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+P50 = {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}
+
+
+def _pairs(base, change, name="ops_per_s", failed=(0, 0)):
+    def run(value, fail):
+        return {"correct": not fail, "attempted": 100, "failed": fail, "metrics": {name: value}}
+
+    return [{"base": run(b, failed[0]), "change": run(c, failed[1])} for b, c in zip(base, change)]
+
+
+def test_a_quiet_base_flags_only_regressions_beyond_the_bound():
+    base = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    summary = bench_pairs.summarise(_pairs(base, [v * 0.7 for v in base]), [OPS])
+    verdict = summary["ops_per_s"]
+    assert verdict["bound"] == 0.25
+    assert verdict["worse_beyond_bound"] and not verdict["unresolved"]
+    assert verdict["change_wins"] == 0
+
+    verdict = bench_pairs.summarise(_pairs(base, [v * 0.8 for v in base]), [OPS])["ops_per_s"]
+    assert not verdict["worse_beyond_bound"] and not verdict["unresolved"]
+
+
+def test_lower_is_better_metrics_regress_upwards():
+    base = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    worse = bench_pairs.summarise(_pairs(base, [v * 1.3 for v in base], P50["name"]), [P50])
+    better = bench_pairs.summarise(_pairs(base, [v * 0.7 for v in base], P50["name"]), [P50])
+    assert worse["latency_p50_ms"]["worse_beyond_bound"]
+    assert not better["latency_p50_ms"]["worse_beyond_bound"]
+    assert better["latency_p50_ms"]["change_wins"] == 10
+
+
+def test_a_noisy_base_leaves_the_comparison_unresolved():
+    base = [60, 140, 70, 130, 80, 120, 100, 100, 65, 135]  # IQR 62.5, 62.5% of the median
+    verdict = bench_pairs.summarise(_pairs(base, [v + 5 for v in base]), [OPS])["ops_per_s"]
+    assert verdict["base_iqr"] > 0.25 * verdict["base_median"]
+    assert not verdict["worse_beyond_bound"] and verdict["unresolved"]
+    # unless every change run beats every base run
+    verdict = bench_pairs.summarise(_pairs(base, [150 + v / 100 for v in base]), [OPS])["ops_per_s"]
+    assert not verdict["unresolved"]
+
+
+def test_failures_are_summed_per_side_and_the_summary_is_json():
+    summary = bench_pairs.summarise(_pairs([100] * 4, [100] * 4, failed=(0, 3)), [OPS])
+    assert summary["failures"]["base"] == {
+        "failed": 0, "attempted": 400, "failed_share": 0.0, "all_correct": True,
+    }
+    assert summary["failures"]["change"]["failed_share"] == 12 / 400
+    assert not summary["failures"]["change"]["all_correct"]
+    json.dumps(summary)
+
+
+def test_every_end_to_end_metric_of_the_benchmark_has_a_bound():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    base = [10.0, 10.5, 9.5, 10.0]
+    summary = bench_pairs.summarise(
+        [{side: {"correct": True, "attempted": 1, "failed": 0,
+                 "metrics": {spec["name"]: v for spec in end_to_end}}
+          for side in ("base", "change")} for v in base],
+        end_to_end,
+    )
+    for spec in end_to_end:
+        assert summary[spec["name"]]["bound"] == spec["bound"]
+        assert not summary[spec["name"]]["worse_beyond_bound"]

@@ -17,8 +17,12 @@ The output file records the host, the Python version, the seeds, every
 run's metrics and verdict counts, and for each end-to-end metric of
 BENCHMARK.json: the median of each side, the base's interquartile range,
 the pairs the change won, and whether the median gain exceeds that range;
-and for each side the failed share of ops (failed over attempted, summed
-over the pairs) and whether every run was correct.
+the metric's bound, whether the change's median is worse than the base's
+by more than that bound (a share of the base median), and whether the
+comparison is unresolved: the base IQR, as a share of its median, exceeds
+the bound and not every change run beats every base run.  For each side
+it records the failed share of ops (failed over attempted, summed over the
+pairs) and whether every run was correct.
 Standard library only.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -98,10 +103,17 @@ def bench_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def _share(amount: float, of: float) -> float:
+    """amount as a share of |of|; infinite for a positive amount of 0."""
+    if of:
+        return amount / abs(of)
+    return math.inf if amount > 0 else 0.0
+
+
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric, the sides' medians and the change's wins; per
-    side, the failed share of ops over all pairs and whether every run was
-    correct."""
+    """Per end-to-end metric, the sides' medians, the change's wins and the
+    regression verdicts against the metric's bound; per side, the failed
+    share of ops over all pairs and whether every run was correct."""
     summary = {"failures": {}}
     for side in ("base", "change"):
         runs = [p[side] for p in pairs]
@@ -119,17 +131,23 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         q1, _, q3 = statistics.quantiles(base, n=4)
-        gain = statistics.median(change) - statistics.median(base)
+        base_median = statistics.median(base)
+        gain = statistics.median(change) - base_median
         gain = gain if higher else -gain
+        beats_every_base_run = min(change) > max(base) if higher else max(change) < min(base)
         summary[name] = {
             "better": spec["better"],
-            "base_median": statistics.median(base),
+            "base_median": base_median,
             "change_median": statistics.median(change),
             "base_iqr": q3 - q1,
             "median_gain": gain,
             "gain_exceeds_base_iqr": gain > q3 - q1,
             "change_wins": wins,
             "pairs": len(pairs),
+            "bound": spec["bound"],
+            "worse_beyond_bound": _share(-gain, base_median) > spec["bound"],
+            "unresolved": _share(q3 - q1, base_median) > spec["bound"]
+            and not beats_every_base_run,
         }
     return summary
 
