@@ -39,7 +39,10 @@ point's position relative to a frame down one digit: _Frame.relative maps a
 point into a frame once, and the pair is then stepped with a product by
 small integers per level.  Digits are bounded by _MAX_DIGIT_BITS bits
 (2**16): extraction raises DomainError naming the position rather than grow
-one digit past it.
+one digit past it.  The remainder pair of extraction is carried unreduced,
+like the frame, and reduced only when its denominator has doubled in bits
+since the last reduction, so long expansions pay one gcd per doubling
+rather than one per digit.
 """
 
 from __future__ import annotations
@@ -399,12 +402,24 @@ def _digits(
     child, an alternating one is an ISPoint.  verify_cover's endpoint probe
     passes a bound no smaller than the digits of the prefixes it was given,
     which are the only digits the probe meets.
+
+    The remainder pair (a, b) is carried unreduced and reduced by its gcd
+    only once b reaches the square of its value at the last reduction,
+    about twice its bits then, so one gcd pays for a doubling rather than
+    for one digit.  Nothing the loop reads depends on a common factor: the
+    digit, the junction test and the digit bound all come from _child,
+    which reads only the ratio a/b.  The bound must double the bits: with a
+    fixed slack, a pair whose common factor grows by many bits per digit
+    would be reduced every few digits, each time by a gcd of the whole
+    pair.  A pair of a few bits is still reduced every digit or two, while
+    its gcd is cheap and its products fit one machine word.
     """
     x = Fraction(x)
     _check_domain(sign, x)
     if n < 0:
         raise DomainError("n must be >= 0")
     a, b = x.numerator, x.denominator
+    bound = b * b
     digits: list[int] = []
     r = rule.phi0
     alternating = sign is _ALTERNATING
@@ -415,9 +430,11 @@ def _digits(
         if c.bit_length() > max_bits:
             raise _digit_too_long(c, i, max_bits)
         a, b = _tail(sign, r, c, a, b)  # in the tail space again
-        g = gcd(a, b)
-        a //= g
-        b //= g
+        if b >= bound:
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            bound = b * b
         digits.append(c)
         r = _next_r(rule, r, digits, i)
     return tuple(digits)
@@ -510,18 +527,16 @@ def traditional_pierce_digits(x: ExactQ) -> DigitWord:
     """Finite greedy alternating-expansion digits of a rational x in (0, 1).
 
     a_1 = floor(1/x), x <- 1 - a_1 x, repeated until the remainder is 0;
-    rationals always terminate and the digits strictly increase.
+    rationals always terminate and the digits strictly increase.  With
+    x = a/b, 1 - (b//a)*(a/b) = (b mod a)/b: b stays fixed and a strictly
+    decreases, and the unreduced pair is never reduced, since b//a does
+    not depend on a common factor.
     """
     x = Fraction(x)
     _check_domain(_ALTERNATING, x)
     a, b = x.numerator, x.denominator
     digits = []
     while a:
-        d = b // a
-        digits.append(d)
-        # 1 - d*(a/b) = (b - d*a)/b, then denominators cancel against b
-        a, b = b - d * a, b
-        g = gcd(a, b)
-        a //= g
-        b //= g
+        digits.append(b // a)
+        a = b % a
     return tuple(digits)

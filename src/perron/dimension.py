@@ -69,6 +69,7 @@ class DigitPredicate:
     """
 
     _alphabet: tuple[int, ...] | None = None  # finite digit set, if declared
+    _floor = False  # admits, at each position, every digit from some floor up
     _unrestricted = False  # admits every word
 
     def __init__(self, classify: Callable[[DigitWord], bool], description: str):
@@ -93,9 +94,10 @@ class _LocalPredicate(DigitPredicate):
     hereditary by construction and the enumerator tests one digit per child.
     """
 
-    def __init__(self, test, description, alphabet=None, unrestricted=False):
+    def __init__(self, test, description, alphabet=None, floor=False, unrestricted=False):
         super().__init__(self._classify, description)
-        self._test, self._alphabet, self._unrestricted = test, alphabet, unrestricted
+        self._test, self._alphabet = test, alphabet
+        self._floor, self._unrestricted = floor, unrestricted
 
     def _classify(self, word: DigitWord) -> bool:
         padded = (None, *word)  # padded[n - 1] precedes the n-th digit
@@ -137,7 +139,7 @@ def bounded_ratio(k: ExactQ) -> DigitPredicate:
 
 def growth_floor(psi: Callable[[int], ExactQ]) -> DigitPredicate:
     """Digit at 1-based position n at least psi(n), for all n."""
-    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor")
+    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor", floor=True)
 
 
 def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
@@ -170,7 +172,13 @@ def _candidates(alphabet, r: int, digit_cap: int):
     """The digits to test after a compatible word whose rule value is r (the
     admissible digits up to the cap, inside the alphabet if one is declared),
     and whether the cap cuts the word off: no candidate, though admissible
-    digits exist beyond the cap."""
+    digits exist beyond the cap.
+
+    A word under a declared floor (growth_floor) is cut off too when no
+    candidate passes: every digit from the floor up would pass, so the
+    floor lies beyond the cap.  The callers read that off the tests they
+    make of the candidates anyway, so the floor is evaluated once per
+    tested digit and no more."""
     if alphabet is None:
         return range(r + 1, digit_cap + 1), r >= digit_cap
     candidates = [c for c in alphabet if r < c <= digit_cap]
@@ -214,7 +222,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     off there, raised at the given stacklevel once the levels are built.
     """
     _check_rank_cap(rule, rank, digit_cap)
-    alphabet, admits = predicate._alphabet, predicate._admits
+    alphabet, floor, admits = predicate._alphabet, predicate._floor, predicate._admits
     merge = rule.fn is None and isinstance(predicate, _LocalPredicate)
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
@@ -227,12 +235,12 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
         merged, cut_count = [], 0
         for i, (word, r) in enumerate(zip(words, rs)):
             candidates, cuts = _candidates(alphabet, r, digit_cap)
-            if cuts:
-                cut_count += counts[i]
             sources, (num, den) = srcs[i], fracs[i]
+            admitted = False
             for c in candidates:
                 if not admits(word, c):
                     continue
+                admitted = True
                 t = None if state is None else state.get(c)
                 if t is not None:  # one more source of a merged state
                     if t_src[t].__class__ is int:
@@ -255,6 +263,8 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                     t_frac.append((num * r_child, den * (c - 1) * c))
                     t_r.append(r_child)
                     t_word.append(child)
+            if cuts or floor and not admitted:
+                cut_count += counts[i]
         if warning is None and cut_count:  # the first position the cap cuts
             warning = CapTooSmallWarning(
                 f"digit_cap {digit_cap} excludes all digits at position {n}, "
@@ -303,20 +313,17 @@ def enumerate_compatible_bases(
     for.
     """
     _check_rank_cap(rule, rank, digit_cap)
-    alphabet, admits = predicate._alphabet, predicate._admits
+    alphabet, floor, admits = predicate._alphabet, predicate._floor, predicate._admits
     warned = False
 
     def descend(word: DigitWord, r: int) -> Iterator[DigitWord]:
         nonlocal warned
         candidates, cuts = _candidates(alphabet, r, digit_cap)
-        if cuts and not warned:
-            warned = True
-            # _levels warns past its own frame, one generator frame per
-            # digit of word and the root's, to the caller
-            _levels(rule, predicate, len(word) + 1, digit_cap, Fraction, 3 + len(word))
+        admitted = False
         for c in candidates:
             if not admits(word, c):
                 continue
+            admitted = True
             child = word + (c,)
             r_child = _step_r(rule, child, len(child))
             if r_child < 1:
@@ -325,6 +332,11 @@ def enumerate_compatible_bases(
                 yield child
             else:
                 yield from descend(child, r_child)
+        if (cuts or floor and not admitted) and not warned:
+            warned = True
+            # _levels warns past its own frame, one generator frame per
+            # digit of word and the root's, to the caller
+            _levels(rule, predicate, len(word) + 1, digit_cap, Fraction, 3 + len(word))
 
     return descend((), _positive_r(rule.phi0, 0))
 

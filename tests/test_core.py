@@ -1,10 +1,11 @@
 """Digit extraction, series evaluation, and exact cylinder geometry."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import (
@@ -23,6 +24,7 @@ from perron import (
     validate_word,
     word_diameter,
 )
+from perron.core import _MAX_DIGIT_BITS, _digits
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -423,3 +425,79 @@ def test_deep_cylinders_match_series_oracles(rule, sign):
         if sign is Sign.POSITIVE:
             assert cyl.contains(x)
 
+
+# ---------------------------------------------------------------------------
+# digit extraction with amortized reduction against a reduce-every-step loop
+# ---------------------------------------------------------------------------
+
+EXTRACTION_RULES = [*RULES, DigitRule.oppenheim(1, -3), PARITY,
+                    DigitRule.custom(lambda prefix: prefix[-1] % 3 + 1, phi0=2)]
+
+
+def _extract_reducing_every_step(rule, sign, x, n, max_bits):
+    """The digits of x from the factoring x = r/c + y*r/((c-1)c) (positive)
+    or x = r/(c-1) - y*r/((c-1)c) (alternating), with the tail y a Fraction,
+    so reduced after every digit; an error as (type, message or index)."""
+    digits, r = [], rule.phi0
+    for i in range(1, n + 1):
+        c = math.floor(r / x) + 1
+        if sign is Sign.ALTERNATING and r / x == c - 1:
+            return ISPoint(rank=i, digits=tuple(digits))
+        if c.bit_length() > max_bits:
+            return DomainError, (f"digit at position {i} has {c.bit_length()} bits, "
+                                 f"beyond the {max_bits}-bit digit bound")
+        if sign is Sign.POSITIVE:
+            x = (x - Fraction(r, c)) * (c - 1) * c / r
+        else:
+            x = (Fraction(r, c - 1) - x) * (c - 1) * c / r
+        digits.append(c)
+        r = rule.fn(tuple(digits)) if rule.fn else rule.a * c + rule.b
+        if r < 1:
+            return ValidityError, i
+    return tuple(digits)
+
+
+def _extract(rule, sign, x, n, max_bits):
+    try:
+        return _digits(rule, sign, x, n, max_bits)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    except ValidityError as exc:
+        return ValidityError, exc.index
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(EXTRACTION_RULES),
+    st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]),
+    st.one_of(st.integers(2, 10**6), st.integers(2, 2**64)).flatmap(
+        lambda q: st.tuples(st.integers(1, q), st.just(q))),
+    st.one_of(st.integers(0, 8), st.integers(180, 220)),
+    st.sampled_from([12, 40, _MAX_DIGIT_BITS, 2 * _MAX_DIGIT_BITS]),
+)
+@example(ENGEL, Sign.ALTERNATING, (61, 215), 48, _MAX_DIGIT_BITS)  # position 31
+@example(ENGEL, Sign.ALTERNATING, (61, 215), 48, 2 * _MAX_DIGIT_BITS)  # position 32
+@example(PIERCE, Sign.POSITIVE, (61, 215), 220, _MAX_DIGIT_BITS)
+@example(DigitRule.oppenheim(2, 1), Sign.POSITIVE, (61, 215), 220, _MAX_DIGIT_BITS)
+@example(PIERCE, Sign.ALTERNATING, (43, 97), 220, _MAX_DIGIT_BITS)
+def test_amortized_extraction_matches_reducing_every_step(rule, sign, pq, n, max_bits):
+    """Digits, ISPoint rank and digits, and the position of the digit-bound
+    or rule-value error are those of the loop that reduces every step, at
+    the public bound and at the larger bounds the endpoint probe passes."""
+    p, q = pq
+    if sign is Sign.ALTERNATING and p == q:
+        p = q - 1
+    x = Fraction(p, q)
+    assert _extract(rule, sign, x, n, max_bits) == _extract_reducing_every_step(
+        rule, sign, x, n, max_bits
+    )
+
+
+@given(st.integers(2, 2**80).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_traditional_pierce_matches_a_fraction_greedy_loop(pq):
+    x = Fraction(*pq)
+    digits = []
+    while x:
+        digits.append(math.floor(1 / x))
+        x = 1 - digits[-1] * x
+    assert traditional_pierce_digits(Fraction(*pq)) == tuple(digits)

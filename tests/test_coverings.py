@@ -928,16 +928,48 @@ def nested_cover_case(draw):
     return rule, sign, word, x1, x2, inner
 
 
+def _sample_points(rule, word, lo, hi, inner, closed_hi):
+    """Exact points of (lo, hi), or of (lo, hi] when closed_hi, inside word's
+    cylinder: interior points at the relative positions inner, points a hair
+    inside both ends, hi itself when closed_hi, the cylinder junctions of
+    ranks 1-3 below word, in both forms, that fall inside, and one point
+    between each two of these."""
+    hair = (hi - lo) / 2**60
+    points = {lo + (hi - lo) * t for t in inner} | {lo + hair, hi - hair}
+    if closed_hi:
+        points.add(hi)
+    for x in list(points):
+        below = _textbook_digits(rule, Sign.POSITIVE, x, len(word) + 3)
+        for k in range(len(word) + 1, len(word) + 4):
+            for form in SIGNS:
+                points.update(_cylinder_ends(rule, form, below[:k]))
+    points = sorted(p for p in points if lo < p < hi or (p == hi and closed_hi))
+    return points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+
+
+def _holders(rule, sign, x, sets):
+    """The sets that hold x, read off x's own digits; None when x is an
+    alternating endpoint, which no set can hold and no cover needs to."""
+    digits = _textbook_digits(rule, sign, x, max(len(fs.prefix) for fs in sets) + 1)
+    if digits is None:
+        return None
+    return [
+        fs for fs in sets
+        if digits[: len(fs.prefix)] == fs.prefix
+        and fs.start <= digits[len(fs.prefix)]
+        and (fs.end is None or digits[len(fs.prefix)] <= fs.end)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nested_cover_case())
 def test_covers_hold_every_sampled_point(case):
     """Every exact point of U sampled here lies in one of its cover's sets,
     read off the point's own digits; no set is wider than U.
 
-    The points are interior points, U's included end, points a hair inside
-    both ends, the cylinder junctions of ranks 1-3 below U's cylinder, in
-    both forms, that fall inside U, and one point between each two of these.  Alternating endpoints are exempt: the
-    cover holds modulo that countable set.
+    The points are those of _sample_points for U inside its cylinder, U's
+    included end among them.  Alternating endpoints are exempt: the cover
+    holds modulo that countable set.
     """
     rule, sign, word, lo, hi, inner = case
     U = interval_for(sign, lo, hi)
@@ -946,26 +978,67 @@ def test_covers_hold_every_sampled_point(case):
     for fs in sets:
         assert fs.sign is sign
         assert _set_diameter(rule, fs) <= U.diameter
+    for x in _sample_points(rule, word, lo, hi, inner, sign is Sign.POSITIVE):
+        assert _holders(rule, sign, x, sets) != [], (x, sets)
 
-    hair = U.diameter / 2**60
-    points = {lo + U.diameter * t for t in inner} | {lo + hair, hi - hair}
-    if sign is Sign.POSITIVE:
-        points.add(hi)
-    for x in list(points):
-        below = _textbook_digits(rule, Sign.POSITIVE, x, len(word) + 3)
-        for k in range(len(word) + 1, len(word) + 4):
-            for form in SIGNS:
-                points.update(_cylinder_ends(rule, form, below[:k]))
-    points = sorted(p for p in points if lo < p < hi or (p == hi and sign is Sign.POSITIVE))
-    points += [(a + b) / 2 for a, b in zip(points, points[1:])]  # one between each two
-    n = max(len(fs.prefix) for fs in sets) + 1
-    for x in points:
-        digits = _textbook_digits(rule, sign, x, n)
-        if digits is None:
-            continue
-        assert any(
-            digits[: len(fs.prefix)] == fs.prefix
-            and fs.start <= digits[len(fs.prefix)]
-            and (fs.end is None or digits[len(fs.prefix)] <= fs.end)
-            for fs in sets
-        ), (x, digits, sets)
+
+@settings(max_examples=60, deadline=None)
+@given(nested_cover_case(), st.booleans(), st.booleans())
+def test_boundary_covers_hold_every_sampled_point(case, from_inf, upper):
+    """Both variants of cover_boundary hold every sampled point of their
+    piece, read off the point's own digits: tight in 1-2 sets of diameter at
+    most the piece width w, single in one set of diameter at most 2w.
+
+    The piece of word's cylinder (lo, hi) runs from lo up to the cut
+    (FROM_INF) or from the cut up to hi (TO_SUP); positive pieces include
+    their upper end, and alternating ones are covered modulo the endpoint
+    set, so there the cut itself is not sampled.  The cut is either end of
+    the drawn U, inside the piece's range.
+    """
+    rule, sign, word, x1, x2, inner = case
+    lo, hi = _cylinder_ends(rule, sign, word)
+    cut = x2 if upper else x1
+    if not (lo < cut if from_inf else cut < hi):
+        cut = x2 if from_inf else x1
+    side = FROM_INF if from_inf else TO_SUP
+    piece = (lo, cut) if from_inf else (cut, hi)
+    w = piece[1] - piece[0]
+    cover = cover_boundary(rule, sign, word, cut, side)
+    assert 1 <= len(cover.tight) <= 2
+    for fs in (*cover.tight, cover.single):
+        assert fs.sign is sign
+    assert all(_set_diameter(rule, fs) <= w for fs in cover.tight)
+    assert _set_diameter(rule, cover.single) <= 2 * w
+    for x in _sample_points(rule, word, *piece, inner, sign is Sign.POSITIVE):
+        for sets in (cover.tight, [cover.single]):
+            assert _holders(rule, sign, x, sets) != [], (x, side, sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_cover_case(), st.integers(0, 5), st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       st.sampled_from([0.1, 0.5, 1.0]))
+def test_split_blocks_hold_every_sampled_point_once(case, offset, alpha, eps):
+    """The first blocks of split_to_finite tile the part of the unbounded
+    family set they reach: every sampled point there lies in exactly one
+    block, read off its own digits, and block j (from 1) is narrower than
+    |fs| / (s + 1)**(j - 1).
+
+    The set is word's children from r + 1 + offset on.  The points are those
+    of _sample_points in the hull of each block's children and the next
+    block's first child, so a gap between blocks is sampled too; the upper
+    end is included when positive.  Alternating endpoints are exempt.
+    """
+    rule, sign, word, _, _, inner = case
+    fs = FamilySet(sign, word, rule_value(rule, word) + 1 + offset, None)
+    s = split_parameters(alpha, eps)
+    blocks = list(itertools.islice(split_to_finite(rule, fs, alpha, eps), 5))
+    width = _set_diameter(rule, fs)
+    for j, block in enumerate(blocks, start=1):
+        assert _set_diameter(rule, block) < width / (s + 1) ** (j - 1)
+    for block in blocks:
+        top = min(block.end + 1, blocks[-1].end)
+        ends = [*_cylinder_ends(rule, sign, word + (block.start,)),
+                *_cylinder_ends(rule, sign, word + (top,))]
+        for x in _sample_points(rule, word, min(ends), max(ends), inner, sign is Sign.POSITIVE):
+            held = _holders(rule, sign, x, blocks)
+            assert held is None or len(held) == 1, (x, block, held)

@@ -116,6 +116,29 @@ def test_cap_warning_carries_position_and_count():
         assert "digit_cap 9 excludes all digits at position 2" in str(caught[0].message)
 
 
+def test_cap_warning_for_growth_floor_cut_off():
+    # position 3 needs a digit >= 9 under the floor n^2, beyond the cap 8:
+    # the 7 * 5 compatible rank-2 prefixes are cut off by the cap, as an
+    # alphabet beyond the cap cuts them
+    calls = [
+        lambda: list(enumerate_compatible_bases(LUROTH, growth_floor(lambda n: n * n), 3, 8)),
+        lambda: pressure_root(LUROTH, Sign.POSITIVE, growth_floor(lambda n: n * n), 3, 8, 1e-9),
+        lambda: measure_at_rank(LUROTH, Sign.ALTERNATING, growth_floor(lambda n: n * n), 3, 8),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [CapTooSmallWarning]
+        assert (caught[0].message.position, caught[0].message.count) == (3, 35)
+        assert caught[0].filename == __file__
+    # a floor the cap leaves room for cuts nothing off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pressure_root(LUROTH, Sign.POSITIVE, growth_floor(lambda n: n * n), 3, 9,
+                             1e-9).bases_count == 8 * 6 * 1
+
+
 def test_enumeration_warning_points_at_the_caller():
     # the depth-first descent first meets a cut-off prefix of 1, 2 or 3
     # digits, (4,), (2, 4) or (2, 3, 4), one generator frame per digit deep
@@ -527,8 +550,9 @@ def test_growth_floor_tests_one_digit_per_child():
 
 @st.composite
 def _diff_predicates(draw):
-    """(constructor, its declared alphabet or None): one of the five local
-    predicate kinds or an opaque whole-word one, which keys states by word."""
+    """(constructor, its declared alphabet, its declared floor psi, or
+    None): one of the five local predicate kinds or an opaque whole-word
+    one, which keys states by word."""
     kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window", "opaque"]))
     if kind == "all":
         return all_digits, None
@@ -540,7 +564,7 @@ def _diff_predicates(draw):
         return (lambda: bounded_ratio(k)), None
     if kind == "growth":
         psi = draw(st.sampled_from([lambda n: 3, lambda n: n, lambda n: n * n, lambda n: 2**n]))
-        return (lambda: growth_floor(psi)), None
+        return (lambda: growth_floor(psi)), psi
     if kind == "window":
         alpha = draw(st.sampled_from([0.8, 1.0, 1.5, 2.0]))
         delta = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
@@ -570,13 +594,19 @@ def _recorded(call):
     return result, cuts
 
 
-def _first_cut(rule, pred, alphabet, rank, cap):
-    """(position, prefixes) of the first cap cut, counted prefix by prefix."""
+def _first_cut(rule, pred, declared, rank, cap):
+    """(position, prefixes) of the first cap cut, counted prefix by prefix:
+    a prefix is cut when its least admissible digit, max(r + 1, ceil(psi(n)))
+    under a floor psi, is beyond the cap, or when a declared alphabet has
+    admissible digits, none of them up to the cap."""
+    alphabet = None if callable(declared) else declared
     for length in range(rank):
         prefixes = [()] if length == 0 else enumerate_compatible_bases(rule, pred, length, cap)
         cut = 0
         for word in prefixes:
             lo = rule_value(rule, word) + 1
+            if callable(declared):
+                lo = max(lo, math.ceil(declared(length + 1)))
             if alphabet is None:
                 cut += lo > cap
             else:

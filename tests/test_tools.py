@@ -1,15 +1,22 @@
-"""The benchmark pair summary of tools/bench_pairs.py, on synthetic pairs."""
+"""The tools: bench_pairs.py's pair summary on synthetic pairs, and
+code_lines.py's count on a small fixture package."""
 
 import importlib.util
 import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py")
-)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+code_lines = _tool("code_lines")
 
 OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
 P50 = {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}
@@ -76,3 +83,41 @@ def test_every_end_to_end_metric_of_the_benchmark_has_a_bound():
     for spec in end_to_end:
         assert summary[spec["name"]]["bound"] == spec["bound"]
         assert not summary[spec["name"]]["worse_beyond_bound"]
+
+
+FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os  # a comment after code
+
+
+def f(x):
+    """A function docstring."""
+
+    # a comment inside
+    return (x +
+            1)
+
+
+class C:
+    """A class docstring."""
+
+    y = """a string value,
+    not a docstring"""
+'''
+
+
+def test_code_lines_count_code_and_not_docstrings_comments_or_blanks():
+    # import, def, the two lines of the return, class, the two of y
+    assert code_lines.code_lines(FIXTURE) == 7
+    assert code_lines.code_lines("x = 1\n\n# done\n") == 1
+    assert code_lines.code_lines('"""Only a docstring."""\n') == 0
+
+
+def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(FIXTURE)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["     1  a.py", "     7  b.py", "     8  total"]
