@@ -91,16 +91,17 @@ def _flag_parser(parse):
     return wrapped
 
 
+# The built-in rules without parameters, by name
+_SYSTEMS = {
+    rule.kind: rule
+    for rule in (DigitRule.luroth(), DigitRule.engel(), DigitRule.engel_mod(), DigitRule.pierce())
+}
+
+
 @_flag_parser
 def _parse_system(text: str) -> DigitRule:
-    if text == "luroth":
-        return DigitRule.luroth()
-    if text == "engel":
-        return DigitRule.engel()
-    if text == "engel-mod":
-        return DigitRule.engel_mod()
-    if text == "pierce":
-        return DigitRule.pierce()
+    if text in _SYSTEMS:
+        return _SYSTEMS[text]
     if text.startswith("oppenheim:"):
         parts = text[len("oppenheim:") :].split(",")
         if len(parts) != 2:
@@ -202,11 +203,20 @@ def _parse_ratios(text: str) -> list:
     return [_parse_rational(t) for t in text.split(",")]
 
 
+# Each --kind names the TransformKind constructor it calls on --system: fp
+# needs the rule (transforms checks that it has one), t and g ignore it
+_KINDS = {
+    "fp": TransformKind.fp,
+    "t": lambda rule: TransformKind.t_engel(),
+    "g": lambda rule: TransformKind.g_pierce(),
+}
+
+
 @_flag_parser
-def _parse_kind(text: str) -> str:
-    if text not in ("fp", "t", "g"):
+def _parse_kind(text: str):
+    if text not in _KINDS:
         raise ValueError(f"kind must be fp, t, or g, got {text!r}")
-    return text
+    return _KINDS[text]
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +312,12 @@ def _cmd_verify(ns):
     ]
 
 
-def _transform_kind(ns) -> TransformKind:
-    if ns.kind == "fp":
-        if ns.system is None:
-            raise DomainError("--kind fp needs --system")
-        return TransformKind.fp(ns.system)
-    if ns.kind == "t":
-        return TransformKind.t_engel()
-    return TransformKind.g_pierce()
-
-
 def _cmd_transform(ns):
-    return [_record(transform_digits(_transform_kind(ns), ns.word))]
+    return [_record(transform_digits(ns.kind(ns.system), ns.word))]
 
 
 def _cmd_transform_point(ns):
-    return [_record(transform_point(_transform_kind(ns), ns.x, ns.rank))]
+    return [_record(transform_point(ns.kind(ns.system), ns.x, ns.rank))]
 
 
 def _cmd_dim(ns):
@@ -343,9 +343,7 @@ def _cmd_measure(ns):
 # The flags that several subcommands take, each declared once.  A flag is
 # required unless its declaration (or a subcommand's override) gives a default.
 _FLAGS = {
-    "--system": dict(
-        type=_parse_system, help="luroth | engel | engel-mod | pierce | oppenheim:a,b"
-    ),
+    "--system": dict(type=_parse_system, help=" | ".join([*_SYSTEMS, "oppenheim:a,b"])),
     "--sign": dict(type=_parse_sign, help="P (positive) or P- (alternating)"),
     "--x": dict(type=_parse_rational),
     "--n": dict(type=int),

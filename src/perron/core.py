@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -115,10 +116,15 @@ class DigitRule:
       engel-mod: a = 1, b = 0    r_n = c_n      (digits strictly increase)
       pierce:    same rule as engel-mod; conventionally used with the
                  alternating form
-      oppenheim: r_n = a*c_n + b for the given a >= 0 and b (must stay >= 1)
+      oppenheim: r_n = a*c_n + b for the given integers a >= 0 and b (must
+                 stay >= 1)
       custom:    r_n = fn(prefix), any pure total function of the prefix
+                 whose values are integers (what operator.index accepts);
+                 any other value is a ValidityError naming its position
 
-    phi_0 is 1 unless oppenheim or custom is given another.
+    phi_0 is 1 unless oppenheim or custom is given another.  a, b and phi_0
+    are read as operator.index reads them, however the rule is made;
+    anything else is a DomainError.
     """
 
     kind: str
@@ -126,6 +132,10 @@ class DigitRule:
     a: int = 0
     b: int = 0
     fn: Callable[[DigitWord], int] | None = None
+
+    def __post_init__(self):
+        for name in ("phi0", "a", "b"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
     @classmethod
     def luroth(cls) -> "DigitRule":
@@ -145,28 +155,47 @@ class DigitRule:
 
     @classmethod
     def oppenheim(cls, a: int, b: int, phi0: int = 1) -> "DigitRule":
-        if a < 0 or phi0 < 1:
+        rule = cls("oppenheim", phi0=phi0, a=a, b=b)
+        if rule.a < 0 or rule.phi0 < 1:
             raise DomainError("oppenheim needs a >= 0 and phi0 >= 1")
-        return cls("oppenheim", phi0=phi0, a=a, b=b)
+        return rule
 
     @classmethod
     def custom(cls, fn: Callable[[DigitWord], int], phi0: int = 1) -> "DigitRule":
         # fn must be pure and total on valid prefixes; memoized per prefix so
         # deep enumerations never re-evaluate shared prefixes
-        if phi0 < 1:
+        rule = cls("custom", phi0=phi0, fn=functools.lru_cache(maxsize=None)(fn))
+        if rule.phi0 < 1:
             raise DomainError("phi0 must be >= 1")
-        return cls("custom", phi0=phi0, fn=functools.lru_cache(maxsize=None)(fn))
+        return rule
+
+
+def _integer(name: str, value) -> int:
+    """value as operator.index reads it, or DomainError naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
-    """r_i, the rule value after the 1-based position i of word (unchecked).
+    """r_i, the rule value after the 1-based position i of word, not checked
+    against 1.
 
     For the built-in rules this is a*c_i + b; custom rules see the whole
-    prefix word[:i], always as a tuple (their fn is memoized).
+    prefix word[:i], always as a tuple (their fn is memoized), and a value
+    that operator.index does not read as an integer is a ValidityError
+    naming position i.
     """
     if rule.fn is None:
         return rule.a * word[i - 1] + rule.b
-    return rule.fn(tuple(word[:i]))
+    value = rule.fn(tuple(word[:i]))
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidityError(
+            f"rule value {value!r} after position {i} is not an integer", index=i
+        ) from None
 
 
 def _positive_r(r: int, i: int) -> int:
@@ -358,14 +387,6 @@ def _tail(sign: Sign, r: int, c: int, num: int, den: int) -> tuple[int, int]:
     return (r * den - num * (c - 1)) * c, den * r
 
 
-def _digit_too_long(c: int, i: int, max_bits: int) -> DomainError:
-    """The error for digit c at position i, which exceeds max_bits bits."""
-    return DomainError(
-        f"digit at position {i} has {c.bit_length()} bits, beyond the "
-        f"{max_bits}-bit digit bound"
-    )
-
-
 def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     """First n digits of x in (0, 1] under the positive form.
 
@@ -428,7 +449,10 @@ def _digits(
         if at_junction and alternating:
             return ISPoint(rank=i, digits=tuple(digits))
         if c.bit_length() > max_bits:
-            raise _digit_too_long(c, i, max_bits)
+            raise DomainError(
+                f"digit at position {i} has {c.bit_length()} bits, beyond the "
+                f"{max_bits}-bit digit bound"
+            )
         a, b = _tail(sign, r, c, a, b)  # in the tail space again
         if b >= bound:
             g = gcd(a, b)

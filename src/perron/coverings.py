@@ -191,15 +191,13 @@ def cover_boundary(
         raise DomainError(f"unknown side {side!r}")
     cut = Fraction(cut)
     frame = _Frame.walk(rule, sign, prefix)
-    lo, hi = frame.lo_hi
-    if side == FROM_INF:
-        if not lo < cut <= hi:
-            raise DomainError(f"cut {cut} outside ({lo}, {hi}]")
-    else:
-        if not lo <= cut < hi:
-            raise DomainError(f"cut {cut} outside [{lo}, {hi})")
     low = (side == FROM_INF) == _ascending(sign, frame.word)
-    return _cover_boundary(sign, frame._replace(sign=None), frame.relative(cut), low)
+    u = frame.relative(cut)
+    if not (0 < u[0] <= u[1] if low else 0 <= u[0] < u[1]):
+        lo, hi = frame.lo_hi
+        span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
+        raise DomainError(f"cut {cut} outside {span}")
+    return _cover_boundary(sign, frame._replace(sign=None), u, low)
 
 
 def _ascending(sign: Sign, word: DigitWord) -> bool:
@@ -319,14 +317,13 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         u = _tail(sign, r, d_hi, *t_hi)
         return _cover_boundary(sign, frame.child(d_hi), u, positive)
 
-    # junction endpoints: the exact side's child joins the block between
-    # (digits d_hi+1 .. d_lo-1, empty when the children are adjacent)
-    if lo_exact and hi_exact:
-        return [FamilySet(sign, prefix, d_hi, d_lo)]
-    if lo_exact:
-        return [FamilySet(sign, prefix, d_hi + 1, d_lo), *hi_cover().tight]
-    if hi_exact:
-        return [*lo_cover().tight, FamilySet(sign, prefix, d_hi, d_lo - 1)]
+    # junction endpoints: each exact side's whole child joins the block
+    # between (digits d_hi+1 .. d_lo-1, empty when the children are
+    # adjacent), and the other side's piece is covered tightly
+    if lo_exact or hi_exact:
+        before = () if lo_exact else lo_cover().tight
+        after = () if hi_exact else hi_cover().tight
+        return [*before, FamilySet(sign, prefix, d_hi + 1 - hi_exact, d_lo - 1 + lo_exact), *after]
 
     # the widths of the d_lo piece and of the middle block, against |U|,
     # decide which pieces are covered tightly; all three are compared in the

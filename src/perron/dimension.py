@@ -414,16 +414,27 @@ def pressure_root(
             u += values(level, get, s)
         return fsum(values(final, get, s)) - 1.0
 
-    lo, hi = 0.0, 1.5
     f_lo = float(bases - 1)  # f(0): every term is 1
     if abs(f_lo) <= tol:
         return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), bases)
-    best = abs(f_lo)
+    s, residual = _bisect(f, 1.5, tol, abs(f_lo))
+    return DimensionEstimate(rank, digit_cap, s, residual, bases)
+
+
+def _bisect(f, hi: float, tol: float, best: float) -> tuple[float, float]:
+    """(s, |f(s)|) for the first bisection midpoint s in [0, hi] with
+    |f(s)| <= tol, f decreasing with f(0) > 0 > f(hi).
+
+    If _MAX_BISECT steps do not reach tol (a tol below float resolution),
+    DomainError names the best residual: the least of best, which the
+    caller has reached already, and the midpoints' residuals.
+    """
+    lo = 0.0
     for _ in range(_MAX_BISECT):
         mid = (lo + hi) / 2
         fm = f(mid)
         if abs(fm) <= tol:
-            return DimensionEstimate(rank, digit_cap, mid, abs(fm), bases)
+            return mid, abs(fm)
         best = min(best, abs(fm))
         if fm > 0:
             lo = mid
@@ -441,7 +452,9 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
     pressure_root on multiplicative digit restrictions): ratios arrive as a
     plain list, terms are evaluated as float(ratio)**s, and the bracket is
     [0, 1].  Requires every ratio in (0, 1) exactly and sum of ratios <= 1
-    (so the root lies in the bracket).
+    (so the root lies in the bracket).  As in pressure_root, tol must be
+    finite and positive, and if the bisection runs out before
+    |sum - 1| <= tol, DomainError names the best residual it reached.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
@@ -458,21 +471,12 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
     def f(s: float) -> float:
         return math.fsum(x**s for x in floats) - 1.0
 
-    if abs(f(0.0)) <= tol:
+    at_0, at_1 = abs(f(0.0)), abs(f(1.0))
+    if at_0 <= tol:
         return 0.0
-    if abs(f(1.0)) <= tol:
+    if at_1 <= tol:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_BISECT):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(f, 1.0, tol, min(at_0, at_1))[0]
 
 
 def measure_at_rank(

@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from perron import CapTooSmallWarning, DigitRule, alternating_digits, cli
+from perron import (
+    CapTooSmallWarning,
+    DigitRule,
+    Sign,
+    TransformKind,
+    alternating_digits,
+    cli,
+    growth_floor,
+    pressure_root,
+    transform_digits,
+    transform_point,
+)
 
 
 def run_cli(capsys, argv, stdin="", env=None, monkeypatch=None):
@@ -182,6 +193,34 @@ def test_transform_point_termination(capsys):
     assert out == '{"digits":[4],"is_point":true,"rank":2}\n'
 
 
+def test_transform_fp_reads_its_system(capsys):
+    kind = TransformKind.fp(DigitRule.engel())
+    code, out, _ = run_cli(
+        capsys, ["transform", "--kind", "fp", "--system", "engel", "--word", "2,3,3"]
+    )
+    assert (code, lines(out)) == (0, [{"digits": list(transform_digits(kind, (2, 3, 3)))}])
+    code, out, _ = run_cli(
+        capsys,
+        ["transform-point", "--kind", "fp", "--system", "engel", "--x", "3/8", "--rank", "3"],
+    )
+    cyl = transform_point(kind, Fraction(3, 8), 3)
+    assert (code, lines(out)) == (
+        0, [{"lo": str(cyl.lo), "hi": str(cyl.hi), "diam": str(cyl.diameter)}]
+    )
+
+
+def test_constant_growth_shape(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["dim", "--system", "engel", "--predicate", "growth:3", "--rank", "2", "--cap", "9"],
+    )
+    est = pressure_root(DigitRule.engel(), Sign.POSITIVE, growth_floor(lambda n: 3), 2, 9, 1e-9)
+    assert (code, lines(out)) == (0, [
+        {"s": est.s_value, "rank": 2, "cap": 9, "residual": est.residual,
+         "bases": est.bases_count}
+    ])
+
+
 def test_dim_fields(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -320,13 +359,18 @@ def test_usage_errors_exit_64(capsys):
         (["expand", "--system", "engel", "--x", "1/2"], "--n"),
         (["expand", "--system", "oppenheim:-1,2", "--x", "1/2", "--n", "3"],
          "oppenheim needs a >= 0"),
+        (["expand", "--system", "oppenheim:1", "--x", "1/2", "--n", "3"],
+         "oppenheim needs two parameters: oppenheim:a,b"),
         (["eval", "--system", "engel", "--word", "2,3", "--sign", "Q"],
          "sign must be P or P-, got 'Q'"),
         (dim + ["ratio-window:nan,0.1"], "alpha and delta must not be NaN"),
         (dim + ["ratio-window:1,-0.1"], "delta must be >= 0"),
+        (dim + ["ratio-window:1"], "ratio-window needs two parameters: ratio-window:a,d"),
         (dim + ["bounded-ratio:0"], "ratio bound must be positive"),
+        (dim + ["growth:x"], "growth shape 'x' not one of: c, n^k, b^n"),
         (dim + ["foo"], "unknown predicate 'foo'"),
         (["moran", "--ratios", "1/2,1/0"], "Fraction(1, 0)"),
+        (["transform", "--kind", "z", "--word", "2,3"], "kind must be fp, t, or g, got 'z'"),
         ([], "required"),
     ):
         code, _, err = run_cli(capsys, argv)
@@ -343,13 +387,18 @@ def test_validity_errors_exit_2(capsys):
 
 
 def test_domain_errors_exit_3(capsys):
-    code, _, err = run_cli(capsys, ["expand", "--system", "engel", "--x", "5/4", "--n", "3"])
-    assert code == 3
-    code, _, err = run_cli(
-        capsys,
-        ["cover", "--system", "luroth", "--sign", "P", "--lo", "1/2", "--hi", "1/3"],
-    )
-    assert code == 3
+    for argv, message in (
+        (["expand", "--system", "engel", "--x", "5/4", "--n", "3"], "outside (0, 1]"),
+        (["cover", "--system", "luroth", "--sign", "P", "--lo", "1/2", "--hi", "1/3"],
+         "empty interval"),
+        # fp reinterprets a rule, so it needs --system; t and g ignore it
+        (["transform", "--kind", "fp", "--word", "2,3"], "fp"),
+        (["transform-point", "--kind", "fp", "--x", "3/8", "--rank", "3"], "fp"),
+        (["moran", "--ratios", "1/25,1/8,1/10,1/25", "--tol", "1e-16"], "best residual"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
 
 
 @pytest.mark.parametrize("alpha", ["nan", "0", "-1"])

@@ -77,6 +77,57 @@ def test_oppenheim_constructor_domain():
         DigitRule.custom(lambda w: 1, phi0=0)
 
 
+class _Index:
+    """An integer-like value: operator.index reads it, and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_non_integer_rule_values_are_validity_errors():
+    # 3/8 has first digit 3; a rule value of 1.5 after it used to feed the
+    # next digit, and alternating_digits returned ISPoint(rank=2)
+    for value in (1.5, Fraction(3, 2), "2"):
+        rule = DigitRule.custom(lambda w, value=value: value)
+        calls = [
+            lambda: alternating_digits(rule, Fraction(3, 8), 4),
+            lambda: positive_digits(rule, Fraction(3, 8), 4),
+            lambda: validate_word(rule, (3, 4)),
+            lambda: cylinder(rule, (3, 4), Sign.POSITIVE),
+            lambda: rule_value(rule, (3,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValidityError, match="after position 1 is not an integer") as exc:
+                call()
+            assert exc.value.index == 1
+
+
+def test_integer_like_rule_values_are_accepted():
+    # what operator.index accepts is an integer rule value
+    rule = DigitRule.custom(lambda w: _Index(w[-1] - 1))
+    x = Fraction(3, 8)
+    assert positive_digits(rule, x, 6) == positive_digits(ENGEL, x, 6)
+    assert cylinder(rule, (3, 4), Sign.ALTERNATING) == cylinder(ENGEL, (3, 4), Sign.ALTERNATING)
+    assert rule_value(DigitRule.custom(lambda w: True), (2,)) == 1
+
+
+def test_rule_parameters_must_be_integers():
+    makers = [
+        lambda: DigitRule.oppenheim(1.5, 0),
+        lambda: DigitRule.oppenheim(1, 0.5),
+        lambda: DigitRule.oppenheim(1, 0, phi0=Fraction(3, 2)),
+        lambda: DigitRule.custom(lambda w: 1, phi0=1.5),
+        lambda: DigitRule("affine", a=Fraction(1, 2), b=1),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError, match="must be an integer"):
+            make()
+    assert DigitRule.oppenheim(_Index(2), _Index(1)) == DigitRule.oppenheim(2, 1)
+
+
 def test_custom_rule_memoizes_per_prefix():
     calls = []
 
@@ -211,6 +262,11 @@ def test_pierce_notation_convert_examples():
     assert pierce_notation_convert([1, 2, 5], "traditional-to-perron") == (2, 3, 6)
     with pytest.raises(ValidityError):
         pierce_notation_convert([2, 2], "perron-to-traditional")
+    # traditional words increase strictly from 1
+    for word, index in (([2, 2], 2), ([0, 3], 1)):
+        with pytest.raises(ValidityError, match="must exceed") as exc:
+            pierce_notation_convert(word, "traditional-to-perron")
+        assert exc.value.index == index
     with pytest.raises(DomainError):
         pierce_notation_convert([2, 3], "sideways")
 

@@ -217,6 +217,26 @@ def test_boundary_cut_outside_cylinder():
     cover_boundary(LUROTH, Sign.POSITIVE, (2,), Fraction(1, 2), TO_SUP)
 
 
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+@pytest.mark.parametrize("prefix", [(3,), (3, 5)], ids=["odd", "even"])
+def test_boundary_cuts_at_and_beyond_the_cylinder_ends(sign, prefix):
+    # FROM_INF takes cuts in (lo, hi] and TO_SUP in [lo, hi): the included
+    # end leaves the whole cylinder as the piece, and the excluded end and
+    # every point outside are DomainErrors that name the admissible range
+    cyl = cylinder(ENGEL_MOD, prefix, sign)
+    lo, hi = cyl.lo, cyl.hi
+    whole = FamilySet(sign, prefix, rule_value(ENGEL_MOD, prefix) + 1, None)
+    step = (hi - lo) / 7
+    for side, included, excluded in ((FROM_INF, hi, lo), (TO_SUP, lo, hi)):
+        cov = cover_boundary(ENGEL_MOD, sign, prefix, included, side)
+        assert cov == BoundaryCover((whole,), whole)
+        span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
+        for cut in (excluded, lo - step, hi + step):
+            with pytest.raises(DomainError) as exc:
+                cover_boundary(ENGEL_MOD, sign, prefix, cut, side)
+            assert str(exc.value) == f"cut {cut} outside {span}"
+
+
 @st.composite
 def boundary_case(draw):
     rule = draw(st.sampled_from(RULES))

@@ -17,6 +17,7 @@ from perron import (
     DimensionEstimate,
     DomainError,
     Sign,
+    ValidityError,
     all_digits,
     alphabet_restrict,
     bounded_ratio,
@@ -28,6 +29,8 @@ from perron import (
     pressure_root,
     ratio_limit_window,
     rule_value,
+    validate_word,
+    word_diameter,
 )
 
 LUROTH = DigitRule.luroth()
@@ -290,6 +293,42 @@ def test_unreachable_tol_is_a_domain_error():
         pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)
 
 
+def test_non_integer_rule_values_are_validity_errors():
+    # these raised AttributeError or TypeError from inside the enumeration
+    rule = DigitRule.custom(lambda w: Fraction(3, 2))
+    calls = [
+        lambda: list(enumerate_compatible_bases(rule, all_digits(), 2, 6)),
+        lambda: pressure_root(rule, Sign.POSITIVE, all_digits(), 2, 6, 1e-9),
+        lambda: measure_at_rank(rule, Sign.ALTERNATING, all_digits(), 2, 6),
+    ]
+    for call in calls:
+        with pytest.raises(ValidityError, match="after position 1 is not an integer") as exc:
+            call()
+        assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("sign", [Sign.POSITIVE, Sign.ALTERNATING])
+def test_degenerate_rule_values_are_pruned(sign):
+    # r = c - 3 drops below 1 on the digits 2 and 3: those words are not
+    # valid, and neither the enumeration nor the state recursion keeps them
+    rule, rank, cap = DigitRule.oppenheim(1, -3), 3, 9
+    words = []
+    for word in itertools.product(range(2, cap + 1), repeat=rank):
+        try:
+            validate_word(rule, word)
+        except ValidityError:
+            continue
+        words.append(word)
+    assert words and len(words) < (cap - 1) ** rank
+    assert list(enumerate_compatible_bases(rule, all_digits(), rank, cap)) == words
+    diameters = [word_diameter(rule, w) for w in words]
+    assert measure_at_rank(rule, sign, all_digits(), rank, cap) == sum(diameters)
+    est = pressure_root(rule, sign, all_digits(), rank, cap, 1e-9)
+    assert est.bases_count == len(words)
+    total = math.fsum(float(d) ** est.s_value for d in diameters)
+    assert abs(total - 1) <= 1e-9 + 1e-12
+
+
 def test_custom_rule_enumeration_never_reevaluates_prefixes():
     calls = []
 
@@ -335,6 +374,17 @@ def test_moran_domain():
         moran_dimension([Fraction(2, 3), Fraction(2, 3)])  # sums above 1
     with pytest.raises(DomainError):
         moran_dimension([Fraction(1, 2)], tol=0.0)
+
+
+def test_moran_unreachable_tol_is_a_domain_error():
+    # bisection on this list stops one float step from the root, where
+    # |sum - 1| is 2.2e-16 > 1e-16; the midpoint used to come back as if
+    # it met tol
+    ratios = [Fraction(1, 25), Fraction(1, 8), Fraction(1, 10), Fraction(1, 25)]
+    with pytest.raises(DomainError, match="not reached in 200 bisection steps; best residual"):
+        moran_dimension(ratios, tol=1e-16)
+    s = moran_dimension(ratios, tol=1e-15)
+    assert abs(math.fsum(float(r) ** s for r in ratios) - 1) <= 1e-15
 
 
 @given(st.integers(2, 40))

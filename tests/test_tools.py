@@ -1,9 +1,12 @@
 """The tools: bench_pairs.py's pair summary on synthetic pairs, and
-code_lines.py's count on a small fixture package."""
+code_lines.py's count and untested_lines.py's list on small fixture
+packages."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,6 +20,7 @@ def _tool(name):
 
 bench_pairs = _tool("bench_pairs")
 code_lines = _tool("code_lines")
+untested_lines = _tool("untested_lines")
 
 OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
 P50 = {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}
@@ -121,3 +125,58 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["     1  a.py", "     7  b.py", "     8  total"]
+
+
+MODULE = '''"""A fixture module."""
+
+
+@staticmethod
+def called(x):
+    """Run by the test."""
+    if (x >
+            0):
+        return x
+    return -x
+
+
+def uncalled():
+    global STATE
+    STATE = 1
+    return STATE
+'''
+
+
+def test_statement_spans_skip_docstrings_and_end_compound_headers_before_the_body():
+    spans = untested_lines.statement_spans(MODULE)
+    # the decorated def from its decorator, the two-line if header, the
+    # simple statements; no docstring and no global declaration
+    assert spans == {
+        4: range(4, 6), 7: range(7, 9), 9: range(9, 10), 10: range(10, 11),
+        13: range(13, 14), 15: range(15, 16), 16: range(16, 17),
+    }
+    assert untested_lines.untested(MODULE, {4, 8, 9}) == [10, 13, 15, 16]
+
+
+def test_untested_lines_lists_what_the_tests_never_run(tmp_path):
+    package = tmp_path / "src" / "fixture"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(MODULE)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from hypothesis import settings\n"
+        "from fixture.mod import called\n\n\n"
+        "def test_called():\n    assert called(2) == 2\n\n\n"
+        "def test_hypothesis_deadlines_are_off():\n    assert settings.default.deadline is None\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "untested_lines.py"),
+         "--package", str(package), "-q", "-p", "no:cacheprovider", str(tests)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = [line for line in proc.stdout.splitlines() if line.startswith("mod.py:")]
+    # the def of uncalled runs on import; its body never does
+    assert report == ["mod.py:10: return -x", "mod.py:15: STATE = 1", "mod.py:16: return STATE"]
+    assert proc.stdout.splitlines()[-1] == "3 untested statement lines: mod 3"
