@@ -37,12 +37,12 @@ in the positive form, an ISPoint in the alternating one), and the next digit
 always comes from one child step (_child).  The same two steps move a
 point's position relative to a frame down one digit: _Frame.relative maps a
 point into a frame once, and the pair is then stepped with a product by
-small integers per level.  Digits are bounded by _MAX_DIGIT_BITS bits
-(2**16): extraction raises DomainError naming the position rather than grow
-one digit past it.  The remainder pair of extraction is carried unreduced,
-like the frame, and reduced only when its denominator has doubled in bits
-since the last reduction, so long expansions pay one gcd per doubling
-rather than one per digit.
+small integers per level.  Every extraction bounds its digits by the one
+fixed _MAX_DIGIT_BITS (2**16 bits): it raises DomainError naming the
+position rather than grow one digit past it.  The remainder pair of
+extraction is carried unreduced, like the frame, and reduced only when its
+denominator has doubled in bits since the last reduction, so long
+expansions pay one gcd per doubling rather than one per digit.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
     after which digits stay minimal.  A digit longer than _MAX_DIGIT_BITS
     bits is a DomainError naming its position.
     """
-    return _digits(rule, _POSITIVE, x, n, _MAX_DIGIT_BITS)
+    return _digits(rule, _POSITIVE, x, n)
 
 
 def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoint:
@@ -410,19 +410,15 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
     ISPoint outcome reports the rank and the digits found so far.  A digit
     longer than _MAX_DIGIT_BITS bits is a DomainError naming its position.
     """
-    return _digits(rule, _ALTERNATING, x, n, _MAX_DIGIT_BITS)
+    return _digits(rule, _ALTERNATING, x, n)
 
 
-def _digits(
-    rule: DigitRule, sign: Sign, x: ExactQ, n: int, max_bits: int
-) -> DigitWord | ISPoint:
-    """The extraction loop of both forms, digits bounded by max_bits bits.
+def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoint:
+    """The extraction loop of both forms, digits bounded by _MAX_DIGIT_BITS bits.
 
     The forms differ only in the domain, the remainder step (_tail) and the
     junction rule: a positive junction is the included supremum of its
-    child, an alternating one is an ISPoint.  verify_cover's endpoint probe
-    passes a bound no smaller than the digits of the prefixes it was given,
-    which are the only digits the probe meets.
+    child, an alternating one is an ISPoint.
 
     The remainder pair (a, b) is carried unreduced and reduced by its gcd
     only once b reaches the square of its value at the last reduction,
@@ -448,10 +444,10 @@ def _digits(
         c, at_junction = _child(r, a, b)
         if at_junction and alternating:
             return ISPoint(rank=i, digits=tuple(digits))
-        if c.bit_length() > max_bits:
+        if c.bit_length() > _MAX_DIGIT_BITS:
             raise DomainError(
                 f"digit at position {i} has {c.bit_length()} bits, beyond the "
-                f"{max_bits}-bit digit bound"
+                f"{_MAX_DIGIT_BITS}-bit digit bound"
             )
         a, b = _tail(sign, r, c, a, b)  # in the tail space again
         if b >= bound:

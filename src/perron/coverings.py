@@ -43,18 +43,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DigitRule,
     DigitWord,
     ExactQ,
-    ISPoint,
     Sign,
     _ALTERNATING,
-    _MAX_DIGIT_BITS,
     _child,
-    _digits,
     _Frame,
     _tail,
 )
@@ -287,12 +284,9 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     while True:
         r, ascending = frame.r, _ascending(sign, frame.word)
         t_lo, t_hi = (u1, u2) if ascending else (u2, u1)
-        lo_at_0, hi_at_1 = t_lo[0] == 0, t_hi[0] == t_hi[1]
-        if lo_at_0 and hi_at_1:
-            return [FamilySet(sign, frame.word, r + 1, None)]
-        if lo_at_0:
+        if t_lo[0] == 0:
             return list(_cover_boundary(sign, frame, t_hi, True).tight)
-        if hi_at_1:
+        if t_hi[0] == t_hi[1]:
             return list(_cover_boundary(sign, frame, t_lo, False).tight)
         d_lo, lo_exact = _child(r, *t_lo)
         d_lo -= lo_exact  # a junction resolves toward U's interior
@@ -447,10 +441,8 @@ def verify_cover(
     sort of the exact hulls plus one greedy pass (_chains_across).
     Positive targets (x1, x2] are covered iff the half-open hulls chain
     across them.  Alternating targets are open intervals covered modulo
-    endpoint-set points: the pass may cross a stall point only when
-    alternating_digits certifies it as such.  The probe meets only the
-    digits of the sets' prefixes, so its digit bound is the longer of
-    _MAX_DIGIT_BITS and the longest of those.  Cost is sum |hull|**alpha in
+    endpoint-set points, and abutting open hulls meet at a cylinder
+    endpoint, so the same pass decides them.  Cost is sum |hull|**alpha in
     floating point (math.fsum of exact-diameter floats); coverage and
     diameters are exact.
     """
@@ -479,40 +471,26 @@ def verify_cover(
     spans = [_hull_ends(_check_range(frame_of(fs.prefix), fs), fs) for fs in sets]
     diameters = [hi - lo for lo, hi in spans]
     cost = math.fsum(float(d) ** alpha for d in diameters)
-    # hull endpoints are cylinder endpoints of rank <= len(prefix) + 1, so
-    # an endpoint probe terminates within this many digits, and the digits
-    # it meets are those of the prefixes (each the last digit of a frame)
-    depth = max(len(fs.prefix) for fs in sets) + 2
-    bits = max([_MAX_DIGIT_BITS] + [w[-1].bit_length() for w in frames if w])
-
-    def crossable(x: ExactQ) -> bool:
-        return isinstance(_digits(rule, _ALTERNATING, x, depth, bits), ISPoint)
-
-    covers = _chains_across(U, spans, None if sign is Sign.POSITIVE else crossable)
-    return CoverReport(covers, max(diameters), cost)
+    return CoverReport(_chains_across(U, spans), max(diameters), cost)
 
 
-def _chains_across(
-    U: QInterval,
-    spans: list[tuple[ExactQ, ExactQ]],
-    crossable: Callable[[ExactQ], bool] | None,
-) -> bool:
+def _chains_across(U: QInterval, spans: list[tuple[ExactQ, ExactQ]]) -> bool:
     """Whether the hulls (lo, hi) in spans chain across U.
 
     One greedy pass over the hulls sorted by (lo, hi), with reach the
-    furthest hi so far: a hull starting past reach leaves a gap.  A hull
-    starting at reach continues the chain when reach is covered: always for
-    half-open positive hulls (crossable None) and at U.lo, which U excludes;
-    for open alternating hulls, whose earlier hulls all end at or before
-    reach, only when crossable(reach) certifies an endpoint-set point.
+    furthest hi so far: a hull starting past reach leaves a gap, and one
+    starting at reach continues the chain, for both signs.  At U.lo, which
+    U excludes, nothing is missed.  Past it, a positive reach is held by
+    the earlier half-open hull that ends there.  An alternating reach lies
+    inside (U.lo, U.hi), so inside (0, 1), and is some hull's endpoint
+    off + sc*r/c: a cylinder endpoint, which has no alternating expansion,
+    so the open hulls meeting there miss only an endpoint-set point.
     """
     reach = U.lo
     for lo, hi in sorted(spans):
         if reach >= U.hi:
             break
-        if lo > reach or (
-            lo == reach and reach != U.lo and crossable is not None and not crossable(reach)
-        ):
+        if lo > reach:
             return False
         reach = max(reach, hi)
     return reach >= U.hi

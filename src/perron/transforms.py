@@ -37,7 +37,6 @@ from .core import (
     ExactQ,
     ISPoint,
     Sign,
-    _MAX_DIGIT_BITS,
     _digits,
     cylinder,
     validate_word,
@@ -126,7 +125,7 @@ def transform_point(
     if rank < 1:
         raise DomainError("rank must be >= 1")
     source, source_sign, target, target_sign, shift = _spec(kind)
-    outcome = _digits(source, source_sign, x, rank, _MAX_DIGIT_BITS)
+    outcome = _digits(source, source_sign, x, rank)
     if isinstance(outcome, ISPoint):
         return ISPoint(rank=outcome.rank, digits=_image(shift, outcome.digits))
     return cylinder(target, _image(shift, outcome), target_sign)

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from perron import (
     validate_word,
     word_diameter,
 )
+from perron import core
 from perron.core import _MAX_DIGIT_BITS, _digits
 
 LUROTH = DigitRule.luroth()
@@ -242,6 +244,9 @@ def test_contains_respects_openness():
     assert not alt.contains(Fraction(1, 2))
     assert not alt.contains(Fraction(1))
     assert alt.contains(Fraction(3, 4))
+    for c in (cyl, alt):  # points below lo and above hi, both signs
+        for x in (c.lo - c.diameter, c.lo - c.diameter / 1000, c.hi + c.diameter / 1000):
+            assert not c.contains(x)
 
 
 def test_empty_word_rejected():
@@ -514,8 +519,11 @@ def _extract_reducing_every_step(rule, sign, x, n, max_bits):
 
 
 def _extract(rule, sign, x, n, max_bits):
+    """_digits with its digit bound set to max_bits; an error as (type,
+    message or index)."""
     try:
-        return _digits(rule, sign, x, n, max_bits)
+        with mock.patch.object(core, "_MAX_DIGIT_BITS", max_bits):
+            return _digits(rule, sign, x, n)
     except DomainError as exc:
         return DomainError, str(exc)
     except ValidityError as exc:
@@ -539,7 +547,7 @@ def _extract(rule, sign, x, n, max_bits):
 def test_amortized_extraction_matches_reducing_every_step(rule, sign, pq, n, max_bits):
     """Digits, ISPoint rank and digits, and the position of the digit-bound
     or rule-value error are those of the loop that reduces every step, at
-    the public bound and at the larger bounds the endpoint probe passes."""
+    the public bound and at smaller and larger ones."""
     p, q = pq
     if sign is Sign.ALTERNATING and p == q:
         p = q - 1

@@ -510,6 +510,17 @@ def test_split_parameters_far_beyond_linear_search():
         split_parameters(float("nan"), 0.5)
 
 
+def test_split_parameters_steps_down_from_an_overshooting_guess():
+    # the closed-form guess floor(bound**(1/alpha)) is 4065864416048191
+    # here, which float rounding puts 9 above the minimal s
+    alpha, eps = 0.7128828351944042, 7.455947326874669e-12
+    assert int((1 + 1 / eps) ** (1 / alpha)) == 4065864416048191
+    s = split_parameters(alpha, eps)
+    assert s == 4065864416048182
+    assert s**alpha > 1 + 1 / eps
+    assert (s - 1) ** alpha <= 1 + 1 / eps
+
+
 def test_split_requires_unbounded_set():
     with pytest.raises(DomainError):
         next(split_to_finite(ENGEL, FamilySet(Sign.POSITIVE, (), 2, 9), 1.0, 1.0))
@@ -662,9 +673,9 @@ def test_verify_rejects_mixed_signs():
 @pytest.mark.parametrize("prefix", [(2**70000,), (3, 2**70000)], ids=["1", "2"])
 @pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
 def test_covers_under_digits_past_the_extraction_bound_verify(sign, prefix):
-    # a cover inside the cylinder of a 70001-bit digit: the endpoint probe
-    # at its stall points meets that digit, which the sets themselves
-    # supply, so the bound digit extraction applies must not stop it
+    # a cover inside the cylinder of a 70001-bit digit: verify_cover reads
+    # that digit only from the sets' own prefixes, so the bound digit
+    # extraction applies must not stop it
     cyl = cylinder(LUROTH, prefix, sign)
     w = cyl.hi - cyl.lo
     U = interval_for(sign, cyl.lo + w / 7, cyl.lo + 5 * w / 7)
@@ -789,6 +800,32 @@ def set_list_case(draw):
 def test_one_pass_verify_matches_rescanning_sweep(case, alpha):
     rule, U, sets = case
     assert verify_cover(rule, U, sets, alpha) == verify_cover_oracle(rule, U, sets, alpha)
+
+
+@st.composite
+def alternating_set_case(draw):
+    """One alternating set under a prefix of depth up to 90, drawn as in
+    set_list_case: the whole cylinder (start r+1, unbounded), a tail from a
+    later digit, or a bounded run."""
+    rule = draw(st.sampled_from(RULES + [PARITY]))
+    q = draw(st.integers(2, 10**4))
+    prefix = positive_digits(rule, Fraction(draw(st.integers(1, q)), q), draw(st.integers(0, 90)))
+    start = rule_value(rule, prefix) + 1 + draw(st.sampled_from([0, 0, 1, 2, 5, 100]))
+    end = draw(st.one_of(st.none(), st.integers(start, start + 12)))
+    return rule, FamilySet(Sign.ALTERNATING, prefix, start, end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alternating_set_case())
+def test_alternating_hull_endpoints_are_cylinder_endpoints(case):
+    """What lets verify_cover chain abutting open hulls without a check:
+    every hull endpoint inside (0, 1) is a cylinder endpoint of rank at most
+    len(prefix) + 1, so it has no alternating expansion."""
+    rule, fs = case
+    hull = family_set_hull(rule, fs)
+    for x in (hull.lo, hull.hi):
+        if 0 < x < 1:
+            assert isinstance(alternating_digits(rule, x, len(fs.prefix) + 2), ISPoint)
 
 
 @pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])

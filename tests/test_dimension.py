@@ -181,6 +181,12 @@ def test_predicate_constructors_validate():
         alphabet_restrict([2.5, 3])
 
 
+def test_predicates_repr_their_description():
+    assert repr(DigitPredicate(lambda w: True, "opaque")) == "DigitPredicate(opaque)"
+    assert repr(bounded_ratio(2)) == "DigitPredicate(ratio<=2)"
+    assert repr(alphabet_restrict([2, 3])) == "DigitPredicate(alphabet[2, 3])"
+
+
 def test_bounded_ratio_enumeration():
     words = list(enumerate_compatible_bases(LUROTH, bounded_ratio(Fraction(3, 2)), 2, 6))
     brute = [(a, b) for a in range(2, 7) for b in range(2, 7) if 2 * b <= 3 * a]

@@ -143,13 +143,18 @@ def uncalled():
     global STATE
     STATE = 1
     return STATE
+
+
+if __name__ == "__main__":
+    uncalled()
 '''
 
 
 def test_statement_spans_skip_docstrings_and_end_compound_headers_before_the_body():
     spans = untested_lines.statement_spans(MODULE)
     # the decorated def from its decorator, the two-line if header, the
-    # simple statements; no docstring and no global declaration
+    # simple statements; no docstring, no global declaration and no main
+    # guard
     assert spans == {
         4: range(4, 6), 7: range(7, 9), 9: range(9, 10), 10: range(10, 11),
         13: range(13, 14), 15: range(15, 16), 16: range(16, 17),
@@ -177,6 +182,7 @@ def test_untested_lines_lists_what_the_tests_never_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = [line for line in proc.stdout.splitlines() if line.startswith("mod.py:")]
-    # the def of uncalled runs on import; its body never does
+    # the def of uncalled runs on import; its body never does, and the
+    # main guard, which an imported module never enters, is not listed
     assert report == ["mod.py:10: return -x", "mod.py:15: STATE = 1", "mod.py:16: return STATE"]
     assert proc.stdout.splitlines()[-1] == "3 untested statement lines: mod 3"

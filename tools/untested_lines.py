@@ -8,7 +8,9 @@ src/perron of the repository this script belongs to; its parent directory
 goes first on sys.path).  A statement counts as run when any line of it ran:
 the whole of a simple statement, the header of a compound one (its lines
 before the body).  Docstrings and global/nonlocal declarations, which
-compile to no code, are not statements here.  Hypothesis deadlines are
+compile to no code, are not statements here, and neither is a module's
+`if __name__ == "__main__":` block, which no test run in this process can
+enter (coverage tools skip it by default too).  Hypothesis deadlines are
 turned off, since tracing slows every example.  PYTEST_ARGS default to the
 repository's tests without tests/test_acceptance.py.
 
@@ -28,23 +30,30 @@ DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"),
                 "--ignore", os.path.join(ROOT, "tests", "test_acceptance.py")]
 BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 NO_CODE = (ast.Global, ast.Nonlocal)
+MAIN_GUARD = "__name__ == '__main__'"  # as ast.unparse spells the test
 
 
 def statement_spans(source: str) -> dict[int, range]:
     """The lines of each statement of source, keyed by its first line.
 
     A compound statement's span ends before its body; decorators belong to
-    the statement they decorate.
+    the statement they decorate.  A top-level main guard has no span.
     """
     tree = ast.parse(source)
-    docstrings = {
+    skipped = {
         id(node.body[0])
         for node in ast.walk(tree)
         if isinstance(node, BODIES) and node.body and _is_docstring(node.body[0])
     }
+    skipped.update(
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == MAIN_GUARD
+        for inner in ast.walk(node)
+    )
     spans = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, NO_CODE) or id(node) in docstrings:
+        if not isinstance(node, ast.stmt) or isinstance(node, NO_CODE) or id(node) in skipped:
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         body = getattr(node, "body", None)
