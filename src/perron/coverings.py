@@ -25,9 +25,9 @@ the side the children accumulate toward, or high (u, 1], on the first
 child's side; only the public cover_boundary reads an absolute side
 (FROM_INF, TO_SUP) and turns it into a relative one.
 Relative positions are unreduced integer pairs, so the descent compares by
-cross-multiplication; Fractions are formed only for hull endpoints and for
-the piece widths that choose between covers.  The descent runs on the two
-steps of digit extraction: each endpoint is mapped into a frame once
+cross-multiplication; Fractions are formed only for the piece widths that
+choose between covers.  The descent runs on the two steps of digit
+extraction: each endpoint is mapped into a frame once
 (core._Frame.relative), each level reads the endpoints' children with the
 extraction's child step (core._child) and steps both pairs down one digit
 with its remainder step (core._tail), so a level costs products by small
@@ -36,6 +36,10 @@ frames without affine arithmetic; the orientation is the rank's parity.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
 both sides alike, so it is never formed.
+verify_cover works in one frame too, that of the sets' longest common
+prefix: the hull endpoints are small Fractions in its tail coordinates,
+U's ends are unreduced pairs in it, and the one diameter formed at full
+scale is the widest.
 """
 
 from __future__ import annotations
@@ -436,15 +440,23 @@ def verify_cover(
     The sets must share one sign, alpha must be > 0, and U must follow that
     sign's conventions as in cover_interval: positive targets are half-open
     (x1, x2] inside (0, 1], alternating ones open inside (0, 1)
-    (DomainError otherwise).  Each distinct prefix is walked once: its
-    frame extends the longest one already built in this call by child().  Coverage is one
-    sort of the exact hulls plus one greedy pass (_chains_across).
-    Positive targets (x1, x2] are covered iff the half-open hulls chain
-    across them.  Alternating targets are open intervals covered modulo
-    endpoint-set points, and abutting open hulls meet at a cylinder
-    endpoint, so the same pass decides them.  Cost is sum |hull|**alpha in
-    floating point (math.fsum of exact-diameter floats); coverage and
-    diameters are exact.
+    (DomainError otherwise).  Everything runs in the frame of the sets'
+    longest common prefix P (the root frame when P is empty).  P's affine
+    frame is walked once; each set's prefix is framed relative to it (P's
+    frame with off = 0, sc = 1 and den = 1, extended by child(), each
+    distinct prefix once), so every hull endpoint is a small Fraction in
+    P's tail coordinates.  Coverage is one sort of these relative hulls plus
+    one greedy pass (_chains_across), which maps U's ends into P's frame
+    once as unreduced integer pairs, swapped when P's sc is negative (an
+    odd-length alternating P).  Positive targets (x1, x2] are covered iff
+    the half-open hulls chain across them.  Alternating targets are open
+    intervals covered modulo endpoint-set points, and abutting open hulls
+    meet at a cylinder endpoint, so the same pass decides them.  Each
+    diameter is |sc| of P times a small relative width w, so max_diameter
+    is the one Fraction formed at P's scale, from the widest hull, and each
+    cost term is (|sc_num|*w.num / (den*w.den))**alpha: int true division
+    rounds the exact diameter correctly, as float() of its Fraction does,
+    and math.fsum adds the terms.  Coverage and diameters are exact.
     """
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -456,7 +468,12 @@ def verify_cover(
         return CoverReport(False, Fraction(0), 0.0)
     (sign,) = signs
     _interval_conventions(sign, U)
-    frames = {(): _Frame.walk(rule, sign, ())}  # each prefix built so far
+    common = sets[0].prefix
+    for fs in sets:
+        while fs.prefix[: len(common)] != common:
+            common = common[:-1]
+    base = _Frame.walk(rule, sign, common)
+    frames = {common: base._replace(off_num=0, sc_num=1, den=1)}  # relative to base
 
     def frame_of(prefix: DigitWord) -> _Frame:
         k = len(prefix)
@@ -469,28 +486,40 @@ def verify_cover(
         return frame
 
     spans = [_hull_ends(_check_range(frame_of(fs.prefix), fs), fs) for fs in sets]
-    diameters = [hi - lo for lo, hi in spans]
-    cost = math.fsum(float(d) ** alpha for d in diameters)
-    return CoverReport(_chains_across(U, spans), max(diameters), cost)
+    widths = [hi - lo for lo, hi in spans]
+    sc, den = abs(base.sc_num), base.den
+    cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)
+    w = max(widths)
+    covers = _chains_across(base, U, spans)
+    return CoverReport(covers, Fraction(sc * w.numerator, den * w.denominator), cost)
 
 
-def _chains_across(U: QInterval, spans: list[tuple[ExactQ, ExactQ]]) -> bool:
-    """Whether the hulls (lo, hi) in spans chain across U.
+def _chains_across(frame: _Frame, U: QInterval, spans: list[tuple[ExactQ, ExactQ]]) -> bool:
+    """Whether the hulls in spans, given in frame's tail coordinates, chain
+    across U.
 
-    One greedy pass over the hulls sorted by (lo, hi), with reach the
-    furthest hi so far: a hull starting past reach leaves a gap, and one
-    starting at reach continues the chain, for both signs.  At U.lo, which
+    U's ends are mapped into the frame once (relative()) and stay unreduced
+    pairs (num, den), den > 0, compared with the hulls' small Fraction ends
+    by cross-multiplication; when frame's sc is negative the map reverses
+    the line, so the ends swap.  The pass asks whether the closed hulls
+    cover the closed target, which reads the same mirrored.  It is one
+    greedy pass over the hulls sorted by (lo, hi), with reach the furthest
+    hull end so far, that stops once reach passes U.hi: a hull starting
+    past reach leaves a gap, and one starting at reach continues the chain,
+    for both signs.  At U.lo, which
     U excludes, nothing is missed.  Past it, a positive reach is held by
     the earlier half-open hull that ends there.  An alternating reach lies
     inside (U.lo, U.hi), so inside (0, 1), and is some hull's endpoint
     off + sc*r/c: a cylinder endpoint, which has no alternating expansion,
     so the open hulls meeting there miss only an endpoint-set point.
     """
-    reach = U.lo
-    for lo, hi in sorted(spans):
-        if reach >= U.hi:
-            break
-        if lo > reach:
+    ends = frame.relative(U.lo), frame.relative(U.hi)
+    (rn, rd), (hn, hd) = ends if frame.sc_num > 0 else ends[::-1]
+    for a, b in sorted(spans):
+        if a.numerator * rd > rn * a.denominator:
             return False
-        reach = max(reach, hi)
-    return reach >= U.hi
+        if b.numerator * rd > rn * b.denominator:
+            rn, rd = b.numerator, b.denominator
+            if rn * hd >= hn * rd:
+                return True
+    return False

@@ -802,6 +802,174 @@ def test_one_pass_verify_matches_rescanning_sweep(case, alpha):
     assert verify_cover(rule, U, sets, alpha) == verify_cover_oracle(rule, U, sets, alpha)
 
 
+def _outcome(f, *args):
+    """f(*args), or the type, text and index of the error it raises."""
+    try:
+        return f(*args)
+    except (DomainError, ValidityError) as e:
+        return type(e), str(e), getattr(e, "index", None)
+
+
+@st.composite
+def split_prefix_case(draw):
+    """Single-sign sets under two or more distinct children of a prefix P of
+    depth up to 60 (often 0, and odd or even), each set one or two digits
+    further down, so that P is the sets' longest common prefix and shorter
+    than every set's prefix.  Children are mostly consecutive and the sets
+    often whole cylinders, so hulls abut across the children; U spans hull
+    endpoints or points between them."""
+    rule = draw(st.sampled_from(RULES + [PARITY]))
+    sign = draw(st.sampled_from(SIGNS))
+    q = draw(st.integers(2, 10**4))
+    depth = draw(st.one_of(st.just(0), st.integers(0, 60)))
+    common = positive_digits(rule, Fraction(draw(st.integers(1, q)), q), depth)
+    c = rule_value(rule, common) + 1 + draw(st.integers(0, 3))
+    sets = []
+    for step in draw(st.lists(st.sampled_from([0, 1, 1, 1, 2]), min_size=1, max_size=4)):
+        word = common + (c,)
+        for _ in range(draw(st.integers(0, 2))):
+            word += (rule_value(rule, word) + 1 + draw(st.sampled_from([0, 0, 1, 3])),)
+        start = rule_value(rule, word) + 1 + draw(st.sampled_from([0, 0, 0, 1, 4]))
+        end = draw(st.one_of(st.none(), st.none(), st.integers(start, start + 6)))
+        sets.append(FamilySet(sign, word, start, end))
+        c += step
+    sets.append(FamilySet(sign, common + (c + 1,), rule_value(rule, common + (c + 1,)) + 1, None))
+    sets = draw(st.permutations(sets))
+
+    hulls = [family_set_hull(rule, fs) for fs in sets]
+    ends = sorted({h.lo for h in hulls} | {h.hi for h in hulls})
+    points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    lo, hi = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        lo, hi = ends[0], ends[-1]
+    return rule, interval_for(sign, lo, hi), common, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_prefix_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+def test_verify_under_split_prefixes_matches_rescanning_sweep(case, alpha):
+    rule, U, common, sets = case
+    assert all(fs.prefix[: len(common)] == common for fs in sets)
+    assert len({fs.prefix[len(common)] for fs in sets}) >= 2  # common is the longest
+    report = verify_cover(rule, U, sets, alpha)
+    expected = verify_cover_oracle(rule, U, sets, alpha)
+    assert report == expected
+    assert report.cost.hex() == expected.cost.hex()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+def test_verify_chains_across_children_of_the_common_prefix(rule, sign, depth):
+    # whole cylinders of three consecutive children of P chain across their
+    # union; an odd-length alternating P reverses P's frame, so U's ends
+    # swap there, and a missing middle child is a gap in either frame
+    common = positive_digits(rule, Fraction(5, 7), depth)
+    first = rule_value(rule, common) + 1
+    sets = []
+    for c in (first, first + 1, first + 2):
+        word = common + (c,)
+        sets.append(FamilySet(sign, word, rule_value(rule, word) + 1, None))
+    union = family_set_hull(rule, FamilySet(sign, common, first, first + 2))
+    U = interval_for(sign, union.lo, union.hi)
+    inner = interval_for(sign, union.lo + union.diameter / 5, union.hi - union.diameter / 5)
+    for target in (U, inner):
+        report = verify_cover(rule, target, sets, 0.5)
+        assert report.covers
+        assert report == verify_cover_oracle(rule, target, sets, 0.5)
+        for i in range(3):
+            rest = sets[:i] + sets[i + 1 :]
+            expected = verify_cover_oracle(rule, target, rest, 0.5)
+            assert verify_cover(rule, target, rest, 0.5) == expected
+        assert not verify_cover(rule, target, [sets[0], sets[2]], 0.5).covers
+
+
+def _invalid(draw, rule, fs):
+    """fs with a bad digit somewhere in its prefix, a start below r+1, or an
+    end below its start."""
+    kind = draw(st.sampled_from(["digit", "start", "end"]))
+    if kind == "digit":
+        j = draw(st.integers(0, len(fs.prefix) - 1))
+        bad = draw(st.sampled_from([1, rule_value(rule, fs.prefix[:j]), "x"]))
+        return FamilySet(fs.sign, fs.prefix[:j] + (bad,) + fs.prefix[j + 1 :], fs.start, fs.end)
+    if kind == "start":
+        start = draw(st.integers(0, rule_value(rule, fs.prefix)))
+        return FamilySet(fs.sign, fs.prefix, start, fs.end)
+    return FamilySet(fs.sign, fs.prefix, fs.start, fs.start - draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_prefix_case(), st.data())
+def test_verify_rejects_invalid_members_as_the_rescanning_sweep(case, data):
+    """Invalid members raise what walking each set from the root raises,
+    the first invalid set in order deciding: a bad digit deep inside one
+    prefix, a start below r+1, or an end below the start."""
+    rule, U, _, sets = case
+    positions = st.integers(0, len(sets) - 1)
+    for i in data.draw(st.lists(positions, min_size=1, max_size=2, unique=True)):
+        sets = sets[:i] + [_invalid(data.draw, rule, sets[i])] + sets[i + 1 :]
+    got = _outcome(verify_cover, rule, U, sets, 1.0)
+    assert got[0] is ValidityError
+    assert got == _outcome(verify_cover_oracle, rule, U, sets, 1.0)
+    # a mixed sign is rejected first, and an empty list is not a cover
+    fs = sets[0]
+    other = Sign.POSITIVE if fs.sign is Sign.ALTERNATING else Sign.ALTERNATING
+    mixed = sets + [FamilySet(other, fs.prefix, fs.start, fs.end)]
+    assert _outcome(verify_cover, rule, U, mixed, 1.0) == (
+        DomainError, "the sets of a cover must all have one sign", None,
+    )
+    assert verify_cover(rule, U, [], 1.0) == CoverReport(False, Fraction(0), 0.0)
+
+
+def test_verify_rejects_invalid_members_with_the_same_messages():
+    # frozen: the messages and indices raised before verify_cover worked in
+    # the common prefix's frame, for bad digits beyond it and inside it
+    def fs(prefix, start, end=None):
+        return FamilySet(Sign.POSITIVE, prefix, start, end)
+
+    U = QInterval(Fraction(1, 8), Fraction(1, 3), False, True)
+    sets = [fs((2, 4), 6), fs((2, 5), 7, 9)]
+    cases = [
+        ([*sets, fs((2, 1, 3), 5)], "digit 1 at position 2 violates c >= 3", 2),
+        ([fs((2, 2, 9), 5), *sets], "digit 2 at position 2 violates c >= 3", 2),
+        ([*sets, fs((2, 4, 4), 6)], "digit 4 at position 3 violates c >= 5", 3),
+        ([*sets, fs((2, 6), 4)], "start 4 below first admissible digit 7", None),
+        ([*sets, fs((2, 6), 9, 8)], "end 8 below start 9", None),
+        ([fs((2, "x"), 9, 8), *sets], "digit 'x' at position 2 violates c >= 3", 2),
+        ([fs((1, 4), 6), fs((1, 5), 7, 9)], "digit 1 at position 1 violates c >= 2", 1),
+        ([fs((2, 6), 4), fs((2, 1, 3), 5)], "start 4 below first admissible digit 7", None),
+    ]
+    for members, message, index in cases:
+        expected = (ValidityError, message, index)
+        assert _outcome(verify_cover, PIERCE, U, members, 1.0) == expected
+        assert _outcome(verify_cover_oracle, PIERCE, U, members, 1.0) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+def test_verify_cost_is_bit_identical_in_the_underflow_regime(sign, alpha):
+    # pierce blocks under a prefix whose cylinder is 1/(2(c-1)c), about
+    # 2**-999, wide: block diameters fall by a factor of 5 or more, through
+    # the subnormal range and below 2**-1075, where float() of the diameter
+    # is 0.0
+    c = 2**499
+    prefix = (2, 3, c)
+    assert cylinder(PIERCE, prefix, sign).diameter == Fraction(1, 2 * (c - 1) * c)
+    fs = FamilySet(sign, prefix, c + 2, None)
+    blocks = list(itertools.islice(split_to_finite(PIERCE, fs, 1.0, 0.5), 60))
+    diameters = [family_set_hull(PIERCE, b).diameter for b in blocks]
+    assert any(0 < float(d) < 2.0**-1022 for d in diameters)
+    assert any(d < Fraction(2) ** -1075 for d in diameters)
+    U = family_set_hull(PIERCE, FamilySet(sign, prefix, fs.start, blocks[-1].end))
+    for sets, covers in ((blocks, True), (blocks[::-1], True), (blocks[20:], False)):
+        report = verify_cover(PIERCE, U, sets, alpha)
+        hulls = [family_set_hull(PIERCE, b) for b in sets]
+        expected = math.fsum(float(h.diameter) ** alpha for h in hulls)
+        assert report.cost.hex() == expected.hex()
+        assert report.max_diameter == max(h.diameter for h in hulls)
+        assert report.covers == covers
+
+
 @st.composite
 def alternating_set_case(draw):
     """One alternating set under a prefix of depth up to 90, drawn as in
@@ -828,18 +996,22 @@ def test_alternating_hull_endpoints_are_cylinder_endpoints(case):
             assert isinstance(alternating_digits(rule, x, len(fs.prefix) + 2), ISPoint)
 
 
-@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
-def test_verify_scales_to_thousands_of_split_blocks(sign):
+@pytest.mark.parametrize(
+    "rule, sign",
+    [(rule, sign) for rule in (LUROTH, ENGEL) for sign in SIGNS],
+    ids=["P", "A", "engel-P", "engel-A"],  # the luroth ids predate engel
+)
+def test_verify_scales_to_thousands_of_split_blocks(rule, sign):
     # the blocks chain across the hull of their union; the rescanning sweep
     # took minutes here, since every advance of reach rescanned all hulls
     fs = FamilySet(sign, (3,), 5, None)
-    blocks = list(itertools.islice(split_to_finite(LUROTH, fs, 1.0, 0.5), 4000))
-    U = family_set_hull(LUROTH, FamilySet(sign, (3,), 5, blocks[-1].end))
+    blocks = list(itertools.islice(split_to_finite(rule, fs, 1.0, 0.5), 4000))
+    U = family_set_hull(rule, FamilySet(sign, (3,), 5, blocks[-1].end))
     began = time.perf_counter()
-    report = verify_cover(LUROTH, U, blocks, 1.0)
+    report = verify_cover(rule, U, blocks, 1.0)
     elapsed = time.perf_counter() - began
     assert report.covers
-    assert report.max_diameter == family_set_hull(LUROTH, blocks[0]).diameter
+    assert report.max_diameter == family_set_hull(rule, blocks[0]).diameter
     assert elapsed < 10.0
 
 
