@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _MAX_BISECT = 200
+_MAX_WORD_STATES = 1 << 19  # states of one word-keyed level in _levels
+_ROUND = 10 * 2.0**-53  # rounding allowance of one line test (_line)
 
 
 class DigitPredicate:
@@ -220,6 +222,12 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     digit of some compatible prefix, CapTooSmallWarning names the first
     1-based position where it does and how many compatible prefixes it cuts
     off there, raised at the given stacklevel once the levels are built.
+
+    A word-keyed level may hold at most _MAX_WORD_STATES states; past that
+    it is a DomainError naming the level and the states it reached, so one
+    level costs at most that many words times the cap in candidate tests.
+    The largest word-keyed level of the benchmark's pressure pools is 808
+    states and that of the tests 3375, far below the bound.
     """
     _check_rank_cap(rule, rank, digit_cap)
     alphabet, floor, admits = predicate._alphabet, predicate._floor, predicate._admits
@@ -265,6 +273,10 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                     t_word.append(child)
             if cuts or floor and not admitted:
                 cut_count += counts[i]
+            if not merge and len(t_src) > _MAX_WORD_STATES:
+                raise DomainError(
+                    f"level {n} has {len(t_src)} word-keyed states, more than the "
+                    f"{_MAX_WORD_STATES} allowed")
         if warning is None and cut_count:  # the first position the cap cuts
             warning = CapTooSmallWarning(
                 f"digit_cap {digit_cap} excludes all digits at position {n}, "
@@ -350,6 +362,15 @@ class DimensionEstimate:
     exists (for an empty base set s = 0 is reported by convention and the
     residual is the honest 1.0), and its last bits depend on the order of
     float operations in the sum.
+
+    s_value is the first midpoint of the plain bisection of [0, 1.5] whose
+    computed residual is within tol, although pressure_root evaluates only
+    the midpoints it cannot settle from the sum's convexity.  The sum as
+    computed is within a proven bound E of the exact one (see
+    pressure_root), so where the bisection's last bracket [lo, hi] has
+    f(lo) > E and f(hi) < -E (f = sum - 1, as computed) it encloses the
+    exact root of the rank-k, capped sum: an approximant at this rank and
+    cap, not the dimension of the limit set.
     """
 
     rank: int
@@ -385,9 +406,24 @@ def pressure_root(
     grows with rank times the cap squared, not with the number of bases.
     The diameter r_0...r_{k-1} / prod (c_i - 1)c_i does not depend on the
     sign (the equal-diameter law), so the positive and alternating
-    estimates agree bit for bit.  tol must be finite and positive; if the
-    bisection runs out before |sum - 1| <= tol (a tol below float
-    resolution), DomainError names the best residual it reached.
+    estimates agree bit for bit.
+
+    The bisection is certified (_convex_bisect).  f(s) = sum - 1 is convex
+    and decreasing in s, so the points evaluated so far bound f at the next
+    midpoint: from above by the chord between the nearest on either side,
+    from below by the secant through the two nearest on one side, extended;
+    f(0) = bases - 1 counts among them without a call.  A midpoint is
+    evaluated only when those bounds, widened by the proven bound
+    E = eps (1 + |f|) on the rounding of f (_sum_error: eps is about
+    2^-48 (3k ln C + 3k + 3) at rank k and cap C, relative to the sum
+    f + 1), leave |f| <= tol possible there; any other takes the branch
+    the plain bisection's evaluation would.  So s and residual keep the
+    plain bisection's bits, from about a third of its f calls.
+
+    tol must be finite and positive; if the bisection stalls or runs out
+    before |sum - 1| <= tol (a tol below float resolution), the plain
+    bisection runs in full and its DomainError names the best residual
+    over all its midpoints.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
@@ -417,8 +453,126 @@ def pressure_root(
     f_lo = float(bases - 1)  # f(0): every term is 1
     if abs(f_lo) <= tol:
         return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), bases)
-    s, residual = _bisect(f, 1.5, tol, abs(f_lo))
+    s, residual = _convex_bisect(f, 1.5, tol, f_lo, _sum_error(rank, digit_cap))
     return DimensionEstimate(rank, digit_cap, s, residual, bases)
+
+
+def _sum_error(rank: int, digit_cap: int) -> float:
+    """eps with |f(s) - F(s)| <= eps (1 + |f(s)|) for s in [0, 1.5]: f is
+    pressure_root's computed sum minus 1, F the exact one.
+
+    Assumed: binary64 arithmetic rounding to nearest, u = 2^-53; math.log
+    and math.exp within one ulp (relative error <= 2u) at normal results;
+    math.fsum correctly rounded; an int below 2^1024 converted to float
+    correctly rounded inside math.log (as CPython does).
+
+    Size.  Let k = rank, C = digit_cap and L = 3k ln C.  The weights
+    (num, den) on the path of a rank-k word, counting the root's phi_0,
+    split its diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i: each
+    digit's factor lies in exactly one of them.  A word exists only if
+    phi_0 < c_1 and every r_i < c_{i+1} <= C, so the logs of all the nums
+    and dens on a path sum to at most (1 + (k - 1) + 2k) ln C = L.
+
+    Range.  A partial product of a path lies in [C^-2k, C^2] and a weight
+    num/den in [C^-2k, C^k]; both are raised to s <= 1.5, and a state value
+    sums at most C^k partial products.  So every exp, product and sum f
+    forms lies in [e^-L, e^(4L/3)].  While L <= 500 all
+    are normal doubles, so every rounding is relative and no term
+    underflows: the absolute (underflow) part of the bound is 0.  Beyond
+    that eps is infinite and every midpoint is evaluated.
+
+    Exponents.  Each num and den is below e^L < 2^1024, so math.log(n) is
+    off ln n by at most 1.01u + 2u(ln n + 1.01u) <= 2u(ln n + 1) (the
+    conversion, then log), and a weight log num - log den is off by at most
+    3u(l + 2), l = ln num + ln den, and its product with s <= 1.5 by at
+    most 6u(l + 2).  A path has at most k + 1 weights, so the errors of
+    its exponents sum to at most 6u(L + 2k + 2).
+
+    Roundings.  A path passes at most k + 1 exps (2u each), k products
+    (u each) and k + 1 math.fsum calls (u each; a sum of positive terms
+    keeps their largest relative error).  So each term, each state value
+    and the sum S = F + 1 are off by a factor within exp(+-t),
+    t = u(6L + 16k + 15), hence relatively by at most 1.01t; subtracting 1
+    adds u|f|.  So |f - F| <= 1.01t (1 + |F|) + u|f|
+    <= 2(1.01t + u)(1 + |f|) < 2^-48 (L + 3k + 3)(1 + |f|), which leaves
+    room for the roundings of eps itself and of the tests that use it.
+    """
+    spread = 3 * rank * math.log(digit_cap)
+    return (spread + 3 * rank + 3) * 2.0**-48 if spread <= 500 else math.inf
+
+
+def _line(p, q, m: float, eps: float, side: int) -> float:
+    """Bound, from above (side 1) or below (side -1), the line through
+    (x1, F(x1)) and (x2, F(x2)) at m, given evaluated points p = (x1, y1)
+    and q = (x2, y2), x1 < x2, with |y - F| <= eps (1 + |y|).
+
+    The line is sum w_i F(x_i) with w_1 = (x2 - m) / (x2 - x1) and
+    w_2 = (m - x1) / (x2 - x1), so it lies within the spread
+    sum |w_i| eps (1 + |y_i|) of sum w_i y_i.  Each term of the result
+    passes at most six roundings (its difference, its product, two sums,
+    the difference x2 - x1 and the quotient), an error below
+    6.01u (sum |w_i| |y_i| + spread).  The spread adds 10u (_ROUND) per
+    unit of sum |w_i| |y_i|, and eps keeps room (see _sum_error), which
+    covers that error and the five roundings of the spread itself.
+    """
+    (x1, y1), (x2, y2) = p, q
+    a, b, span = x2 - m, m - x1, x2 - x1
+    spread = abs(a) * (eps + (eps + _ROUND) * abs(y1)) + abs(b) * (eps + (eps + _ROUND) * abs(y2))
+    return (y1 * a + y2 * b + side * spread) / span
+
+
+def _convex_bisect(f, hi: float, tol: float, f0: float, eps: float) -> tuple[float, float]:
+    """What _bisect(f, hi, tol, |f0|) returns, from fewer calls of f.
+
+    f is the computed form of a convex decreasing F with
+    |f(s) - F(s)| <= eps (1 + |f(s)|) on [0, hi], and f0 > tol is F(0)
+    within the same bound, so (0, f0) counts as an evaluated point and
+    f(0) is never called.  The midpoints are _bisect's, and one is not
+    evaluated when the points evaluated so far settle its branch beyond
+    T = tol + eps (1 + tol):
+
+    - chord: F lies below its chord between the nearest evaluated points
+      on either side.  If that chord is below -T at the midpoint, then
+      f(mid) < -tol (were f >= -tol, F >= f - eps (1 + |f|) would be
+      >= -T), and hi = mid as _bisect would set it.
+    - secant: F lies above the line through two evaluated points, outside
+      the segment between them.  If the line through the two nearest on
+      one side, extended to the midpoint, is above T there, then
+      f(mid) > tol and lo = mid.
+
+    _line bounds both lines with the rounding of their own arithmetic.  So
+    every midpoint where |f| <= tol is possible is evaluated, the first
+    such is the one returned, and s and |f(s)| keep _bisect's bits.
+
+    A skipped midpoint is only known to have |f| > tol, so it may hold
+    the least residual that _bisect's DomainError names.  When the bracket
+    stalls (the midpoint equals one of its ends, so _bisect would repeat
+    it) or _MAX_BISECT steps pass, _bisect itself runs from the start, and
+    its answer or its DomainError, text included, is the result.
+    """
+    margin = tol + eps * (1 + tol)
+    left, right = [(0.0, f0)], []  # evaluated points beside the bracket, nearest last
+    lo, top = 0.0, hi
+    for _ in range(_MAX_BISECT):
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if right and _line(left[-1], right[-1], mid, eps, 1) < -margin:
+            hi = mid  # the chord settles it
+        elif (len(left) > 1 and _line(left[-2], left[-1], mid, eps, -1) > margin
+              or len(right) > 1 and _line(right[-1], right[-2], mid, eps, -1) > margin):
+            lo = mid  # a secant settles it
+        else:
+            fm = f(mid)
+            if abs(fm) <= tol:
+                return mid, abs(fm)
+            if fm > 0:
+                lo = mid
+                left.append((mid, fm))
+            else:
+                hi = mid
+                right.append((mid, fm))
+    return _bisect(f, top, tol, abs(f0))
 
 
 def _bisect(f, hi: float, tol: float, best: float) -> tuple[float, float]:

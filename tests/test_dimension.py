@@ -3,13 +3,16 @@
 import dataclasses
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perron import dimension
 from perron import (
     CapTooSmallWarning,
     DigitPredicate,
@@ -297,6 +300,12 @@ def test_unreachable_tol_is_a_domain_error():
     # bring |sum - 1| within it; the contract residual <= tol cannot be kept
     with pytest.raises(DomainError, match="residual"):
         pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)
+    # the message names the plain loop's best residual, skipped midpoints
+    # included
+    (got, plain), _ = _recorded(lambda: _root_and_plain(
+        lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)))
+    assert got == plain
+    assert got.startswith("DomainError: tol 1e-18 not reached in 200 bisection steps")
 
 
 def test_non_integer_rule_values_are_validity_errors():
@@ -728,3 +737,173 @@ def test_luroth_rank_30_factorises():
     assert est.bases_count == 9**30
     assert abs(est.s_value - one.s_value) <= 1e-9
     assert measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 30, 10) == Fraction(9, 10) ** 30
+
+
+# ---------------------------------------------------------------------------
+# the certified bisection against the plain loop
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    """call()'s result, or its DomainError as text."""
+    try:
+        return call()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _root_and_plain(call):
+    """(the outcome of call(), which runs pressure_root, and that of the
+    plain _bisect loop over the same f) as (s_value.hex(), residual.hex(),
+    bases_count) or DomainError text.  Without a bisection (no base, one
+    base, or f(0) within tol) both are the estimate."""
+    seen = []
+    certified = dimension._convex_bisect
+
+    def spy(f, hi, tol, f0, eps):
+        seen.append((f, hi, tol, f0))
+        return certified(f, hi, tol, f0, eps)
+
+    with mock.patch.object(dimension, "_convex_bisect", spy):
+        est = _outcome(call)
+    if isinstance(est, str):
+        bases = None
+    else:
+        bases = est.bases_count
+        est = (est.s_value.hex(), est.residual.hex(), bases)
+    if not seen:
+        return est, est
+    f, hi, tol, f0 = seen[0]
+    plain = _outcome(lambda: dimension._bisect(f, hi, tol, abs(f0)))
+    if not isinstance(plain, str):
+        plain = (plain[0].hex(), plain[1].hex(), bases)
+    return est, plain
+
+
+@st.composite
+def _certified_configs(draw):
+    rank = draw(st.sampled_from([1, 2, 3, 4]))
+    cap = draw(st.sampled_from(range(2, {1: 41, 2: 41, 3: 16, 4: 9}[rank])))
+    name = draw(st.sampled_from(list(ORACLE_RULES)))
+    make, _ = draw(_diff_predicates())
+    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-12]))
+    return name, make, rank, cap, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certified_configs())
+def test_certified_bisection_matches_the_plain_loop(config):
+    name, make, rank, cap, tol = config
+    (got, plain), _ = _recorded(lambda: _root_and_plain(
+        lambda: pressure_root(ORACLE_RULES[name], Sign.POSITIVE, make(), rank, cap, tol)))
+    assert got == plain
+
+
+def _moran(ratios):
+    """sum x**s - 1 over the float ratios: convex and decreasing, computed
+    within far less than 1e-12 (1 + |f|); returns f and its log of calls,
+    a dict from s to f(s) in call order."""
+    floats = [float(r) for r in ratios]
+    calls = {}
+
+    def f(s):
+        calls[s] = math.fsum(x**s for x in floats) - 1.0
+        return calls[s]
+
+    return f, calls
+
+
+MORAN_CASES = {
+    "two": [Fraction(1, 2), Fraction(1, 6)],
+    "luroth-10": [Fraction(1, c * (c - 1)) for c in range(2, 11)],
+    "uneven": [Fraction(1, 3), Fraction(1, 1000), Fraction(1, 1000), Fraction(1, 10**6)],
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("case", list(MORAN_CASES))
+def test_certified_bisection_skips_by_chord_and_secant(case, tol):
+    ratios = MORAN_CASES[case]
+    f0 = float(len(ratios) - 1)
+    plain_f, plain_calls = _moran(ratios)
+    plain = dimension._bisect(plain_f, 1.5, tol, f0)
+    f, calls = _moran(ratios)
+    assert dimension._convex_bisect(f, 1.5, tol, f0, 1e-12) == plain
+    assert 0.0 not in calls and len(calls) < len(plain_calls)
+    assert calls.items() <= plain_calls.items() and list(calls)[-1] == plain[0]
+    # a skipped midpoint the plain loop found below 0 was settled by the
+    # chord, one above 0 by a secant
+    skipped = [fs for s, fs in plain_calls.items() if s not in calls]
+    assert min(skipped) < -tol and max(skipped) > tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("seed", range(16))
+def test_certified_bisection_keeps_its_margins_under_noise(seed, tol):
+    # f strays from the convex F by 0.9 eps (1 + |F|) either way, eps = 1e-4,
+    # so near the root the noise, not F, sets the plain loop's branches: a
+    # skip taken inside the margins would part from it
+    eps = 1e-4
+    floats = [0.5, 1 / 6]
+    calls = {}
+
+    def f(s):
+        exact = math.fsum(x**s for x in floats) - 1.0
+        noise = random.Random(f"{seed}:{s.hex()}").choice([-0.9, 0.9])
+        calls[s] = exact + noise * eps * (1 + abs(exact))
+        return calls[s]
+
+    plain = _outcome(lambda: dimension._bisect(f, 1.5, tol, 1.0))
+    plain_calls, calls = calls, {}
+    assert _outcome(lambda: dimension._convex_bisect(f, 1.5, tol, 1.0, eps)) == plain
+    # a stall hands over to the plain loop, which calls f again
+    assert isinstance(plain, str) or len(calls) < len(plain_calls)
+
+
+def test_certified_bisection_hands_a_stall_to_the_plain_loop():
+    # 1e-18 is out of reach: the bracket stalls at adjacent floats, and the
+    # plain loop, run from the start, names its best residual
+    ratios = [Fraction(1, 25), Fraction(1, 8), Fraction(1, 10), Fraction(1, 25)]
+    plain_f, _ = _moran(ratios)
+    f, _ = _moran(ratios)
+    plain = _outcome(lambda: dimension._bisect(plain_f, 1.5, 1e-18, 3.0))
+    assert plain.startswith("DomainError: tol 1e-18 not reached")
+    assert _outcome(lambda: dimension._convex_bisect(f, 1.5, 1e-18, 3.0, 1e-12)) == plain
+
+
+def test_certified_bisection_evaluates_every_midpoint_when_terms_may_underflow():
+    # at rank 80 and cap 10 a term may reach 10**-240 ** 1.5: beyond the
+    # bound's range, so its eps is infinite and nothing is skipped
+    assert dimension._sum_error(80, 10) == math.inf
+    assert dimension._sum_error(4, 20_000) < 1e-12
+    f, calls = _moran(MORAN_CASES["luroth-10"])
+    plain_f, plain_calls = _moran(MORAN_CASES["luroth-10"])
+    assert dimension._convex_bisect(f, 1.5, 1e-9, 8.0, math.inf) == dimension._bisect(
+        plain_f, 1.5, 1e-9, 8.0)
+    assert list(calls) == list(plain_calls)
+    (got, plain), _ = _recorded(lambda: _root_and_plain(
+        lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 80, 10, 1e-9)))
+    assert got == plain
+
+
+# ---------------------------------------------------------------------------
+# the stated bound on word-keyed levels
+# ---------------------------------------------------------------------------
+
+
+def test_word_keyed_levels_are_bounded(monkeypatch):
+    monkeypatch.setattr(dimension, "_MAX_WORD_STATES", 50)
+    custom = ORACLE_RULES["custom"]
+    # level 1 holds 10 words and level 2 more than 50
+    message = r"^level 2 has \d+ word-keyed states, more than the 50 allowed$"
+    for call in (
+        lambda: pressure_root(custom, Sign.POSITIVE, all_digits(), 2, 11, 1e-9),
+        lambda: measure_at_rank(custom, Sign.POSITIVE, all_digits(), 2, 11),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
+    assert measure_at_rank(custom, Sign.POSITIVE, all_digits(), 1, 11) == measure_at_rank(
+        LUROTH, Sign.POSITIVE, all_digits(), 1, 11)
+    # states keyed by the last digit are not word-keyed: no bound applies
+    est = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 3, 11, 1e-9)
+    assert est.bases_count == 10**3
