@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -408,24 +407,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_threads_env() -> str | None:
-    """Validate PERRON_THREADS (positive integer) if set.
-
-    The reduction order of every operation is fixed, so results never depend
-    on this cap; it exists to bound any internal parallelism.  The current
-    implementation evaluates serially regardless.
-    """
-    raw = os.environ.get("PERRON_THREADS")
-    if raw is None:
-        return None
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        return f"PERRON_THREADS must be a positive integer, got {raw!r}"
-    return None
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command; return its exit code.
 
@@ -445,10 +426,6 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    problem = _check_threads_env()
-    if problem is not None:
-        print(f"perron: error: {problem}", file=sys.stderr)
-        return USAGE_EXIT
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

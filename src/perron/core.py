@@ -27,7 +27,10 @@ Everything in this module is exact rational arithmetic; no floats anywhere.
 Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
 a few integer products and no gcd, and a value is reduced to a lowest-terms
-Fraction once, when it is read (cylinder endpoints, hull endpoints).
+Fraction once, when it is read (cylinder endpoints, hull endpoints).  The
+frame is geometry only.  Validation is one walk over the rule values,
+rule_value, which checks each digit against the value before it (_next_r);
+code that needs only a word and its r steps r the same way.
 
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).  Both
@@ -217,13 +220,22 @@ def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
 
 
 def rule_value(rule: DigitRule, prefix: Sequence[int]) -> int:
-    """r_k for the given valid prefix of length k (r_0 = phi_0 for ())."""
-    return _Frame.walk(rule, None, prefix).r
+    """r_k for the given valid prefix of length k (r_0 = phi_0 for ()).
+
+    The one validation walk: r_0 must be positive, and each digit is checked
+    against the rule value before it (_next_r), so an invalid prefix is a
+    ValidityError naming the first failing position.
+    """
+    word = tuple(prefix)
+    r = _positive_r(rule.phi0, 0)
+    for i in range(1, len(word) + 1):
+        r = _next_r(rule, r, word, i)
+    return r
 
 
 def validate_word(rule: DigitRule, word: Sequence[int]) -> None:
     """Raise ValidityError (with 1-based .index) unless every digit obeys c_i >= r_{i-1}+1."""
-    _Frame.walk(rule, None, word)
+    rule_value(rule, word)
 
 
 class _Frame(NamedTuple):
@@ -243,12 +255,12 @@ class _Frame(NamedTuple):
     descent calls it once and then steps the pair down one digit at a time
     with _tail, which needs only the sign, r and the digit.
     walk() validates a word and builds its frame in one pass; child(c)
-    extends a frame by one checked digit.  With sign None only the word and r
-    are tracked (pure validation, no arithmetic).
+    extends a frame by one checked digit.  A frame is geometry: code that
+    needs only the word and r steps r with _next_r (rule_value is that walk).
     """
 
     rule: DigitRule
-    sign: Sign | None
+    sign: Sign
     word: DigitWord
     off_num: int
     sc_num: int
@@ -256,7 +268,7 @@ class _Frame(NamedTuple):
     r: int
 
     @classmethod
-    def walk(cls, rule: DigitRule, sign: Sign | None, word: Sequence[int]) -> "_Frame":
+    def walk(cls, rule: DigitRule, sign: Sign, word: Sequence[int]) -> "_Frame":
         word = tuple(word)
         step = (0, 1, 1, _positive_r(rule.phi0, 0))
         for i in range(1, len(word) + 1):
@@ -297,8 +309,6 @@ def _compose(rule, sign, word, i, a, s, d, r):
     """
     c = word[i - 1]
     r_next = _next_r(rule, r, word, i)
-    if sign is None:
-        return a, s, d, r_next
     block = (c - 1) * c
     if sign is Sign.POSITIVE:
         return a * block + s * r * (c - 1), s * r, d * block, r_next

@@ -27,12 +27,14 @@ child's side; only the public cover_boundary reads an absolute side
 Relative positions are unreduced integer pairs, so the descent compares by
 cross-multiplication; Fractions are formed only for the piece widths that
 choose between covers.  The descent runs on the two steps of digit
-extraction: each endpoint is mapped into a frame once
-(core._Frame.relative), each level reads the endpoints' children with the
-extraction's child step (core._child) and steps both pairs down one digit
-with its remainder step (core._tail), so a level costs products by small
-integers.  It tracks only the word, r and the two positions, on validation
-frames without affine arithmetic; the orientation is the rank's parity.
+extraction: each endpoint is mapped into the starting cylinder's frame
+once (at the root, a point is its own relative pair; a cut under a prefix
+goes through core._Frame.relative), each level reads the endpoints'
+children with the extraction's child step (core._child) and steps both
+pairs down one digit with its remainder step (core._tail), so a level
+costs products by small integers.  It tracks only the word, r and the two
+positions, with no affine frame: each digit steps r with the checked rule
+step (core._next_r), and the orientation is the rank's parity.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
 both sides alike, so it is never formed.
@@ -57,7 +59,9 @@ from .core import (
     _ALTERNATING,
     _child,
     _Frame,
+    _next_r,
     _tail,
+    rule_value,
 )
 from .errors import DomainError, ValidityError
 
@@ -95,17 +99,6 @@ class FamilySet:
         object.__setattr__(self, "prefix", tuple(self.prefix))
 
 
-def _check_range(frame: _Frame, fs: FamilySet) -> _Frame:
-    """Check fs's digit range against frame, its prefix's frame; return it."""
-    if fs.start < frame.r + 1:
-        raise ValidityError(
-            f"start {fs.start} below first admissible digit {frame.r + 1}", index=None
-        )
-    if fs.end is not None and fs.end < fs.start:
-        raise ValidityError(f"end {fs.end} below start {fs.start}", index=None)
-    return frame
-
-
 @dataclass(frozen=True)
 class QInterval:
     """A nonempty exact interval with endpoint-inclusion flags."""
@@ -134,12 +127,21 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  Positive
     hulls are half-open (lo, hi]; alternating hulls are open.
     """
-    lo, hi = _hull_ends(_check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs), fs)
+    lo, hi = _hull_ends(_Frame.walk(rule, fs.sign, fs.prefix), fs)
     return QInterval(lo, hi, False, fs.sign is Sign.POSITIVE)
 
 
 def _hull_ends(frame: _Frame, fs: FamilySet) -> tuple[ExactQ, ExactQ]:
-    """(lo, hi) of fs's hull, given the frame of its prefix."""
+    """(lo, hi) of fs's hull, given the frame of its prefix.
+
+    ValidityError unless fs's digit range is admissible under that frame's r.
+    """
+    if fs.start < frame.r + 1:
+        raise ValidityError(
+            f"start {fs.start} below first admissible digit {frame.r + 1}", index=None
+        )
+    if fs.end is not None and fs.end < fs.start:
+        raise ValidityError(f"end {fs.end} below start {fs.start}", index=None)
     a = frame.at(0, 1) if fs.end is None else frame.at(frame.r, fs.end)
     b = frame.at(frame.r, fs.start - 1)
     return (a, b) if frame.sc_num > 0 else (b, a)
@@ -198,7 +200,7 @@ def cover_boundary(
         lo, hi = frame.lo_hi
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
         raise DomainError(f"cut {cut} outside {span}")
-    return _cover_boundary(sign, frame._replace(sign=None), u, low)
+    return _cover_boundary(rule, sign, frame.word, frame.r, u, low)
 
 
 def _ascending(sign: Sign, word: DigitWord) -> bool:
@@ -209,13 +211,15 @@ def _ascending(sign: Sign, word: DigitWord) -> bool:
     return sign is Sign.POSITIVE or len(word) % 2 == 0
 
 
-def _cover_boundary(sign: Sign, frame: _Frame, u: tuple[int, int], low: bool) -> BoundaryCover:
-    """Cover the relative piece (0, u] (low) or (u, 1] (high) of frame's cylinder.
+def _cover_boundary(
+    rule: DigitRule, sign: Sign, word: DigitWord, r: int, u: tuple[int, int], low: bool
+) -> BoundaryCover:
+    """Cover the relative piece (0, u] (low) or (u, 1] (high) of word's cylinder.
 
-    u is an integer pair with 0 < u <= 1 for a low piece and 0 <= u < 1 for
-    a high one.  Only the frame's word and r are read, so a validation frame
-    (sign None) serves.  A high piece strictly inside the first child
-    descends into it; an alternating child flips, so there it is a low piece.
+    r is the rule value after word, and u is an integer pair with 0 < u <= 1
+    for a low piece and 0 <= u < 1 for a high one.  A high piece strictly
+    inside the first child descends into it, stepping (word, r) with
+    _descend; an alternating child flips, so there it is a low piece.
     Then c is the child whose relative interval (r/c, r/(c-1)] holds u:
 
       * low, u interior: tight = {c+1..inf} (diameter r/c < u) plus the
@@ -227,11 +231,9 @@ def _cover_boundary(sign: Sign, frame: _Frame, u: tuple[int, int], low: bool) ->
         low single {c..inf} or the high {r+1..c-1} (the whole cylinder
         when u = 0).
     """
-    r = frame.r
     while not low and u[0] * (r + 1) > r * u[1]:
-        u, frame = _tail(sign, r, r + 1, *u), frame.child(r + 1)
-        r, low = frame.r, sign is _ALTERNATING
-    word = frame.word
+        u, (word, r) = _tail(sign, r, r + 1, *u), _descend(rule, word, r, r + 1)
+        low = sign is _ALTERNATING
     if u[0] == 0:
         whole = FamilySet(sign, word, r + 1, None)
         return BoundaryCover((whole,), whole)
@@ -243,6 +245,12 @@ def _cover_boundary(sign: Sign, frame: _Frame, u: tuple[int, int], low: bool) ->
         tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
         single, one = FamilySet(sign, word, r + 1, c), tight[1]
     return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
+
+
+def _descend(rule: DigitRule, word: DigitWord, r: int, c: int) -> tuple[DigitWord, int]:
+    """(word + (c,), the checked rule value after c), for r the value after word."""
+    word += (c,)
+    return word, _next_r(rule, r, word, len(word))
 
 
 # ---------------------------------------------------------------------------
@@ -280,28 +288,27 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         covering it tightly and the other one singly.
     """
     _interval_conventions(sign, U)
-    # the root frame is the identity for both signs, so a validation frame
-    # maps the endpoints in; below, their pairs are stepped digit by digit
-    frame = _Frame.walk(rule, None, ())
-    u1, u2 = frame.relative(U.lo), frame.relative(U.hi)
+    # the root frame is the identity for both signs, so U's ends are their
+    # own relative pairs; below, they are stepped digit by digit
+    prefix, r = (), rule_value(rule, ())
+    u1, u2 = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
 
     while True:
-        r, ascending = frame.r, _ascending(sign, frame.word)
-        t_lo, t_hi = (u1, u2) if ascending else (u2, u1)
+        t_lo, t_hi = (u1, u2) if _ascending(sign, prefix) else (u2, u1)
         if t_lo[0] == 0:
-            return list(_cover_boundary(sign, frame, t_hi, True).tight)
+            return list(_cover_boundary(rule, sign, prefix, r, t_hi, True).tight)
         if t_hi[0] == t_hi[1]:
-            return list(_cover_boundary(sign, frame, t_lo, False).tight)
+            return list(_cover_boundary(rule, sign, prefix, r, t_lo, False).tight)
         d_lo, lo_exact = _child(r, *t_lo)
         d_lo -= lo_exact  # a junction resolves toward U's interior
         d_hi, hi_exact = _child(r, *t_hi)
         if d_lo == d_hi:
             u1, u2 = _tail(sign, r, d_lo, *u1), _tail(sign, r, d_lo, *u2)
-            frame = frame.child(d_lo)
+            prefix, r = _descend(rule, prefix, r, d_lo)
             continue
         break
 
-    prefix, positive = frame.word, sign is Sign.POSITIVE
+    positive = sign is Sign.POSITIVE
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
     # Its piece lies above it, the other piece below the upper endpoint; a
@@ -309,11 +316,11 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
 
     def lo_cover() -> BoundaryCover:
         u = _tail(sign, r, d_lo, *t_lo)
-        return _cover_boundary(sign, frame.child(d_lo), u, not positive)
+        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_lo), u, not positive)
 
     def hi_cover() -> BoundaryCover:
         u = _tail(sign, r, d_hi, *t_hi)
-        return _cover_boundary(sign, frame.child(d_hi), u, positive)
+        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_hi), u, positive)
 
     # junction endpoints: each exact side's whole child joins the block
     # between (digits d_hi+1 .. d_lo-1, empty when the children are
@@ -380,7 +387,7 @@ def split_to_finite(
     s = split_parameters(alpha, eps)
     if fs.end is not None:
         raise DomainError("split_to_finite needs an unbounded family set")
-    _check_range(_Frame.walk(rule, fs.sign, fs.prefix), fs)
+    family_set_hull(rule, fs)  # checks the prefix and the digit range
 
     def blocks() -> Iterator[FamilySet]:
         t = fs.start
@@ -485,7 +492,7 @@ def verify_cover(
             frames[frame.word] = frame
         return frame
 
-    spans = [_hull_ends(_check_range(frame_of(fs.prefix), fs), fs) for fs in sets]
+    spans = [_hull_ends(frame_of(fs.prefix), fs) for fs in sets]
     widths = [hi - lo for lo, hi in spans]
     sc, den = abs(base.sc_num), base.den
     cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)

@@ -132,9 +132,10 @@ def bounded_ratio(k: ExactQ) -> DigitPredicate:
     k = Fraction(k)
     if k <= 0:
         raise DomainError("ratio bound must be positive")
+    num, den = k.numerator, k.denominator
 
     def test(prev, c, n):
-        return prev is None or c <= k * prev
+        return prev is None or c * den <= num * prev
 
     return _LocalPredicate(test, f"ratio<={k}")
 

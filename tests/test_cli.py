@@ -255,6 +255,12 @@ def test_moran(capsys):
     assert lines(out)[0]["s"] == 1.0
 
 
+def test_moran_single_ratio(capsys):
+    code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2"])
+    assert code == 0
+    assert lines(out)[0]["s"] == 0.0
+
+
 def test_measure_lowest_terms(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -537,21 +543,6 @@ def test_non_finite_tol_exits_3(capsys, tol):
     assert (code, out) == (3, "") and "tol" in err
     code, out, err = run_cli(capsys, ["moran", "--ratios", "1/2,1/6", "--tol", tol])
     assert (code, out) == (3, "") and "tol" in err
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PERRON_THREADS", "0")
-    code, _, err = run_cli(capsys, ["moran", "--ratios", "1/2"])
-    assert code == 64 and "PERRON_THREADS" in err
-
-    monkeypatch.setenv("PERRON_THREADS", "soon")
-    code, _, _ = run_cli(capsys, ["moran", "--ratios", "1/2"])
-    assert code == 64
-
-    monkeypatch.setenv("PERRON_THREADS", "4")
-    code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2"])
-    assert code == 0
-    assert lines(out)[0]["s"] == 0.0
 
 
 # ---------------------------------------------------------------------------

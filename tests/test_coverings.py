@@ -427,6 +427,30 @@ def test_custom_rule_deep_cylinders_and_covers(sign):
     assert verify_cover(PARITY, U, sets, 1.0).covers
 
 
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+def test_degenerate_rule_values_mid_descent_are_validity_errors(sign):
+    """A descent into a child whose rule value is below 1 stops there.
+
+    Under r_n = c_n - 5 the children 3 and 2 of the root give r_1 = -2 and
+    -3; a cover that never enters them is still returned.
+    """
+    rule = DigitRule.oppenheim(1, -5)
+    U = interval_for(sign, Fraction(2, 5), Fraction(9, 20))  # inside child 3
+    with pytest.raises(ValidityError) as err:
+        cover_interval(rule, sign, U)
+    assert str(err.value) == "rule value -2 after position 1 is not a positive integer"
+    assert err.value.index == 1
+
+    cut = Fraction(3, 4)  # (3/4, 1] lies inside child 2
+    with pytest.raises(ValidityError) as err:
+        cover_boundary(rule, sign, (), cut, TO_SUP)
+    assert str(err.value) == "rule value -3 after position 1 is not a positive integer"
+    assert err.value.index == 1
+    tight = (FamilySet(sign, (), 3, None), FamilySet(sign, (), 2, 2))
+    single = FamilySet(sign, (), 2, None)
+    assert cover_boundary(rule, sign, (), cut, FROM_INF) == BoundaryCover(tight, single)
+
+
 @pytest.mark.parametrize("sign", SIGNS)
 def test_deep_junction_endpoints_resolve_exactly(sign):
     """Endpoints exactly on child junctions of a rank-48 engel cylinder.
