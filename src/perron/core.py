@@ -27,10 +27,13 @@ Everything in this module is exact rational arithmetic; no floats anywhere.
 Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
 a few integer products and no gcd, and a value is reduced to a lowest-terms
-Fraction once, when it is read (cylinder endpoints, hull endpoints).  The
-frame is geometry only.  Validation is one walk over the rule values,
-rule_value, which checks each digit against the value before it (_next_r);
-code that needs only a word and its r steps r the same way.
+Fraction once, when it is read.  Every endpoint is read through one method,
+_Frame.hull(start, end), the hull of a range of children: a cylinder is the
+hull of its whole child range, and a family set (see coverings) the hull of
+its digit range.  The frame is geometry only.  Validation is one walk over
+the rule values, rule_value, which checks each digit against the value
+before it (_next_r); code that needs only a word and its r steps r the same
+way, and partial_sum and word_diameter sum or multiply along that one walk.
 
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).  Both
@@ -249,8 +252,10 @@ class _Frame(NamedTuple):
     off and sc are carried as integers over one common denominator,
     off = off_num/den and sc = sc_num/den with den > 0, and are never reduced
     along the walk: each digit is a few integer products and no gcd.  Exact
-    values are read through at(), which reduces one point to a Fraction, and
-    relative(), which maps a point back into the unreduced relative frame.
+    values are read through at(), which reduces one point to a Fraction,
+    hull(), which reads the ordered ends of a range of children with at()
+    (the cylinder itself is hull(r + 1)), and relative(), which maps a point
+    back into the unreduced relative frame.
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
     with _tail, which needs only the sign, r and the digit.
@@ -293,11 +298,24 @@ class _Frame(NamedTuple):
         den = self.sc_num * x.denominator
         return (num, den) if den > 0 else (-num, -den)
 
-    @property
-    def lo_hi(self) -> tuple[ExactQ, ExactQ]:
-        """The cylinder's endpoints in increasing order."""
-        off, end = self.at(0, 1), self.at(1, 1)
-        return (off, end) if self.sc_num > 0 else (end, off)
+    def hull(self, start: int, end: int | None = None) -> tuple[ExactQ, ExactQ]:
+        """(lo, hi), in increasing order, of the union of children start..end.
+
+        Child c occupies the relative interval (r/c, r/(c-1)], so the union
+        is (r/end, r/(start-1)], with lower end 0 when end is None
+        (unbounded).  start = r+1 reaches the top, relative 1, which is read
+        as at(1, 1): the cylinder is the hull of its whole child range.
+        ValidityError unless start >= r+1 and end (if given) >= start.
+        """
+        if start < self.r + 1:
+            raise ValidityError(
+                f"start {start} below first admissible digit {self.r + 1}", index=None
+            )
+        if end is not None and end < start:
+            raise ValidityError(f"end {end} below start {start}", index=None)
+        a = self.at(0, 1) if end is None else self.at(self.r, end)
+        b = self.at(1, 1) if start == self.r + 1 else self.at(self.r, start - 1)
+        return (a, b) if self.sc_num > 0 else (b, a)
 
 
 def _compose(rule, sign, word, i, a, s, d, r):
@@ -475,24 +493,25 @@ def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
 
     Positive: equals the infimum of the word's cylinder.  Alternating: equals
     the supremum for odd k and the infimum for even k (orientation flips each
-    rank).  Computed by direct term-by-term summation of the series — kept
-    independent of cylinder(), which composes affine maps instead, so the two
-    routes cross-check each other.
+    rank).  Computed by direct term-by-term summation of the series, in the
+    one validating walk over the rule values (_next_r checks each digit
+    before its term is formed) — kept independent of cylinder(), which
+    composes affine maps instead, so the two routes cross-check each other.
     """
     word = tuple(word)
-    validate_word(rule, word)
+    r = _positive_r(rule.phi0, 0)
     if not word:
         raise ValidityError("word must be nonempty", index=None)
     total = Fraction(0)
-    num = rule.phi0  # r_0 r_1 ... r_n running product
-    den = 1  # (c_1-1)c_1 ... (c_n-1)c_n running product
-    for ni, c in enumerate(word):
+    num = den = 1  # r_0 ... r_{i-1} and (c_1-1)c_1 ... (c_{i-1}-1)c_{i-1}
+    for i, c in enumerate(word, start=1):
+        num *= r
+        r = _next_r(rule, r, word, i)  # checks c before it is used
         if sign is Sign.POSITIVE:
             total += Fraction(num, den * c)
         else:
             term = Fraction(num, den * (c - 1))
-            total += -term if ni % 2 else term
-        num *= _step_r(rule, word, ni + 1)
+            total += term if i % 2 else -term
         den *= (c - 1) * c
     return total
 
@@ -508,22 +527,25 @@ def cylinder(rule: DigitRule, word: Sequence[int], sign: Sign) -> CylinderInterv
     frame = _Frame.walk(rule, sign, word)
     if not frame.word:
         raise ValidityError("word must be nonempty", index=None)
-    lo, hi = frame.lo_hi
+    lo, hi = frame.hull(frame.r + 1)
     return CylinderInterval(lo, hi, False, sign is Sign.POSITIVE, sign, frame.word)
 
 
 def word_diameter(rule: DigitRule, word: Sequence[int]) -> ExactQ:
-    """Exact cylinder diameter of a valid nonempty word (same for both signs)."""
+    """Exact cylinder diameter of a valid nonempty word (same for both signs).
+
+    r_0 ... r_{k-1} / prod (c_i - 1)c_i, multiplied along the one validating
+    walk over the rule values.
+    """
     word = tuple(word)
-    validate_word(rule, word)
+    r = _positive_r(rule.phi0, 0)
     if not word:
         raise ValidityError("word must be nonempty", index=None)
-    num = rule.phi0
-    den = 1
-    for i, c in enumerate(word):
+    num = den = 1
+    for i, c in enumerate(word, start=1):
+        num *= r
+        r = _next_r(rule, r, word, i)
         den *= (c - 1) * c
-        if i + 1 < len(word):
-            num *= _step_r(rule, word, i + 1)
     return Fraction(num, den)
 
 

@@ -63,7 +63,7 @@ from .core import (
     _tail,
     rule_value,
 )
-from .errors import DomainError, ValidityError
+from .errors import DomainError
 
 __all__ = [
     "FamilySet",
@@ -124,27 +124,14 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
 
     With prefix affine data (off, sc, r): the member cylinders tile the
     relative interval (r/end, r/(start-1)] (limit 0 when unbounded), so the
-    hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  Positive
-    hulls are half-open (lo, hi]; alternating hulls are open.
+    hull diameter telescopes to |sc| * r * (1/(start-1) - 1/end).  The ends
+    are read by the prefix frame's hull(start, end), the same read that
+    gives a cylinder (its whole child range, start = r+1), and so is the
+    ValidityError for a range that r does not admit.  Positive hulls are
+    half-open (lo, hi]; alternating hulls are open.
     """
-    lo, hi = _hull_ends(_Frame.walk(rule, fs.sign, fs.prefix), fs)
+    lo, hi = _Frame.walk(rule, fs.sign, fs.prefix).hull(fs.start, fs.end)
     return QInterval(lo, hi, False, fs.sign is Sign.POSITIVE)
-
-
-def _hull_ends(frame: _Frame, fs: FamilySet) -> tuple[ExactQ, ExactQ]:
-    """(lo, hi) of fs's hull, given the frame of its prefix.
-
-    ValidityError unless fs's digit range is admissible under that frame's r.
-    """
-    if fs.start < frame.r + 1:
-        raise ValidityError(
-            f"start {fs.start} below first admissible digit {frame.r + 1}", index=None
-        )
-    if fs.end is not None and fs.end < fs.start:
-        raise ValidityError(f"end {fs.end} below start {fs.start}", index=None)
-    a = frame.at(0, 1) if fs.end is None else frame.at(frame.r, fs.end)
-    b = frame.at(frame.r, fs.start - 1)
-    return (a, b) if frame.sc_num > 0 else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +184,7 @@ def cover_boundary(
     low = (side == FROM_INF) == _ascending(sign, frame.word)
     u = frame.relative(cut)
     if not (0 < u[0] <= u[1] if low else 0 <= u[0] < u[1]):
-        lo, hi = frame.lo_hi
+        lo, hi = frame.hull(frame.r + 1)
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
         raise DomainError(f"cut {cut} outside {span}")
     return _cover_boundary(rule, sign, frame.word, frame.r, u, low)
@@ -402,26 +389,31 @@ def split_to_finite(
 def split_parameters(alpha: float, eps: float) -> int:
     """The geometric ratio s chosen by split_to_finite (exposed for checks).
 
-    The minimal integer s >= 2 passing the float test s**alpha > 1 + 1/eps:
-    the closed-form guess floor((1 + 1/eps)**(1/alpha)) is moved by single
-    steps until s passes the test and s - 1 (when >= 2) does not.  A guess
-    beyond 2**53, where consecutive integers stop being distinct floats, is a
-    DomainError.
+    The minimal integer s >= 2 passing the float test
+    float(s)**alpha > 1 + 1/eps, where a power beyond float range passes a
+    finite bound (an integer alpha is tested in floats too, never as an
+    exact power).  The test is nondecreasing in s, so one bisection over
+    [2, 2**53] finds s in at most 54 tests.  When 2**53, past which
+    consecutive integers stop being distinct floats, fails the test, the
+    minimal s exceeds it: a DomainError.
     """
     if not (alpha > 0 and eps > 0):
         raise DomainError("alpha and eps must be positive")
     bound = 1 + 1 / eps
-    try:
-        s = max(2, int(bound ** (1 / alpha)))
-    except OverflowError:  # the guess is beyond float range
-        s = 2**53
-    if s >= 2**53:
+
+    def passes(s: int) -> bool:
+        try:
+            return float(s) ** alpha > bound
+        except OverflowError:  # beyond float range, so above a finite bound
+            return bound < math.inf
+
+    lo, hi = 1, 2**53  # lo fails (or is below the range), hi passes
+    if not passes(hi):
         raise DomainError(f"split ratio for alpha={alpha}, eps={eps} exceeds 2**53")
-    while s**alpha <= bound:
-        s += 1
-    while s > 2 and (s - 1) ** alpha > bound:
-        s -= 1
-    return s
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +484,7 @@ def verify_cover(
             frames[frame.word] = frame
         return frame
 
-    spans = [_hull_ends(frame_of(fs.prefix), fs) for fs in sets]
+    spans = [frame_of(fs.prefix).hull(fs.start, fs.end) for fs in sets]
     widths = [hi - lo for lo, hi in spans]
     sc, den = abs(base.sc_num), base.den
     cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)

@@ -134,6 +134,40 @@ def test_split_checks_its_arguments_without_blocks(capsys, start, alpha, code):
     assert (got, out) == (code, "") and "error" in err
 
 
+def test_split_ratio_whose_power_overflows_a_float(capsys):
+    # 2**2000 is beyond float range, so s = 2 passes s**alpha > 1 + 1/eps;
+    # the ratio search used to end in an OverflowError traceback (exit 1)
+    code, out, err = run_cli(
+        capsys,
+        [
+            "split", "--system", "luroth", "--sign", "P",
+            "--from", "2", "--alpha", "2000", "--eps", "0.5", "--blocks", "2",
+        ],
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"sign":"P","prefix":[],"from":2,"to":4}\n'
+        '{"sign":"P","prefix":[],"from":5,"to":13}\n'
+    )
+
+
+def test_float_flags_exit_with_a_documented_code(capsys):
+    # every cell of this grid of extreme float flags ends in one of the
+    # documented exit codes and raises nothing out of cli.run
+    split = ["split", "--system", "luroth", "--sign", "P", "--from", "2", "--blocks", "2"]
+    grid = [
+        [*split, "--alpha", alpha, "--eps", eps]
+        for alpha in ("1e-5", "0.5", "700", "2000", "1e308", "inf")
+        for eps in ("1e-300", "0.5", "1e308")
+    ]
+    dim = ["dim", "--system", "luroth", "--predicate", "all", "--rank", "2", "--cap", "20"]
+    grid += [[*dim, "--tol", tol] for tol in ("1e-300", "10")]
+    grid.append(["moran", "--ratios", "1/2,1/3", "--tol", "1e-300"])
+    for argv in grid:
+        code, _, _ = run_cli(capsys, argv)
+        assert code in (0, 2, 3, 64), argv
+
+
 def test_cover_pipes_into_verify(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

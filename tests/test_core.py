@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from perron import (
     DigitRule,
     DomainError,
+    FamilySet,
     ISPoint,
     Sign,
     ValidityError,
     alternating_digits,
     cylinder,
+    family_set_hull,
     partial_sum,
     pierce_notation_convert,
     positive_digits,
@@ -100,6 +102,8 @@ def test_non_integer_rule_values_are_validity_errors():
             lambda: validate_word(rule, (3, 4)),
             lambda: cylinder(rule, (3, 4), Sign.POSITIVE),
             lambda: rule_value(rule, (3,)),
+            lambda: partial_sum(rule, (3, 4), Sign.POSITIVE),
+            lambda: word_diameter(rule, (3, 4)),
         ]
         for call in calls:
             with pytest.raises(ValidityError, match="after position 1 is not an integer") as exc:
@@ -485,6 +489,33 @@ def test_deep_cylinders_match_series_oracles(rule, sign):
         assert partial_sum(rule, word, sign) == (cyl.hi if upper else cyl.lo)
         if sign is Sign.POSITIVE:
             assert cyl.contains(x)
+
+
+@st.composite
+def reader_case(draw):
+    """A rule (five built-in plus PARITY), a sign and a valid 1-60 digit word."""
+    rule = draw(st.sampled_from(DEEP_RULES))
+    word = []
+    for _ in range(draw(st.integers(1, 60))):
+        offset = draw(st.one_of(st.integers(0, 3), st.integers(0, 10**6)))
+        word.append(rule_value(rule, word) + 1 + offset)
+    return rule, draw(st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING])), tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader_case())
+def test_cylinder_and_family_set_hulls_read_one_interval(case):
+    # a cylinder is read as the hull of its whole child range (the at(1, 1)
+    # shortcut); it is also its parent's one-child range and its own
+    # unbounded range, both read through the general child formula
+    rule, sign, word = case
+    cyl = cylinder(rule, word, sign)
+    for fs in (
+        FamilySet(sign, word[:-1], word[-1], word[-1]),
+        FamilySet(sign, word, rule_value(rule, word) + 1, None),
+    ):
+        hull = family_set_hull(rule, fs)
+        assert (hull.lo, hull.hi) == (cyl.lo, cyl.hi)
 
 
 # ---------------------------------------------------------------------------

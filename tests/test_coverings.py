@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -37,6 +40,8 @@ from perron import (
     word_diameter,
 )
 from perron.core import _Frame, _tail
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -535,14 +540,57 @@ def test_split_parameters_far_beyond_linear_search():
 
 
 def test_split_parameters_steps_down_from_an_overshooting_guess():
-    # the closed-form guess floor(bound**(1/alpha)) is 4065864416048191
-    # here, which float rounding puts 9 above the minimal s
+    # the closed-form root floor(bound**(1/alpha)) is 4065864416048191 here,
+    # which float rounding puts 9 above the minimal s; a search started
+    # from it must come down, and the bisection must not stop at it
     alpha, eps = 0.7128828351944042, 7.455947326874669e-12
     assert int((1 + 1 / eps) ** (1 / alpha)) == 4065864416048191
     s = split_parameters(alpha, eps)
     assert s == 4065864416048182
     assert s**alpha > 1 + 1 / eps
     assert (s - 1) ** alpha <= 1 + 1 / eps
+
+
+def test_split_parameters_where_the_power_overflows_a_float():
+    # a power beyond float range passes the test; each of these used to
+    # end in an OverflowError
+    assert split_parameters(2000.0, 0.5) == 2
+    assert split_parameters(1e308, 1e308) == 2
+    assert split_parameters(700.0, 1e-300) == 3  # 2**700 < 1e300 < 3**700
+    # 1 + 1/eps is infinite here, so an overflowed power is not above it
+    with pytest.raises(DomainError, match=r"exceeds 2\*\*53"):
+        split_parameters(1000.0, 5e-324)
+
+
+def test_split_parameters_tests_an_integer_alpha_in_floats():
+    # an exact power (2**53)**alpha would have 53e7 bits here
+    assert split_parameters(10**7, 0.5) == 2
+    assert split_parameters(2, 0.5) == split_parameters(2.0, 0.5) == 2
+
+
+def test_split_parameters_search_is_bounded():
+    # 1 + 1/eps rounds to 1.0 and (2**53)**1e-20 to 1.0 as well, so no s up
+    # to 2**53 passes; the stepping search never returned here, so the call
+    # runs in a process of its own
+    code = (
+        "from perron import DomainError, split_parameters\n"
+        "try:\n"
+        "    split_parameters(1e-20, 1e20)\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exceeds 2**53" in proc.stdout
+
+
+def test_split_parameters_far_from_the_start():
+    # the minimal s is about 1.16e12: stepping up from 2 took 23.7 s on a
+    # 2-CPU x86-64 host
+    assert split_parameters(1e-12, 3.6e10) == 1158203366082
 
 
 def test_split_requires_unbounded_set():
