@@ -24,10 +24,14 @@ compensated (math.fsum).  A state value below the double-precision underflow
 threshold is 0.0, and so is every term that passes through it; per-level
 rescaling in log space would cover that regime and is out of scope.
 
-The state recursion (_levels) and the base enumeration take one candidate
-step (_candidates): the digits a compatible word may be extended by, and
-whether the cap cuts the word off.  _levels is the one place that raises
-CapTooSmallWarning, at the stack level its caller names.
+The state recursion (_levels, breadth-first) and the base enumeration
+(enumerate_compatible_bases, depth-first on an explicit stack) take one
+child step (_children): the digits a compatible word is extended by, each
+asked of the predicate once, and whether the cap cuts the word off.  Each
+walk counts its cuts per position, and _warn_first_cut is the one place that
+raises CapTooSmallWarning: _levels once its levels are built, the
+enumeration once it is exhausted.  The enumeration does not call _levels, so
+the bound on word-keyed states is _levels' alone.
 """
 
 from __future__ import annotations
@@ -171,25 +175,42 @@ def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
 
 
-def _candidates(alphabet, r: int, digit_cap: int):
-    """The digits to test after a compatible word whose rule value is r (the
-    admissible digits up to the cap, inside the alphabet if one is declared),
-    and whether the cap cuts the word off: no candidate, though admissible
-    digits exist beyond the cap.
+def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
+    """The digits that extend a compatible word whose rule value is r, and
+    whether the cap cuts the word off.
 
-    A word under a declared floor (growth_floor) is cut off too when no
-    candidate passes: every digit from the floor up would pass, so the
-    floor lies beyond the cap.  The callers read that off the tests they
-    make of the candidates anyway, so the floor is evaluated once per
-    tested digit and no more."""
+    The candidates are the admissible digits up to the cap, inside the
+    alphabet if one is declared; each is tested once (predicate._admits),
+    and those that pass are returned in increasing order.  The cap cuts the
+    word off when no candidate is left although admissible digits exist
+    beyond the cap.  Under a declared floor (growth_floor) it does so too
+    when no candidate passes: every digit from the floor up would pass, so
+    the floor lies beyond the cap.  So the floor is evaluated once per
+    tested digit and no more.
+    """
+    alphabet = predicate._alphabet
     if alphabet is None:
-        return range(r + 1, digit_cap + 1), r >= digit_cap
-    candidates = [c for c in alphabet if r < c <= digit_cap]
-    return candidates, not candidates and alphabet[-1] > r
+        candidates, cuts = range(r + 1, digit_cap + 1), r >= digit_cap
+    else:
+        candidates = [c for c in alphabet if r < c <= digit_cap]
+        cuts = not candidates and alphabet[-1] > r
+    digits = [c for c in candidates if predicate._admits(word, c)]
+    return digits, cuts or predicate._floor and not digits
 
 
-def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh,
-            stacklevel: int):
+def _warn_first_cut(digit_cap: int, cuts: Sequence[int], stacklevel: int) -> None:
+    """Warn CapTooSmallWarning at the first position the cap cuts, if any:
+    cuts[n - 1] counts the compatible prefixes it cuts off at position n.
+    stacklevel is the one the caller would pass to warnings.warn."""
+    for n, count in enumerate(cuts, 1):
+        if count:
+            warnings.warn(CapTooSmallWarning(
+                f"digit_cap {digit_cap} excludes all digits at position {n}, "
+                f"cutting off {count} compatible prefix(es)", n, count), stacklevel=stacklevel + 1)
+            return
+
+
+def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh):
     """The compatible rank-k words, merged into states one position at a time.
 
     A state at level n stands for compatible length-n words that extend
@@ -209,8 +230,8 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     sources is its own factor times the sum of their values, and each of
     those sources becomes a value: weigh(num, den) of its expression.
 
-    Each word's candidate digits, and whether the cap cuts it off, come
-    from _candidates, the step that enumerate_compatible_bases takes too.
+    Each word's children, and whether the cap cuts it off, come from
+    _children, the step that enumerate_compatible_bases takes too.
 
     Returns (kept, final, bases).  kept holds one list per level that adds
     values, each a list of groups (sources, weights): one new value per
@@ -222,7 +243,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     carried in the same pass).  When the cap cuts off every admissible
     digit of some compatible prefix, CapTooSmallWarning names the first
     1-based position where it does and how many compatible prefixes it cuts
-    off there, raised at the given stacklevel once the levels are built.
+    off there, raised at the caller's caller once the levels are built.
 
     A word-keyed level may hold at most _MAX_WORD_STATES states; past that
     it is a DomainError naming the level and the states it reached, so one
@@ -231,25 +252,23 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     states and that of the tests 3375, far below the bound.
     """
     _check_rank_cap(rule, rank, digit_cap)
-    alphabet, floor, admits = predicate._alphabet, predicate._floor, predicate._admits
     merge = rule.fn is None and isinstance(predicate, _LocalPredicate)
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
     srcs, fracs = [(0,)], [(1, 1)]
-    kept, values, warning = [], 1, None
+    kept, values, cuts = [], 1, []
     for n in range(1, rank + 1):
         last = n == rank
         state = {} if merge and len(words) > 1 else None  # digit -> target
         t_src, t_srcs, t_frac, t_r, t_word = [], [], [], [], []  # per target
-        merged, cut_count = [], 0
+        merged = []
+        cuts.append(0)
         for i, (word, r) in enumerate(zip(words, rs)):
-            candidates, cuts = _candidates(alphabet, r, digit_cap)
+            digits, cut = _children(predicate, word, r, digit_cap)
+            if cut:
+                cuts[-1] += counts[i]
             sources, (num, den) = srcs[i], fracs[i]
-            admitted = False
-            for c in candidates:
-                if not admits(word, c):
-                    continue
-                admitted = True
+            for c in digits:
                 t = None if state is None else state.get(c)
                 if t is not None:  # one more source of a merged state
                     if t_src[t].__class__ is int:
@@ -272,16 +291,10 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                     t_frac.append((num * r_child, den * (c - 1) * c))
                     t_r.append(r_child)
                     t_word.append(child)
-            if cuts or floor and not admitted:
-                cut_count += counts[i]
             if not merge and len(t_src) > _MAX_WORD_STATES:
                 raise DomainError(
                     f"level {n} has {len(t_src)} word-keyed states, more than the "
                     f"{_MAX_WORD_STATES} allowed")
-        if warning is None and cut_count:  # the first position the cap cuts
-            warning = CapTooSmallWarning(
-                f"digit_cap {digit_cap} excludes all digits at position {n}, "
-                f"cutting off {cut_count} compatible prefix(es)", n, cut_count)
         # the sources of merged states become values, grouped by their sources
         batch = {}
         for i in sorted({i for t in merged for i in t_src[t]}):
@@ -298,8 +311,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
             for src in t_src
         ]
         if last:
-            if warning is not None:
-                warnings.warn(warning, stacklevel=stacklevel)
+            _warn_first_cut(digit_cap, cuts, 3)
             final = {}
             for sources, frac in zip(t_srcs, t_frac):
                 final.setdefault(sources, []).append(frac)
@@ -315,43 +327,38 @@ def enumerate_compatible_bases(
 ) -> Iterator[DigitWord]:
     """All valid rank-`rank` words with digits <= digit_cap passing the predicate.
 
-    Deterministic lexicographic order, one word at a time by depth-first
-    descent.  Warns CapTooSmallWarning (once) when the cap cuts off every
-    admissible digit at some position, i.e. when a compatible prefix has no
-    rule-admissible child <= digit_cap although admissible children exist
-    beyond it.  The warning comes when the descent first meets such a
-    prefix; its position and count are the first position where the cap
-    does so and how many compatible prefixes it cuts off there.  The
-    arguments are checked when the call is made, before any base is asked
-    for.
+    Deterministic lexicographic order, one word at a time by a depth-first
+    walk on an explicit stack, so any rank is listed.  Each child word the
+    walk tests costs one predicate call (_children, the step the state
+    recursion takes too).  Warns CapTooSmallWarning (once) when the cap
+    cuts off every admissible digit at some position, i.e. when a
+    compatible prefix has no rule-admissible child <= digit_cap although
+    admissible children exist beyond it.  The warning comes once the
+    enumeration is exhausted, so a partial read warns nothing; its
+    position and count are the first position where the cap does so and
+    how many compatible prefixes it cuts off there.  The arguments are
+    checked when the call is made, before any base is asked for.
     """
     _check_rank_cap(rule, rank, digit_cap)
-    alphabet, floor, admits = predicate._alphabet, predicate._floor, predicate._admits
-    warned = False
+    r0 = _positive_r(rule.phi0, 0)
 
-    def descend(word: DigitWord, r: int) -> Iterator[DigitWord]:
-        nonlocal warned
-        candidates, cuts = _candidates(alphabet, r, digit_cap)
-        admitted = False
-        for c in candidates:
-            if not admits(word, c):
-                continue
-            admitted = True
-            child = word + (c,)
-            r_child = _step_r(rule, child, len(child))
-            if r_child < 1:
+    def walk() -> Iterator[DigitWord]:
+        cuts = [0] * rank  # cuts[n - 1]: compatible prefixes cut off at position n
+        stack = [()]  # the words still to visit, the next one last
+        while stack:
+            word = stack.pop()
+            r = _step_r(rule, word, len(word)) if word else r0
+            if r < 1:
                 continue  # digit admissible but rule value degenerates: prune
-            if len(child) == rank:
-                yield child
-            else:
-                yield from descend(child, r_child)
-        if (cuts or floor and not admitted) and not warned:
-            warned = True
-            # _levels warns past its own frame, one generator frame per
-            # digit of word and the root's, to the caller
-            _levels(rule, predicate, len(word) + 1, digit_cap, Fraction, 3 + len(word))
+            if len(word) == rank:
+                yield word
+                continue
+            digits, cut = _children(predicate, word, r, digit_cap)
+            cuts[len(word)] += cut
+            stack += [word + (c,) for c in reversed(digits)]
+        _warn_first_cut(digit_cap, cuts, 2)
 
-    return descend((), _positive_r(rule.phi0, 0))
+    return walk()
 
 
 @dataclass(frozen=True)
@@ -430,7 +437,7 @@ def pressure_root(
         raise DomainError("tol must be finite and positive")
     log, exp, fsum = math.log, math.exp, math.fsum
     kept, final, bases = _levels(
-        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den), 3
+        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den)
     )
     if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
@@ -658,7 +665,7 @@ def measure_at_rank(
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
-    kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction, 3)
+    kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction)
     u = [Fraction(rule.phi0)]
     get = u.__getitem__
     for level in kept:

@@ -146,14 +146,33 @@ def test_cap_warning_for_growth_floor_cut_off():
 
 
 def test_enumeration_warning_points_at_the_caller():
-    # the depth-first descent first meets a cut-off prefix of 1, 2 or 3
-    # digits, (4,), (2, 4) or (2, 3, 4), one generator frame per digit deep
+    # the walk warns from its one generator frame once it is exhausted,
+    # however deep the cut-off prefixes (4,), (2, 4) or (2, 3, 4) lie
     for rank in (2, 3, 5):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             list(enumerate_compatible_bases(ENGEL_MOD, all_digits(), rank, 4))
         assert [w.category for w in caught] == [CapTooSmallWarning]
         assert caught[0].filename == __file__
+
+
+def test_enumeration_warns_once_exhausted():
+    # (2, 12) is the first cut-off prefix the walk meets, after the 45 words
+    # that start with 2; the first position the cap cuts is 2, below (12,)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        words = enumerate_compatible_bases(ENGEL_MOD, all_digits(), 3, 12)
+        head = list(itertools.islice(words, 46))
+    assert head[-1] == (3, 4, 5) and caught == []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        words = list(enumerate_compatible_bases(ENGEL_MOD, all_digits(), 3, 12))
+    assert words[:46] == head and len(words) == 165
+    assert [(w.message.position, w.message.count) for w in caught] == [(2, 1)]
+
+
+def test_enumeration_lists_any_rank():
+    assert list(enumerate_compatible_bases(LUROTH, all_digits(), 2000, 2)) == [(2,) * 2000]
 
 
 def test_no_warning_when_alphabet_is_really_exhausted():
@@ -718,7 +737,8 @@ def test_opaque_predicate_is_asked_alike_by_all_three():
         "enumerate": lambda rule, rank, pred: list(
             enumerate_compatible_bases(rule, pred, rank, 7)),
     }
-    for name, rank in itertools.product(("engel", "luroth", "custom"), (2, 3)):
+    names = ("engel", "engel-mod", "luroth", "oppenheim", "custom")
+    for name, rank in itertools.product(names, (2, 3)):
         counts = {}
         for run, call in runs.items():
             calls[0] = 0
@@ -907,3 +927,17 @@ def test_word_keyed_levels_are_bounded(monkeypatch):
     # states keyed by the last digit are not word-keyed: no bound applies
     est = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 3, 11, 1e-9)
     assert est.bases_count == 10**3
+
+
+def test_word_keyed_bound_is_the_state_recursions_own(monkeypatch):
+    # an opaque predicate keys every state by its word; the enumeration
+    # lists words one at a time and keeps no level to bound
+    monkeypatch.setattr(dimension, "_MAX_WORD_STATES", 50)
+    pred = DigitPredicate(lambda w: True, "all, opaque")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        words = list(enumerate_compatible_bases(ENGEL_MOD, pred, 3, 12))
+    assert words == list(itertools.combinations(range(2, 13), 3))
+    assert [(w.message.position, w.message.count) for w in caught] == [(2, 1)]
+    with pytest.raises(DomainError, match="^level 2 has 52 word-keyed states"):
+        pressure_root(ENGEL_MOD, Sign.POSITIVE, pred, 3, 12, 1e-9)
