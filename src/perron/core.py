@@ -27,7 +27,9 @@ Everything in this module is exact rational arithmetic; no floats anywhere.
 Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
 a few integer products and no gcd, and a value is reduced to a lowest-terms
-Fraction once, when it is read.  Every endpoint is read through one method,
+Fraction once, when it is read.  A frame takes digits in one place,
+_Frame.extend, and the frame of a word is the root frame extended by it
+(_Frame.walk).  Every endpoint is read through one method,
 _Frame.hull(start, end), the hull of a range of children: a cylinder is the
 hull of its whole child range, and a family set (see coverings) the hull of
 its digit range.  The frame is geometry only.  Validation is one walk over
@@ -259,9 +261,10 @@ class _Frame(NamedTuple):
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
     with _tail, which needs only the sign, r and the digit.
-    walk() validates a word and builds its frame in one pass; child(c)
-    extends a frame by one checked digit.  A frame is geometry: code that
-    needs only the word and r steps r with _next_r (rule_value is that walk).
+    extend(digits) is the one step by which a frame takes digits, checking
+    each against r as it composes it; walk(word) is the root frame extended
+    by word.  A frame is geometry: code that needs only the word and r
+    steps r with _next_r (rule_value is that walk).
     """
 
     rule: DigitRule
@@ -274,19 +277,31 @@ class _Frame(NamedTuple):
 
     @classmethod
     def walk(cls, rule: DigitRule, sign: Sign, word: Sequence[int]) -> "_Frame":
-        word = tuple(word)
-        step = (0, 1, 1, _positive_r(rule.phi0, 0))
-        for i in range(1, len(word) + 1):
-            step = _compose(rule, sign, word, i, *step)
-        return cls(rule, sign, word, *step)
+        """The frame of word: the root frame (off 0, sc 1, r_0) extended by word."""
+        return cls(rule, sign, (), 0, 1, 1, _positive_r(rule.phi0, 0)).extend(word)
 
-    def child(self, c: int) -> "_Frame":
-        word = self.word + (c,)
-        step = _compose(
-            self.rule, self.sign, word, len(word),
-            self.off_num, self.sc_num, self.den, self.r,
-        )
-        return _Frame(self.rule, self.sign, word, *step)
+    def extend(self, digits: Sequence[int]) -> "_Frame":
+        """The frame of self.word + digits, each digit checked before its step.
+
+        Digit c, under the rule value r before it, composes the map
+        y |-> r/c + y*r/((c-1)c) (positive) or y |-> r/(c-1) - y*r/((c-1)c)
+        (alternating) onto y |-> (a + s*y)/d, over the common denominator
+        d*(c-1)c.  _next_r checks c against r before any arithmetic, so an
+        invalid digit is the ValidityError naming its position in the whole
+        word.
+        """
+        word = self.word + tuple(digits)
+        a, s, d, r = self.off_num, self.sc_num, self.den, self.r
+        positive = self.sign is _POSITIVE
+        for i in range(len(self.word) + 1, len(word) + 1):
+            c, r_next = word[i - 1], _next_r(self.rule, r, word, i)
+            block = (c - 1) * c
+            if positive:
+                a, s = a * block + s * r * (c - 1), s * r
+            else:
+                a, s = a * block + s * r * c, -s * r
+            d, r = d * block, r_next
+        return _Frame(self.rule, self.sign, word, a, s, d, r)
 
     def at(self, num: int, den: int) -> ExactQ:
         """The point off + sc * num/den (den > 0), reduced once."""
@@ -316,21 +331,6 @@ class _Frame(NamedTuple):
         a = self.at(0, 1) if end is None else self.at(self.r, end)
         b = self.at(1, 1) if start == self.r + 1 else self.at(self.r, start - 1)
         return (a, b) if self.sc_num > 0 else (b, a)
-
-
-def _compose(rule, sign, word, i, a, s, d, r):
-    """(off_num, sc_num, den, r) after digit c = word[i-1], checked against r.
-
-    Composes the rank-i map y |-> r/c + y*r/((c-1)c) (positive) or
-    y |-> r/(c-1) - y*r/((c-1)c) (alternating) onto y |-> (a + s*y)/d, over
-    the common denominator d*(c-1)c.
-    """
-    c = word[i - 1]
-    r_next = _next_r(rule, r, word, i)
-    block = (c - 1) * c
-    if sign is Sign.POSITIVE:
-        return a * block + s * r * (c - 1), s * r, d * block, r_next
-    return a * block + s * r * c, -s * r, d * block, r_next
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ scale is the widest.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,9 +395,9 @@ def split_parameters(alpha: float, eps: float) -> int:
     float(s)**alpha > 1 + 1/eps, where a power beyond float range passes a
     finite bound (an integer alpha is tested in floats too, never as an
     exact power).  The test is nondecreasing in s, so one bisection over
-    [2, 2**53] finds s in at most 54 tests.  When 2**53, past which
-    consecutive integers stop being distinct floats, fails the test, the
-    minimal s exceeds it: a DomainError.
+    [2, 2**53] (bisect.bisect_left) finds s in 53 tests.  When 2**53, past
+    which consecutive integers stop being distinct floats, fails the test,
+    the minimal s exceeds it: a DomainError.
     """
     if not (alpha > 0 and eps > 0):
         raise DomainError("alpha and eps must be positive")
@@ -407,13 +409,10 @@ def split_parameters(alpha: float, eps: float) -> int:
         except OverflowError:  # beyond float range, so above a finite bound
             return bound < math.inf
 
-    lo, hi = 1, 2**53  # lo fails (or is below the range), hi passes
-    if not passes(hi):
+    s = bisect.bisect_left(range(2**53 + 1), True, lo=2, key=passes)
+    if s > 2**53:
         raise DomainError(f"split ratio for alpha={alpha}, eps={eps} exceeds 2**53")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    return hi
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +440,11 @@ def verify_cover(
     (x1, x2] inside (0, 1], alternating ones open inside (0, 1)
     (DomainError otherwise).  Everything runs in the frame of the sets'
     longest common prefix P (the root frame when P is empty).  P's affine
-    frame is walked once; each set's prefix is framed relative to it (P's
-    frame with off = 0, sc = 1 and den = 1, extended by child(), each
-    distinct prefix once), so every hull endpoint is a small Fraction in
-    P's tail coordinates.  Coverage is one sort of these relative hulls plus
+    frame is walked once; each set's prefix is framed relative to it, as
+    P's frame with off = 0, sc = 1 and den = 1 extended by the prefix's
+    digits beyond P.  A memo keyed by the whole prefix frames each distinct
+    prefix once, so every hull endpoint is a small Fraction in P's tail
+    coordinates.  Coverage is one sort of these relative hulls plus
     one greedy pass (_chains_across), which maps U's ends into P's frame
     once as unreduced integer pairs, swapped when P's sc is negative (an
     odd-length alternating P).  Positive targets (x1, x2] are covered iff
@@ -472,18 +472,8 @@ def verify_cover(
         while fs.prefix[: len(common)] != common:
             common = common[:-1]
     base = _Frame.walk(rule, sign, common)
-    frames = {common: base._replace(off_num=0, sc_num=1, den=1)}  # relative to base
-
-    def frame_of(prefix: DigitWord) -> _Frame:
-        k = len(prefix)
-        while prefix[:k] not in frames:
-            k -= 1
-        frame = frames[prefix[:k]]
-        for c in prefix[k:]:
-            frame = frame.child(c)
-            frames[frame.word] = frame
-        return frame
-
+    rel = base._replace(off_num=0, sc_num=1, den=1)  # base relative to itself
+    frame_of = functools.cache(lambda prefix: rel.extend(prefix[len(common) :]))
     spans = [frame_of(fs.prefix).hull(fs.start, fs.end) for fs in sets]
     widths = [hi - lo for lo, hi in spans]
     sc, den = abs(base.sc_num), base.den

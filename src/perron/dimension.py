@@ -168,11 +168,13 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     return _LocalPredicate(test, f"ratio-window({alpha},{delta})")
 
 
-def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
+def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> int:
+    """r_0, once rank, then digit_cap, then r_0 itself are checked."""
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if digit_cap < rule.phi0 + 1:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
+    return _positive_r(rule.phi0, 0)
 
 
 def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
@@ -251,10 +253,10 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     The largest word-keyed level of the benchmark's pressure pools is 808
     states and that of the tests 3375, far below the bound.
     """
-    _check_rank_cap(rule, rank, digit_cap)
+    r0 = _check_rank_cap(rule, rank, digit_cap)
     merge = rule.fn is None and isinstance(predicate, _LocalPredicate)
     # the states of the level before: words, rule values, counts, expressions
-    words, rs, counts = [()], [_positive_r(rule.phi0, 0)], [1]
+    words, rs, counts = [()], [r0], [1]
     srcs, fracs = [(0,)], [(1, 1)]
     kept, values, cuts = [], 1, []
     for n in range(1, rank + 1):
@@ -339,8 +341,7 @@ def enumerate_compatible_bases(
     how many compatible prefixes it cuts off there.  The arguments are
     checked when the call is made, before any base is asked for.
     """
-    _check_rank_cap(rule, rank, digit_cap)
-    r0 = _positive_r(rule.phi0, 0)
+    r0 = _check_rank_cap(rule, rank, digit_cap)
 
     def walk() -> Iterator[DigitWord]:
         cuts = [0] * rank  # cuts[n - 1]: compatible prefixes cut off at position n

@@ -28,7 +28,7 @@ from perron import (
     word_diameter,
 )
 from perron import core
-from perron.core import _MAX_DIGIT_BITS, _digits
+from perron.core import _MAX_DIGIT_BITS, _digits, _Frame
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -500,6 +500,29 @@ def reader_case(draw):
         offset = draw(st.one_of(st.integers(0, 3), st.integers(0, 10**6)))
         word.append(rule_value(rule, word) + 1 + offset)
     return rule, draw(st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING])), tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader_case(), st.data())
+def test_frame_extend_continues_any_frame(case, data):
+    # the frame of w1 extended by w2 is the frame of w1 + w2, from the root
+    # or from any frame below it, and an invalid digit in w2 raises what
+    # walking the whole word raises, named by its position in that word
+    rule, sign, word = case
+    k = data.draw(st.integers(0, len(word)))
+    w1, w2 = word[:k], word[k:]
+    assert _Frame.walk(rule, sign, w1).extend(w2) == _Frame.walk(rule, sign, word)
+    if not w2:
+        return
+    j = data.draw(st.integers(0, len(w2) - 1))
+    bad = data.draw(st.sampled_from([1, rule_value(rule, word[: k + j]), "x", 2.5]))
+    w2 = w2[:j] + (bad,) + w2[j + 1 :]
+    with pytest.raises(ValidityError) as whole:
+        _Frame.walk(rule, sign, w1 + w2)
+    with pytest.raises(ValidityError) as extended:
+        _Frame.walk(rule, sign, w1).extend(w2)
+    assert str(extended.value) == str(whole.value)
+    assert extended.value.index == whole.value.index == k + j + 1
 
 
 @settings(max_examples=150, deadline=None)

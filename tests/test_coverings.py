@@ -1017,6 +1017,21 @@ def test_verify_rejects_invalid_members_with_the_same_messages():
         assert _outcome(verify_cover_oracle, PIERCE, U, members, 1.0) == expected
 
 
+def test_verify_checks_float_digits_beyond_the_common_prefix_in_every_order():
+    # each distinct prefix is framed from P's frame by its whole tail, so a
+    # float digit equal to an int beyond P is checked whichever set comes
+    # first, also after another set has framed an equal int prefix of it
+    U = QInterval(Fraction(1, 8), Fraction(1, 3), False, True)
+    sets = [
+        FamilySet(Sign.POSITIVE, (2, 3, 4), 5),
+        FamilySet(Sign.POSITIVE, (2, 3.0, 5), 6),
+        FamilySet(Sign.POSITIVE, (2, 4), 5),
+    ]
+    expected = (ValidityError, "digit 3.0 at position 2 violates c >= 3", 2)
+    for order in itertools.permutations(sets):
+        assert _outcome(verify_cover, ENGEL_MOD, U, list(order), 1.0) == expected
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
 def test_verify_cost_is_bit_identical_in_the_underflow_regime(sign, alpha):
@@ -1102,7 +1117,7 @@ def test_stepped_relative_positions_match_frame_relative(rule, sign):
         u = frame.relative(x)
         for c in word:
             u = _tail(sign, frame.r, c, *u)
-            frame = frame.child(c)
+            frame = frame.extend((c,))
             assert u[1] > 0
             assert Fraction(*u) == Fraction(*frame.relative(x))
 
