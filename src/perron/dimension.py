@@ -26,17 +26,27 @@ rescaling in log space would cover that regime and is out of scope.
 
 The state recursion (_levels, breadth-first) and the base enumeration
 (enumerate_compatible_bases, depth-first on an explicit stack) take one
-child step (_children): the digits a compatible word is extended by, each
-asked of the predicate once, and whether the cap cuts the word off.  Each
-walk counts its cuts per position, and _warn_first_cut is the one place that
-raises CapTooSmallWarning: _levels once its levels are built, the
-enumeration once it is exhausted.  The enumeration does not call _levels, so
-the bound on word-keyed states is _levels' alone.
+child step (_children): the digits a compatible word is extended by, and
+whether the cap cuts the word off.  A built-in predicate states those
+digits as one integer range per word (or, for an alphabet, its members),
+and an opaque one is asked about each candidate once.  Each walk counts its
+cuts per position, and _warn_first_cut is the one place that raises
+CapTooSmallWarning: _levels once its levels are built, the enumeration once
+it is exhausted.  The enumeration does not call _levels, so the bound on
+word-keyed states is _levels' alone.
+
+The sources of every state are one slice of the level before (_slices, one
+sweep per level), so a merged level is built with one step per state and
+none per (source, digit) pair; f(s) sums each slice with one math.fsum,
+and measure_at_rank as a difference of exact prefix sums.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,11 +81,9 @@ class DigitPredicate:
     be hereditary: once a word is incompatible, every extension is too.  The
     enumeration below relies on that to prune whole subtrees.  Such an opaque
     predicate is asked about each whole child word; the built-in predicates
-    are local and test only the new digit.
+    are local and state the digits they admit after each word.
     """
 
-    _alphabet: tuple[int, ...] | None = None  # finite digit set, if declared
-    _floor = False  # admits, at each position, every digit from some floor up
     _unrestricted = False  # admits every word
 
     def __init__(self, classify: Callable[[DigitWord], bool], description: str):
@@ -97,25 +105,31 @@ class _LocalPredicate(DigitPredicate):
     """A predicate stated as test(prev, c, n) on each digit c, its
     predecessor prev (None for the first digit) and its 1-based position n.
     A word is compatible when every digit passes, so the predicate is
-    hereditary by construction and the enumerator tests one digit per child.
+    hereditary by construction.
+
+    The enumerator does not run the test digit by digit.  Either the
+    predicate declares a finite alphabet, the digits it admits anywhere, or
+    span(prev, n, cap) states the digits test admits after (prev, n) as one
+    integer range [lo, hi], hi None when it is unbounded; only digits up to
+    cap are asked about.  For every built-in span both ends are
+    nondecreasing in prev, which _levels relies on.
     """
 
-    def __init__(self, test, description, alphabet=None, floor=False, unrestricted=False):
+    def __init__(self, test, description, span=None, alphabet=None, unrestricted=False):
         super().__init__(self._classify, description)
-        self._test, self._alphabet = test, alphabet
-        self._floor, self._unrestricted = floor, unrestricted
+        self._test, self._span, self._alphabet = test, span, alphabet
+        self._unrestricted = unrestricted
 
     def _classify(self, word: DigitWord) -> bool:
         padded = (None, *word)  # padded[n - 1] precedes the n-th digit
         return all(self._test(padded[n - 1], c, n) for n, c in enumerate(padded[1:], 1))
 
-    def _admits(self, word: DigitWord, c: int) -> bool:
-        return self._test(word[-1] if word else None, c, len(word) + 1)
-
 
 def all_digits() -> DigitPredicate:
     """No restriction beyond rule validity."""
-    return _LocalPredicate(lambda prev, c, n: True, "all", unrestricted=True)
+    return _LocalPredicate(
+        lambda prev, c, n: True, "all", lambda prev, n, cap: (1, None), unrestricted=True
+    )
 
 
 def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
@@ -127,7 +141,7 @@ def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
         raise DomainError("allowed digits must be integers")
     alphabet = tuple(sorted(allowed_set))  # the enumerator's candidates
     return _LocalPredicate(
-        lambda prev, c, n: c in allowed_set, f"alphabet{list(alphabet)}", alphabet
+        lambda prev, c, n: c in allowed_set, f"alphabet{list(alphabet)}", alphabet=alphabet
     )
 
 
@@ -141,12 +155,22 @@ def bounded_ratio(k: ExactQ) -> DigitPredicate:
     def test(prev, c, n):
         return prev is None or c * den <= num * prev
 
-    return _LocalPredicate(test, f"ratio<={k}")
+    def span(prev, n, cap):
+        return 1, None if prev is None else num * prev // den
+
+    return _LocalPredicate(test, f"ratio<={k}", span)
 
 
 def growth_floor(psi: Callable[[int], ExactQ]) -> DigitPredicate:
     """Digit at 1-based position n at least psi(n), for all n."""
-    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor", floor=True)
+
+    def span(prev, n, cap):
+        floor = psi(n)
+        if not floor <= cap:  # beyond the cap, +inf or NaN: no digit up to it passes
+            return cap + 1, None
+        return math.ceil(max(floor, 1)), None
+
+    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor", span)
 
 
 def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
@@ -156,6 +180,14 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     every word of the limit set eventually satisfies the window, and the
     predicate approximates such sets from outside at each rank.  NaN alpha
     or delta would admit every word, so both are rejected.
+
+    The test is made in floats, as written.  Its range after prev is found
+    by bisecting that same test over the digits 2..cap, which gives the
+    digits it passes one by one as long as the computed log ratio is
+    nondecreasing in c and nonincreasing in prev.  It is when math.log is
+    within one ulp and the digits are below 2^46: there log(c + 1) - log(c)
+    exceeds 2^-46, more than the two ulps (at most 2^-47) that the logs
+    can stray, and a correctly rounded quotient keeps their order.
     """
     if math.isnan(alpha) or math.isnan(delta):
         raise DomainError("alpha and delta must not be NaN")
@@ -165,7 +197,18 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     def test(prev, c, n):
         return prev is None or abs(math.log(c) / math.log(prev) - alpha) <= delta
 
-    return _LocalPredicate(test, f"ratio-window({alpha},{delta})")
+    def span(prev, n, cap):
+        if prev is None:
+            return 1, None
+        log_prev, digits = math.log(prev), range(2, cap + 1)
+
+        def gap(c):  # the test is -delta <= gap(c) <= delta
+            return math.log(c) / log_prev - alpha
+
+        low = bisect.bisect_left(digits, -delta, key=gap)
+        return low + 2, bisect.bisect_right(digits, delta, low, key=gap) + 1
+
+    return _LocalPredicate(test, f"ratio-window({alpha},{delta})", span)
 
 
 def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> int:
@@ -178,26 +221,28 @@ def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> int:
 
 
 def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
-    """The digits that extend a compatible word whose rule value is r, and
-    whether the cap cuts the word off.
+    """The digits that extend a compatible word whose rule value is r, in
+    increasing order, and whether the cap cuts the word off.
 
-    The candidates are the admissible digits up to the cap, inside the
-    alphabet if one is declared; each is tested once (predicate._admits),
-    and those that pass are returned in increasing order.  The cap cuts the
+    The candidates are the admissible digits up to the cap.  An opaque
+    predicate is asked about each once (predicate._admits), and its digits
+    come as a list.  A local one is not asked digit by digit: a declared
+    alphabet gives its members among the candidates, and a span gives the
+    range of candidates inside it, one call per word.  The cap cuts the
     word off when no candidate is left although admissible digits exist
-    beyond the cap.  Under a declared floor (growth_floor) it does so too
-    when no candidate passes: every digit from the floor up would pass, so
-    the floor lies beyond the cap.  So the floor is evaluated once per
-    tested digit and no more.
+    beyond the cap, or when a span unbounded above (growth_floor) starts
+    beyond the cap: every digit from there up would pass.
     """
+    if not isinstance(predicate, _LocalPredicate):
+        digits = [c for c in range(r + 1, digit_cap + 1) if predicate._admits(word, c)]
+        return digits, r >= digit_cap
     alphabet = predicate._alphabet
-    if alphabet is None:
-        candidates, cuts = range(r + 1, digit_cap + 1), r >= digit_cap
-    else:
-        candidates = [c for c in alphabet if r < c <= digit_cap]
-        cuts = not candidates and alphabet[-1] > r
-    digits = [c for c in candidates if predicate._admits(word, c)]
-    return digits, cuts or predicate._floor and not digits
+    if alphabet is not None:
+        digits = [c for c in alphabet if r < c <= digit_cap]
+        return digits, not digits and alphabet[-1] > r
+    lo, hi = predicate._span(word[-1] if word else None, len(word) + 1, digit_cap)
+    stop = digit_cap if hi is None else min(digit_cap, hi)
+    return range(max(r + 1, lo), stop + 1), r >= digit_cap or hi is None and lo > digit_cap
 
 
 def _warn_first_cut(digit_cap: int, cuts: Sequence[int], stacklevel: int) -> None:
@@ -216,31 +261,42 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     """The compatible rank-k words, merged into states one position at a time.
 
     A state at level n stands for compatible length-n words that extend
-    alike.  It is keyed by the last digit when the rule is built in (r_n
-    depends on c_n alone) and the predicate is local (its test reads only
-    (prev, c, n)); otherwise by the whole word, which never repeats, so
-    such states never merge and the levels are the enumeration tree.
+    alike.  It is keyed by the last digit when the rule is built in (r_n =
+    a c_n + b, a >= 0, depends on c_n alone) and the predicate is local (it
+    reads only (prev, c, n)); otherwise by the whole word, which never
+    repeats, so such states never merge and the levels are the enumeration
+    tree.
+
+    The states of a level are in increasing order, of their last digits
+    when merged and of their words otherwise, and each one's children come
+    from _children, the step enumerate_compatible_bases takes too.  So the sources of a state are one slice [i, j) of the level
+    before: a word-keyed child has the one source [i, i + 1).  A merged
+    state c is first reached from the state i that first admits it, and
+    under the built-in rules and predicates the ends of each state's
+    children are nondecreasing along a level (a >= 0, and every span's ends
+    are nondecreasing in prev), so the states that admit c run on from i
+    without a gap: j is the first state after i whose least child exceeds
+    c.  As c increases, j only moves forward, so one sweep of two pointers
+    finds every slice, with one step per state and none per (source, digit)
+    pair, and prefix sums of the states' counts give each slice's count.
 
     A word's diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i is phi_0 times
     one factor r / (c - 1)c per digit, r being the rule value the digit
     leads to, or 1 at the last position, where it drops out.  Each state is
     an expression (sources, num, den): its value is (num/den)**s times the
-    sum of the values that sources index, value 0 being the root's,
-    phi_0**s.  A state reached from one source extends that source's
-    expression by its own factor, so a chain of such states is one
-    expression and costs nothing per link.  A state reached from several
-    sources is its own factor times the sum of their values, and each of
-    those sources becomes a value: weigh(num, den) of its expression.
-
-    Each word's children, and whether the cap cuts it off, come from
-    _children, the step that enumerate_compatible_bases takes too.
+    sum of the values in the index slice sources, value 0 being the root's,
+    phi_0**s.  A state with one source extends that source's expression by
+    its own factor, so a chain of such states is one expression and costs
+    nothing per link.  A state with several sources is its own factor times
+    the sum of their values, and each of those sources becomes a value:
+    weigh(num, den) of its expression.  The sources that become values do
+    so in increasing order, so every slice of them is a slice of values.
 
     Returns (kept, final, bases).  kept holds one list per level that adds
     values, each a list of groups (sources, weights): one new value per
-    weight, indexed in order after the earlier ones; a group gathers the
-    items that share their sources, in order of first appearance.  final
-    holds such groups for the rank-k states, whose values sum to the rank-k
-    sum.
+    weight, indexed in order after the earlier ones; a group gathers
+    consecutive items that share their sources.  final holds such groups
+    for the rank-k states, whose values sum to the rank-k sum.
     bases counts the compatible rank-k words (an integer count per state,
     carried in the same pass).  When the cap cuts off every admissible
     digit of some compatible prefix, CapTooSmallWarning names the first
@@ -254,71 +310,92 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     states and that of the tests 3375, far below the bound.
     """
     r0 = _check_rank_cap(rule, rank, digit_cap)
-    merge = rule.fn is None and isinstance(predicate, _LocalPredicate)
+    merge = rule.fn is None and rule.a >= 0 and isinstance(predicate, _LocalPredicate)
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [r0], [1]
-    srcs, fracs = [(0,)], [(1, 1)]
+    srcs, fracs = [(0, 1)], [(1, 1)]
     kept, values, cuts = [], 1, []
     for n in range(1, rank + 1):
         last = n == rank
-        state = {} if merge and len(words) > 1 else None  # digit -> target
-        t_src, t_srcs, t_frac, t_r, t_word = [], [], [], [], []  # per target
-        merged = []
         cuts.append(0)
-        for i, (word, r) in enumerate(zip(words, rs)):
+        children = []
+        for word, r, count in zip(words, rs, counts):
             digits, cut = _children(predicate, word, r, digit_cap)
             if cut:
-                cuts[-1] += counts[i]
-            sources, (num, den) = srcs[i], fracs[i]
-            for c in digits:
-                t = None if state is None else state.get(c)
-                if t is not None:  # one more source of a merged state
-                    if t_src[t].__class__ is int:
-                        t_src[t] = [t_src[t]]
-                        t_frac[t] = weigh(1, (c - 1) * c) if last else (t_r[t], (c - 1) * c)
-                        merged.append(t)
-                    t_src[t].append(i)
-                    continue
-                child = word + (c,)
+                cuts[-1] += count
+            children.append(digits)
+        sums = [0, *itertools.accumulate(counts)]
+        made = []  # the states of the level before that become values, in order
+        t_word, t_r, t_count, t_srcs, t_frac = [], [], [], [], []  # per state
+        covered = shift = 0  # the states made values so far end at covered; i is value i + shift
+        for i, j, run in _slices(children, merge):
+            count, sources = sums[j] - sums[i], None
+            for c in run:
+                child = words[i] + (c,)
                 r_child = _step_r(rule, child, n)
                 if r_child < 1:
                     continue  # digit admissible but rule value degenerates: prune
-                if state is not None:
-                    state[c] = len(t_src)
-                t_src.append(i)
+                if sources is None:  # the first state of the run that is kept
+                    if j - i == 1:  # one source: extend its expression
+                        sources, (num, den) = srcs[i], fracs[i]
+                    else:  # the sources [i, j) become values [i + shift, j + shift)
+                        if i >= covered:
+                            shift = values - i
+                        made += range(max(i, covered), j)
+                        values, covered = j + shift, j
+                        sources, num, den = (i + shift, j + shift), 1, 1
                 t_srcs.append(sources)
+                t_count.append(count)
                 if last:
                     t_frac.append(weigh(num, den * (c - 1) * c))
                 else:
                     t_frac.append((num * r_child, den * (c - 1) * c))
                     t_r.append(r_child)
                     t_word.append(child)
-            if not merge and len(t_src) > _MAX_WORD_STATES:
+            if not merge and len(t_frac) > _MAX_WORD_STATES:
                 raise DomainError(
-                    f"level {n} has {len(t_src)} word-keyed states, more than the "
+                    f"level {n} has {len(t_frac)} word-keyed states, more than the "
                     f"{_MAX_WORD_STATES} allowed")
-        # the sources of merged states become values, grouped by their sources
-        batch = {}
-        for i in sorted({i for t in merged for i in t_src[t]}):
-            batch.setdefault(srcs[i], []).append(i)
-        order = [i for group in batch.values() for i in group]
-        value = dict(zip(order, range(values, values + len(order))))
-        values += len(order)
-        if batch:
-            kept.append([(key, [weigh(*fracs[i]) for i in group]) for key, group in batch.items()])
-        for t in merged:
-            t_srcs[t] = tuple(map(value.__getitem__, t_src[t]))
-        counts = [
-            counts[src] if src.__class__ is int else sum(map(counts.__getitem__, src))
-            for src in t_src
-        ]
-        if last:
-            _warn_first_cut(digit_cap, cuts, 3)
-            final = {}
-            for sources, frac in zip(t_srcs, t_frac):
-                final.setdefault(sources, []).append(frac)
-            return kept, final.items(), sum(counts)
-        words, rs, srcs, fracs = t_word, t_r, t_srcs, t_frac
+        if made:
+            kept.append(_grouped([srcs[i] for i in made], [weigh(*fracs[i]) for i in made]))
+        words, rs, counts, srcs, fracs = t_word, t_r, t_count, t_srcs, t_frac
+    _warn_first_cut(digit_cap, cuts, 3)
+    return kept, _grouped(srcs, fracs), sum(counts)
+
+
+def _slices(children: list, merge: bool) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """(i, j, run) for each run of the children of a level's states that
+    share their sources [i, j): the states of the next level, in order.
+
+    Word-keyed (merge false), the children of state i are states of their
+    own, each with the one source [i, i + 1).  Merged, each digit is one
+    state, taken where it is first reached (state i) and in increasing
+    order: j is the first state after i whose least child exceeds it, or
+    that has none.  The ends of the children must be nondecreasing along
+    the states (see _levels), and then j only moves forward.
+    """
+    if not merge:
+        yield from ((i, i + 1, digits) for i, digits in enumerate(children))
+        return
+    firsts = [d[0] if d else math.inf for d in children] + [math.inf]
+    top = j = 0  # the last child of the states before i; the end of the slice
+    for i, digits in enumerate(children):
+        j = max(j, i + 1)
+        start = bisect.bisect_right(digits, top)  # digits[start:] are first reached here
+        while start < len(digits):
+            while firsts[j] <= digits[start]:
+                j += 1
+            stop = bisect.bisect_left(digits, firsts[j], start)
+            yield i, j, digits[start:stop]
+            start = stop
+        if digits:
+            top = digits[-1]
+
+
+def _grouped(keys: Sequence, weights: Sequence) -> list:
+    """(key, its weights) for each run of equal consecutive keys."""
+    runs = itertools.groupby(zip(keys, weights), key=operator.itemgetter(0))
+    return [(key, [w for _, w in run]) for key, run in runs]
 
 
 def enumerate_compatible_bases(
@@ -410,9 +487,11 @@ def pressure_root(
     digit for the built-in rules and predicates, by the whole word
     otherwise.  That structure is built once, and each f(s) is a recursion
     over it: one compensated sum per group of states sharing their sources,
-    and one exp per state with a value of its own.  With the built-in rules
-    and predicates a level has at most one state per digit, so the work
-    grows with rank times the cap squared, not with the number of bases.
+    which are one slice of the level before, and one exp per state with a
+    value of its own.  With the built-in rules and predicates a level has at
+    most one state per digit, so the build grows with rank times the cap,
+    and each f(s) adds at most rank times the cap squared terms inside
+    math.fsum: neither grows with the number of bases.
     The diameter r_0...r_{k-1} / prod (c_i - 1)c_i does not depend on the
     sign (the equal-diameter law), so the positive and alternating
     estimates agree bit for bit.
@@ -444,20 +523,19 @@ def pressure_root(
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
     log_phi0 = log(rule.phi0)
 
-    def values(level, get, s):  # one compensated sum per group, one exp per value
+    def values(level, u, s):  # one compensated sum per group, one exp per value
         return [
             total * exp(s * lw)
-            for sources, lws in level
-            for total in [fsum(map(get, sources))]
+            for (lo, hi), lws in level
+            for total in [fsum(u[lo:hi])]
             for lw in lws
         ]
 
     def f(s: float) -> float:
         u = [exp(s * log_phi0)]
-        get = u.__getitem__
         for level in kept:
-            u += values(level, get, s)
-        return fsum(values(final, get, s)) - 1.0
+            u += values(level, u, s)
+        return fsum(values(final, u, s)) - 1.0
 
     f_lo = float(bases - 1)  # f(0): every term is 1
     if abs(f_lo) <= tol:
@@ -667,13 +745,10 @@ def measure_at_rank(
             raise DomainError("digit_cap required for restricted predicates")
         return Fraction(1)
     kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction)
-    u = [Fraction(rule.phi0)]
-    get = u.__getitem__
+    sums = [0, Fraction(rule.phi0)]  # sums[i]: the sum of the first i values
     for level in kept:
-        u += [
-            total * w
-            for sources, weights in level
-            for total in [sum(map(get, sources))]
-            for w in weights
-        ]
-    return sum((sum(map(get, sources)) * sum(weights) for sources, weights in final), Fraction(0))
+        for (lo, hi), weights in level:
+            total = sums[hi] - sums[lo]
+            for w in weights:
+                sums.append(sums[-1] + total * w)
+    return sum(((sums[hi] - sums[lo]) * sum(weights) for (lo, hi), weights in final), Fraction(0))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perron import dimension
@@ -608,24 +608,188 @@ def test_local_predicates_match_whole_word_oracle(case):
                     ), (key, sign)
 
 
-def test_growth_floor_tests_one_digit_per_child():
-    # the enumerator asks the opaque form once per child it tests; the
-    # built-in form must evaluate psi exactly once per such child, however
-    # long the word
-    calls = [0, 0]
+def test_growth_floor_asks_psi_once_per_expanded_word():
+    # the built-in form states its range once per word it expands (one
+    # _children call per compatible word shorter than the rank), where the
+    # opaque form is asked once per child tested
+    calls = [0]
 
     def psi(n):
         calls[0] += 1
         return n + 1
 
-    def classify(word):
-        calls[1] += 1
-        return all(c >= n + 1 for n, c in enumerate(word, start=1))
-
     local = list(enumerate_compatible_bases(LUROTH, growth_floor(psi), 4, 7))
-    opaque = list(enumerate_compatible_bases(LUROTH, DigitPredicate(classify, "g"), 4, 7))
-    assert local == opaque and local
-    assert calls[0] == calls[1]
+    opaque = DigitPredicate(lambda word: all(c >= n + 1 for n, c in enumerate(word, 1)), "g")
+    assert local == list(enumerate_compatible_bases(LUROTH, opaque, 4, 7)) and local
+    expanded = 1 + sum(
+        len(list(enumerate_compatible_bases(LUROTH, opaque, k, 7))) for k in (1, 2, 3))
+    assert expanded == 1 + 6 + 6 * 5 + 6 * 5 * 4
+    assert calls[0] == expanded
+
+
+# ---------------------------------------------------------------------------
+# the digits a local predicate admits, as a range, and the slices they give
+# ---------------------------------------------------------------------------
+
+# the windows of the benchmark's pressure pools, of LOCAL_CASES and of
+# criterion 10, and alpha 3, delta 0, where the float test rejects
+# (5, 125): math.log(125) / math.log(5) is 3.0000000000000004
+WINDOWS = [(0.8, 0.5), (1.0, 0.3), (1.25, 0.2), (1.0, 0.5), (1.5, 0.5), (1.0, 1.0),
+           (2.0, 0.0), (1.0, 0.2), (3.0, 0.0)]
+# floors with a float, a Fraction, an infinite and a NaN value; math.ceil
+# raises on the last three
+PSIS = [lambda n: 3, lambda n: n * n, lambda n: 2**n, lambda n: 2.5 * n,
+        lambda n: Fraction(7, 2) * n, lambda n: math.inf, lambda n: math.nan, lambda n: -math.inf]
+
+
+@st.composite
+def _local_children(draw):
+    """(kind, predicate, compatible word of length <= 1, r, cap)."""
+    kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window"]))
+    prev = draw(st.integers(2, 200))
+    if kind == "all":
+        pred = all_digits()
+    elif kind == "alphabet":
+        alphabet = draw(st.sets(st.integers(2, 60), min_size=1, max_size=6))
+        pred, prev = alphabet_restrict(alphabet), draw(st.sampled_from(sorted(alphabet)))
+    elif kind == "ratio":
+        k = draw(st.sampled_from([Fraction(1, 3), Fraction(5, 4), Fraction(3, 2), 2, 3]))
+        pred = bounded_ratio(k)
+    elif kind == "growth":
+        pred = growth_floor(draw(st.sampled_from(PSIS)))
+    else:
+        extremes = [(0.0, 0.5), (-1.0, 0.5), (math.inf, math.inf)]
+        pred = ratio_limit_window(*draw(st.sampled_from(WINDOWS + extremes)))
+    word = draw(st.sampled_from([(), (prev,)]))
+    assume(pred(word))
+    cap = draw(st.integers(2, 300))
+    return kind, pred, word, draw(st.integers(1, cap + 2)), cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_local_children())
+def test_children_are_the_per_digit_filter(case):
+    kind, pred, word, r, cap = case
+    digits, cut = dimension._children(pred, word, r, cap)
+    admitted = [c for c in range(r + 1, cap + 1) if pred._admits(word, c)]
+    assert list(digits) == admitted
+    # the cap cuts as it did when every digit was tested: only
+    # growth_floor's low end counts as a floor
+    if kind == "alphabet":
+        alphabet = pred._alphabet
+        assert cut == (not any(r < c <= cap for c in alphabet) and alphabet[-1] > r)
+    else:
+        assert cut == (r >= cap or kind == "growth" and not admitted)
+
+
+def test_window_range_keeps_the_float_tests_rejections():
+    # (5, 125) fails the float test of alpha 3, delta 0, and stays out
+    pred = ratio_limit_window(3.0, 0.0)
+    digits, cut = dimension._children(pred, (5,), 5, 200)
+    assert list(digits) == [c for c in range(6, 201) if pred._admits((5,), c)]
+    assert 125 not in digits and not cut
+    # the low end 125 lies past the cap 100: no digit, and no cut either
+    assert dimension._children(pred, (5,), 5, 100) == (range(101, 101), False)
+
+
+@pytest.mark.parametrize("alpha, delta", WINDOWS)
+def test_window_range_is_its_float_test_up_to_1500(alpha, delta):
+    pred = ratio_limit_window(alpha, delta)
+    logs = [0.0, 0.0] + [math.log(c) for c in range(2, 1501)]
+    for prev in range(2, 1501):
+        log_prev = logs[prev]
+        passing = [c for c in range(2, 1501) if abs(logs[c] / log_prev - alpha) <= delta]
+        digits, cut = dimension._children(pred, (prev,), 1, 1500)
+        assert list(digits) == passing and not cut, prev
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_merged_slices_are_the_states_that_admit_each_digit(case):
+    pred = LOCAL_CASES[case][0]
+    for name, rule in ORACLE_RULES.items():
+        if rule.fn is not None:
+            continue
+        for length, cap in ((1, 30), (2, 24), (3, 14)):
+            firsts = {}  # a compatible word per last digit: a merged level
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CapTooSmallWarning)
+                for word in enumerate_compatible_bases(rule, pred, length, cap):
+                    firsts.setdefault(word[-1], word)
+            states = [firsts[d] for d in sorted(firsts)]
+            rs = [rule_value(rule, w) for w in states]
+            children = [dimension._children(pred, w, r, cap)[0] for w, r in zip(states, rs)]
+            got = [(i, j, c) for i, j, run in dimension._slices(children, True) for c in run]
+            expected = []
+            for c in range(2, cap + 1):
+                admit = [
+                    k for k, (w, r) in enumerate(zip(states, rs)) if r < c and pred._admits(w, c)]
+                if admit:
+                    expected.append((admit[0], admit[-1] + 1, c))
+                    assert admit == list(range(admit[0], admit[-1] + 1)), (name, length, c)
+            assert got == expected, (name, length, cap)
+
+
+def test_slices_of_word_keyed_levels_are_one_state_each():
+    children = [range(3, 6), [], [2, 7]]
+    assert list(dimension._slices(children, False)) == [
+        (0, 1, range(3, 6)), (1, 2, []), (2, 3, [2, 7])]
+
+
+def _all_three(rule, pred, rank, cap):
+    """(bases, pressure_root bits, measure, warnings as (position, count))
+    of a config, each call's warnings recorded in turn."""
+    bases, w1 = _recorded(lambda: list(enumerate_compatible_bases(rule, pred, rank, cap)))
+    est, w2 = _recorded(lambda: pressure_root(rule, Sign.POSITIVE, pred, rank, cap, 1e-9))
+    measure, w3 = _recorded(lambda: measure_at_rank(rule, Sign.POSITIVE, pred, rank, cap))
+    cuts = [[(w.position, w.count) for w in ws] for ws in (w1, w2, w3)]
+    return bases, (est.s_value.hex(), est.bases_count), measure, cuts
+
+
+@pytest.mark.parametrize("psi, floor", [(lambda n: math.inf, "inf"), (lambda n: math.nan, "nan"),
+                                        (lambda n: -math.inf, "-inf"), (lambda n: 10**40, "huge")])
+def test_growth_floor_of_any_value_matches_its_test(psi, floor):
+    # math.ceil raises on the three non-finite floors; an infinite or NaN
+    # floor, like one past the cap, admits no digit and, being a floor, cuts
+    # every prefix (an opaque predicate is no floor and cuts none)
+    opaque = DigitPredicate(lambda w: all(c >= psi(n) for n, c in enumerate(w, 1)), floor)
+    for rule in (LUROTH, ENGEL_MOD):
+        got = _all_three(rule, growth_floor(psi), 2, 9)
+        assert got[:3] == _all_three(rule, opaque, 2, 9)[:3], floor
+    bases, _, measure, cuts = got
+    if floor == "-inf":
+        assert len(bases) == 28 and cuts == [[(2, 1)]] * 3
+    else:
+        assert bases == [] and measure == 0 and cuts == [[(1, 1)]] * 3
+
+
+def test_empty_ranges_and_empty_levels():
+    # a ratio bound below 1 leaves strictly increasing digits no child, and
+    # the window 3 +- 0 none past (4,) within cap 100: its low end 125 after
+    # (5,) lies past the cap, which cuts nothing, as the window is no floor
+    cases = [
+        (ENGEL_MOD, bounded_ratio(Fraction(1, 2)), 3, 20, [], [[(2, 1)]] * 3),
+        (LUROTH, ratio_limit_window(3.0, 0.0), 2, 100, [(2, 8), (3, 27), (4, 64)], [[]] * 3),
+        (LUROTH, ratio_limit_window(3.0, 0.0), 3, 100, [], [[]] * 3),
+    ]
+    for rule, pred, rank, cap, words, warned in cases:
+        bases, (s_hex, count), measure, cuts = _all_three(rule, pred, rank, cap)
+        assert bases == words and count == len(words) and cuts == warned
+        assert measure == sum((word_diameter(rule, w) for w in words), Fraction(0))
+        if not words:
+            assert s_hex == (0.0).hex()
+
+
+def test_a_decreasing_affine_rule_keys_states_by_word():
+    # r = 40 - 2c falls as c grows, so the children's ends are not
+    # nondecreasing along a level, and its states must not merge
+    rule = DigitRule("falling", a=-2, b=40)
+    for pred in (all_digits(), bounded_ratio(2), ratio_limit_window(1.0, 0.5)):
+        (ref, diams), _ = _recorded(lambda: _cylinder_root(rule, Sign.POSITIVE, pred, 3, 19, 1e-9))
+        assert len(diams) > 100, pred
+        est, _ = _recorded(lambda: pressure_root(rule, Sign.POSITIVE, pred, 3, 19, 1e-9))
+        _assert_same_estimate(est, ref, pred)
+        measure, _ = _recorded(lambda: measure_at_rank(rule, Sign.POSITIVE, pred, 3, 19))
+        assert measure == sum(diams, Fraction(0)), pred
 
 
 # ---------------------------------------------------------------------------
