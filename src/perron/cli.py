@@ -165,8 +165,9 @@ def _power(base: int, exponent: int):
 def _parse_growth(expr: str):
     """Growth-floor shapes: constant 'c', polynomial 'n^k', geometric 'b^n'.
 
-    A power floor is worked out once per position (_power), however many
-    digits are tested against it."""
+    growth_floor asks psi once per word it expands (its range starts at
+    ceil(psi(n))), and the cache makes that once per position, so a power
+    floor (_power) is worked out once per position."""
     if expr.isdigit():
         value = int(expr)
         return lambda n: value
@@ -246,22 +247,21 @@ def _family_set_from_line(line: str) -> FamilySet:
 
     prefix is a JSON array of integers, from a JSON integer, and to a JSON
     integer or "inf"; anything else is a malformed family set, never a value
-    rounded or split into digits.
+    rounded or split into digits.  This reader checks only that prefix is
+    an array; FamilySet checks the rest (plain ints, so a JSON float or
+    boolean fails, and to >= from) when the set is made.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidityError(f"bad JSON input line: {exc}", index=None)
     try:
-        sign = Sign(obj["sign"])
-        prefix, start, end = obj["prefix"], obj["from"], obj["to"]
-        end = None if end == "inf" else end
-        numbers = [start, *prefix] if end is None else [start, end, *prefix]
-        if type(prefix) is not list or any(type(v) is not int for v in numbers):
-            raise TypeError("prefix digits, from and to must be JSON integers")
+        sign, prefix, start, end = Sign(obj["sign"]), obj["prefix"], obj["from"], obj["to"]
+        if type(prefix) is not list:
+            raise TypeError("prefix must be a JSON array")
+        return FamilySet(sign, prefix, start, None if end == "inf" else end)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidityError(f"malformed family set {obj!r}: {exc}", index=None)
-    return FamilySet(sign, tuple(prefix), start, end)
 
 
 def _interval(ns) -> QInterval:

@@ -110,6 +110,14 @@ class Sign(enum.Enum):
 _POSITIVE, _ALTERNATING = Sign.POSITIVE, Sign.ALTERNATING
 
 
+def _check_sign(sign) -> None:
+    """DomainError unless sign is a Sign member: code that branches on
+    `sign is Sign.POSITIVE` would read any other value as the alternating
+    form."""
+    if not isinstance(sign, Sign):
+        raise DomainError(f"sign must be Sign.POSITIVE or Sign.ALTERNATING, got {sign!r}")
+
+
 @dataclass(frozen=True)
 class DigitRule:
     """A digit rule: phi_0 plus the map from digit prefixes to r_n.
@@ -278,6 +286,7 @@ class _Frame(NamedTuple):
     @classmethod
     def walk(cls, rule: DigitRule, sign: Sign, word: Sequence[int]) -> "_Frame":
         """The frame of word: the root frame (off 0, sc 1, r_0) extended by word."""
+        _check_sign(sign)
         return cls(rule, sign, (), 0, 1, 1, _positive_r(rule.phi0, 0)).extend(word)
 
     def extend(self, digits: Sequence[int]) -> "_Frame":
@@ -320,14 +329,13 @@ class _Frame(NamedTuple):
         is (r/end, r/(start-1)], with lower end 0 when end is None
         (unbounded).  start = r+1 reaches the top, relative 1, which is read
         as at(1, 1): the cylinder is the hull of its whole child range.
-        ValidityError unless start >= r+1 and end (if given) >= start.
+        ValidityError unless start >= r+1; end, when given, is at least
+        start (a family set checks that where it is made).
         """
         if start < self.r + 1:
             raise ValidityError(
                 f"start {start} below first admissible digit {self.r + 1}", index=None
             )
-        if end is not None and end < start:
-            raise ValidityError(f"end {end} below start {start}", index=None)
         a = self.at(0, 1) if end is None else self.at(self.r, end)
         b = self.at(1, 1) if start == self.r + 1 else self.at(self.r, start - 1)
         return (a, b) if self.sc_num > 0 else (b, a)
@@ -498,6 +506,7 @@ def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
     before its term is formed) — kept independent of cylinder(), which
     composes affine maps instead, so the two routes cross-check each other.
     """
+    _check_sign(sign)
     word = tuple(word)
     r = _positive_r(rule.phi0, 0)
     if not word:

@@ -42,13 +42,17 @@ verify_cover works in one frame too, that of the sets' longest common
 prefix: the hull endpoints are small Fractions in its tail coordinates,
 U's ends are unreduced pairs in it, and the one diameter formed at full
 scale is the widest.
+A FamilySet checks what holds under every rule when it is made: a Sign,
+plain int digits and ends, end >= start.  What depends on the rule (each
+digit against its r, start >= r + 1) is checked where a set is read, by
+core._Frame.extend and core._Frame.hull, in the prefix's whole word.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -59,13 +63,14 @@ from .core import (
     ExactQ,
     Sign,
     _ALTERNATING,
+    _check_sign,
     _child,
     _Frame,
     _next_r,
     _tail,
     rule_value,
 )
-from .errors import DomainError
+from .errors import DomainError, ValidityError
 
 __all__ = [
     "FamilySet",
@@ -90,6 +95,15 @@ class FamilySet:
     Denotes union over i in [start, end] of the cylinders prefix+(i,);
     end None means unbounded (all digits >= start), in which case
     start == r+1 makes the set the whole parent cylinder.
+
+    A set checks, when it is made, what holds under every rule: sign is a
+    Sign member (DomainError otherwise), every prefix digit, start, and an
+    end that is not None are plain ints (type int, so neither 3.0 nor
+    True), and end >= start; any other failure is a ValidityError, whose
+    index names a failing prefix digit (1-based).  So tuple equality and
+    hashing of prefixes compare checked ints.  What depends on the rule,
+    each digit against its r and start >= r + 1, is checked where a set is
+    read (family_set_hull, verify_cover).
     """
 
     sign: Sign
@@ -99,6 +113,14 @@ class FamilySet:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
+        _check_sign(self.sign)
+        for i, c in enumerate(self.prefix, 1):
+            if type(c) is not int:
+                raise ValidityError(f"digit {c!r} at position {i} is not an integer", index=i)
+        if type(self.start) is not int or self.end is not None and type(self.end) is not int:
+            raise ValidityError(f"start {self.start!r} or end {self.end!r} is not an integer")
+        if self.end is not None and self.end < self.start:
+            raise ValidityError(f"end {self.end} below start {self.start}", index=None)
 
 
 @dataclass(frozen=True)
@@ -248,7 +270,9 @@ def _descend(rule: DigitRule, word: DigitWord, r: int, c: int) -> tuple[DigitWor
 
 
 def _interval_conventions(sign: Sign, U: QInterval) -> None:
-    """DomainError unless U is (lo, hi] (positive) or (lo, hi) (alternating) in [0, 1]."""
+    """DomainError unless sign is a Sign member and U is (lo, hi] (positive)
+    or (lo, hi) (alternating) in [0, 1]."""
+    _check_sign(sign)
     positive = sign is Sign.POSITIVE
     form, space = ("half-open (lo, hi]", "(0, 1]") if positive else ("open (lo, hi)", "(0, 1)")
     if U.lo_included or U.hi_included != positive:
@@ -439,12 +463,13 @@ def verify_cover(
     sign's conventions as in cover_interval: positive targets are half-open
     (x1, x2] inside (0, 1], alternating ones open inside (0, 1)
     (DomainError otherwise).  Everything runs in the frame of the sets'
-    longest common prefix P (the root frame when P is empty).  P's affine
-    frame is walked once; each set's prefix is framed relative to it, as
-    P's frame with off = 0, sc = 1 and den = 1 extended by the prefix's
-    digits beyond P.  A memo keyed by the whole prefix frames each distinct
-    prefix once, so every hull endpoint is a small Fraction in P's tail
-    coordinates.  Coverage is one sort of these relative hulls plus
+    longest common prefix P (the root frame when P is empty), found by
+    os.path.commonprefix, which compares the prefixes digit by digit: a
+    FamilySet holds plain int digits, so equal digits are equal ints.  P's
+    affine frame is walked once; each set's prefix is framed relative to
+    it, as P's frame with off = 0, sc = 1 and den = 1 extended by the
+    prefix's digits beyond P, so every hull endpoint is a small Fraction in
+    P's tail coordinates.  Coverage is one sort of these relative hulls plus
     one greedy pass (_chains_across), which maps U's ends into P's frame
     once as unreduced integer pairs, swapped when P's sc is negative (an
     odd-length alternating P).  Positive targets (x1, x2] are covered iff
@@ -467,14 +492,10 @@ def verify_cover(
         return CoverReport(False, Fraction(0), 0.0)
     (sign,) = signs
     _interval_conventions(sign, U)
-    common = sets[0].prefix
-    for fs in sets:
-        while fs.prefix[: len(common)] != common:
-            common = common[:-1]
+    common = os.path.commonprefix([fs.prefix for fs in sets])
     base = _Frame.walk(rule, sign, common)
     rel = base._replace(off_num=0, sc_num=1, den=1)  # base relative to itself
-    frame_of = functools.cache(lambda prefix: rel.extend(prefix[len(common) :]))
-    spans = [frame_of(fs.prefix).hull(fs.start, fs.end) for fs in sets]
+    spans = [rel.extend(fs.prefix[len(common) :]).hull(fs.start, fs.end) for fs in sets]
     widths = [hi - lo for lo, hi in spans]
     sc, den = abs(base.sc_num), base.den
     cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)

@@ -96,10 +96,6 @@ class DigitPredicate:
     def __repr__(self):
         return f"DigitPredicate({self.description})"
 
-    def _admits(self, word: DigitWord, c: int) -> bool:
-        """Is word + (c,) compatible, given that word is?"""
-        return self.classify(word + (c,))
-
 
 class _LocalPredicate(DigitPredicate):
     """A predicate stated as test(prev, c, n) on each digit c, its
@@ -225,16 +221,16 @@ def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int
     increasing order, and whether the cap cuts the word off.
 
     The candidates are the admissible digits up to the cap.  An opaque
-    predicate is asked about each once (predicate._admits), and its digits
-    come as a list.  A local one is not asked digit by digit: a declared
-    alphabet gives its members among the candidates, and a span gives the
-    range of candidates inside it, one call per word.  The cap cuts the
+    predicate is asked about each child word once (predicate.classify), and
+    its digits come as a list.  A local one is not asked digit by digit: a
+    declared alphabet gives its members among the candidates, and a span
+    gives the range of candidates inside it, one call per word.  The cap cuts the
     word off when no candidate is left although admissible digits exist
     beyond the cap, or when a span unbounded above (growth_floor) starts
     beyond the cap: every digit from there up would pass.
     """
     if not isinstance(predicate, _LocalPredicate):
-        digits = [c for c in range(r + 1, digit_cap + 1) if predicate._admits(word, c)]
+        digits = [c for c in range(r + 1, digit_cap + 1) if predicate.classify(word + (c,))]
         return digits, r >= digit_cap
     alphabet = predicate._alphabet
     if alphabet is not None:
@@ -269,8 +265,9 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
 
     The states of a level are in increasing order, of their last digits
     when merged and of their words otherwise, and each one's children come
-    from _children, the step enumerate_compatible_bases takes too.  So the sources of a state are one slice [i, j) of the level
-    before: a word-keyed child has the one source [i, i + 1).  A merged
+    from _children, the step enumerate_compatible_bases takes too.  So the
+    sources of a state are one slice [i, j) of the level before: a
+    word-keyed child has the one source [i, i + 1).  A merged
     state c is first reached from the state i that first admits it, and
     under the built-in rules and predicates the ends of each state's
     children are nondecreasing along a level (a >= 0, and every span's ends
@@ -729,10 +726,17 @@ def measure_at_rank(
 ) -> ExactQ:
     """Exact sum of compatible rank-k cylinder diameters (outer measure bound).
 
-    With digit_cap None the sum is only computable in closed form for the
-    unrestricted predicate, where rank-k cylinders tile the whole space and
-    the telescoped total is exactly 1; any other predicate needs a finite
-    cap.  Non-increasing in rank for hereditary predicates (children of a
+    With digit_cap None the total is 1 when the predicate is unrestricted
+    and the rule prunes no word of the rank (no rule value below 1), for
+    then the rank-k cylinders tile the whole space; it is a DomainError
+    otherwise, and so for every custom rule, whose pruned words are not
+    known without a cap.  Under a built-in rule (a >= 0) the least rule
+    value reachable at position n is m_n = a(m_{n-1} + 1) + b, m_0 = phi_0,
+    and no word is pruned when m_n >= 1 for n <= rank.  The map from
+    m_{n-1} to m_n is nondecreasing, so the m_n are monotone, and once one
+    is at least the one before, none falls below 1 later.
+
+    Non-increasing in rank for hereditary predicates (children of a
     compatible word cover at most their parent).  The sum runs over the
     same rank-k states as pressure_root, at s = 1 in exact Fractions, so no
     base is listed and no cylinder is built; the diameters are the same for
@@ -743,6 +747,15 @@ def measure_at_rank(
     if digit_cap is None:
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
+        if rule.fn is not None or rule.a < 0:
+            raise DomainError("digit_cap required for a rule other than a*c + b with a >= 0")
+        m = _positive_r(rule.phi0, 0)
+        for n in range(1, rank + 1):
+            m, before = rule.a * (m + 1) + rule.b, m
+            if m < 1:
+                raise DomainError(f"digit_cap required: the rule prunes words at position {n}")
+            if m >= before:
+                break
         return Fraction(1)
     kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction)
     sums = [0, Fraction(rule.phi0)]  # sums[i]: the sum of the first i values

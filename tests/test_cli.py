@@ -316,6 +316,16 @@ def test_measure_infinite_cap(capsys):
     assert out == '{"measure":"1"}\n'
 
 
+def test_measure_infinite_cap_refuses_a_rule_that_prunes_words(capsys):
+    # digits 2..5 lead to r < 1, so the cylinders do not tile: with a cap
+    # of 100000 the total is 19999/100000, and with none it read 1
+    code, out, err = run_cli(
+        capsys,
+        ["measure", "--system", "oppenheim:1,-5", "--rank", "1", "--cap", "inf"],
+    )
+    assert (code, out) == (3, "") and "the rule prunes words at position 1" in err
+
+
 # ---------------------------------------------------------------------------
 # frozen stdout: exact bytes of representative commands, both signs
 # ---------------------------------------------------------------------------
@@ -504,6 +514,27 @@ def test_verify_positive_target_with_alternating_sets_exits_3(capsys, monkeypatc
 )
 def test_verify_reads_family_sets_strictly(capsys, monkeypatch, record):
     # a float was truncated (3.9 read as 3) and a string split into digits
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify", "--system", "luroth", "--sign", "P",
+            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
+        ],
+        stdin=record + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "") and "malformed family set" in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"sign":"P","prefix":[],"from":5,"to":3}',  # before: "end 3 below start 5"
+        '{"sign":"P","prefix":{},"from":3,"to":5}',  # would read as an empty prefix
+    ],
+)
+def test_verify_reads_an_end_below_start_as_a_malformed_family_set(capsys, monkeypatch, record):
+    # the set checks its own contract when it is made, inside the reader
     code, out, err = run_cli(
         capsys,
         [

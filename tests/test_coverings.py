@@ -957,17 +957,23 @@ def test_verify_chains_across_children_of_the_common_prefix(rule, sign, depth):
 
 
 def _invalid(draw, rule, fs):
-    """fs with a bad digit somewhere in its prefix, a start below r+1, or an
-    end below its start."""
+    """The arguments of fs with a bad digit somewhere in its prefix, a start
+    below r+1, or an end below its start.  A digit "x" and an end below the
+    start are refused when the set is made; the others when it is read."""
     kind = draw(st.sampled_from(["digit", "start", "end"]))
     if kind == "digit":
         j = draw(st.integers(0, len(fs.prefix) - 1))
         bad = draw(st.sampled_from([1, rule_value(rule, fs.prefix[:j]), "x"]))
-        return FamilySet(fs.sign, fs.prefix[:j] + (bad,) + fs.prefix[j + 1 :], fs.start, fs.end)
+        return fs.sign, fs.prefix[:j] + (bad,) + fs.prefix[j + 1 :], fs.start, fs.end
     if kind == "start":
-        start = draw(st.integers(0, rule_value(rule, fs.prefix)))
-        return FamilySet(fs.sign, fs.prefix, start, fs.end)
-    return FamilySet(fs.sign, fs.prefix, fs.start, fs.start - draw(st.integers(1, 3)))
+        return fs.sign, fs.prefix, draw(st.integers(0, rule_value(rule, fs.prefix))), fs.end
+    return fs.sign, fs.prefix, fs.start, fs.start - draw(st.integers(1, 3))
+
+
+def _verify_made(verify, rule, U, members, alpha):
+    """verify of the family sets made from members, argument tuples, in
+    order, so an error in making one is this call's outcome too."""
+    return verify(rule, U, [FamilySet(*m) for m in members], alpha)
 
 
 @settings(max_examples=150, deadline=None)
@@ -975,18 +981,22 @@ def _invalid(draw, rule, fs):
 def test_verify_rejects_invalid_members_as_the_rescanning_sweep(case, data):
     """Invalid members raise what walking each set from the root raises,
     the first invalid set in order deciding: a bad digit deep inside one
-    prefix, a start below r+1, or an end below the start."""
+    prefix, a start below r+1, or an end below the start.  Each set is made
+    before either sweep runs, so a set that cannot be made decides first."""
     rule, U, _, sets = case
+    members = [(fs.sign, fs.prefix, fs.start, fs.end) for fs in sets]
     positions = st.integers(0, len(sets) - 1)
     for i in data.draw(st.lists(positions, min_size=1, max_size=2, unique=True)):
-        sets = sets[:i] + [_invalid(data.draw, rule, sets[i])] + sets[i + 1 :]
-    got = _outcome(verify_cover, rule, U, sets, 1.0)
+        members[i] = _invalid(data.draw, rule, sets[i])
+    got = _outcome(_verify_made, verify_cover, rule, U, members, 1.0)
     assert got[0] is ValidityError
-    assert got == _outcome(verify_cover_oracle, rule, U, sets, 1.0)
-    # a mixed sign is rejected first, and an empty list is not a cover
+    assert got == _outcome(_verify_made, verify_cover_oracle, rule, U, members, 1.0)
+    # a mixed sign is rejected before any member is read, and an empty list
+    # is not a cover
+    made = [fs for fs in (_outcome(FamilySet, *m) for m in members) if isinstance(fs, FamilySet)]
     fs = sets[0]
     other = Sign.POSITIVE if fs.sign is Sign.ALTERNATING else Sign.ALTERNATING
-    mixed = sets + [FamilySet(other, fs.prefix, fs.start, fs.end)]
+    mixed = [*made, fs, FamilySet(other, fs.prefix, fs.start, fs.end)]
     assert _outcome(verify_cover, rule, U, mixed, 1.0) == (
         DomainError, "the sets of a cover must all have one sign", None,
     )
@@ -995,41 +1005,110 @@ def test_verify_rejects_invalid_members_as_the_rescanning_sweep(case, data):
 
 def test_verify_rejects_invalid_members_with_the_same_messages():
     # frozen: the messages and indices raised before verify_cover worked in
-    # the common prefix's frame, for bad digits beyond it and inside it
-    def fs(prefix, start, end=None):
-        return FamilySet(Sign.POSITIVE, prefix, start, end)
-
+    # the common prefix's frame, for bad digits beyond it and inside it.  A
+    # digit that is not an int and an end below its start are refused when
+    # the set is made (the end keeps its text), so each member is made in
+    # the call, in order
     U = QInterval(Fraction(1, 8), Fraction(1, 3), False, True)
-    sets = [fs((2, 4), 6), fs((2, 5), 7, 9)]
+    sets = [((2, 4), 6, None), ((2, 5), 7, 9)]
     cases = [
-        ([*sets, fs((2, 1, 3), 5)], "digit 1 at position 2 violates c >= 3", 2),
-        ([fs((2, 2, 9), 5), *sets], "digit 2 at position 2 violates c >= 3", 2),
-        ([*sets, fs((2, 4, 4), 6)], "digit 4 at position 3 violates c >= 5", 3),
-        ([*sets, fs((2, 6), 4)], "start 4 below first admissible digit 7", None),
-        ([*sets, fs((2, 6), 9, 8)], "end 8 below start 9", None),
-        ([fs((2, "x"), 9, 8), *sets], "digit 'x' at position 2 violates c >= 3", 2),
-        ([fs((1, 4), 6), fs((1, 5), 7, 9)], "digit 1 at position 1 violates c >= 2", 1),
-        ([fs((2, 6), 4), fs((2, 1, 3), 5)], "start 4 below first admissible digit 7", None),
+        ([*sets, ((2, 1, 3), 5, None)], "digit 1 at position 2 violates c >= 3", 2),
+        ([((2, 2, 9), 5, None), *sets], "digit 2 at position 2 violates c >= 3", 2),
+        ([*sets, ((2, 4, 4), 6, None)], "digit 4 at position 3 violates c >= 5", 3),
+        ([*sets, ((2, 6), 4, None)], "start 4 below first admissible digit 7", None),
+        ([*sets, ((2, 6), 9, 8)], "end 8 below start 9", None),
+        ([((2, "x"), 9, 8), *sets], "digit 'x' at position 2 is not an integer", 2),
+        ([((1, 4), 6, None), ((1, 5), 7, 9)], "digit 1 at position 1 violates c >= 2", 1),
+        ([((2, 6), 4, None), ((2, 1, 3), 5, None)],
+         "start 4 below first admissible digit 7", None),
     ]
     for members, message, index in cases:
+        members = [(Sign.POSITIVE, *m) for m in members]
         expected = (ValidityError, message, index)
-        assert _outcome(verify_cover, PIERCE, U, members, 1.0) == expected
-        assert _outcome(verify_cover_oracle, PIERCE, U, members, 1.0) == expected
+        assert _outcome(_verify_made, verify_cover, PIERCE, U, members, 1.0) == expected
+        assert _outcome(_verify_made, verify_cover_oracle, PIERCE, U, members, 1.0) == expected
 
 
 def test_verify_checks_float_digits_beyond_the_common_prefix_in_every_order():
-    # each distinct prefix is framed from P's frame by its whole tail, so a
-    # float digit equal to an int beyond P is checked whichever set comes
-    # first, also after another set has framed an equal int prefix of it
+    # a float digit equal to an int is refused when its set is made, so no
+    # order of the sets decides it: inside P, the sets' longest common
+    # prefix (the first two sets alone, where P's cut by != and a memo keyed
+    # by prefix once read 3.0 as 3 in one order), and beyond it
     U = QInterval(Fraction(1, 8), Fraction(1, 3), False, True)
-    sets = [
-        FamilySet(Sign.POSITIVE, (2, 3, 4), 5),
-        FamilySet(Sign.POSITIVE, (2, 3.0, 5), 6),
-        FamilySet(Sign.POSITIVE, (2, 4), 5),
+    members = [
+        (Sign.POSITIVE, (2, 3, 4), 5, None),
+        (Sign.POSITIVE, (2, 3.0, 5), 6, None),
+        (Sign.POSITIVE, (2, 4), 5, None),
     ]
-    expected = (ValidityError, "digit 3.0 at position 2 violates c >= 3", 2)
-    for order in itertools.permutations(sets):
-        assert _outcome(verify_cover, ENGEL_MOD, U, list(order), 1.0) == expected
+    expected = (ValidityError, "digit 3.0 at position 2 is not an integer", 2)
+    for some in (members[:2], members):
+        for order in itertools.permutations(some):
+            assert _outcome(_verify_made, verify_cover, ENGEL_MOD, U, order, 1.0) == expected
+
+
+@pytest.mark.parametrize(
+    "args, message, index",
+    [
+        (((2, 3.0, 5), 6, None), "digit 3.0 at position 2 is not an integer", 2),
+        (((2,), 4.0, 5), "start 4.0 or end 5 is not an integer", None),
+        (((2,), 4, 5.0), "start 4 or end 5.0 is not an integer", None),
+        (((True,), 4, None), "digit True at position 1 is not an integer", 1),
+        (((), 2, 1), "end 1 below start 2", None),
+        (((), Fraction(3), None), "start Fraction(3, 1) or end None is not an integer", None),
+    ],
+)
+def test_family_set_checks_its_contract_when_made(args, message, index):
+    # before, these were made, and (2,) from 4.0 to 5 then failed in
+    # family_set_hull with a bare TypeError
+    assert _outcome(FamilySet, Sign.POSITIVE, *args) == (ValidityError, message, index)
+
+
+# Each reader of a sign; before, each took any value but Sign.POSITIVE as
+# the alternating form, or failed on it with an AttributeError
+_SIGN_READERS = {
+    "cylinder": lambda sign: cylinder(ENGEL, (2, 3), sign),
+    "partial_sum": lambda sign: partial_sum(ENGEL, (2, 3), sign),
+    "cover_boundary": lambda sign: cover_boundary(ENGEL, sign, (2,), Fraction(3, 5), FROM_INF),
+    "cover_interval": lambda sign: cover_interval(
+        ENGEL, sign, QInterval(Fraction(1, 5), Fraction(1, 2), False, True)),
+    "FamilySet": lambda sign: FamilySet(sign, (2,), 3),
+}
+
+
+@pytest.mark.parametrize("sign", ["P", "P-", None, 1])
+@pytest.mark.parametrize("read", _SIGN_READERS.values(), ids=_SIGN_READERS.keys())
+def test_a_sign_that_is_no_sign_member_is_a_domain_error(read, sign):
+    message = f"sign must be Sign.POSITIVE or Sign.ALTERNATING, got {sign!r}"
+    assert _outcome(read, sign) == (DomainError, message, None)
+
+
+@st.composite
+def float_injected_case(draw):
+    """Valid sets and U (split_prefix_case), and the same sets' arguments
+    with one digit (anywhere in one prefix, P included), start or end
+    replaced by the float equal to it (a digit below 2**53, so one is)."""
+    rule, U, common, sets = draw(split_prefix_case())
+    members = [[fs.sign, fs.prefix, fs.start, fs.end] for fs in sets]
+    m = draw(st.sampled_from(members))
+    slots = [("digit", j) for j, c in enumerate(m[1]) if c < 2**53] + [("start", 2)]
+    slots += [("end", 3)] if m[3] is not None else []
+    kind, j = draw(st.sampled_from(slots))
+    if kind == "digit":
+        m[1] = m[1][:j] + (float(m[1][j]),) + m[1][j + 1 :]
+    else:
+        m[j] = float(m[j])
+    return rule, U, [tuple(m) for m in members], m
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_injected_case(), st.randoms(use_true_random=False))
+def test_verify_refuses_float_equal_members_in_every_order(case, rnd):
+    rule, U, members, bad = case
+    expected = _outcome(FamilySet, *bad)
+    assert expected[0] is ValidityError
+    for _ in range(6):
+        rnd.shuffle(members)
+        assert _outcome(_verify_made, verify_cover, rule, U, members, 1.0) == expected
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])

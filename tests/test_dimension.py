@@ -452,6 +452,63 @@ def test_measure_requires_cap_for_restrictions():
         measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 0, None)
 
 
+@pytest.mark.parametrize(
+    "rule, rank, position",
+    [
+        (DigitRule.oppenheim(1, -5), 1, 1),  # digits 2..5 lead to r < 1
+        (DigitRule.oppenheim(0, 0), 1, 1),  # every r is 0
+        (DigitRule.oppenheim(1, -2, phi0=5), 5, 5),  # least r: 4, 3, 2, 1, 0
+    ],
+)
+def test_measure_without_cap_refuses_a_rule_that_prunes_words(rule, rank, position):
+    # the pruned words' cylinders are missing, so the rank-k cylinders do
+    # not tile the space; before, the total read 1 all the same
+    with pytest.raises(DomainError, match=f"the rule prunes words at position {position}$"):
+        measure_at_rank(rule, Sign.POSITIVE, all_digits(), rank, None)
+    assert measure_at_rank(rule, Sign.POSITIVE, all_digits(), rank, 2000) < Fraction(999, 1000)
+    # one position less prunes nothing, and the capped total tends to 1
+    if rank > 1:
+        assert measure_at_rank(rule, Sign.POSITIVE, all_digits(), rank - 1, None) == 1
+
+
+def test_measure_without_cap_needs_a_known_affine_rule():
+    # a custom rule's pruned words are not known without a cap, nor those
+    # of a directly built rule with a < 0, whose large digits lead to r < 1
+    message = "digit_cap required for a rule other than a\\*c \\+ b with a >= 0"
+    for rule in (DigitRule.custom(lambda prefix: 1), DigitRule("falling", a=-1, b=100)):
+        with pytest.raises(DomainError, match=message):
+            measure_at_rank(rule, Sign.POSITIVE, all_digits(), 1, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(-8, 3), st.integers(1, 6), st.integers(1, 5))
+def test_measure_without_cap_is_one_exactly_when_no_word_is_pruned(a, b, phi0, rank):
+    # the oracle walks the words with digits up to r + 3 at each position,
+    # which holds the least digit, and so under a >= 0 the least rule value
+    rule = DigitRule.oppenheim(a, b, phi0)
+    stack, pruned = [((), phi0)], None
+    while stack and pruned is None:
+        word, r = stack.pop()
+        for c in range(r + 1, r + 4):
+            r_next = a * c + b
+            if r_next < 1:
+                pruned = len(word) + 1
+            elif len(word) + 1 < rank:
+                stack.append((word + (c,), r_next))
+    if pruned is None:
+        assert measure_at_rank(rule, Sign.POSITIVE, all_digits(), rank, None) == 1
+    else:
+        with pytest.raises(DomainError, match="prunes words"):
+            measure_at_rank(rule, Sign.POSITIVE, all_digits(), rank, None)
+
+
+def test_measure_without_cap_stops_once_the_least_value_grows():
+    # a nondecreasing least rule value never falls below 1 again, so a huge
+    # rank is answered at once, with no power of it formed
+    for rule in (LUROTH, ENGEL, ENGEL_MOD, DigitRule.oppenheim(2, 1)):
+        assert measure_at_rank(rule, Sign.POSITIVE, all_digits(), 10**9, None) == 1
+
+
 def test_measure_non_increasing_in_rank():
     values = [
         measure_at_rank(LUROTH, Sign.POSITIVE, alphabet_restrict([2, 3]), rank, 3)
@@ -671,7 +728,7 @@ def _local_children(draw):
 def test_children_are_the_per_digit_filter(case):
     kind, pred, word, r, cap = case
     digits, cut = dimension._children(pred, word, r, cap)
-    admitted = [c for c in range(r + 1, cap + 1) if pred._admits(word, c)]
+    admitted = [c for c in range(r + 1, cap + 1) if pred(word + (c,))]
     assert list(digits) == admitted
     # the cap cuts as it did when every digit was tested: only
     # growth_floor's low end counts as a floor
@@ -686,7 +743,7 @@ def test_window_range_keeps_the_float_tests_rejections():
     # (5, 125) fails the float test of alpha 3, delta 0, and stays out
     pred = ratio_limit_window(3.0, 0.0)
     digits, cut = dimension._children(pred, (5,), 5, 200)
-    assert list(digits) == [c for c in range(6, 201) if pred._admits((5,), c)]
+    assert list(digits) == [c for c in range(6, 201) if pred((5, c))]
     assert 125 not in digits and not cut
     # the low end 125 lies past the cap 100: no digit, and no cut either
     assert dimension._children(pred, (5,), 5, 100) == (range(101, 101), False)
@@ -722,7 +779,7 @@ def test_merged_slices_are_the_states_that_admit_each_digit(case):
             expected = []
             for c in range(2, cap + 1):
                 admit = [
-                    k for k, (w, r) in enumerate(zip(states, rs)) if r < c and pred._admits(w, c)]
+                    k for k, (w, r) in enumerate(zip(states, rs)) if r < c and pred(w + (c,))]
                 if admit:
                     expected.append((admit[0], admit[-1] + 1, c))
                     assert admit == list(range(admit[0], admit[-1] + 1)), (name, length, c)
