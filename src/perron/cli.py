@@ -389,8 +389,8 @@ _COMMANDS = (
      ("--tol", dict(type=float, default=1e-12))),
     ("measure", _cmd_measure, "exact rank-k outer measure bound",
      "--system", _SIGN_P, "--predicate", "--rank",
-     ("--cap", dict(type=_parse_cap,
-                    help="positive integer, or inf (unrestricted predicate only)"))),
+     ("--cap", dict(type=_parse_cap, help="positive integer, or inf (unrestricted predicate "
+                                          "only, and a rule that prunes no word of the rank)"))),
 )
 
 

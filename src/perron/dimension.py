@@ -27,13 +27,15 @@ rescaling in log space would cover that regime and is out of scope.
 The state recursion (_levels, breadth-first) and the base enumeration
 (enumerate_compatible_bases, depth-first on an explicit stack) take one
 child step (_children): the digits a compatible word is extended by, and
-whether the cap cuts the word off.  A built-in predicate states those
-digits as one integer range per word (or, for an alphabet, its members),
-and an opaque one is asked about each candidate once.  Each walk counts its
-cuts per position, and _warn_first_cut is the one place that raises
-CapTooSmallWarning: _levels once its levels are built, the enumeration once
-it is exhausted.  The enumeration does not call _levels, so the bound on
-word-keyed states is _levels' alone.
+whether the cap cuts the word off.  A built-in predicate states the digits
+it admits after each word once, with no cap in it: one integer range (for
+an alphabet, its members in it), which its classify reads and _children
+clips to the candidates up to the cap.  An opaque one is asked about each
+candidate once.  Each walk counts its cuts per position, and
+_warn_first_cut is the one place that raises CapTooSmallWarning: _levels
+once its levels are built, the enumeration once it is exhausted.  The
+enumeration does not call _levels, so the bound on word-keyed states is
+_levels' alone.
 
 The sources of every state are one slice of the level before (_slices, one
 sweep per level), so a merged level is built with one step per state and
@@ -72,6 +74,7 @@ __all__ = [
 _MAX_BISECT = 200
 _MAX_WORD_STATES = 1 << 19  # states of one word-keyed level in _levels
 _ROUND = 10 * 2.0**-53  # rounding allowance of one line test (_line)
+_TOP = 1 << 46  # ratio_limit_window's span is its float test's up to here
 
 
 class DigitPredicate:
@@ -98,34 +101,33 @@ class DigitPredicate:
 
 
 class _LocalPredicate(DigitPredicate):
-    """A predicate stated as test(prev, c, n) on each digit c, its
-    predecessor prev (None for the first digit) and its 1-based position n.
-    A word is compatible when every digit passes, so the predicate is
-    hereditary by construction.
-
-    The enumerator does not run the test digit by digit.  Either the
-    predicate declares a finite alphabet, the digits it admits anywhere, or
-    span(prev, n, cap) states the digits test admits after (prev, n) as one
-    integer range [lo, hi], hi None when it is unbounded; only digits up to
-    cap are asked about.  For every built-in span both ends are
-    nondecreasing in prev, which _levels relies on.
+    """A predicate stated as the digits it admits after each digit prev
+    (None before the first digit) at each 1-based position n, with no cap
+    in the statement: span(prev, n) states them as one integer range
+    (lo, hi), hi None when it is unbounded above and below lo when it is
+    empty.  A declared alphabet, the sorted digits admitted anywhere, keeps
+    only its members of that range, its span being its least and greatest.
+    A word is compatible when every digit is admitted after its
+    predecessor, so the predicate is hereditary by construction, and
+    classify and the enumerator (_children) read the same statement.  For
+    every built-in span both ends are nondecreasing in prev, which _levels
+    relies on.
     """
 
-    def __init__(self, test, description, span=None, alphabet=None, unrestricted=False):
+    def __init__(self, description, span, alphabet=None, unrestricted=False):
         super().__init__(self._classify, description)
-        self._test, self._span, self._alphabet = test, span, alphabet
+        self._span, self._alphabet = span, alphabet
         self._unrestricted = unrestricted
 
     def _classify(self, word: DigitWord) -> bool:
-        padded = (None, *word)  # padded[n - 1] precedes the n-th digit
-        return all(self._test(padded[n - 1], c, n) for n, c in enumerate(padded[1:], 1))
+        spans = map(self._span, (None, *word), range(1, len(word) + 1))
+        return all(lo <= c and (hi is None or c <= hi) for c, (lo, hi) in zip(word, spans)) and (
+            self._alphabet is None or all(c in self._alphabet for c in word))
 
 
 def all_digits() -> DigitPredicate:
     """No restriction beyond rule validity."""
-    return _LocalPredicate(
-        lambda prev, c, n: True, "all", lambda prev, n, cap: (1, None), unrestricted=True
-    )
+    return _LocalPredicate("all", lambda prev, n: (1, None), unrestricted=True)
 
 
 def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
@@ -135,10 +137,9 @@ def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
         raise DomainError("allowed digit set must be nonempty")
     if not all(isinstance(c, int) for c in allowed_set):
         raise DomainError("allowed digits must be integers")
-    alphabet = tuple(sorted(allowed_set))  # the enumerator's candidates
-    return _LocalPredicate(
-        lambda prev, c, n: c in allowed_set, f"alphabet{list(alphabet)}", alphabet=alphabet
-    )
+    alphabet = tuple(sorted(allowed_set))
+    ends = alphabet[0], alphabet[-1]
+    return _LocalPredicate(f"alphabet{list(alphabet)}", lambda prev, n: ends, alphabet)
 
 
 def bounded_ratio(k: ExactQ) -> DigitPredicate:
@@ -148,25 +149,20 @@ def bounded_ratio(k: ExactQ) -> DigitPredicate:
         raise DomainError("ratio bound must be positive")
     num, den = k.numerator, k.denominator
 
-    def test(prev, c, n):
-        return prev is None or c * den <= num * prev
-
-    def span(prev, n, cap):
+    def span(prev, n):
         return 1, None if prev is None else num * prev // den
 
-    return _LocalPredicate(test, f"ratio<={k}", span)
+    return _LocalPredicate(f"ratio<={k}", span)
 
 
 def growth_floor(psi: Callable[[int], ExactQ]) -> DigitPredicate:
     """Digit at 1-based position n at least psi(n), for all n."""
 
-    def span(prev, n, cap):
-        floor = psi(n)
-        if not floor <= cap:  # beyond the cap, +inf or NaN: no digit up to it passes
-            return cap + 1, None
-        return math.ceil(max(floor, 1)), None
+    def span(prev, n):
+        floor = psi(n)  # no digit passes +inf or NaN
+        return (math.ceil(max(floor, 1)), None) if floor < math.inf else (1, 0)
 
-    return _LocalPredicate(lambda prev, c, n: c >= psi(n), "growth-floor", span)
+    return _LocalPredicate("growth-floor", span)
 
 
 def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
@@ -177,34 +173,47 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     predicate approximates such sets from outside at each rank.  NaN alpha
     or delta would admit every word, so both are rejected.
 
-    The test is made in floats, as written.  Its range after prev is found
-    by bisecting that same test over the digits 2..cap, which gives the
-    digits it passes one by one as long as the computed log ratio is
-    nondecreasing in c and nonincreasing in prev.  It is when math.log is
-    within one ulp and the digits are below 2^46: there log(c + 1) - log(c)
-    exceeds 2^-46, more than the two ulps (at most 2^-47) that the logs
-    can stray, and a correctly rounded quotient keeps their order.
+    The test is made in floats, as written.  Its span after prev takes each
+    end from prev ** (alpha -+ delta) and moves it to the test's own
+    boundary, evaluating the test there and at the neighbours it steps to.
+    That span holds the digits the test passes as long as the computed log
+    ratio is nondecreasing in c and nonincreasing in prev.  It is when
+    math.log is within one ulp and the digits are below 2^46: there
+    log(c + 1) - log(c) exceeds 2^-46, more than the two ulps (at most
+    2^-47) that the logs can stray, and a correctly rounded quotient keeps
+    their order.  The ends are sought up to 2^46 (_TOP) only, and the span
+    admits no digit beyond it.  A prev below 2, whose log is not positive,
+    admits no digit either.
     """
     if math.isnan(alpha) or math.isnan(delta):
         raise DomainError("alpha and delta must not be NaN")
     if delta < 0:
         raise DomainError("delta must be >= 0")
+    # the exponents of the ends; an infinite delta passes every ratio, and
+    # (0, inf) keeps an infinite alpha from making them NaN
+    ends = (alpha - delta, alpha + delta) if delta < math.inf else (0.0, math.inf)
 
-    def test(prev, c, n):
-        return prev is None or abs(math.log(c) / math.log(prev) - alpha) <= delta
-
-    def span(prev, n, cap):
-        if prev is None:
-            return 1, None
-        log_prev, digits = math.log(prev), range(2, cap + 1)
+    def span(prev, n):
+        if prev is None or prev < 2:  # a first digit is free; none passes a log prev <= 0
+            return 1, None if prev is None else 0
+        log_prev = math.log(prev)
 
         def gap(c):  # the test is -delta <= gap(c) <= delta
             return math.log(c) / log_prev - alpha
 
-        low = bisect.bisect_left(digits, -delta, key=gap)
-        return low + 2, bisect.bisect_right(digits, delta, low, key=gap) + 1
+        # the digits in [1, _TOP] nearest prev ** t (e^32 > _TOP)
+        lo, hi = (max(1, min(_TOP, round(math.exp(min(t * log_prev, 32.0))))) for t in ends)
+        while lo > 1 and gap(lo - 1) >= -delta:
+            lo -= 1
+        while lo <= _TOP and gap(lo) < -delta:
+            lo += 1
+        while hi < _TOP and gap(hi + 1) <= delta:
+            hi += 1
+        while hi and gap(hi) > delta:
+            hi -= 1
+        return lo, hi
 
-    return _LocalPredicate(test, f"ratio-window({alpha},{delta})", span)
+    return _LocalPredicate(f"ratio-window({alpha},{delta})", span)
 
 
 def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> int:
@@ -220,25 +229,24 @@ def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int
     """The digits that extend a compatible word whose rule value is r, in
     increasing order, and whether the cap cuts the word off.
 
-    The candidates are the admissible digits up to the cap.  An opaque
-    predicate is asked about each child word once (predicate.classify), and
-    its digits come as a list.  A local one is not asked digit by digit: a
-    declared alphabet gives its members among the candidates, and a span
-    gives the range of candidates inside it, one call per word.  The cap cuts the
-    word off when no candidate is left although admissible digits exist
-    beyond the cap, or when a span unbounded above (growth_floor) starts
-    beyond the cap: every digit from there up would pass.
+    The candidates are the admissible digits up to the cap, (r, cap].  An
+    opaque predicate is asked about each child word once
+    (predicate.classify), and its digits come as a list; the cap cuts the
+    word off when the rule alone leaves no digit up to it, r >= cap, since
+    what the predicate admits beyond the cap is not known.  A local one is
+    not asked digit by digit: its statement after the word (its span, one
+    call per word, and an alphabet's members) is clipped to the candidates,
+    and the cap cuts the word off when that leaves no digit although the
+    statement admits one above max(r, cap).
     """
     if not isinstance(predicate, _LocalPredicate):
         digits = [c for c in range(r + 1, digit_cap + 1) if predicate.classify(word + (c,))]
         return digits, r >= digit_cap
-    alphabet = predicate._alphabet
-    if alphabet is not None:
-        digits = [c for c in alphabet if r < c <= digit_cap]
-        return digits, not digits and alphabet[-1] > r
-    lo, hi = predicate._span(word[-1] if word else None, len(word) + 1, digit_cap)
-    stop = digit_cap if hi is None else min(digit_cap, hi)
-    return range(max(r + 1, lo), stop + 1), r >= digit_cap or hi is None and lo > digit_cap
+    lo, hi = predicate._span(word[-1] if word else None, len(word) + 1)
+    digits = range(max(r + 1, lo), (digit_cap if hi is None else min(digit_cap, hi)) + 1)
+    if predicate._alphabet is not None:
+        digits = [c for c in predicate._alphabet if c in digits]
+    return digits, not digits and (hi is None or max(lo, r + 1, digit_cap + 1) <= hi)
 
 
 def _warn_first_cut(digit_cap: int, cuts: Sequence[int], stacklevel: int) -> None:

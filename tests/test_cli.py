@@ -674,6 +674,13 @@ def test_every_subcommand_names_its_flags(capsys):
             assert flag in out, (command, flag)
 
 
+def test_measure_help_states_when_the_cap_may_be_inf(capsys):
+    code, out, _ = run_cli(capsys, ["measure", "-h"])
+    assert code == 0
+    assert "or inf (unrestricted predicate only, and a rule that prunes no word of the rank)" in (
+        " ".join(out.split()))
+
+
 def test_every_required_flag_is_required(capsys):
     for command, (required, _) in COMMAND_FLAGS.items():
         for i in range(0, len(required), 2):

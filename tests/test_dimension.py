@@ -699,65 +699,107 @@ PSIS = [lambda n: 3, lambda n: n * n, lambda n: 2**n, lambda n: 2.5 * n,
         lambda n: Fraction(7, 2) * n, lambda n: math.inf, lambda n: math.nan, lambda n: -math.inf]
 
 
+def _cut_by(classify, word, r, cap, beyond):
+    """Whether the cap cuts word (rule value r) off, read from a whole-word
+    classifier: no digit in (r, cap] extends word, but one in
+    (max(r, cap), beyond] does.  beyond must exceed every digit classify
+    admits after word, unless it admits all digits from some point up to
+    beyond.  An opaque predicate (classify None) is cut when r >= cap."""
+    if classify is None:
+        return r >= cap
+
+    def extends(lo, hi):
+        return any(classify(word + (c,)) for c in range(lo, hi + 1))
+
+    return not extends(r + 1, cap) and extends(max(r, cap) + 1, beyond)
+
+
 @st.composite
 def _local_children(draw):
-    """(kind, predicate, compatible word of length <= 1, r, cap)."""
+    """(predicate, its whole-word classifier, compatible word of length
+    <= 1, r, cap).  After such a word no predicate drawn admits a digit
+    beyond 10^4 (a window's prev is at most 21, and 21^3 < 10^4) unless it
+    admits every digit from some point on."""
     kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window"]))
-    prev = draw(st.integers(2, 200))
+    prev = draw(st.integers(2, 21 if kind == "window" else 200))
     if kind == "all":
-        pred = all_digits()
+        pred, classify = all_digits(), lambda word: True
     elif kind == "alphabet":
         alphabet = draw(st.sets(st.integers(2, 60), min_size=1, max_size=6))
-        pred, prev = alphabet_restrict(alphabet), draw(st.sampled_from(sorted(alphabet)))
+        pred, classify = alphabet_restrict(alphabet), _whole_word_alphabet(alphabet)
+        prev = draw(st.sampled_from(sorted(alphabet)))
     elif kind == "ratio":
         k = draw(st.sampled_from([Fraction(1, 3), Fraction(5, 4), Fraction(3, 2), 2, 3]))
-        pred = bounded_ratio(k)
+        pred, classify = bounded_ratio(k), _whole_word_ratio(k)
     elif kind == "growth":
-        pred = growth_floor(draw(st.sampled_from(PSIS)))
+        psi = draw(st.sampled_from(PSIS))
+        pred, classify = growth_floor(psi), _whole_word_growth(psi)
     else:
         extremes = [(0.0, 0.5), (-1.0, 0.5), (math.inf, math.inf)]
-        pred = ratio_limit_window(*draw(st.sampled_from(WINDOWS + extremes)))
+        window = draw(st.sampled_from(WINDOWS + extremes))
+        pred, classify = ratio_limit_window(*window), _whole_word_window(*window)
     word = draw(st.sampled_from([(), (prev,)]))
-    assume(pred(word))
+    assume(classify(word))
     cap = draw(st.integers(2, 300))
-    return kind, pred, word, draw(st.integers(1, cap + 2)), cap
+    return pred, classify, word, draw(st.integers(1, cap + 2)), cap
 
 
 @settings(max_examples=400, deadline=None)
 @given(_local_children())
 def test_children_are_the_per_digit_filter(case):
-    kind, pred, word, r, cap = case
+    # the digits and the cut of one statement against a whole-word
+    # classifier asked about each digit
+    pred, classify, word, r, cap = case
     digits, cut = dimension._children(pred, word, r, cap)
-    admitted = [c for c in range(r + 1, cap + 1) if pred(word + (c,))]
-    assert list(digits) == admitted
-    # the cap cuts as it did when every digit was tested: only
-    # growth_floor's low end counts as a floor
-    if kind == "alphabet":
-        alphabet = pred._alphabet
-        assert cut == (not any(r < c <= cap for c in alphabet) and alphabet[-1] > r)
-    else:
-        assert cut == (r >= cap or kind == "growth" and not admitted)
+    assert list(digits) == [c for c in range(r + 1, cap + 1) if classify(word + (c,))]
+    assert cut == _cut_by(classify, word, r, cap, 10**4)
 
 
 def test_window_range_keeps_the_float_tests_rejections():
     # (5, 125) fails the float test of alpha 3, delta 0, and stays out
     pred = ratio_limit_window(3.0, 0.0)
     digits, cut = dimension._children(pred, (5,), 5, 200)
-    assert list(digits) == [c for c in range(6, 201) if pred((5, c))]
+    assert list(digits) == [c for c in range(6, 201) if _whole_word_window(3.0, 0.0)((5, c))]
     assert 125 not in digits and not cut
-    # the low end 125 lies past the cap 100: no digit, and no cut either
+    # so the window admits nothing after 5 and no cap cuts it, while after
+    # 7 it admits 343 alone, past the cap 100
     assert dimension._children(pred, (5,), 5, 100) == (range(101, 101), False)
+    assert pred((7, 343)) and dimension._children(pred, (7,), 7, 100) == (range(101, 101), True)
 
 
 @pytest.mark.parametrize("alpha, delta", WINDOWS)
 def test_window_range_is_its_float_test_up_to_1500(alpha, delta):
+    # the digits up to 1500 are those the float test passes; the span's
+    # ends, up to 1500 or past it, are the test's boundaries, and the cap
+    # cuts a prefix when the span is not empty but lies wholly past 1500
     pred = ratio_limit_window(alpha, delta)
     logs = [0.0, 0.0] + [math.log(c) for c in range(2, 1501)]
     for prev in range(2, 1501):
         log_prev = logs[prev]
+
+        def passes(c):
+            return abs(math.log(c) / log_prev - alpha) <= delta
+
         passing = [c for c in range(2, 1501) if abs(logs[c] / log_prev - alpha) <= delta]
         digits, cut = dimension._children(pred, (prev,), 1, 1500)
-        assert list(digits) == passing and not cut, prev
+        assert list(digits) == passing, prev
+        lo, hi = pred._span(prev, 2)
+        assert (lo == 1 or not passes(lo - 1)) and not passes(hi + 1), prev
+        assert lo > hi or passes(lo) and passes(hi), prev
+        assert cut == (not passing and lo <= hi), prev
+
+
+def test_window_span_steps_to_its_test_from_any_estimate():
+    # each end starts at the digit nearest prev ** (alpha -+ delta) and
+    # steps to the float test's boundary, so estimates some digits off on
+    # either side give the same spans
+    exp = math.exp
+    for window in WINDOWS:
+        pred = ratio_limit_window(*window)
+        spans = [pred._span(prev, 2) for prev in range(2, 200)]
+        for shift in (-3, 3):
+            with mock.patch.object(math, "exp", lambda x: exp(x) + shift):
+                assert [pred._span(prev, 2) for prev in range(2, 200)] == spans, (window, shift)
 
 
 @pytest.mark.parametrize("case", list(LOCAL_CASES))
@@ -805,9 +847,9 @@ def _all_three(rule, pred, rank, cap):
 @pytest.mark.parametrize("psi, floor", [(lambda n: math.inf, "inf"), (lambda n: math.nan, "nan"),
                                         (lambda n: -math.inf, "-inf"), (lambda n: 10**40, "huge")])
 def test_growth_floor_of_any_value_matches_its_test(psi, floor):
-    # math.ceil raises on the three non-finite floors; an infinite or NaN
-    # floor, like one past the cap, admits no digit and, being a floor, cuts
-    # every prefix (an opaque predicate is no floor and cuts none)
+    # math.ceil raises on the three non-finite floors.  A floor past the
+    # cap admits digits beyond it only, so the cap cuts every prefix; an
+    # infinite or NaN floor admits no digit at any cap and cuts none
     opaque = DigitPredicate(lambda w: all(c >= psi(n) for n, c in enumerate(w, 1)), floor)
     for rule in (LUROTH, ENGEL_MOD):
         got = _all_three(rule, growth_floor(psi), 2, 9)
@@ -816,17 +858,31 @@ def test_growth_floor_of_any_value_matches_its_test(psi, floor):
     if floor == "-inf":
         assert len(bases) == 28 and cuts == [[(2, 1)]] * 3
     else:
-        assert bases == [] and measure == 0 and cuts == [[(1, 1)]] * 3
+        assert bases == [] and measure == 0
+        assert cuts == ([[(1, 1)]] * 3 if floor == "huge" else [[]] * 3)
 
 
 def test_empty_ranges_and_empty_levels():
-    # a ratio bound below 1 leaves strictly increasing digits no child, and
-    # the window 3 +- 0 none past (4,) within cap 100: its low end 125 after
-    # (5,) lies past the cap, which cuts nothing, as the window is no floor
+    # the cap cuts a prefix only when the predicate admits a digit beyond
+    # it.  A ratio bound below 1 leaves strictly increasing digits no child
+    # at any cap, and so do ratio 2 under oppenheim(2, 1) (c_2 > 2 c_1 + 1)
+    # and ratio 1 under engel-mod (c_2 > c_1): no cut.  The window 3 +- 0
+    # admits none past (4,) within cap 100: after 5..100 it admits p**3
+    # alone or nothing, and the cap cuts the 72 prefixes (p,) whose p**3
+    # passes the float test.  The window 3 +- 0.1 admits after each of
+    # 5..100 digits past cap 100 only
+    window = _whole_word_window(3.0, 0.1)
     cases = [
-        (ENGEL_MOD, bounded_ratio(Fraction(1, 2)), 3, 20, [], [[(2, 1)]] * 3),
-        (LUROTH, ratio_limit_window(3.0, 0.0), 2, 100, [(2, 8), (3, 27), (4, 64)], [[]] * 3),
-        (LUROTH, ratio_limit_window(3.0, 0.0), 3, 100, [], [[]] * 3),
+        (ENGEL_MOD, bounded_ratio(Fraction(1, 2)), 3, 20, [], [[]] * 3),
+        (ORACLE_RULES["oppenheim"], bounded_ratio(2), 2, 20, [], [[]] * 3),
+        (ORACLE_RULES["oppenheim"], bounded_ratio(2), 2, 50, [], [[]] * 3),
+        (ORACLE_RULES["oppenheim"], bounded_ratio(2), 2, 1000, [], [[]] * 3),
+        (ENGEL_MOD, bounded_ratio(1), 2, 30, [], [[]] * 3),
+        (LUROTH, ratio_limit_window(3.0, 0.0), 2, 100, [(2, 8), (3, 27), (4, 64)],
+         [[(2, 72)]] * 3),
+        (LUROTH, ratio_limit_window(3.0, 0.0), 3, 100, [], [[(2, 72)]] * 3),
+        (LUROTH, ratio_limit_window(3.0, 0.1), 2, 100,
+         [w for w in itertools.product(range(2, 101), repeat=2) if window(w)], [[(2, 96)]] * 3),
     ]
     for rule, pred, rank, cap, words, warned in cases:
         bases, (s_hex, count), measure, cuts = _all_three(rule, pred, rank, cap)
@@ -834,6 +890,27 @@ def test_empty_ranges_and_empty_levels():
         assert measure == sum((word_diameter(rule, w) for w in words), Fraction(0))
         if not words:
             assert s_hex == (0.0).hex()
+    assert len(words) == 25
+
+
+def test_built_in_predicates_admit_no_digit_below_1():
+    # each statement starts at 1 at the least; the window admits nothing
+    # after a digit below 2, whose log is not positive
+    window = ratio_limit_window(1.0, 0.5)
+    assert not window((1, 2)) and not window((-3, 2)) and not window((0, 2))
+    assert window((2,)) and window((3, 4)) and window((1,))
+    for pred in (all_digits(), bounded_ratio(2), growth_floor(lambda n: -math.inf), window):
+        assert not pred((0,)) and not pred((2, -1)) and pred((1,)), pred
+    assert alphabet_restrict([0, 2])((0, 2, 0))
+
+
+def test_window_admits_no_digit_above_2_46():
+    # its span is the float test's up to 2^46 and ends there: the test
+    # passes 2^47 after 2^30 (ratio 47/30 <= 2) and 3^40 after 3
+    wide, far = ratio_limit_window(1.0, 1.0), ratio_limit_window(40.0, 0.1)
+    assert wide._span(2**30, 2) == (1, 2**46) and wide((2**30, 2**46))
+    assert not wide((2**30, 2**47)) and not far((3, 3**40))
+    assert far._span(3, 2) == (2**46 + 1, 2**46)
 
 
 def test_a_decreasing_affine_rule_keys_states_by_word():
@@ -855,25 +932,26 @@ def test_a_decreasing_affine_rule_keys_states_by_word():
 
 @st.composite
 def _diff_predicates(draw):
-    """(constructor, its declared alphabet, its declared floor psi, or
-    None): one of the five local predicate kinds or an opaque whole-word
-    one, which keys states by word."""
+    """(constructor, its whole-word classifier, or None): one of the five
+    local predicate kinds or an opaque whole-word one, which keys states by
+    word.  After digits up to 12 no local one admits a digit beyond 12^3
+    unless it admits every digit from some point up to there on."""
     kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window", "opaque"]))
     if kind == "all":
-        return all_digits, None
+        return all_digits, lambda word: True
     if kind == "alphabet":
         digits = sorted(draw(st.sets(st.sampled_from(range(2, 15)), min_size=1, max_size=4)))
-        return (lambda: alphabet_restrict(digits)), digits
+        return (lambda: alphabet_restrict(digits)), _whole_word_alphabet(digits)
     if kind == "ratio":
         k = draw(st.sampled_from([Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)]))
-        return (lambda: bounded_ratio(k)), None
+        return (lambda: bounded_ratio(k)), _whole_word_ratio(k)
     if kind == "growth":
         psi = draw(st.sampled_from([lambda n: 3, lambda n: n, lambda n: n * n, lambda n: 2**n]))
-        return (lambda: growth_floor(psi)), psi
+        return (lambda: growth_floor(psi)), _whole_word_growth(psi)
     if kind == "window":
         alpha = draw(st.sampled_from([0.8, 1.0, 1.5, 2.0]))
         delta = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
-        return (lambda: ratio_limit_window(alpha, delta)), None
+        return (lambda: ratio_limit_window(alpha, delta)), _whole_word_window(alpha, delta)
     bound = draw(st.sampled_from(range(4, 41)))
     return (lambda: DigitPredicate(lambda w: sum(w) <= bound, "digit-sum")), None
 
@@ -884,9 +962,9 @@ def _diff_configs(draw):
     cap = draw(st.sampled_from(range(2, 13 if rank < 4 else 9)))
     name = draw(st.sampled_from(list(ORACLE_RULES)))
     sign = draw(st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]))
-    make, alphabet = draw(_diff_predicates())
+    make, classify = draw(_diff_predicates())
     tol = draw(st.sampled_from([1e-6, 1e-9]))
-    return name, sign, make, alphabet, rank, cap, tol
+    return name, sign, make, classify, rank, cap, tol
 
 
 def _recorded(call):
@@ -899,23 +977,12 @@ def _recorded(call):
     return result, cuts
 
 
-def _first_cut(rule, pred, declared, rank, cap):
-    """(position, prefixes) of the first cap cut, counted prefix by prefix:
-    a prefix is cut when its least admissible digit, max(r + 1, ceil(psi(n)))
-    under a floor psi, is beyond the cap, or when a declared alphabet has
-    admissible digits, none of them up to the cap."""
-    alphabet = None if callable(declared) else declared
+def _first_cut(rule, pred, classify, rank, cap):
+    """(position, prefixes) of the first cap cut, counted prefix by prefix
+    by _cut_by with the whole-word classifier (None: opaque)."""
     for length in range(rank):
         prefixes = [()] if length == 0 else enumerate_compatible_bases(rule, pred, length, cap)
-        cut = 0
-        for word in prefixes:
-            lo = rule_value(rule, word) + 1
-            if callable(declared):
-                lo = max(lo, math.ceil(declared(length + 1)))
-            if alphabet is None:
-                cut += lo > cap
-            else:
-                cut += not any(lo <= c <= cap for c in alphabet) and alphabet[-1] >= lo
+        cut = sum(_cut_by(classify, w, rule_value(rule, w), cap, 12**3) for w in prefixes)
         if cut:
             return length + 1, cut
     return None
@@ -924,7 +991,7 @@ def _first_cut(rule, pred, declared, rank, cap):
 @settings(max_examples=100, deadline=None)
 @given(_diff_configs())
 def test_state_recursion_matches_enumeration(config):
-    name, sign, make, alphabet, rank, cap, tol = config
+    name, sign, make, classify, rank, cap, tol = config
     rule = ORACLE_RULES[name]
     bases, oracle_cuts = _recorded(lambda: list(enumerate_compatible_bases(rule, make(), rank, cap)))
     (ref, diams), _ = _recorded(lambda: _cylinder_root(rule, sign, make(), rank, cap, tol))
@@ -936,7 +1003,7 @@ def test_state_recursion_matches_enumeration(config):
     assert got.residual <= tol or not bases
     assert abs(got.residual - ref.residual) <= 1e-15
     assert measure == sum(diams, Fraction(0))
-    first = _first_cut(rule, make(), alphabet, rank, cap)
+    first = _first_cut(rule, make(), classify, rank, cap)
     for cuts in (oracle_cuts, root_cuts, measure_cuts):
         assert [(w.position, w.count) for w in cuts] == ([first] if first else [])
 
