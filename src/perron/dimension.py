@@ -40,7 +40,9 @@ _levels' alone.
 The sources of every state are one slice of the level before (_slices, one
 sweep per level), so a merged level is built with one step per state and
 none per (source, digit) pair; f(s) sums each slice with one math.fsum,
-and measure_at_rank as a difference of exact prefix sums.
+and measure_at_rank as a difference of exact prefix sums.  The last
+digits of one slice are handed over as one run: measure_at_rank sums a run
+without gaps in closed form, since its cylinders abut.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def _warn_first_cut(digit_cap: int, cuts: Sequence[int], stacklevel: int) -> Non
             return
 
 
-def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh):
+def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: int, weigh, weigh_run):
     """The compatible rank-k words, merged into states one position at a time.
 
     A state at level n stands for compatible length-n words that extend
@@ -296,17 +298,23 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     the sum of their values, and each of those sources becomes a value:
     weigh(num, den) of its expression.  The sources that become values do
     so in increasing order, so every slice of them is a slice of values.
+    The rank-k states of one run, the digits of one slice that the rule
+    keeps, share their sources and their expression (num, den) before the
+    last factor 1 / (c - 1)c, and are weighed in one call,
+    weigh_run(num, den, digits), with the run's digits in increasing order.
 
     Returns (kept, final, bases).  kept holds one list per level that adds
     values, each a list of groups (sources, weights): one new value per
     weight, indexed in order after the earlier ones; a group gathers
     consecutive items that share their sources.  final holds such groups
-    for the rank-k states, whose values sum to the rank-k sum.
-    bases counts the compatible rank-k words (an integer count per state,
-    carried in the same pass).  When the cap cuts off every admissible
-    digit of some compatible prefix, CapTooSmallWarning names the first
-    1-based position where it does and how many compatible prefixes it cuts
-    off there, raised at the caller's caller once the levels are built.
+    for the rank-k states, each with the weights weigh_run gave the runs
+    it gathers, in order: the rank-k sum adds, per group, the sum of the
+    values in its sources times the factor each weight stands for.  bases
+    counts the compatible rank-k words (the states' counts, summed in the
+    same pass).  When the cap cuts off every admissible digit of some
+    compatible prefix, CapTooSmallWarning names the first 1-based position
+    where it does and how many compatible prefixes it cuts off there,
+    raised at the caller's caller once the levels are built.
 
     A word-keyed level may hold at most _MAX_WORD_STATES states; past that
     it is a DomainError naming the level and the states it reached, so one
@@ -319,7 +327,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     # the states of the level before: words, rule values, counts, expressions
     words, rs, counts = [()], [r0], [1]
     srcs, fracs = [(0, 1)], [(1, 1)]
-    kept, values, cuts = [], 1, []
+    kept, final, values, cuts, bases = [], [], 1, [], 0
     for n in range(1, rank + 1):
         last = n == rank
         cuts.append(0)
@@ -331,10 +339,11 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
             children.append(digits)
         sums = [0, *itertools.accumulate(counts)]
         made = []  # the states of the level before that become values, in order
-        t_word, t_r, t_count, t_srcs, t_frac = [], [], [], [], []  # per state
+        t_word, t_r, t_count, t_srcs, t_frac = [], [], [], [], []  # per state below rank k
+        states = 0  # rank-k states so far
         covered = shift = 0  # the states made values so far end at covered; i is value i + shift
         for i, j, run in _slices(children, merge):
-            count, sources = sums[j] - sums[i], None
+            count, sources, live = sums[j] - sums[i], None, []
             for c in run:
                 child = words[i] + (c,)
                 r_child = _step_r(rule, child, n)
@@ -349,23 +358,31 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                         made += range(max(i, covered), j)
                         values, covered = j + shift, j
                         sources, num, den = (i + shift, j + shift), 1, 1
-                t_srcs.append(sources)
-                t_count.append(count)
                 if last:
-                    t_frac.append(weigh(num, den * (c - 1) * c))
+                    live.append(c)
                 else:
+                    t_srcs.append(sources)
+                    t_count.append(count)
                     t_frac.append((num * r_child, den * (c - 1) * c))
                     t_r.append(r_child)
                     t_word.append(child)
-            if not merge and len(t_frac) > _MAX_WORD_STATES:
+            if live:  # rank-k states: their weights come from one call
+                weights = weigh_run(num, den, live)
+                if final and final[-1][0] == sources:
+                    final[-1][1].extend(weights)
+                else:
+                    final.append((sources, weights))
+                bases += count * len(live)
+                states += len(live)
+            if not merge and len(t_frac) + states > _MAX_WORD_STATES:
                 raise DomainError(
-                    f"level {n} has {len(t_frac)} word-keyed states, more than the "
+                    f"level {n} has {len(t_frac) + states} word-keyed states, more than the "
                     f"{_MAX_WORD_STATES} allowed")
         if made:
             kept.append(_grouped([srcs[i] for i in made], [weigh(*fracs[i]) for i in made]))
         words, rs, counts, srcs, fracs = t_word, t_r, t_count, t_srcs, t_frac
     _warn_first_cut(digit_cap, cuts, 3)
-    return kept, _grouped(srcs, fracs), sum(counts)
+    return kept, final, bases
 
 
 def _slices(children: list, merge: bool) -> Iterator[tuple[int, int, Sequence[int]]]:
@@ -522,7 +539,8 @@ def pressure_root(
         raise DomainError("tol must be finite and positive")
     log, exp, fsum = math.log, math.exp, math.fsum
     kept, final, bases = _levels(
-        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den)
+        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den),
+        lambda num, den, digits: [log(num) - log(den * (c - 1) * c) for c in digits],
     )
     if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
@@ -748,7 +766,11 @@ def measure_at_rank(
     compatible word cover at most their parent).  The sum runs over the
     same rank-k states as pressure_root, at s = 1 in exact Fractions, so no
     base is listed and no cylinder is built; the diameters are the same for
-    both signs.
+    both signs.  The rank-k words of one run of last digits p..q without
+    gaps share their prefix's factor num/den, and their cylinders abut:
+    the diameters sum to (num/den)(q - p + 1) / ((p - 1) q), one Fraction
+    per run, so a rank-1 measure at cap C makes one Fraction, not C.  A
+    run with gaps (an alphabet, a custom rule) makes one per digit.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
@@ -765,7 +787,7 @@ def measure_at_rank(
             if m >= before:
                 break
         return Fraction(1)
-    kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction)
+    kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction, _run_weights)
     sums = [0, Fraction(rule.phi0)]  # sums[i]: the sum of the first i values
     for level in kept:
         for (lo, hi), weights in level:
@@ -773,3 +795,14 @@ def measure_at_rank(
             for w in weights:
                 sums.append(sums[-1] + total * w)
     return sum(((sums[hi] - sums[lo]) * sum(weights) for (lo, hi), weights in final), Fraction(0))
+
+
+def _run_weights(num: int, den: int, digits: Sequence[int]) -> list[Fraction]:
+    """Fractions summing to the diameters num / (den (c - 1) c) of the last
+    digits c of a run: one for a run without gaps, p..q, whose cylinders
+    abut, as 1/((c - 1)c) = 1/(c - 1) - 1/c telescopes to
+    (q - p + 1) / ((p - 1) q); one per digit otherwise."""
+    p, q = digits[0], digits[-1]
+    if q - p + 1 == len(digits):
+        return [Fraction(num * len(digits), den * (p - 1) * q)]
+    return [Fraction(num, den * (c - 1) * c) for c in digits]

@@ -1,6 +1,7 @@
 """Base enumeration, pressure roots, the independent Moran solver, measures."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -533,6 +534,31 @@ def test_measure_all_with_cap_matches_telescoped_tail(cap, rank):
     assert value == (1 - Fraction(1, cap)) ** rank
 
 
+@pytest.mark.parametrize("cap", [20001, 300000])
+@pytest.mark.parametrize(
+    "rule, first",
+    [
+        (LUROTH, 2),
+        (ENGEL, 2),
+        (ENGEL_MOD, 2),
+        (PIERCE, 2),
+        (DigitRule.oppenheim(2, 1), 2),
+        (DigitRule.oppenheim(1, -3), 4),  # digits 2 and 3 lead to r < 1
+        (DigitRule.oppenheim(1, 0, phi0=3), 4),  # the first digit exceeds phi_0 = 3
+    ],
+    ids=["luroth", "engel", "engel-mod", "pierce", "oppenheim:2,1", "oppenheim:1,-3",
+         "oppenheim:1,0,phi0=3"],
+)
+def test_rank_1_measure_at_a_large_cap_is_its_closed_form(rule, first, cap):
+    # the rank-1 cylinders of the digits first..cap abut: their diameters
+    # phi_0 / (c - 1)c telescope to phi_0 (1 / (first - 1) - 1 / cap), which
+    # is 1 - 1/cap when phi_0 = 1 and no digit is pruned
+    closed_form = rule.phi0 * (Fraction(1, first - 1) - Fraction(1, cap))
+    for pred in (all_digits(), bounded_ratio(2)):  # a first digit is free under either
+        for sign in (Sign.POSITIVE, Sign.ALTERNATING):
+            assert measure_at_rank(rule, sign, pred, 1, cap) == closed_form
+
+
 # ---------------------------------------------------------------------------
 # carried diameters against sign-aware cylinders
 # ---------------------------------------------------------------------------
@@ -1008,6 +1034,44 @@ def test_state_recursion_matches_enumeration(config):
         assert [(w.position, w.count) for w in cuts] == ([first] if first else [])
 
 
+MEASURE_RULES = [LUROTH, ENGEL, ENGEL_MOD, PIERCE, DigitRule.oppenheim(2, 1),
+                 DigitRule.oppenheim(1, -3), ORACLE_RULES["custom"]]
+
+
+@st.composite
+def _measure_predicates(draw, cap):
+    """A built-in local predicate; alphabets are drawn from 2..cap, so most
+    have gaps, and some none."""
+    kind = draw(st.sampled_from(["all", "alphabet", "ratio", "growth", "window"]))
+    if kind == "all":
+        return all_digits()
+    if kind == "alphabet":
+        return alphabet_restrict(draw(st.sets(st.integers(2, cap), min_size=1, max_size=8)))
+    if kind == "ratio":
+        return bounded_ratio(draw(st.sampled_from([Fraction(5, 4), Fraction(3, 2), 2, 3])))
+    if kind == "growth":
+        return growth_floor(draw(st.sampled_from([lambda n: 3, lambda n: n, lambda n: n * n])))
+    alpha = draw(st.sampled_from([0.8, 1.0, 1.5, 2.0]))
+    return ratio_limit_window(alpha, draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_measure_is_the_sum_of_the_word_diameters(data):
+    # the runs of last digits without gaps are summed in closed form, the
+    # others digit by digit; both must give the listed words' diameters
+    rank = data.draw(st.integers(1, 3))
+    cap = data.draw(st.integers(2, 40 if rank < 3 else 20))
+    rule = data.draw(st.sampled_from(MEASURE_RULES))
+    pred = data.draw(_measure_predicates(cap))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        total = sum(map(functools.partial(word_diameter, rule),
+                        enumerate_compatible_bases(rule, pred, rank, cap)), Fraction(0))
+        for sign in (Sign.POSITIVE, Sign.ALTERNATING):
+            assert measure_at_rank(rule, sign, pred, rank, cap) == total
+
+
 def test_opaque_predicate_is_asked_alike_by_all_three():
     # an opaque predicate is asked about every child word the descent tests;
     # the state recursion must ask about the same children, no more
@@ -1215,6 +1279,20 @@ def test_word_keyed_levels_are_bounded(monkeypatch):
     # states keyed by the last digit are not word-keyed: no bound applies
     est = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 3, 11, 1e-9)
     assert est.bases_count == 10**3
+
+
+def test_word_keyed_bound_counts_the_last_levels_states(monkeypatch):
+    # the last level's states are weighed one run at a time; the bound
+    # counts the states, not the weights of the runs
+    monkeypatch.setattr(dimension, "_MAX_WORD_STATES", 50)
+    custom = ORACLE_RULES["custom"]
+    message = r"^level 1 has 99 word-keyed states, more than the 50 allowed$"
+    for call in (
+        lambda: measure_at_rank(custom, Sign.POSITIVE, all_digits(), 1, 100),
+        lambda: pressure_root(custom, Sign.POSITIVE, all_digits(), 1, 100, 1e-9),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def test_word_keyed_bound_is_the_state_recursions_own(monkeypatch):
