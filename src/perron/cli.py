@@ -9,6 +9,12 @@ fields (costs, pressure roots) are serialized with repr precision.  Flags
 that several commands take are declared once (_FLAGS); each command lists
 the flags it takes (_COMMANDS).
 
+Each process compiles and imports only the modules its command runs: this
+module loads core and errors, and coverings, dimension and transforms are
+imported by the flag parsers and handlers that use them (--predicate,
+whose default "all" argparse parses like a given value, and --kind read
+dimension and transforms when they are parsed).
+
 Exit codes: 0 success (including ISPoint outcomes, reported with
 "is_point": true); 2 validation errors (bad digit words, malformed input
 sets); 3 domain errors (arguments outside an operation's domain); 64 usage
@@ -34,25 +40,7 @@ from .core import (
     partial_sum,
     positive_digits,
 )
-from .coverings import (
-    FamilySet,
-    QInterval,
-    cover_interval,
-    split_to_finite,
-    verify_cover,
-)
-from .dimension import (
-    all_digits,
-    alphabet_restrict,
-    bounded_ratio,
-    growth_floor,
-    measure_at_rank,
-    moran_dimension,
-    pressure_root,
-    ratio_limit_window,
-)
 from .errors import DomainError, ValidityError
-from .transforms import TransformKind, transform_digits, transform_point
 
 __all__ = ["run", "main"]
 
@@ -182,6 +170,10 @@ def _parse_growth(expr: str):
 
 @_flag_parser
 def _parse_predicate(text: str):
+    from .dimension import (
+        all_digits, alphabet_restrict, bounded_ratio, growth_floor, ratio_limit_window,
+    )
+
     if text == "all":
         return all_digits()
     if text.startswith("alphabet:"):
@@ -206,9 +198,9 @@ def _parse_ratios(text: str) -> list:
 # Each --kind names the TransformKind constructor it calls on --system: fp
 # needs the rule (transforms checks that it has one), t and g ignore it
 _KINDS = {
-    "fp": TransformKind.fp,
-    "t": lambda rule: TransformKind.t_engel(),
-    "g": lambda rule: TransformKind.g_pierce(),
+    "fp": lambda kinds, rule: kinds.fp(rule),
+    "t": lambda kinds, rule: kinds.t_engel(),
+    "g": lambda kinds, rule: kinds.g_pierce(),
 }
 
 
@@ -216,7 +208,9 @@ _KINDS = {
 def _parse_kind(text: str):
     if text not in _KINDS:
         raise ValueError(f"kind must be fp, t, or g, got {text!r}")
-    return _KINDS[text]
+    from .transforms import TransformKind
+
+    return functools.partial(_KINDS[text], TransformKind)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +227,7 @@ def _record(outcome) -> dict:
     return {"digits": list(outcome)}
 
 
-def _family_set_json(fs: FamilySet) -> dict:
+def _family_set_json(fs) -> dict:
     return {
         "sign": fs.sign.value,
         "prefix": list(fs.prefix),
@@ -242,7 +236,7 @@ def _family_set_json(fs: FamilySet) -> dict:
     }
 
 
-def _family_set_from_line(line: str) -> FamilySet:
+def _family_set_from_line(line: str):
     """The family set of one input line, read strictly.
 
     prefix is a JSON array of integers, from a JSON integer, and to a JSON
@@ -251,6 +245,8 @@ def _family_set_from_line(line: str) -> FamilySet:
     an array; FamilySet checks the rest (plain ints, so a JSON float or
     boolean fails, and to >= from) when the set is made.
     """
+    from .coverings import FamilySet
+
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -264,7 +260,9 @@ def _family_set_from_line(line: str) -> FamilySet:
         raise ValidityError(f"malformed family set {obj!r}: {exc}", index=None)
 
 
-def _interval(ns) -> QInterval:
+def _interval(ns):
+    from .coverings import QInterval
+
     return QInterval(ns.lo, ns.hi, False, ns.sign is Sign.POSITIVE)
 
 
@@ -290,10 +288,14 @@ def _cmd_cylinder(ns):
 
 
 def _cmd_cover(ns):
+    from .coverings import cover_interval
+
     return [_family_set_json(fs) for fs in cover_interval(ns.system, ns.sign, _interval(ns))]
 
 
 def _cmd_split(ns):
+    from .coverings import FamilySet, split_to_finite
+
     if ns.blocks < 0:
         raise DomainError("--blocks must be >= 0")
     fs = FamilySet(ns.sign, ns.prefix, ns.start, None)
@@ -303,6 +305,8 @@ def _cmd_split(ns):
 
 
 def _cmd_verify(ns):
+    from .coverings import verify_cover
+
     lines = (line.strip() for line in sys.stdin)
     sets = [_family_set_from_line(line) for line in lines if line]
     report = verify_cover(ns.system, _interval(ns), sets, ns.alpha)
@@ -312,14 +316,20 @@ def _cmd_verify(ns):
 
 
 def _cmd_transform(ns):
+    from .transforms import transform_digits
+
     return [_record(transform_digits(ns.kind(ns.system), ns.word))]
 
 
 def _cmd_transform_point(ns):
+    from .transforms import transform_point
+
     return [_record(transform_point(ns.kind(ns.system), ns.x, ns.rank))]
 
 
 def _cmd_dim(ns):
+    from .dimension import pressure_root
+
     est = pressure_root(ns.system, ns.sign, ns.predicate, ns.rank, ns.cap, ns.tol)
     return [
         {"s": est.s_value, "rank": est.rank, "cap": est.digit_cap,
@@ -328,10 +338,14 @@ def _cmd_dim(ns):
 
 
 def _cmd_moran(ns):
+    from .dimension import moran_dimension
+
     return [{"s": moran_dimension(ns.ratios, ns.tol)}]
 
 
 def _cmd_measure(ns):
+    from .dimension import measure_at_rank
+
     return [{"measure": str(measure_at_rank(ns.system, ns.sign, ns.predicate, ns.rank, ns.cap))}]
 
 
@@ -353,7 +367,7 @@ _FLAGS = {
     "--kind": dict(type=_parse_kind, help="fp | t (engel to engel-mod) | g (pierce shift)"),
     "--predicate": dict(
         type=_parse_predicate,
-        default=all_digits(),
+        default="all",
         help="all | alphabet:2,3 | bounded-ratio:3/2 | growth:c|n^k|b^n | ratio-window:a,d",
     ),
     "--rank": dict(type=int),

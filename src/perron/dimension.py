@@ -244,7 +244,14 @@ def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int
     if not isinstance(predicate, _LocalPredicate):
         digits = [c for c in range(r + 1, digit_cap + 1) if predicate.classify(word + (c,))]
         return digits, r >= digit_cap
-    lo, hi = predicate._span(word[-1] if word else None, len(word) + 1)
+    return _local_children(predicate, word[-1] if word else None, len(word) + 1, r, digit_cap)
+
+
+def _local_children(predicate: _LocalPredicate, prev: int | None, n: int, r: int, digit_cap: int):
+    """_children under a local predicate, which reads of the word only its
+    last digit prev (None for the empty word) and the position n it leads
+    to, one more than its length."""
+    lo, hi = predicate._span(prev, n)
     digits = range(max(r + 1, lo), (digit_cap if hi is None else min(digit_cap, hi)) + 1)
     if predicate._alphabet is not None:
         digits = [c for c in predicate._alphabet if c in digits]
@@ -286,6 +293,11 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     c.  As c increases, j only moves forward, so one sweep of two pointers
     finds every slice, with one step per state and none per (source, digit)
     pair, and prefix sums of the states' counts give each slice's count.
+    A run's digits whose rule value is below 1 are admissible but
+    degenerate, and pruned.  Merged, a c + b is nondecreasing in c, so the
+    run keeps its tail c >= ceil((1 - b)/a) (all of it or none when a = 0),
+    found with one bisection and no step per digit; a word-keyed run asks
+    the rule about each child word.
 
     A word's diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i is phi_0 times
     one factor r / (c - 1)c per digit, r being the rule value the digit
@@ -324,49 +336,57 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     """
     r0 = _check_rank_cap(rule, rank, digit_cap)
     merge = rule.fn is None and rule.a >= 0 and isinstance(predicate, _LocalPredicate)
-    # the states of the level before: words, rule values, counts, expressions
-    words, rs, counts = [()], [r0], [1]
+    if merge:  # a c + b >= 1 exactly for the digits c >= least
+        least = -((rule.b - 1) // rule.a) if rule.a else (0 if rule.b >= 1 else math.inf)
+    # the states of the level before: keys (last digits when merged, words
+    # otherwise), rule values, counts, expressions
+    keys, rs, counts = [None if merge else ()], [r0], [1]
     srcs, fracs = [(0, 1)], [(1, 1)]
     kept, final, values, cuts, bases = [], [], 1, [], 0
     for n in range(1, rank + 1):
         last = n == rank
         cuts.append(0)
         children = []
-        for word, r, count in zip(words, rs, counts):
-            digits, cut = _children(predicate, word, r, digit_cap)
+        for key, r, count in zip(keys, rs, counts):
+            if merge:
+                digits, cut = _local_children(predicate, key, n, r, digit_cap)
+            else:
+                digits, cut = _children(predicate, key, r, digit_cap)
             if cut:
                 cuts[-1] += count
             children.append(digits)
         sums = [0, *itertools.accumulate(counts)]
         made = []  # the states of the level before that become values, in order
-        t_word, t_r, t_count, t_srcs, t_frac = [], [], [], [], []  # per state below rank k
+        t_key, t_r, t_count, t_srcs, t_frac = [], [], [], [], []  # per state below rank k
         states = 0  # rank-k states so far
         covered = shift = 0  # the states made values so far end at covered; i is value i + shift
         for i, j, run in _slices(children, merge):
-            count, sources, live = sums[j] - sums[i], None, []
-            for c in run:
-                child = words[i] + (c,)
-                r_child = _step_r(rule, child, n)
-                if r_child < 1:
-                    continue  # digit admissible but rule value degenerates: prune
-                if sources is None:  # the first state of the run that is kept
-                    if j - i == 1:  # one source: extend its expression
-                        sources, (num, den) = srcs[i], fracs[i]
-                    else:  # the sources [i, j) become values [i + shift, j + shift)
-                        if i >= covered:
-                            shift = values - i
-                        made += range(max(i, covered), j)
-                        values, covered = j + shift, j
-                        sources, num, den = (i + shift, j + shift), 1, 1
-                if last:
-                    live.append(c)
-                else:
-                    t_srcs.append(sources)
-                    t_count.append(count)
-                    t_frac.append((num * r_child, den * (c - 1) * c))
-                    t_r.append(r_child)
-                    t_word.append(child)
-            if live:  # rank-k states: their weights come from one call
+            # live: the run's digits whose rule value is at least 1
+            if merge:  # a >= 0, so they are a tail of the run
+                live = run[bisect.bisect_left(run, least):]
+                if not last:
+                    live_keys, live_rs = live, [rule.a * c + rule.b for c in live]
+            else:
+                live, live_keys, live_rs = [], [], []
+                for c in run:
+                    child = keys[i] + (c,)
+                    r_child = _step_r(rule, child, n)
+                    if r_child >= 1:
+                        live.append(c)
+                        live_keys.append(child)
+                        live_rs.append(r_child)
+            if not live:
+                continue
+            count = sums[j] - sums[i]
+            if j - i == 1:  # one source: extend its expression
+                sources, (num, den) = srcs[i], fracs[i]
+            else:  # the sources [i, j) become values [i + shift, j + shift)
+                if i >= covered:
+                    shift = values - i
+                made += range(max(i, covered), j)
+                values, covered = j + shift, j
+                sources, num, den = (i + shift, j + shift), 1, 1
+            if last:  # rank-k states: their weights come from one call
                 weights = weigh_run(num, den, live)
                 if final and final[-1][0] == sources:
                     final[-1][1].extend(weights)
@@ -374,13 +394,19 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                     final.append((sources, weights))
                 bases += count * len(live)
                 states += len(live)
+            else:
+                t_key += live_keys
+                t_r += live_rs
+                t_frac += [(num * r, den * (c - 1) * c) for c, r in zip(live, live_rs)]
+                t_srcs += [sources] * len(live)
+                t_count += [count] * len(live)
             if not merge and len(t_frac) + states > _MAX_WORD_STATES:
                 raise DomainError(
                     f"level {n} has {len(t_frac) + states} word-keyed states, more than the "
                     f"{_MAX_WORD_STATES} allowed")
         if made:
             kept.append(_grouped([srcs[i] for i in made], [weigh(*fracs[i]) for i in made]))
-        words, rs, counts, srcs, fracs = t_word, t_r, t_count, t_srcs, t_frac
+        keys, rs, counts, srcs, fracs = t_key, t_r, t_count, t_srcs, t_frac
     _warn_first_cut(digit_cap, cuts, 3)
     return kept, final, bases
 
@@ -538,10 +564,13 @@ def pressure_root(
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
     log, exp, fsum = math.log, math.exp, math.fsum
+
+    def weigh_run(num, den, digits):
+        log_num = log(num)
+        return [log_num - log(den * (c - 1) * c) for c in digits]
+
     kept, final, bases = _levels(
-        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den),
-        lambda num, den, digits: [log(num) - log(den * (c - 1) * c) for c in digits],
-    )
+        rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den), weigh_run)
     if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
     log_phi0 = log(rule.phi0)

@@ -1,6 +1,16 @@
-"""The package's public names: one frozen set, importable every way."""
+"""The package's public names: one frozen set, importable every way, and
+loaded only as far as a process uses them."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import perron
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PUBLIC = [
     "BoundaryCover", "CapTooSmallWarning", "CoverReport", "CylinderInterval",
@@ -30,3 +40,47 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC
     assert namespace["DigitRule"] is perron.core.DigitRule
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(perron))
+
+
+def _lazy_modules_loaded(code: str) -> set:
+    """The modules among coverings, dimension and transforms that a fresh
+    interpreter has loaded after running code."""
+    report = "import sys, json; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=60, check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {name for name in ("coverings", "dimension", "transforms") if f"perron.{name}" in loaded}
+
+
+def test_import_perron_loads_only_core_and_errors():
+    assert _lazy_modules_loaded("import perron") == set()
+
+
+def test_a_lazy_name_loads_its_module_and_binds_the_same_object():
+    code = "import perron; assert perron.pressure_root is perron.dimension.pressure_root"
+    assert _lazy_modules_loaded(code) == {"dimension"}
+    assert _lazy_modules_loaded("import perron; perron.coverings") == {"coverings"}
+    assert perron.TransformKind is perron.transforms.TransformKind
+    assert perron.__getattr__("transforms") is perron.transforms
+    with pytest.raises(AttributeError):
+        perron.no_such_name
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["expand", "--system", "engel", "--x", "3/7", "--n", "5"], set()),
+    (["cylinder", "--system", "luroth", "--word", "2,3", "--sign", "P"], set()),
+    (["dim", "--system", "engel", "--rank", "1", "--cap", "8"], {"dimension"}),
+    (["measure", "--system", "pierce", "--predicate", "bounded-ratio:2", "--rank", "2",
+      "--cap", "8"], {"dimension"}),
+    (["transform-point", "--kind", "t", "--x", "1/3", "--rank", "4"], {"transforms"}),
+    (["cover", "--system", "engel", "--sign", "P", "--lo", "1/5", "--hi", "1/3"], {"coverings"}),
+])
+def test_each_cli_command_loads_only_the_modules_it_runs(argv, modules):
+    code = f"from perron.cli import run; assert run({argv!r}) == 0"
+    assert _lazy_modules_loaded(code) == modules

@@ -89,6 +89,14 @@ def test_every_end_to_end_metric_of_the_benchmark_has_a_bound():
         assert not summary[spec["name"]]["worse_beyond_bound"]
 
 
+def test_the_change_side_is_the_working_tree_without_build_output(tmp_path):
+    bench_pairs.export_change(str(tmp_path))
+    for name in ("BENCHMARK.json", "bench/run.py", "src/perron/__init__.py"):
+        with open(os.path.join(ROOT, name), "rb") as a, open(tmp_path / name, "rb") as b:
+            assert a.read() == b.read(), name
+    assert not list(tmp_path.rglob("__pycache__")) and not list(tmp_path.rglob("*.pyc"))
+
+
 FIXTURE = '''"""A module docstring
 over two lines."""
 

@@ -4,7 +4,11 @@
 
 The base side is the git revision --base (default HEAD), exported with
 ``git archive`` into a temporary directory; the change side is the working
-tree this script belongs to, uncommitted edits included.  Every workload
+tree this script belongs to, uncommitted edits included, copied into
+another temporary directory: its tracked files and its untracked files
+that .gitignore does not name (``git ls-files --cached --others
+--exclude-standard``).  So neither side runs with bytecode caches
+(``__pycache__``) or other build output that the other lacks.  Every workload
 of BENCHMARK.json runs PAIRS pairs at its run_seconds; pair i runs both
 sides at seed SEEDS[i % len(SEEDS)], the base first when i is even and the
 change first when i is odd, so a slow drift of the host weighs on both
@@ -34,6 +38,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +71,17 @@ def export_base(rev: str, dest: str) -> str:
         else:
             tar.extractall(dest)
     return git("rev-parse", f"{rev}^{{commit}}").decode().strip()
+
+
+def export_change(dest: str) -> None:
+    """Copy the working tree's tracked and unignored untracked files into
+    dest; a tracked file deleted in the working tree is left out."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in filter(None, names.split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(dest, name))
 
 
 def host() -> dict:
@@ -164,9 +180,11 @@ def main(argv=None) -> int:
         "seeds": list(SEEDS),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir, \
+         tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir:
         record["base"] = export_base(args.base, base_dir)
-        sides = {"base": base_dir, "change": ROOT}
+        export_change(change_dir)
+        sides = {"base": base_dir, "change": change_dir}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(PAIRS):
