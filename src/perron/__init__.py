@@ -10,11 +10,13 @@ estimation via pressure-equation roots.
 The public names are those of each module's __all__, plus __version__.
 core and errors load with the package; coverings, dimension and
 transforms load on first use of one of their names (a module __getattr__,
-PEP 562).  So ``import perron`` compiles only core and errors, and a
-process that imports a submodule itself, as each CLI command does,
-compiles only that one.  A name is looked up in the three largest first,
-each loaded until one declares it, and then bound here with the rest of
-that module's names; __all__, dir() and a star import load all three.
+PEP 562).  Their public names are declared once, here in _LAZY, and each
+of those modules reads its own list back as its __all__, so a name loads
+only the module that declares it, and is then bound here with the rest of
+that module's names.  So ``import perron`` compiles only core and errors,
+and a process that imports a submodule itself, as each CLI command does,
+compiles only that one.  __all__ and dir() list every public name without
+loading anything; a star import loads all three.
 """
 
 import importlib
@@ -25,10 +27,18 @@ from .errors import *
 
 __version__ = "0.1.0"
 
-# The modules loaded on first use, largest first: the largest compile then
-# runs while the least else is in memory, which keeps the memory peak of a
-# process that uses all three close to that of importing them eagerly
-_LAZY = ("dimension", "coverings", "transforms")
+# The public names of each module loaded on first use
+_LAZY = {
+    "coverings": ["FamilySet", "QInterval", "BoundaryCover", "CoverReport", "FROM_INF", "TO_SUP",
+                  "family_set_hull", "cover_boundary", "cover_interval", "split_to_finite",
+                  "split_parameters", "verify_cover"],
+    "dimension": ["DigitPredicate", "DimensionEstimate", "all_digits", "alphabet_restrict",
+                  "bounded_ratio", "growth_floor", "ratio_limit_window",
+                  "enumerate_compatible_bases", "pressure_root", "moran_dimension",
+                  "measure_at_rank"],
+    "transforms": ["TransformKind", "transform_digits", "transform_point", "t_ratio"],
+}
+__all__ = [*core.__all__, *errors.__all__, *sum(_LAZY.values(), []), "__version__"]
 
 
 def _load(module_name: str):
@@ -39,20 +49,14 @@ def _load(module_name: str):
 
 
 def __getattr__(name: str):
-    if name == "__all__":
-        modules = sorted(["core", "errors", *_LAZY])
-        globals()[name] = [n for m in modules for n in _load(m).__all__] + ["__version__"]
-        return globals()[name]
     if name in _LAZY:
         return _load(name)
-    if not name.startswith("_"):  # no public name does
-        for module_name in _LAZY:
-            if name in _load(module_name).__all__:
-                return globals()[name]
+    for module_name, names in _LAZY.items():
+        if name in names:
+            _load(module_name)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    for module_name in _LAZY:
-        _load(module_name)
-    return sorted(globals())
+    return sorted({*globals(), *__all__})

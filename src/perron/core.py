@@ -40,14 +40,14 @@ way, and partial_sum and word_diameter sum or multiply along that one walk.
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).  Both
 forms run one loop (_digits) that names its sign: the sign picks the domain,
-the remainder step (_tail) and what a junction means (an included supremum
-in the positive form, an ISPoint in the alternating one), and the next digit
-always comes from one child step (_child).  The same two steps move a
-point's position relative to a frame down one digit: _Frame.relative maps a
-point into a frame once, and the pair is then stepped with a product by
-small integers per level.  Every extraction bounds its digits by the one
-fixed _MAX_DIGIT_BITS (2**16 bits): it raises DomainError naming the
-position rather than grow one digit past it.  The remainder pair of
+the remainder step and what a junction means (an included supremum in the
+positive form, an ISPoint in the alternating one), and the next digit, the
+junction and the remainder all come from one child step (_child), one divmod
+per digit.  The same step moves a point's position relative to a frame down
+one digit: _Frame.relative maps a point into a frame once, and the pair is
+then stepped with one divmod and a product per level.  Every extraction
+bounds its digits by the one fixed _MAX_DIGIT_BITS (2**16 bits): it raises
+DomainError naming the position rather than grow one digit past it.  The remainder pair of
 extraction is carried unreduced, like the frame, and reduced only when its
 denominator has doubled in bits since the last reduction, so long
 expansions pay one gcd per doubling rather than one per digit.
@@ -106,7 +106,7 @@ class Sign(enum.Enum):
 
 # Module-level aliases for the per-digit loops: reading Sign.POSITIVE is an
 # enum class attribute lookup, several times slower than a global (CPython
-# 3.11), and digit extraction does one per digit through _tail.
+# 3.11), and digit extraction does one per digit through _child.
 _POSITIVE, _ALTERNATING = Sign.POSITIVE, Sign.ALTERNATING
 
 
@@ -268,7 +268,7 @@ class _Frame(NamedTuple):
     back into the unreduced relative frame.
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
-    with _tail, which needs only the sign, r and the digit.
+    with _child, which needs only the sign and r.
     extend(digits) is the one step by which a frame takes digits, checking
     each against r as it composes it; walk(word) is the root frame extended
     by word.  A frame is geometry: code that needs only the word and r
@@ -305,10 +305,11 @@ class _Frame(NamedTuple):
         for i in range(len(self.word) + 1, len(word) + 1):
             c, r_next = word[i - 1], _next_r(self.rule, r, word, i)
             block = (c - 1) * c
+            s *= r
             if positive:
-                a, s = a * block + s * r * (c - 1), s * r
+                a = a * block + s * (c - 1)
             else:
-                a, s = a * block + s * r * c, -s * r
+                a, s = a * block + s * c, -s
             d, r = d * block, r_next
         return _Frame(self.rule, self.sign, word, a, s, d, r)
 
@@ -393,34 +394,32 @@ def _check_domain(sign: Sign, x: Fraction) -> None:
         raise DomainError(f"x = {x} outside (0, 1)")
 
 
-def _child(r: int, num: int, den: int) -> tuple[int, bool]:
-    """(c, at_junction) for the point num/den > 0 under rule value r.
+def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int, int]]:
+    """(c, at_junction, tail) for the point num/den > 0 (den > 0) under rule
+    value r.
 
     c = floor(r*den/num) + 1 is the digit whose relative interval
     (r/c, r/(c-1)] contains the point, and at_junction says that the point
-    is that interval's supremum r/(c-1), i.e. a cylinder junction.  The pair
-    may be unreduced: the quotient and the zero remainder do not depend on
-    a common factor.  Digit extraction and the cover descent both read their
-    next digit here; a caller that wants the child whose closure contains
-    the point from below takes c - at_junction.
-    """
-    q, rem = divmod(r * den, num)
-    return q + 1, rem == 0
-
-
-def _tail(sign: Sign, r: int, c: int, num: int, den: int) -> tuple[int, int]:
-    """Tail position y of the point num/den (den > 0) whose next digit is c.
-
-    The remainder step of digit extraction, unreduced, with r the rule value
-    before c: positive x = r/c + y*r/((c-1)c) gives
+    is that interval's supremum r/(c-1), i.e. a cylinder junction.  tail is
+    the point's position y in child c, unreduced: the remainder step of
+    digit extraction.  Positive x = r/c + y*r/((c-1)c) gives
     y = (num*c - r*den)(c-1) / (den*r); alternating x = r/(c-1) - y*r/((c-1)c)
-    gives y = (r*den - num*(c-1))*c / (den*r).  Applied to a position
-    relative to a frame (_Frame.relative), it gives the position relative to
-    the child frame of digit c, with products by small integers only.
+    gives y = (r*den - num*(c-1))*c / (den*r).  With q, rem the quotient and
+    remainder of r*den by num, c = q + 1, num*c - r*den = num - rem and
+    r*den - num*(c-1) = rem, so one divmod gives all three.  The pair may be
+    unreduced: the quotient and the zero remainder do not depend on a
+    common factor.  Applied to a position relative to a frame
+    (_Frame.relative), the tail is the position relative to the child frame
+    of digit c.  Digit extraction and the cover descent both take their
+    next digit and position here; at a junction the same point is y in
+    child c and 1 - y in child c - 1, the child whose closure contains it
+    from below.
     """
+    rd = r * den
+    q, rem = divmod(rd, num)
     if sign is _POSITIVE:
-        return (num * c - r * den) * (c - 1), den * r
-    return (r * den - num * (c - 1)) * c, den * r
+        return q + 1, rem == 0, ((num - rem) * q, rd)
+    return q + 1, rem == 0, (rem * (q + 1), rd)
 
 
 def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
@@ -452,9 +451,9 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
 def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoint:
     """The extraction loop of both forms, digits bounded by _MAX_DIGIT_BITS bits.
 
-    The forms differ only in the domain, the remainder step (_tail) and the
-    junction rule: a positive junction is the included supremum of its
-    child, an alternating one is an ISPoint.
+    The forms differ only in the domain, the remainder step (_child's tail)
+    and the junction rule: a positive junction is the included supremum of
+    its child, an alternating one is an ISPoint.
 
     The remainder pair (a, b) is carried unreduced and reduced by its gcd
     only once b reaches the square of its value at the last reduction,
@@ -477,7 +476,7 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     r = rule.phi0
     alternating = sign is _ALTERNATING
     for i in range(1, n + 1):
-        c, at_junction = _child(r, a, b)
+        c, at_junction, (a, b) = _child(sign, r, a, b)  # in the tail space again
         if at_junction and alternating:
             return ISPoint(rank=i, digits=tuple(digits))
         if c.bit_length() > _MAX_DIGIT_BITS:
@@ -485,7 +484,6 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
                 f"digit at position {i} has {c.bit_length()} bits, beyond the "
                 f"{_MAX_DIGIT_BITS}-bit digit bound"
             )
-        a, b = _tail(sign, r, c, a, b)  # in the tail space again
         if b >= bound:
             g = gcd(a, b)
             a //= g

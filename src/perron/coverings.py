@@ -26,15 +26,15 @@ child's side; only the public cover_boundary reads an absolute side
 (FROM_INF, TO_SUP) and turns it into a relative one.
 Relative positions are unreduced integer pairs, so the descent compares by
 cross-multiplication; Fractions are formed only for the piece widths that
-choose between covers.  The descent runs on the two steps of digit
+choose between covers.  The descent runs on the one step of digit
 extraction: each endpoint is mapped into the starting cylinder's frame
 once (at the root, a point is its own relative pair; a cut under a prefix
-goes through core._Frame.relative), each level reads the endpoints'
-children with the extraction's child step (core._child) and steps both
-pairs down one digit with its remainder step (core._tail), so a level
-costs products by small integers.  It tracks only the word, r and the two
-positions, with no affine frame: each digit steps r with the checked rule
-step (core._next_r), and the orientation is the rank's parity.
+goes through core._Frame.relative), and each level reads each endpoint's
+child and its position in that child from one call of the extraction's
+child step (core._child), so a level costs a divmod and a product per
+endpoint.  It tracks only the word, r and the two positions, with no
+affine frame: each digit steps r with the checked rule step
+(core._next_r), and an alternating digit swaps the low and high ends.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
 both sides alike, so it is never formed.
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from . import _LAZY
 from .core import (
     DigitRule,
     DigitWord,
@@ -67,25 +68,11 @@ from .core import (
     _child,
     _Frame,
     _next_r,
-    _tail,
     rule_value,
 )
 from .errors import DomainError, ValidityError
 
-__all__ = [
-    "FamilySet",
-    "QInterval",
-    "BoundaryCover",
-    "CoverReport",
-    "FROM_INF",
-    "TO_SUP",
-    "family_set_hull",
-    "cover_boundary",
-    "cover_interval",
-    "split_to_finite",
-    "split_parameters",
-    "verify_cover",
-]
+__all__ = _LAZY["coverings"]  # declared once, in the package
 
 
 @dataclass(frozen=True)
@@ -117,10 +104,21 @@ class FamilySet:
         for i, c in enumerate(self.prefix, 1):
             if type(c) is not int:
                 raise ValidityError(f"digit {c!r} at position {i} is not an integer", index=i)
+        self._check_range()
+
+    def _check_range(self) -> None:
         if type(self.start) is not int or self.end is not None and type(self.end) is not int:
             raise ValidityError(f"start {self.start!r} or end {self.end!r} is not an integer")
         if self.end is not None and self.end < self.start:
             raise ValidityError(f"end {self.end} below start {self.start}", index=None)
+
+    def _with_range(self, start: int, end: int | None) -> "FamilySet":
+        """The set of this sign and prefix over start..end, of which only
+        the range is checked: the sign and prefix were, when self was made."""
+        fs = object.__new__(FamilySet)
+        fs.__dict__.update(self.__dict__, start=start, end=end)
+        fs._check_range()
+        return fs
 
 
 @dataclass(frozen=True)
@@ -243,12 +241,12 @@ def _cover_boundary(
         when u = 0).
     """
     while not low and u[0] * (r + 1) > r * u[1]:
-        u, (word, r) = _tail(sign, r, r + 1, *u), _descend(rule, word, r, r + 1)
+        u, (word, r) = _child(sign, r, *u)[2], _descend(rule, word, r, r + 1)
         low = sign is _ALTERNATING
     if u[0] == 0:
         whole = FamilySet(sign, word, r + 1, None)
         return BoundaryCover((whole,), whole)
-    c, exact = _child(r, *u)
+    c, exact, _ = _child(sign, r, *u)
     if low:
         tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
         single = one = FamilySet(sign, word, c, None)
@@ -302,38 +300,37 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     """
     _interval_conventions(sign, U)
     # the root frame is the identity for both signs, so U's ends are their
-    # own relative pairs; below, they are stepped digit by digit
+    # own relative pairs, the low and the high relative end; each level
+    # steps both into the common child, which swaps them when alternating
     prefix, r = (), rule_value(rule, ())
-    u1, u2 = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
-
+    t_lo, t_hi = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
+    positive = sign is Sign.POSITIVE
     while True:
-        t_lo, t_hi = (u1, u2) if _ascending(sign, prefix) else (u2, u1)
         if t_lo[0] == 0:
             return list(_cover_boundary(rule, sign, prefix, r, t_hi, True).tight)
         if t_hi[0] == t_hi[1]:
             return list(_cover_boundary(rule, sign, prefix, r, t_lo, False).tight)
-        d_lo, lo_exact = _child(r, *t_lo)
+        d_lo, lo_exact, y_lo = _child(sign, r, *t_lo)
         d_lo -= lo_exact  # a junction resolves toward U's interior
-        d_hi, hi_exact = _child(r, *t_hi)
-        if d_lo == d_hi:
-            u1, u2 = _tail(sign, r, d_lo, *u1), _tail(sign, r, d_lo, *u2)
-            prefix, r = _descend(rule, prefix, r, d_lo)
-            continue
-        break
-
-    positive = sign is Sign.POSITIVE
+        d_hi, hi_exact, y_hi = _child(sign, r, *t_hi)
+        if d_lo != d_hi:
+            break
+        if lo_exact:  # the junction is y in child d_lo + 1, so 1 - y in child d_lo
+            y_lo = (y_lo[1] - y_lo[0], y_lo[1])
+        t_lo, t_hi = (y_lo, y_hi) if positive else (y_hi, y_lo)
+        prefix, r = _descend(rule, prefix, r, d_lo)
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
     # Its piece lies above it, the other piece below the upper endpoint; a
-    # positive child keeps that relative side, an alternating one flips it
+    # positive child keeps that relative side, an alternating one flips it.
+    # y_lo and y_hi are the ends' positions in children d_lo and d_hi (the
+    # low end's piece is covered only when it is no junction)
 
     def lo_cover() -> BoundaryCover:
-        u = _tail(sign, r, d_lo, *t_lo)
-        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_lo), u, not positive)
+        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_lo), y_lo, not positive)
 
     def hi_cover() -> BoundaryCover:
-        u = _tail(sign, r, d_hi, *t_hi)
-        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_hi), u, positive)
+        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_hi), y_hi, positive)
 
     # junction endpoints: each exact side's whole child joins the block
     # between (digits d_hi+1 .. d_lo-1, empty when the children are
@@ -406,7 +403,7 @@ def split_to_finite(
         t = fs.start
         while True:
             t_next = (s + 1) * (t - 1) + 2
-            yield FamilySet(fs.sign, fs.prefix, t, t_next - 1)
+            yield fs._with_range(t, t_next - 1)
             t = t_next
 
     return blocks()

@@ -56,22 +56,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from . import _LAZY
 from .core import DigitRule, DigitWord, ExactQ, Sign, _positive_r, _step_r
 from .errors import CapTooSmallWarning, DomainError
 
-__all__ = [
-    "DigitPredicate",
-    "DimensionEstimate",
-    "all_digits",
-    "alphabet_restrict",
-    "bounded_ratio",
-    "growth_floor",
-    "ratio_limit_window",
-    "enumerate_compatible_bases",
-    "pressure_root",
-    "moran_dimension",
-    "measure_at_rank",
-]
+__all__ = _LAZY["dimension"]  # declared once, in the package
 
 _MAX_BISECT = 200
 _MAX_WORD_STATES = 1 << 19  # states of one word-keyed level in _levels

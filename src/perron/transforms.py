@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _LAZY
 from .core import (
     CylinderInterval,
     DigitRule,
@@ -44,12 +45,7 @@ from .core import (
 )
 from .errors import DomainError
 
-__all__ = [
-    "TransformKind",
-    "transform_digits",
-    "transform_point",
-    "t_ratio",
-]
+__all__ = _LAZY["transforms"]  # declared once, in the package
 
 _ENGEL = DigitRule.engel()
 _ENGEL_MOD = DigitRule.engel_mod()

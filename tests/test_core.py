@@ -28,7 +28,7 @@ from perron import (
     word_diameter,
 )
 from perron import core
-from perron.core import _MAX_DIGIT_BITS, _digits, _Frame
+from perron.core import _MAX_DIGIT_BITS, _child, _digits, _Frame
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -609,6 +609,34 @@ def test_amortized_extraction_matches_reducing_every_step(rule, sign, pq, n, max
     assert _extract(rule, sign, x, n, max_bits) == _extract_reducing_every_step(
         rule, sign, x, n, max_bits
     )
+
+
+def _two_step_child(sign, r, num, den):
+    """The child step as two steps: the digit c from one divmod, then the
+    tail from the remainder formulas of the factoring, recomputing r*den."""
+    q, rem = divmod(r * den, num)
+    c = q + 1
+    if sign is Sign.POSITIVE:
+        tail = (num * c - r * den) * (c - 1), den * r
+    else:
+        tail = (r * den - num * (c - 1)) * c, den * r
+    return c, rem == 0, tail
+
+
+@given(
+    st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]),
+    st.one_of(st.integers(1, 10), st.integers(1, 2**70)),
+    st.one_of(st.integers(1, 10**4), st.integers(1, 2**200)).flatmap(
+        lambda den: st.tuples(st.integers(1, den), st.just(den))),
+    st.one_of(st.just(1), st.integers(1, 2**64)),
+)
+@example(Sign.ALTERNATING, 3, (3, 4), 1)  # a junction, r/(c-1) = 3/4 for c = 5
+@example(Sign.POSITIVE, 1, (1, 1), 1)  # the top of the tail space
+def test_child_tail_is_the_two_step_integers(sign, r, pair, common):
+    """One divmod gives the digit, the junction and the tail: the same
+    integers, unreduced, as stepping the digit and then the remainder."""
+    num, den = pair[0] * common, pair[1] * common
+    assert _child(sign, r, num, den) == _two_step_child(sign, r, num, den)
 
 
 @given(st.integers(2, 2**80).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))

@@ -1,5 +1,6 @@
 """Family-set hulls, boundary covers, three-set interval covers, splitting."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -39,7 +40,7 @@ from perron import (
     verify_cover,
     word_diameter,
 )
-from perron.core import _Frame, _tail
+from perron.core import _child, _Frame
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -611,6 +612,21 @@ def test_split_blocks_are_consecutive_and_follow_the_recurrence():
         t_next = (s + 1) * (t - 1) + 2
         assert blk.end == t_next - 1
         t = t_next
+
+
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+@pytest.mark.parametrize("rule, prefix", [(LUROTH, ()), (ENGEL, (2, 2, 5)), (PIERCE, (3, 7, 8))],
+                         ids=["luroth", "engel", "pierce"])
+def test_split_blocks_equal_sets_made_the_public_way(rule, prefix, sign):
+    # a block takes its sign and prefix from the checked parent set; it is
+    # the set the constructor makes, field for field, in equality and hash
+    fs = FamilySet(sign, prefix, rule_value(rule, prefix) + 2, None)
+    for blk in itertools.islice(split_to_finite(rule, fs, 0.5, 0.1), 12):
+        made = FamilySet(sign, list(prefix), blk.start, blk.end)
+        assert type(blk) is FamilySet and blk == made and hash(blk) == hash(made)
+        assert vars(blk) == vars(made) and type(blk.prefix) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blk.start = 0
 
 
 def cost_with_residue(rule, fs, alpha, eps, n_blocks):
@@ -1195,7 +1211,10 @@ def test_stepped_relative_positions_match_frame_relative(rule, sign):
         frame = _Frame.walk(rule, sign, ())
         u = frame.relative(x)
         for c in word:
-            u = _tail(sign, frame.r, c, *u)
+            digit, at_junction, u = _child(sign, frame.r, *u)
+            if digit != c:  # an end shared with child c + 1, at y there and 1 - y in c
+                assert at_junction and digit == c + 1 and x == cyl.hi
+                u = (u[1] - u[0], u[1])
             frame = frame.extend((c,))
             assert u[1] > 0
             assert Fraction(*u) == Fraction(*frame.relative(x))

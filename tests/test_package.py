@@ -72,6 +72,22 @@ def test_a_lazy_name_loads_its_module_and_binds_the_same_object():
         perron.no_such_name
 
 
+@pytest.mark.parametrize("code, module", [
+    ("from perron import cover_interval", "coverings"),
+    ("import perron; perron.verify_cover", "coverings"),
+    ("from perron import transform_digits", "transforms"),
+    ("import perron; perron.TransformKind", "transforms"),
+    ("from perron import measure_at_rank", "dimension"),
+])
+def test_a_lazy_name_loads_only_the_module_that_declares_it(code, module):
+    assert _lazy_modules_loaded(code) == {module}
+
+
+def test_all_and_dir_list_the_public_names_without_loading_a_module():
+    code = "import perron; assert len(perron.__all__) == 46 and set(perron.__all__) <= set(dir(perron))"
+    assert _lazy_modules_loaded(code) == set()
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["expand", "--system", "engel", "--x", "3/7", "--n", "5"], set()),
     (["cylinder", "--system", "luroth", "--word", "2,3", "--sign", "P"], set()),

@@ -1,4 +1,5 @@
-"""The tools: bench_pairs.py's pair summary on synthetic pairs, and
+"""The tools: bench_pairs.py's pair summary on synthetic pairs and its
+export of a working tree, output_digest.py on one round of a pool, and
 code_lines.py's count and untested_lines.py's list on small fixture
 packages."""
 
@@ -90,11 +91,42 @@ def test_every_end_to_end_metric_of_the_benchmark_has_a_bound():
 
 
 def test_the_change_side_is_the_working_tree_without_build_output(tmp_path):
-    bench_pairs.export_change(str(tmp_path))
-    for name in ("BENCHMARK.json", "bench/run.py", "src/perron/__init__.py"):
-        with open(os.path.join(ROOT, name), "rb") as a, open(tmp_path / name, "rb") as b:
-            assert a.read() == b.read(), name
-    assert not list(tmp_path.rglob("__pycache__")) and not list(tmp_path.rglob("*.pyc"))
+    # a throwaway repository, so the test needs no checkout around it
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    tracked = {".gitignore": "__pycache__/\n", "BENCHMARK.json": "{}\n",
+               "bench/run.py": "print(1)\n", "src/perron/__init__.py": "x = 1\n", "gone.py": ""}
+    for name, text in tracked.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    (repo / "src/perron/__init__.py").write_text("x = 2\n")  # an edit not staged
+    (repo / "new.py").write_text("y = 1\n")  # untracked and not ignored
+    (repo / "gone.py").unlink()  # tracked, deleted in the working tree
+    (repo / "src/perron/__pycache__").mkdir()
+    (repo / "src/perron/__pycache__/__init__.cpython-311.pyc").write_bytes(b"\0")
+
+    bench_pairs.export_change(str(dest), str(repo))
+    copied = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "BENCHMARK.json", "bench/run.py", "new.py",
+                      "src/perron/__init__.py"]
+    for name in copied:
+        assert (dest / name).read_bytes() == (repo / name).read_bytes(), name
+
+
+def test_output_digest_is_deterministic_on_a_one_round_pool():
+    argv = [sys.executable, os.path.join(ROOT, "tools", "output_digest.py"),
+            "--workload", "cover", "--seed", "5", "--seed", "11", "--rounds", "1"]
+    first, second = (
+        subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    lines = [line.split() for line in first.splitlines()]
+    assert [line[:6] for line in lines] == [["cover", "seed", "5", "ops", "101", "sha256"],
+                                           ["cover", "seed", "11", "ops", "101", "sha256"]]
+    # one hex digest per seed, and the two pools hash apart
+    assert all(len(line[6]) == 64 for line in lines) and lines[0][6] != lines[1][6]
 
 
 FIXTURE = '''"""A module docstring

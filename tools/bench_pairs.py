@@ -58,8 +58,8 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def git(*argv) -> bytes:
-    return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True).stdout
+def git(*argv, cwd: str = ROOT) -> bytes:
+    return subprocess.run(["git", *argv], cwd=cwd, check=True, capture_output=True).stdout
 
 
 def export_base(rev: str, dest: str) -> str:
@@ -73,12 +73,13 @@ def export_base(rev: str, dest: str) -> str:
     return git("rev-parse", f"{rev}^{{commit}}").decode().strip()
 
 
-def export_change(dest: str) -> None:
-    """Copy the working tree's tracked and unignored untracked files into
-    dest; a tracked file deleted in the working tree is left out."""
-    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+def export_change(dest: str, root: str = ROOT) -> None:
+    """Copy the tracked and unignored untracked files of the working tree
+    at root into dest; a tracked file deleted in the working tree is left
+    out."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=root).decode()
     for name in filter(None, names.split("\0")):
-        source = os.path.join(ROOT, name)
+        source = os.path.join(root, name)
         if os.path.isfile(source):
             os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
             shutil.copy2(source, os.path.join(dest, name))
