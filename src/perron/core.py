@@ -58,7 +58,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
@@ -118,8 +117,44 @@ def _check_sign(sign) -> None:
         raise DomainError(f"sign must be Sign.POSITIVE or Sign.ALTERNATING, got {sign!r}")
 
 
-@dataclass(frozen=True)
-class DigitRule:
+class _Record:
+    """Base of the public result types: frozen value classes.
+
+    A subclass annotates two or more fields and sets them in its own
+    __init__ with object.__setattr__, which keeps CPython's compact
+    per-instance values (a write through self.__dict__ would make a dict
+    per instance, 64 bytes more on CPython 3.11, and slower reads).  The
+    field names are the class's own annotations, in declaration order
+    (__match_args__), and _values is the tuple of the fields.  A record
+    equals only a record of the same class with equal fields, hashes as
+    the tuple of its fields, reprs as Name(field=value, ...), and raises
+    AttributeError on setting or deleting an attribute.
+    """
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._values = property(operator.attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        pairs = zip(self.__match_args__, self._values)
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DigitRule(_Record):
     """A digit rule: phi_0 plus the map from digit prefixes to r_n.
 
     Every built-in rule is affine in the digit, r_n = a*c_n + b, and has fn
@@ -144,14 +179,18 @@ class DigitRule:
     """
 
     kind: str
-    phi0: int = 1
-    a: int = 0
-    b: int = 0
-    fn: Callable[[DigitWord], int] | None = None
+    phi0: int
+    a: int
+    b: int
+    fn: Callable[[DigitWord], int] | None
 
-    def __post_init__(self):
-        for name in ("phi0", "a", "b"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+    def __init__(self, kind: str, phi0: int = 1, a: int = 0, b: int = 0,
+                 fn: Callable[[DigitWord], int] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "phi0", _integer("phi0", phi0))
+        object.__setattr__(self, "a", _integer("a", a))
+        object.__setattr__(self, "b", _integer("b", b))
+        object.__setattr__(self, "fn", fn)
 
     @classmethod
     def luroth(cls) -> "DigitRule":
@@ -342,8 +381,7 @@ class _Frame(NamedTuple):
         return (a, b) if self.sc_num > 0 else (b, a)
 
 
-@dataclass(frozen=True)
-class ISPoint:
+class ISPoint(_Record):
     """Signalling outcome: x is an endpoint of an alternating cylinder.
 
     Such numbers have no alternating representation.  `rank` is the position
@@ -354,9 +392,12 @@ class ISPoint:
     rank: int
     digits: DigitWord
 
+    def __init__(self, rank: int, digits: DigitWord):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "digits", digits)
 
-@dataclass(frozen=True)
-class CylinderInterval:
+
+class CylinderInterval(_Record):
     """Exact endpoints and openness flags of a cylinder.
 
     Positive cylinders are (lo, hi]; alternating cylinders are (lo, hi) with
@@ -370,6 +411,15 @@ class CylinderInterval:
     hi_included: bool
     sign: Sign
     word: DigitWord
+
+    def __init__(self, lo: ExactQ, hi: ExactQ, lo_included: bool, hi_included: bool,
+                 sign: Sign, word: DigitWord):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_included", lo_included)
+        object.__setattr__(self, "hi_included", hi_included)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "word", word)
 
     @property
     def diameter(self) -> ExactQ:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -68,6 +67,7 @@ from .core import (
     _child,
     _Frame,
     _next_r,
+    _Record,
     rule_value,
 )
 from .errors import DomainError, ValidityError
@@ -75,8 +75,7 @@ from .errors import DomainError, ValidityError
 __all__ = _LAZY["coverings"]  # declared once, in the package
 
 
-@dataclass(frozen=True)
-class FamilySet:
+class FamilySet(_Record):
     """Union of consecutive child cylinders of one parent.
 
     Denotes union over i in [start, end] of the cylinders prefix+(i,);
@@ -96,12 +95,16 @@ class FamilySet:
     sign: Sign
     prefix: DigitWord
     start: int
-    end: int | None = None
+    end: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        _check_sign(self.sign)
-        for i, c in enumerate(self.prefix, 1):
+    def __init__(self, sign: Sign, prefix: Sequence[int], start: int, end: int | None = None):
+        prefix = tuple(prefix)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        _check_sign(sign)
+        for i, c in enumerate(prefix, 1):
             if type(c) is not int:
                 raise ValidityError(f"digit {c!r} at position {i} is not an integer", index=i)
         self._check_range()
@@ -121,20 +124,23 @@ class FamilySet:
         return fs
 
 
-@dataclass(frozen=True)
-class QInterval:
+class QInterval(_Record):
     """A nonempty exact interval with endpoint-inclusion flags."""
 
     lo: ExactQ
     hi: ExactQ
-    lo_included: bool = False
-    hi_included: bool = True
+    lo_included: bool
+    hi_included: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo >= self.hi:
-            raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: ExactQ, hi: ExactQ, lo_included: bool = False,
+                 hi_included: bool = True):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo >= hi:
+            raise DomainError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_included", lo_included)
+        object.__setattr__(self, "hi_included", hi_included)
 
     @property
     def diameter(self) -> ExactQ:
@@ -164,8 +170,7 @@ FROM_INF = "from-inf"
 TO_SUP = "to-sup"
 
 
-@dataclass(frozen=True)
-class BoundaryCover:
+class BoundaryCover(_Record):
     """Both guaranteed variants for a one-sided piece of width w:
 
     tight: 1-2 sets, each of diameter <= w;
@@ -176,6 +181,10 @@ class BoundaryCover:
 
     tight: tuple[FamilySet, ...]
     single: FamilySet
+
+    def __init__(self, tight: tuple[FamilySet, ...], single: FamilySet):
+        object.__setattr__(self, "tight", tight)
+        object.__setattr__(self, "single", single)
 
 
 def cover_boundary(
@@ -441,11 +450,19 @@ def split_parameters(alpha: float, eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(_Record):
+    """What verify_cover found: covers, whether the sets cover U;
+    max_diameter, the largest exact hull diameter among them (0 for no
+    sets); cost, the float sum of each hull's diameter**alpha."""
+
     covers: bool
     max_diameter: ExactQ
     cost: float
+
+    def __init__(self, covers: bool, max_diameter: ExactQ, cost: float):
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "max_diameter", max_diameter)
+        object.__setattr__(self, "cost", cost)
 
 
 def verify_cover(

@@ -52,12 +52,11 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import _LAZY
-from .core import DigitRule, DigitWord, ExactQ, Sign, _positive_r, _step_r
+from .core import DigitRule, DigitWord, ExactQ, Sign, _positive_r, _Record, _step_r
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = _LAZY["dimension"]  # declared once, in the package
@@ -476,8 +475,7 @@ def enumerate_compatible_bases(
     return walk()
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(_Record):
     """Pressure-equation root at a given rank and digit cap.
 
     residual is |sum |cylinder|**s - 1| at the returned s, a float
@@ -501,6 +499,14 @@ class DimensionEstimate:
     s_value: float
     residual: float
     bases_count: int
+
+    def __init__(self, rank: int, digit_cap: int, s_value: float, residual: float,
+                 bases_count: int):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "digit_cap", digit_cap)
+        object.__setattr__(self, "s_value", s_value)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "bases_count", bases_count)
 
 
 def pressure_root(

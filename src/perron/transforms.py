@@ -27,7 +27,6 @@ the bracket width shrinks to 0 as the rank grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import _LAZY
@@ -39,6 +38,7 @@ from .core import (
     ISPoint,
     Sign,
     _digits,
+    _Record,
     cylinder,
     validate_word,
     word_diameter,
@@ -52,12 +52,15 @@ _ENGEL_MOD = DigitRule.engel_mod()
 _PIERCE = DigitRule.pierce()
 
 
-@dataclass(frozen=True)
-class TransformKind:
+class TransformKind(_Record):
     """One of the three digit maps; fp carries the digit rule it reinterprets."""
 
     name: str
-    rule: DigitRule | None = None
+    rule: DigitRule | None
+
+    def __init__(self, name: str, rule: DigitRule | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rule", rule)
 
     @classmethod
     def fp(cls, rule: DigitRule) -> "TransformKind":

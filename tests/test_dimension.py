@@ -1,6 +1,5 @@
 """Base enumeration, pressure roots, the independent Moran solver, measures."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -600,7 +599,8 @@ def _cylinder_root(rule, sign, pred, rank, cap, tol):
 def _assert_same_estimate(got, ref, key):
     """Every field equal except residual, a float diagnostic whose last bits
     depend on the order of the float operations in the sum."""
-    assert dataclasses.replace(got, residual=ref.residual) == ref, key
+    for name in ("rank", "digit_cap", "s_value", "bases_count"):
+        assert getattr(got, name) == getattr(ref, name), (key, name)
     assert abs(got.residual - ref.residual) <= 1e-15, key
 
 
