@@ -32,9 +32,11 @@ _Frame.extend, and the frame of a word is the root frame extended by it
 (_Frame.walk).  Every endpoint is read through one method,
 _Frame.hull(start, end), the hull of a range of children: a cylinder is the
 hull of its whole child range, and a family set (see coverings) the hull of
-its digit range.  The frame is geometry only.  Validation is one walk over
-the rule values, rule_value, which checks each digit against the value
-before it (_next_r); code that needs only a word and its r steps r the same
+its digit range.  The frame is geometry only.  A rule is a plain value that
+checks r_0 = phi_0 >= 1 once, when it is made, so every walk starts from
+phi_0 as it is.  Validation is one walk over the rule values, rule_value,
+which checks each digit against the value before it and each later value
+against 1 (_next_r); code that needs only a word and its r steps r the same
 way, and partial_sum and word_diameter sum or multiply along that one walk.
 
 Digit extraction is a derived recursion (obtained by factoring the series into
@@ -56,7 +58,6 @@ expansions pay one gcd per doubling rather than one per digit.
 from __future__ import annotations
 
 import enum
-import functools
 import operator
 from fractions import Fraction
 from math import gcd
@@ -171,11 +172,14 @@ class DigitRule(_Record):
                  stay >= 1)
       custom:    r_n = fn(prefix), any pure total function of the prefix
                  whose values are integers (what operator.index accepts);
-                 any other value is a ValidityError naming its position
+                 any other value is a ValidityError naming its position.
+                 fn is kept as given, with no cache: a walk asks it about
+                 each prefix once.
 
     phi_0 is 1 unless oppenheim or custom is given another.  a, b and phi_0
-    are read as operator.index reads them, however the rule is made;
-    anything else is a DomainError.
+    are read as operator.index reads them, and phi_0 must be >= 1, however
+    the rule is made; anything else is a DomainError, raised here, so no
+    walk checks phi_0 again.
     """
 
     kind: str
@@ -191,6 +195,8 @@ class DigitRule(_Record):
         object.__setattr__(self, "a", _integer("a", a))
         object.__setattr__(self, "b", _integer("b", b))
         object.__setattr__(self, "fn", fn)
+        if self.phi0 < 1:
+            raise DomainError(f"phi0 must be >= 1, got {self.phi0}")
 
     @classmethod
     def luroth(cls) -> "DigitRule":
@@ -211,18 +217,13 @@ class DigitRule(_Record):
     @classmethod
     def oppenheim(cls, a: int, b: int, phi0: int = 1) -> "DigitRule":
         rule = cls("oppenheim", phi0=phi0, a=a, b=b)
-        if rule.a < 0 or rule.phi0 < 1:
-            raise DomainError("oppenheim needs a >= 0 and phi0 >= 1")
+        if rule.a < 0:
+            raise DomainError("oppenheim needs a >= 0")
         return rule
 
     @classmethod
     def custom(cls, fn: Callable[[DigitWord], int], phi0: int = 1) -> "DigitRule":
-        # fn must be pure and total on valid prefixes; memoized per prefix so
-        # deep enumerations never re-evaluate shared prefixes
-        rule = cls("custom", phi0=phi0, fn=functools.lru_cache(maxsize=None)(fn))
-        if rule.phi0 < 1:
-            raise DomainError("phi0 must be >= 1")
-        return rule
+        return cls("custom", phi0=phi0, fn=fn)
 
 
 def _integer(name: str, value) -> int:
@@ -238,9 +239,8 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     against 1.
 
     For the built-in rules this is a*c_i + b; custom rules see the whole
-    prefix word[:i], always as a tuple (their fn is memoized), and a value
-    that operator.index does not read as an integer is a ValidityError
-    naming position i.
+    prefix word[:i], always as a tuple, and a value that operator.index
+    does not read as an integer is a ValidityError naming position i.
     """
     if rule.fn is None:
         return rule.a * word[i - 1] + rule.b
@@ -253,7 +253,14 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
         ) from None
 
 
-def _positive_r(r: int, i: int) -> int:
+def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
+    """Check digit i of word against r = r_{i-1}; return r_i, checked >= 1."""
+    c = word[i - 1]
+    if not isinstance(c, int) or c < r + 1:
+        raise ValidityError(
+            f"digit {c!r} at position {i} violates c >= {r + 1}", index=i
+        )
+    r = _step_r(rule, word, i)
     if r < 1:
         raise ValidityError(
             f"rule value {r} after position {i} is not a positive integer", index=i
@@ -261,25 +268,16 @@ def _positive_r(r: int, i: int) -> int:
     return r
 
 
-def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
-    """Check digit i of word against r = r_{i-1}; return the checked r_i."""
-    c = word[i - 1]
-    if not isinstance(c, int) or c < r + 1:
-        raise ValidityError(
-            f"digit {c!r} at position {i} violates c >= {r + 1}", index=i
-        )
-    return _positive_r(_step_r(rule, word, i), i)
-
-
 def rule_value(rule: DigitRule, prefix: Sequence[int]) -> int:
     """r_k for the given valid prefix of length k (r_0 = phi_0 for ()).
 
-    The one validation walk: r_0 must be positive, and each digit is checked
-    against the rule value before it (_next_r), so an invalid prefix is a
-    ValidityError naming the first failing position.
+    The one validation walk: from r_0 = phi_0, which the rule checked when
+    it was made, each digit is checked against the rule value before it
+    (_next_r), so an invalid prefix is a ValidityError naming the first
+    failing position.
     """
     word = tuple(prefix)
-    r = _positive_r(rule.phi0, 0)
+    r = rule.phi0
     for i in range(1, len(word) + 1):
         r = _next_r(rule, r, word, i)
     return r
@@ -326,7 +324,7 @@ class _Frame(NamedTuple):
     def walk(cls, rule: DigitRule, sign: Sign, word: Sequence[int]) -> "_Frame":
         """The frame of word: the root frame (off 0, sc 1, r_0) extended by word."""
         _check_sign(sign)
-        return cls(rule, sign, (), 0, 1, 1, _positive_r(rule.phi0, 0)).extend(word)
+        return cls(rule, sign, (), 0, 1, 1, rule.phi0).extend(word)
 
     def extend(self, digits: Sequence[int]) -> "_Frame":
         """The frame of self.word + digits, each digit checked before its step.
@@ -556,7 +554,7 @@ def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
     """
     _check_sign(sign)
     word = tuple(word)
-    r = _positive_r(rule.phi0, 0)
+    r = rule.phi0
     if not word:
         raise ValidityError("word must be nonempty", index=None)
     total = Fraction(0)
@@ -595,7 +593,7 @@ def word_diameter(rule: DigitRule, word: Sequence[int]) -> ExactQ:
     walk over the rule values.
     """
     word = tuple(word)
-    r = _positive_r(rule.phi0, 0)
+    r = rule.phi0
     if not word:
         raise ValidityError("word must be nonempty", index=None)
     num = den = 1

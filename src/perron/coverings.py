@@ -68,7 +68,6 @@ from .core import (
     _Frame,
     _next_r,
     _Record,
-    rule_value,
 )
 from .errors import DomainError, ValidityError
 
@@ -119,7 +118,8 @@ class FamilySet(_Record):
         """The set of this sign and prefix over start..end, of which only
         the range is checked: the sign and prefix were, when self was made."""
         fs = object.__new__(FamilySet)
-        fs.__dict__.update(self.__dict__, start=start, end=end)
+        for name, value in zip(self.__match_args__, (self.sign, self.prefix, start, end)):
+            object.__setattr__(fs, name, value)
         fs._check_range()
         return fs
 
@@ -212,21 +212,13 @@ def cover_boundary(
         raise DomainError(f"unknown side {side!r}")
     cut = Fraction(cut)
     frame = _Frame.walk(rule, sign, prefix)
-    low = (side == FROM_INF) == _ascending(sign, frame.word)
+    low = (side == FROM_INF) == (frame.sc_num > 0)
     u = frame.relative(cut)
     if not (0 < u[0] <= u[1] if low else 0 <= u[0] < u[1]):
         lo, hi = frame.hull(frame.r + 1)
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
         raise DomainError(f"cut {cut} outside {span}")
     return _cover_boundary(rule, sign, frame.word, frame.r, u, low)
-
-
-def _ascending(sign: Sign, word: DigitWord) -> bool:
-    """Whether the cylinder of word keeps the tail space's orientation.
-
-    Positive frames always do; alternating frames flip at every digit.
-    """
-    return sign is Sign.POSITIVE or len(word) % 2 == 0
 
 
 def _cover_boundary(
@@ -311,7 +303,7 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     # the root frame is the identity for both signs, so U's ends are their
     # own relative pairs, the low and the high relative end; each level
     # steps both into the common child, which swaps them when alternating
-    prefix, r = (), rule_value(rule, ())
+    prefix, r = (), rule.phi0
     t_lo, t_hi = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
     positive = sign is Sign.POSITIVE
     while True:
@@ -480,16 +472,17 @@ def verify_cover(
     longest common prefix P (the root frame when P is empty), found by
     os.path.commonprefix, which compares the prefixes digit by digit: a
     FamilySet holds plain int digits, so equal digits are equal ints.  P's
-    affine frame is walked once; each set's prefix is framed relative to
-    it, as P's frame with off = 0, sc = 1 and den = 1 extended by the
-    prefix's digits beyond P, so every hull endpoint is a small Fraction in
-    P's tail coordinates.  Coverage is one sort of these relative hulls plus
-    one greedy pass (_chains_across), which maps U's ends into P's frame
-    once as unreduced integer pairs, swapped when P's sc is negative (an
-    odd-length alternating P).  Positive targets (x1, x2] are covered iff
-    the half-open hulls chain across them.  Alternating targets are open
-    intervals covered modulo endpoint-set points, and abutting open hulls
-    meet at a cylinder endpoint, so the same pass decides them.  Each
+    affine frame is walked once; each distinct set prefix is framed once
+    relative to it, as P's frame with off = 0, sc = 1 and den = 1 extended
+    by the prefix's digits beyond P, so every hull endpoint is a small
+    Fraction in P's tail coordinates.  Coverage is one sort of these
+    relative hulls plus one greedy pass (_chains_across), which maps U's
+    ends into P's frame once as unreduced integer pairs, swapped when P's
+    sc is negative (an odd-length alternating P).  Positive targets
+    (x1, x2] are covered iff the half-open hulls chain across them.
+    Alternating targets are open intervals covered modulo endpoint-set
+    points, and abutting open hulls meet at a cylinder endpoint, so the
+    same pass decides them.  Each
     diameter is |sc| of P times a small relative width w, so max_diameter
     is the one Fraction formed at P's scale, from the widest hull, and each
     cost term is (|sc_num|*w.num / (den*w.den))**alpha: int true division
@@ -509,7 +502,11 @@ def verify_cover(
     common = os.path.commonprefix([fs.prefix for fs in sets])
     base = _Frame.walk(rule, sign, common)
     rel = base._replace(off_num=0, sc_num=1, den=1)  # base relative to itself
-    spans = [rel.extend(fs.prefix[len(common) :]).hull(fs.start, fs.end) for fs in sets]
+    frames, spans = {}, []
+    for fs in sets:  # in order, so the first invalid set decides the error
+        if fs.prefix not in frames:
+            frames[fs.prefix] = rel.extend(fs.prefix[len(common) :])
+        spans.append(frames[fs.prefix].hull(fs.start, fs.end))
     widths = [hi - lo for lo, hi in spans]
     sc, den = abs(base.sc_num), base.den
     cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)

@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import _LAZY
-from .core import DigitRule, DigitWord, ExactQ, Sign, _positive_r, _Record, _step_r
+from .core import DigitRule, DigitWord, ExactQ, Sign, _Record, _step_r
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = _LAZY["dimension"]  # declared once, in the package
@@ -206,13 +206,12 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     return _LocalPredicate(f"ratio-window({alpha},{delta})", span)
 
 
-def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> int:
-    """r_0, once rank, then digit_cap, then r_0 itself are checked."""
+def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
+    """DomainError unless rank >= 1 and digit_cap admits a first digit."""
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if digit_cap < rule.phi0 + 1:
         raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
-    return _positive_r(rule.phi0, 0)
 
 
 def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
@@ -322,13 +321,13 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     The largest word-keyed level of the benchmark's pressure pools is 808
     states and that of the tests 3375, far below the bound.
     """
-    r0 = _check_rank_cap(rule, rank, digit_cap)
+    _check_rank_cap(rule, rank, digit_cap)
     merge = rule.fn is None and rule.a >= 0 and isinstance(predicate, _LocalPredicate)
     if merge:  # a c + b >= 1 exactly for the digits c >= least
         least = -((rule.b - 1) // rule.a) if rule.a else (0 if rule.b >= 1 else math.inf)
     # the states of the level before: keys (last digits when merged, words
     # otherwise), rule values, counts, expressions
-    keys, rs, counts = [None if merge else ()], [r0], [1]
+    keys, rs, counts = [None if merge else ()], [rule.phi0], [1]
     srcs, fracs = [(0, 1)], [(1, 1)]
     kept, final, values, cuts, bases = [], [], 1, [], 0
     for n in range(1, rank + 1):
@@ -454,14 +453,14 @@ def enumerate_compatible_bases(
     how many compatible prefixes it cuts off there.  The arguments are
     checked when the call is made, before any base is asked for.
     """
-    r0 = _check_rank_cap(rule, rank, digit_cap)
+    _check_rank_cap(rule, rank, digit_cap)
 
     def walk() -> Iterator[DigitWord]:
         cuts = [0] * rank  # cuts[n - 1]: compatible prefixes cut off at position n
         stack = [()]  # the words still to visit, the next one last
         while stack:
             word = stack.pop()
-            r = _step_r(rule, word, len(word)) if word else r0
+            r = _step_r(rule, word, len(word)) if word else rule.phi0
             if r < 1:
                 continue  # digit admissible but rule value degenerates: prune
             if len(word) == rank:
@@ -803,7 +802,7 @@ def measure_at_rank(
             raise DomainError("digit_cap required for restricted predicates")
         if rule.fn is not None or rule.a < 0:
             raise DomainError("digit_cap required for a rule other than a*c + b with a >= 0")
-        m = _positive_r(rule.phi0, 0)
+        m = rule.phi0
         for n in range(1, rank + 1):
             m, before = rule.a * (m + 1) + rule.b, m
             if m < 1:

@@ -1,7 +1,9 @@
 """Digit extraction, series evaluation, and exact cylinder geometry."""
 
 import math
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -81,6 +83,17 @@ def test_oppenheim_constructor_domain():
         DigitRule.custom(lambda w: 1, phi0=0)
 
 
+def test_phi0_below_one_is_refused_however_the_rule_is_made():
+    # a rule made directly used to reach the walks with r_0 = 0: digit
+    # extraction divided by it (ZeroDivisionError) and the alternating
+    # form returned ISPoint(rank=1)
+    for phi0 in (0, -3):
+        with pytest.raises(DomainError, match=f"phi0 must be >= 1, got {phi0}"):
+            DigitRule("x", phi0=phi0, a=1, b=0)
+        with pytest.raises(DomainError, match="phi0 must be >= 1"):
+            DigitRule.custom(_parity, phi0=phi0)
+
+
 class _Index:
     """An integer-like value: operator.index reads it, and nothing else."""
 
@@ -134,20 +147,61 @@ def test_rule_parameters_must_be_integers():
     assert DigitRule.oppenheim(_Index(2), _Index(1)) == DigitRule.oppenheim(2, 1)
 
 
-def test_custom_rule_memoizes_per_prefix():
+def _parity(prefix):
+    """A rule value that depends on the whole prefix (module level, so a
+    rule made from it pickles)."""
+    return 1 + sum(prefix) % 2
+
+
+def test_each_walk_asks_a_custom_rule_about_each_prefix_once():
     calls = []
 
     def fn(prefix):
         calls.append(prefix)
-        return 1
+        return _parity(prefix)
 
     rule = DigitRule.custom(fn)
-    validate_word(rule, (2, 3, 4))
-    validate_word(rule, (2, 3, 4))
-    validate_word(rule, (2, 3, 5))
-    # every distinct prefix evaluated exactly once
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {(2,), (2, 3), (2, 3, 4), (2, 3, 5)}
+    x = Fraction(271828, 314159)
+    word = positive_digits(rule, x, 12)
+    alternating = alternating_digits(rule, x, 12)
+    walks = [
+        (lambda: positive_digits(rule, x, 12), word),
+        (lambda: alternating_digits(rule, x, 12), alternating),
+        (lambda: validate_word(rule, word), word),
+        (lambda: rule_value(rule, word), word),
+        (lambda: cylinder(rule, word, Sign.POSITIVE), word),
+        (lambda: cylinder(rule, alternating, Sign.ALTERNATING), alternating),
+        (lambda: partial_sum(rule, word, Sign.ALTERNATING), word),
+        (lambda: word_diameter(rule, word), word),
+    ]
+    for walk, walked in walks:
+        calls.clear()
+        walk()
+        # the rule keeps no cache, so every ask reaches fn, once per prefix
+        assert calls == [walked[:i] for i in range(1, len(walked) + 1)]
+
+
+def test_custom_rules_are_values():
+    rule = DigitRule.custom(_parity, phi0=2)
+    assert rule == DigitRule.custom(_parity, phi0=2)
+    assert hash(rule) == hash(DigitRule.custom(_parity, phi0=2))
+    assert rule != DigitRule.custom(_parity)
+    assert rule.fn is _parity
+    for made in (rule, ENGEL, DigitRule.oppenheim(2, 1, phi0=3)):
+        assert pickle.loads(pickle.dumps(made)) == made
+
+
+def test_a_custom_rule_retains_nothing_after_a_walk():
+    # the rule used to cache every prefix it was asked about: 2000 digits
+    # retained about 16 MB of prefix tuples for as long as the rule lived
+    rule = DigitRule.custom(_parity)
+    tracemalloc.start()
+    try:
+        positive_digits(rule, Fraction(271828, 314159), 2000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
 
 
 def test_custom_rule_matches_builtin():

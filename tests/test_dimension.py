@@ -374,6 +374,12 @@ def test_custom_rule_enumeration_never_reevaluates_prefixes():
     est = pressure_root(rule, Sign.POSITIVE, all_digits(), 3, 6, 1e-9)
     assert est.bases_count == 5**3
     assert len(calls) == len(set(calls))
+    # the rule keeps no cache: each walk asks about each prefix once itself
+    for walk in (lambda: list(enumerate_compatible_bases(rule, all_digits(), 3, 6)),
+                 lambda: measure_at_rank(rule, Sign.POSITIVE, all_digits(), 3, 6)):
+        calls.clear()
+        walk()
+        assert len(calls) == len(set(calls)) == 5 + 5**2 + 5**3
 
 
 # ---------------------------------------------------------------------------

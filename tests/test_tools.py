@@ -1,5 +1,6 @@
-"""The tools: bench_pairs.py's pair summary on synthetic pairs and its
-export of a working tree, output_digest.py on one round of a pool, and
+"""The tools: bench_pairs.py's pair summary on synthetic pairs, its
+export of a working tree and its comparison of output digests,
+output_digest.py on one round of a pool, and
 code_lines.py's count and untested_lines.py's list on small fixture
 packages."""
 
@@ -112,6 +113,21 @@ def test_the_change_side_is_the_working_tree_without_build_output(tmp_path):
                       "src/perron/__init__.py"]
     for name in copied:
         assert (dest / name).read_bytes() == (repo / name).read_bytes(), name
+
+
+def test_outputs_equal_compares_the_digests_each_checkout_prints(tmp_path):
+    # stand-in checkouts whose digest tool prints a file of its checkout
+    # and keeps the arguments it was given
+    stub = ("import sys\nprint(open('outputs').read())\n"
+            "open('argv', 'w').write(' '.join(sys.argv[1:]))\n")
+    for side, outputs in (("base", "a"), ("change", "a"), ("other", "b")):
+        (tmp_path / side / "tools").mkdir(parents=True)
+        (tmp_path / side / "tools" / "output_digest.py").write_text(stub)
+        (tmp_path / side / "outputs").write_text(outputs)
+    assert bench_pairs.outputs_equal(str(tmp_path / "base"), str(tmp_path / "change"), "cover")
+    assert not bench_pairs.outputs_equal(str(tmp_path / "base"), str(tmp_path / "other"), "cover")
+    for side in ("base", "change", "other"):
+        assert (tmp_path / side / "argv").read_text() == "--workload cover"
 
 
 def test_output_digest_is_deterministic_on_a_one_round_pool():

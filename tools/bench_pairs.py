@@ -26,7 +26,10 @@ by more than that bound (a share of the base median), and whether the
 comparison is unresolved: the base IQR, as a share of its median, exceeds
 the bound and not every change run beats every base run.  For each side
 it records the failed share of ops (failed over attempted, summed over the
-pairs) and whether every run was correct.
+pairs) and whether every run was correct.  Before a workload's pairs, each
+side runs its own tools/output_digest.py on that workload once, and
+outputs_equal records whether the two print the same digests: whether the
+change keeps every output of the workload's pools bit-identical.
 Standard library only.
 """
 
@@ -120,6 +123,21 @@ def bench_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def outputs_equal(base: str, change: str, workload: str) -> bool:
+    """Whether tools/output_digest.py prints the same digests of workload's
+    pools in the checkouts base and change, each run in its own checkout."""
+    digests = []
+    for checkout in (base, change):
+        proc = subprocess.run(
+            [sys.executable, "tools/output_digest.py", "--workload", workload],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+        if proc.returncode != 0:
+            sys.exit(f"bench_pairs: output digest failed in {checkout}:\n{proc.stderr}")
+        digests.append(proc.stdout)
+    return digests[0] == digests[1]
+
+
 def _share(amount: float, of: float) -> float:
     """amount as a share of |of|; infinite for a positive amount of 0."""
     if of:
@@ -187,6 +205,8 @@ def main(argv=None) -> int:
         export_change(change_dir)
         sides = {"base": base_dir, "change": change_dir}
         for workload in (w["name"] for w in benchmark["workloads"]):
+            equal = outputs_equal(base_dir, change_dir, workload)
+            print(f"{workload} outputs_equal {equal}", file=sys.stderr)
             pairs = []
             for i in range(PAIRS):
                 seed = SEEDS[i % len(SEEDS)]
@@ -199,6 +219,7 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                 pairs.append(pair)
             record["workloads"][workload] = {
+                "outputs_equal": equal,
                 "pairs": pairs,
                 "summary": summarise(pairs, benchmark["end_to_end"]),
             }
