@@ -26,18 +26,22 @@ diameter
 Everything in this module is exact rational arithmetic; no floats anywhere.
 Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
-a few integer products and no gcd, and a value is reduced to a lowest-terms
-Fraction once, when it is read.  A frame takes digits in one place,
+a few integer products and no gcd.  A frame takes digits in one place,
 _Frame.extend, and the frame of a word is the root frame extended by it
 (_Frame.walk).  Every endpoint is read through one method,
-_Frame.hull(start, end), the hull of a range of children: a cylinder is the
-hull of its whole child range, and a family set (see coverings) the hull of
-its digit range.  The frame is geometry only.  A rule is a plain value that
+_Frame.hull(start, end), the hull of a range of children, as unreduced
+integer pairs: a cylinder is the hull of its whole child range, and a
+family set (see coverings) the hull of its digit range, each reduced to
+lowest-terms Fractions once, by the reader that needs them.  The frame is
+geometry only.  A rule is a plain value that
 checks r_0 = phi_0 >= 1 once, when it is made, so every walk starts from
 phi_0 as it is.  Validation is one walk over the rule values, rule_value,
 which checks each digit against the value before it and each later value
 against 1 (_next_r); code that needs only a word and its r steps r the same
 way, and partial_sum and word_diameter sum or multiply along that one walk.
+The per-digit loops (_Frame.extend, digit extraction and the cover descent)
+take a built-in rule's step a*c + b inline and leave everything else, and
+every error, to _next_r.
 
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).  Both
@@ -254,7 +258,14 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
 
 
 def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
-    """Check digit i of word against r = r_{i-1}; return r_i, checked >= 1."""
+    """Check digit i of word against r = r_{i-1}; return r_i, checked >= 1.
+
+    The one place a walk raises a rule error.  The hot loops (_Frame.extend,
+    _digits and the cover descent) take a built-in rule's step a*c + b
+    inline and call this only for what the inline step does not take: a
+    custom rule, a value below 1, and in extend a digit that is not a
+    plain int or is below r + 1.  So each error keeps its text and index.
+    """
     c = word[i - 1]
     if not isinstance(c, int) or c < r + 1:
         raise ValidityError(
@@ -298,18 +309,21 @@ class _Frame(NamedTuple):
 
     off and sc are carried as integers over one common denominator,
     off = off_num/den and sc = sc_num/den with den > 0, and are never reduced
-    along the walk: each digit is a few integer products and no gcd.  Exact
-    values are read through at(), which reduces one point to a Fraction,
-    hull(), which reads the ordered ends of a range of children with at()
-    (the cylinder itself is hull(r + 1)), and relative(), which maps a point
-    back into the unreduced relative frame.
+    along the walk: each digit is a few integer products and no gcd.  Points
+    are read through hull(), the one read path, which gives the ordered
+    ends of a range of children as unreduced pairs (the cylinder itself is
+    hull(r + 1)), and relative(), which maps a point back into the
+    unreduced relative frame.  Only the callers that need a lowest-terms
+    value reduce a pair (cylinder, family_set_hull, cover_boundary's
+    message); verify_cover compares and subtracts the pairs as they are.
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
-    with _child, which needs only the sign and r.
+    (_child, _tail), which needs only the sign and r.
     extend(digits) is the one step by which a frame takes digits, checking
-    each against r as it composes it; walk(word) is the root frame extended
-    by word.  A frame is geometry: code that needs only the word and r
-    steps r with _next_r (rule_value is that walk).
+    each against r as it composes it (a built-in rule's step inline, the
+    rest through _next_r); walk(word) is the root frame extended by word.
+    A frame is geometry: code that needs only the word and r steps r with
+    _next_r (rule_value is that walk).
     """
 
     rule: DigitRule
@@ -332,15 +346,21 @@ class _Frame(NamedTuple):
         Digit c, under the rule value r before it, composes the map
         y |-> r/c + y*r/((c-1)c) (positive) or y |-> r/(c-1) - y*r/((c-1)c)
         (alternating) onto y |-> (a + s*y)/d, over the common denominator
-        d*(c-1)c.  _next_r checks c against r before any arithmetic, so an
-        invalid digit is the ValidityError naming its position in the whole
-        word.
+        d*(c-1)c.  A plain int digit above r under a built-in rule steps r
+        inline to a*c + b; any other digit, a custom rule, or a value below
+        1 goes to _next_r, which checks c against r before any arithmetic,
+        so an invalid digit is the ValidityError naming its position in the
+        whole word.
         """
         word = self.word + tuple(digits)
         a, s, d, r = self.off_num, self.sc_num, self.den, self.r
         positive = self.sign is _POSITIVE
+        builtin, ra, rb = self.rule.fn is None, self.rule.a, self.rule.b
         for i in range(len(self.word) + 1, len(word) + 1):
-            c, r_next = word[i - 1], _next_r(self.rule, r, word, i)
+            c = word[i - 1]
+            r_next = ra * c + rb if builtin and type(c) is int and c > r else 0
+            if r_next < 1:
+                r_next = _next_r(self.rule, r, word, i)
             block = (c - 1) * c
             s *= r
             if positive:
@@ -350,33 +370,30 @@ class _Frame(NamedTuple):
             d, r = d * block, r_next
         return _Frame(self.rule, self.sign, word, a, s, d, r)
 
-    def at(self, num: int, den: int) -> ExactQ:
-        """The point off + sc * num/den (den > 0), reduced once."""
-        return Fraction(self.off_num * den + self.sc_num * num, self.den * den)
-
     def relative(self, x: ExactQ) -> tuple[int, int]:
         """(x - off)/sc as an unreduced pair (num, den) with den > 0."""
         num = x.numerator * self.den - self.off_num * x.denominator
         den = self.sc_num * x.denominator
         return (num, den) if den > 0 else (-num, -den)
 
-    def hull(self, start: int, end: int | None = None) -> tuple[ExactQ, ExactQ]:
-        """(lo, hi), in increasing order, of the union of children start..end.
+    def hull(self, start: int, end: int | None = None) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(lo, hi), in increasing order, of the union of children start..end,
+        each end an unreduced pair (num, den) with den > 0.
 
         Child c occupies the relative interval (r/c, r/(c-1)], so the union
         is (r/end, r/(start-1)], with lower end 0 when end is None
-        (unbounded).  start = r+1 reaches the top, relative 1, which is read
-        as at(1, 1): the cylinder is the hull of its whole child range.
-        ValidityError unless start >= r+1; end, when given, is at least
-        start (a family set checks that where it is made).
+        (unbounded).  start = r+1 reaches the top, relative 1: the cylinder
+        is the hull of its whole child range.  The relative point v = p/q is
+        off + sc*v = (off_num*q + sc_num*p) / (den*q).  ValidityError unless
+        start >= r+1; end, when given, is at least start (a family set
+        checks that where it is made).
         """
-        if start < self.r + 1:
-            raise ValidityError(
-                f"start {start} below first admissible digit {self.r + 1}", index=None
-            )
-        a = self.at(0, 1) if end is None else self.at(self.r, end)
-        b = self.at(1, 1) if start == self.r + 1 else self.at(self.r, start - 1)
-        return (a, b) if self.sc_num > 0 else (b, a)
+        off, sc, den, r = self.off_num, self.sc_num, self.den, self.r
+        if start < r + 1:
+            raise ValidityError(f"start {start} below first admissible digit {r + 1}", index=None)
+        a = (off, den) if end is None else (off * end + sc * r, den * end)
+        b = (off + sc, den) if start == r + 1 else (off * (start - 1) + sc * r, den * (start - 1))
+        return (a, b) if sc > 0 else (b, a)
 
 
 class ISPoint(_Record):
@@ -450,24 +467,35 @@ def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int
     (r/c, r/(c-1)] contains the point, and at_junction says that the point
     is that interval's supremum r/(c-1), i.e. a cylinder junction.  tail is
     the point's position y in child c, unreduced: the remainder step of
-    digit extraction.  Positive x = r/c + y*r/((c-1)c) gives
-    y = (num*c - r*den)(c-1) / (den*r); alternating x = r/(c-1) - y*r/((c-1)c)
-    gives y = (r*den - num*(c-1))*c / (den*r).  With q, rem the quotient and
-    remainder of r*den by num, c = q + 1, num*c - r*den = num - rem and
-    r*den - num*(c-1) = rem, so one divmod gives all three.  The pair may be
-    unreduced: the quotient and the zero remainder do not depend on a
-    common factor.  Applied to a position relative to a frame
-    (_Frame.relative), the tail is the position relative to the child frame
-    of digit c.  Digit extraction and the cover descent both take their
-    next digit and position here; at a junction the same point is y in
-    child c and 1 - y in child c - 1, the child whose closure contains it
-    from below.
+    digit extraction.  With q, rem the quotient and remainder of r*den by
+    num, c = q + 1, so one divmod gives all three; the tail is
+    _tail(c, rem).  The pair may be unreduced: the quotient and the zero
+    remainder do not depend on a common factor.  Applied to a position
+    relative to a frame (_Frame.relative), the tail is the position
+    relative to the child frame of digit c.  Digit extraction and the cover
+    boundary take their next digit and position here; at a junction the
+    same point is y in child c and 1 - y in child c - 1, the child whose
+    closure contains it from below.
     """
     rd = r * den
     q, rem = divmod(rd, num)
-    if sign is _POSITIVE:
-        return q + 1, rem == 0, ((num - rem) * q, rd)
-    return q + 1, rem == 0, (rem * (q + 1), rd)
+    return q + 1, rem == 0, _tail(sign is _POSITIVE, q + 1, rem, rd)
+
+
+def _tail(positive: bool, c: int, rem: int, rd: int) -> tuple[int, int]:
+    """The position y in child c, as an unreduced pair over rd = r*den, of
+    the point num/den whose remainder at quotient c - 1 is
+    rem = r*den - (c-1)*num, 0 <= rem <= num.
+
+    Positive x = r/c + y*r/((c-1)c) gives y = (num*c - r*den)(c-1)/(r*den)
+    = (r*den - rem*c)/(r*den); alternating x = r/(c-1) - y*r/((c-1)c) gives
+    y = (r*den - num*(c-1))*c/(r*den) = rem*c/(r*den).  The one statement of
+    the tail: _child reads it at its divmod's remainder, and the cover
+    descent at the remainder one product gives (rem = num is the junction
+    r/(c-1) taken in child c from below, y = 0 positive, 1 alternating).
+    """
+    t = rem * c
+    return (rd - t if positive else t), rd
 
 
 def positive_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord:
@@ -513,6 +541,10 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     would be reduced every few digits, each time by a gcd of the whole
     pair.  A pair of a few bits is still reduced every digit or two, while
     its gcd is cheap and its products fit one machine word.
+
+    A digit from _child is at least r + 1 by construction (the point lies
+    at most at 1), so a built-in rule's next value is a*c + b inline, and
+    only a custom rule or a value below 1 goes to _next_r.
     """
     x = Fraction(x)
     _check_domain(sign, x)
@@ -523,6 +555,7 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     digits: list[int] = []
     r = rule.phi0
     alternating = sign is _ALTERNATING
+    builtin, ra, rb = rule.fn is None, rule.a, rule.b
     for i in range(1, n + 1):
         c, at_junction, (a, b) = _child(sign, r, a, b)  # in the tail space again
         if at_junction and alternating:
@@ -538,7 +571,8 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
             b //= g
             bound = b * b
         digits.append(c)
-        r = _next_r(rule, r, digits, i)
+        r_next = ra * c + rb if builtin else 0  # c >= r + 1 by construction
+        r = r_next if r_next >= 1 else _next_r(rule, r, digits, i)
     return tuple(digits)
 
 
@@ -583,7 +617,8 @@ def cylinder(rule: DigitRule, word: Sequence[int], sign: Sign) -> CylinderInterv
     if not frame.word:
         raise ValidityError("word must be nonempty", index=None)
     lo, hi = frame.hull(frame.r + 1)
-    return CylinderInterval(lo, hi, False, sign is Sign.POSITIVE, sign, frame.word)
+    return CylinderInterval(Fraction(*lo), Fraction(*hi), False, sign is Sign.POSITIVE, sign,
+                            frame.word)
 
 
 def word_diameter(rule: DigitRule, word: Sequence[int]) -> ExactQ:

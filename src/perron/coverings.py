@@ -26,22 +26,29 @@ child's side; only the public cover_boundary reads an absolute side
 (FROM_INF, TO_SUP) and turns it into a relative one.
 Relative positions are unreduced integer pairs, so the descent compares by
 cross-multiplication; Fractions are formed only for the piece widths that
-choose between covers.  The descent runs on the one step of digit
+choose between covers.  The descent runs on the remainder step of digit
 extraction: each endpoint is mapped into the starting cylinder's frame
 once (at the root, a point is its own relative pair; a cut under a prefix
-goes through core._Frame.relative), and each level reads each endpoint's
-child and its position in that child from one call of the extraction's
-child step (core._child), so a level costs a divmod and a product per
-endpoint.  It tracks only the word, r and the two positions, with no
-affine frame: each digit steps r with the checked rule step
-(core._next_r), and an alternating digit swaps the low and high ends.
+goes through core._Frame.relative).  A level of cover_interval's descent
+costs one divmod, a few products and two calls of core._tail, the one
+statement of the tail formula, and no other call under a built-in rule:
+the divmod gives the low end's child d and its remainder, one product
+r*hd - (d-1)*hn gives the high end's remainder at the same quotient,
+which is not negative iff the high end lies in child d too, and each
+end's position in child d is core._tail of its remainder.  The
+descent tracks only the word (a list, made a tuple once), r and the two
+positions, with no affine frame: a digit so made is at least r + 1, so a
+built-in rule steps r inline to a*c + b and only a custom rule or a value
+below 1 goes to the checked step (core._next_r), and an alternating digit
+swaps the low and high ends.  A high piece of cover_boundary descends
+through the first child the same way.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
 both sides alike, so it is never formed.
 verify_cover works in one frame too, that of the sets' longest common
-prefix: the hull endpoints are small Fractions in its tail coordinates,
-U's ends are unreduced pairs in it, and the one diameter formed at full
-scale is the widest.
+prefix: the hull ends and widths are unreduced integer pairs in its tail
+coordinates, compared by cross-multiplication, as are U's ends, and the
+one Fraction formed is the widest diameter, at full scale.
 A FamilySet checks what holds under every rule when it is made: a Sign,
 plain int digits and ends, end >= start.  What depends on the rule (each
 digit against its r, start >= r + 1) is checked where a set is read, by
@@ -51,6 +58,7 @@ core._Frame.extend and core._Frame.hull, in the prefix's whole word.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 from fractions import Fraction
@@ -62,12 +70,13 @@ from .core import (
     DigitWord,
     ExactQ,
     Sign,
-    _ALTERNATING,
     _check_sign,
     _child,
     _Frame,
     _next_r,
+    _POSITIVE,
     _Record,
+    _tail,
 )
 from .errors import DomainError, ValidityError
 
@@ -159,7 +168,7 @@ def family_set_hull(rule: DigitRule, fs: FamilySet) -> QInterval:
     half-open (lo, hi]; alternating hulls are open.
     """
     lo, hi = _Frame.walk(rule, fs.sign, fs.prefix).hull(fs.start, fs.end)
-    return QInterval(lo, hi, False, fs.sign is Sign.POSITIVE)
+    return QInterval(Fraction(*lo), Fraction(*hi), False, fs.sign is Sign.POSITIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +224,24 @@ def cover_boundary(
     low = (side == FROM_INF) == (frame.sc_num > 0)
     u = frame.relative(cut)
     if not (0 < u[0] <= u[1] if low else 0 <= u[0] < u[1]):
-        lo, hi = frame.hull(frame.r + 1)
+        lo, hi = (Fraction(*end) for end in frame.hull(frame.r + 1))
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
         raise DomainError(f"cut {cut} outside {span}")
-    return _cover_boundary(rule, sign, frame.word, frame.r, u, low)
+    return _cover_boundary(rule, sign, list(frame.word), frame.r, u, low)
 
 
 def _cover_boundary(
-    rule: DigitRule, sign: Sign, word: DigitWord, r: int, u: tuple[int, int], low: bool
+    rule: DigitRule, sign: Sign, word: list[int], r: int, u: tuple[int, int], low: bool
 ) -> BoundaryCover:
     """Cover the relative piece (0, u] (low) or (u, 1] (high) of word's cylinder.
 
-    r is the rule value after word, and u is an integer pair with 0 < u <= 1
-    for a low piece and 0 <= u < 1 for a high one.  A high piece strictly
-    inside the first child descends into it, stepping (word, r) with
-    _descend; an alternating child flips, so there it is a low piece.
-    Then c is the child whose relative interval (r/c, r/(c-1)] holds u:
+    word is a list, which the descent below extends in place, r is the
+    rule value after word, and u is an integer pair with 0 < u <= 1 for a
+    low piece and 0 <= u < 1 for a high one.  A high piece strictly
+    inside the first child (digit r+1) descends into it, with the cover
+    descent's step (cover_interval); an alternating child flips, so there
+    it is a low piece.  Then c is the child whose relative interval
+    (r/c, r/(c-1)] holds u:
 
       * low, u interior: tight = {c+1..inf} (diameter r/c < u) plus the
         whole child c (diameter below the previous, monotone diameters);
@@ -241,13 +252,25 @@ def _cover_boundary(
         low single {c..inf} or the high {r+1..c-1} (the whole cylinder
         when u = 0).
     """
-    while not low and u[0] * (r + 1) > r * u[1]:
-        u, (word, r) = _child(sign, r, *u)[2], _descend(rule, word, r, r + 1)
-        low = sign is _ALTERNATING
-    if u[0] == 0:
+    un, ud = u
+    positive = sign is _POSITIVE
+    while not low:
+        # u lies in child r+1 iff the remainder of r*ud by un at quotient r
+        # is below un
+        rd = r * ud
+        rem = rd - r * un
+        if rem >= un:
+            break
+        word.append(r + 1)
+        un, ud = _tail(positive, r + 1, rem, rd)
+        r_next = rule.a * (r + 1) + rule.b if rule.fn is None else 0
+        r = r_next if r_next >= 1 else _next_r(rule, r, word, len(word))
+        low = not positive
+    word = tuple(word)
+    if un == 0:
         whole = FamilySet(sign, word, r + 1, None)
         return BoundaryCover((whole,), whole)
-    c, exact, _ = _child(sign, r, *u)
+    c, exact, _ = _child(sign, r, un, ud)
     if low:
         tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
         single = one = FamilySet(sign, word, c, None)
@@ -255,12 +278,6 @@ def _cover_boundary(
         tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
         single, one = FamilySet(sign, word, r + 1, c), tight[1]
     return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
-
-
-def _descend(rule: DigitRule, word: DigitWord, r: int, c: int) -> tuple[DigitWord, int]:
-    """(word + (c,), the checked rule value after c), for r the value after word."""
-    word += (c,)
-    return word, _next_r(rule, r, word, len(word))
 
 
 # ---------------------------------------------------------------------------
@@ -301,70 +318,86 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     """
     _interval_conventions(sign, U)
     # the root frame is the identity for both signs, so U's ends are their
-    # own relative pairs, the low and the high relative end; each level
-    # steps both into the common child, which swaps them when alternating
-    prefix, r = (), rule.phi0
-    t_lo, t_hi = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
+    # own relative pairs, the low end (ln, ld) and the high end (hn, hd);
+    # each level steps both into the common child, which swaps them when
+    # alternating
+    prefix, r = [], rule.phi0
+    builtin, ra, rb = rule.fn is None, rule.a, rule.b
+    ln, ld, hn, hd = U.lo.numerator, U.lo.denominator, U.hi.numerator, U.hi.denominator
     positive = sign is Sign.POSITIVE
-    while True:
-        if t_lo[0] == 0:
-            return list(_cover_boundary(rule, sign, prefix, r, t_hi, True).tight)
-        if t_hi[0] == t_hi[1]:
-            return list(_cover_boundary(rule, sign, prefix, r, t_lo, False).tight)
-        d_lo, lo_exact, y_lo = _child(sign, r, *t_lo)
-        d_lo -= lo_exact  # a junction resolves toward U's interior
-        d_hi, hi_exact, y_hi = _child(sign, r, *t_hi)
-        if d_lo != d_hi:
+    while ln and hn != hd:
+        # the low end's child d = q + 1 from q, rem = divmod(r*ld, ln); a
+        # junction (rem 0) resolves toward U's interior, into child q, as
+        # the remainder ln at quotient q - 1
+        rld, rhd = r * ld, r * hd
+        q, rem = divmod(rld, ln)
+        if not rem:
+            q, rem = q - 1, ln
+        # the high end's remainder at the same quotient: it lies in child d
+        # iff that is not negative (it lies above the low end, so it is
+        # below hn)
+        m = rhd - q * hn
+        if m < 0:
             break
-        if lo_exact:  # the junction is y in child d_lo + 1, so 1 - y in child d_lo
-            y_lo = (y_lo[1] - y_lo[0], y_lo[1])
-        t_lo, t_hi = (y_lo, y_hi) if positive else (y_hi, y_lo)
-        prefix, r = _descend(rule, prefix, r, d_lo)
+        d = q + 1
+        (ln, ld), (hn, hd) = _tail(positive, d, rem, rld), _tail(positive, d, m, rhd)
+        if not positive:
+            ln, ld, hn, hd = hn, hd, ln, ld
+        prefix.append(d)  # d >= r + 1, since the low end lies below 1
+        r_next = ra * d + rb if builtin else 0
+        r = r_next if r_next >= 1 else _next_r(rule, r, prefix, len(prefix))
+    if not ln:
+        return list(_cover_boundary(rule, sign, prefix, r, (hn, hd), True).tight)
+    if hn == hd:
+        return list(_cover_boundary(rule, sign, prefix, r, (ln, ld), False).tight)
+    prefix = tuple(prefix)
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
     # Its piece lies above it, the other piece below the upper endpoint; a
     # positive child keeps that relative side, an alternating one flips it.
     # y_lo and y_hi are the ends' positions in children d_lo and d_hi (the
     # low end's piece is covered only when it is no junction)
+    d_lo, lo_exact = q + 1, rem == ln
+    y_lo = _tail(positive, d_lo, rem, rld)
+    d_hi, hi_exact, y_hi = _child(sign, r, hn, hd)
 
-    def lo_cover() -> BoundaryCover:
-        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_lo), y_lo, not positive)
-
-    def hi_cover() -> BoundaryCover:
-        return _cover_boundary(rule, sign, *_descend(rule, prefix, r, d_hi), y_hi, positive)
+    def cover(d: int, y: tuple[int, int], low: bool) -> BoundaryCover:
+        """The boundary cover of y's piece of child d (the descent's step)."""
+        word = [*prefix, d]
+        return _cover_boundary(rule, sign, word, _next_r(rule, r, word, len(word)), y, low)
 
     # junction endpoints: each exact side's whole child joins the block
     # between (digits d_hi+1 .. d_lo-1, empty when the children are
     # adjacent), and the other side's piece is covered tightly
     if lo_exact or hi_exact:
-        before = () if lo_exact else lo_cover().tight
-        after = () if hi_exact else hi_cover().tight
+        before = () if lo_exact else cover(d_lo, y_lo, not positive).tight
+        after = () if hi_exact else cover(d_hi, y_hi, positive).tight
         return [*before, FamilySet(sign, prefix, d_hi + 1 - hi_exact, d_lo - 1 + lo_exact), *after]
 
     # the widths of the d_lo piece and of the middle block, against |U|,
     # decide which pieces are covered tightly; all three are compared in the
-    # relative frame, where |U| is t_hi - t_lo (|sc| > 0 scales them alike)
-    t_lo_q = Fraction(*t_lo)
-    W = Fraction(*t_hi) - t_lo_q
+    # relative frame, where |U| is hn/hd - ln/ld (|sc| > 0 scales them alike)
+    lo_q = Fraction(ln, ld)
+    W = Fraction(hn, hd) - lo_q
     if d_lo == d_hi + 1:
         # adjacent children, no middle block
-        w_lo = Fraction(r, d_lo - 1) - t_lo_q
+        w_lo = Fraction(r, d_lo - 1) - lo_q
         if 2 * w_lo >= W:
-            return [*lo_cover().tight, hi_cover().single]
-        return [lo_cover().single, *hi_cover().tight]
+            return [*cover(d_lo, y_lo, not positive).tight, cover(d_hi, y_hi, positive).single]
+        return [cover(d_lo, y_lo, not positive).single, *cover(d_hi, y_hi, positive).tight]
 
     # middle block present: digits d_hi+1 .. d_lo-1
     mid_w = Fraction(r, d_hi) - Fraction(r, d_lo - 1)
     if 2 * mid_w >= W:
         return [
-            lo_cover().single,
+            cover(d_lo, y_lo, not positive).single,
             FamilySet(sign, prefix, d_hi + 1, d_lo - 1),
-            hi_cover().single,
+            cover(d_hi, y_hi, positive).single,
         ]
     # narrow middle: its diameter bounds the larger-digit child's (monotone
     # diameters), so block + that child merge into one set of diameter
     # < 2*mid_w <= W
-    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *hi_cover().tight]
+    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *cover(d_hi, y_hi, positive).tight]
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +507,22 @@ def verify_cover(
     FamilySet holds plain int digits, so equal digits are equal ints.  P's
     affine frame is walked once; each distinct set prefix is framed once
     relative to it, as P's frame with off = 0, sc = 1 and den = 1 extended
-    by the prefix's digits beyond P, so every hull endpoint is a small
-    Fraction in P's tail coordinates.  Coverage is one sort of these
-    relative hulls plus one greedy pass (_chains_across), which maps U's
-    ends into P's frame once as unreduced integer pairs, swapped when P's
-    sc is negative (an odd-length alternating P).  Positive targets
-    (x1, x2] are covered iff the half-open hulls chain across them.
-    Alternating targets are open intervals covered modulo endpoint-set
-    points, and abutting open hulls meet at a cylinder endpoint, so the
-    same pass decides them.  Each
-    diameter is |sc| of P times a small relative width w, so max_diameter
-    is the one Fraction formed at P's scale, from the widest hull, and each
-    cost term is (|sc_num|*w.num / (den*w.den))**alpha: int true division
-    rounds the exact diameter correctly, as float() of its Fraction does,
-    and math.fsum adds the terms.  Coverage and diameters are exact.
+    by the prefix's digits beyond P, so every hull end is an unreduced
+    integer pair in P's tail coordinates, as _Frame.hull reads it, and no
+    end is reduced.  Coverage is one sort of these relative hulls plus one
+    greedy pass (_chains_across), which maps U's ends into P's frame once
+    as unreduced integer pairs, swapped when P's sc is negative (an
+    odd-length alternating P).  Positive targets (x1, x2] are covered iff
+    the half-open hulls chain across them.  Alternating targets are open
+    intervals covered modulo endpoint-set points, and abutting open hulls
+    meet at a cylinder endpoint, so the same pass decides them.  Each
+    diameter is |sc| of P times a relative width w = hi - lo, an unreduced
+    pair (wn, wd).  Each cost term is (|sc_num|*wn / (den*wd))**alpha: int
+    true division rounds the exact diameter correctly whatever common
+    factor the pair holds, as float() of its Fraction does, and math.fsum
+    adds the terms.  The widest w is picked by cross-multiplication, and
+    max_diameter is the one Fraction formed.  Coverage and diameters are
+    exact.
     """
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -507,27 +542,31 @@ def verify_cover(
         if fs.prefix not in frames:
             frames[fs.prefix] = rel.extend(fs.prefix[len(common) :])
         spans.append(frames[fs.prefix].hull(fs.start, fs.end))
-    widths = [hi - lo for lo, hi in spans]
+    # each width hi - lo as an unreduced pair (num, den), den > 0
+    widths = [(hn * ld - ln * hd, ld * hd) for (ln, ld), (hn, hd) in spans]
     sc, den = abs(base.sc_num), base.den
-    cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)
-    w = max(widths)
+    cost = math.fsum((sc * wn / (den * wd)) ** alpha for wn, wd in widths)
+    wn, wd = widths[0]
+    for n, d in widths:
+        if n * wd > wn * d:
+            wn, wd = n, d
     covers = _chains_across(base, U, spans)
-    return CoverReport(covers, Fraction(sc * w.numerator, den * w.denominator), cost)
+    return CoverReport(covers, Fraction(sc * wn, den * wd), cost)
 
 
-def _chains_across(frame: _Frame, U: QInterval, spans: list[tuple[ExactQ, ExactQ]]) -> bool:
-    """Whether the hulls in spans, given in frame's tail coordinates, chain
-    across U.
+def _chains_across(frame: _Frame, U: QInterval, spans: list) -> bool:
+    """Whether the hulls in spans, given in frame's tail coordinates as
+    unreduced pairs (num, den), den > 0, chain across U.
 
     U's ends are mapped into the frame once (relative()) and stay unreduced
-    pairs (num, den), den > 0, compared with the hulls' small Fraction ends
-    by cross-multiplication; when frame's sc is negative the map reverses
-    the line, so the ends swap.  The pass asks whether the closed hulls
-    cover the closed target, which reads the same mirrored.  It is one
-    greedy pass over the hulls sorted by (lo, hi), with reach the furthest
-    hull end so far, that stops once reach passes U.hi: a hull starting
-    past reach leaves a gap, and one starting at reach continues the chain,
-    for both signs.  At U.lo, which
+    pairs too, and every comparison is a cross-multiplication; when frame's
+    sc is negative the map reverses the line, so the ends swap.  The pass
+    asks whether the closed hulls cover the closed target, which reads the
+    same mirrored.  It is one greedy pass over the hulls sorted by lo, with
+    reach the furthest hull end so far, that stops once reach passes U.hi:
+    a hull starting past reach leaves a gap, and one starting at reach
+    continues the chain, for both signs (so hulls with one lo may come in
+    any order).  At U.lo, which
     U excludes, nothing is missed.  Past it, a positive reach is held by
     the earlier half-open hull that ends there.  An alternating reach lies
     inside (U.lo, U.hi), so inside (0, 1), and is some hull's endpoint
@@ -536,11 +575,12 @@ def _chains_across(frame: _Frame, U: QInterval, spans: list[tuple[ExactQ, ExactQ
     """
     ends = frame.relative(U.lo), frame.relative(U.hi)
     (rn, rd), (hn, hd) = ends if frame.sc_num > 0 else ends[::-1]
-    for a, b in sorted(spans):
-        if a.numerator * rd > rn * a.denominator:
+    by_lo = functools.cmp_to_key(lambda s, t: s[0][0] * t[0][1] - t[0][0] * s[0][1])
+    for (an, ad), (bn, bd) in sorted(spans, key=by_lo):
+        if an * rd > rn * ad:
             return False
-        if b.numerator * rd > rn * b.denominator:
-            rn, rd = b.numerator, b.denominator
+        if bn * rd > rn * bd:
+            rn, rd = bn, bd
             if rn * hd >= hn * rd:
                 return True
     return False

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perron import (
@@ -40,7 +40,8 @@ from perron import (
     verify_cover,
     word_diameter,
 )
-from perron.core import _child, _Frame
+from perron import coverings
+from perron.core import _child, _Frame, _next_r
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -1507,3 +1508,257 @@ def test_split_blocks_hold_every_sampled_point_once(case, offset, alpha, eps):
         for x in _sample_points(rule, word, min(ends), max(ends), inner, sign is Sign.POSITIVE):
             held = _holders(rule, sign, x, blocks)
             assert held is None or len(held) == 1, (x, block, held)
+
+
+# ---------------------------------------------------------------------------
+# the descent and verify_cover against the two-step, Fraction forms
+# ---------------------------------------------------------------------------
+
+
+def _two_step_child(sign, r, num, den):
+    """The child step with the tail formula of each form written out."""
+    rd = r * den
+    q, rem = divmod(rd, num)
+    if sign is Sign.POSITIVE:
+        return q + 1, rem == 0, ((num - rem) * q, rd)
+    return q + 1, rem == 0, (rem * (q + 1), rd)
+
+
+def _tuple_descend(rule, word, r, c):
+    word += (c,)
+    return word, _next_r(rule, r, word, len(word))
+
+
+def _two_step_cover_boundary(rule, sign, word, r, u, low):
+    while not low and u[0] * (r + 1) > r * u[1]:
+        u, (word, r) = _two_step_child(sign, r, *u)[2], _tuple_descend(rule, word, r, r + 1)
+        low = sign is Sign.ALTERNATING
+    if u[0] == 0:
+        whole = FamilySet(sign, word, r + 1, None)
+        return BoundaryCover((whole,), whole)
+    c, exact, _ = _two_step_child(sign, r, *u)
+    if low:
+        tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
+        single = one = FamilySet(sign, word, c, None)
+    else:
+        tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
+        single, one = FamilySet(sign, word, r + 1, c), tight[1]
+    return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
+
+
+def two_step_cover_interval(rule, sign, U):
+    """cover_interval with one child step per end and a checked,
+    tuple-building rule step per level: the reference for the descent that
+    takes one divmod per level."""
+    coverings._interval_conventions(sign, U)
+    prefix, r = (), rule.phi0
+    t_lo, t_hi = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
+    positive = sign is Sign.POSITIVE
+    while True:
+        if t_lo[0] == 0:
+            return list(_two_step_cover_boundary(rule, sign, prefix, r, t_hi, True).tight)
+        if t_hi[0] == t_hi[1]:
+            return list(_two_step_cover_boundary(rule, sign, prefix, r, t_lo, False).tight)
+        d_lo, lo_exact, y_lo = _two_step_child(sign, r, *t_lo)
+        d_lo -= lo_exact
+        d_hi, hi_exact, y_hi = _two_step_child(sign, r, *t_hi)
+        if d_lo != d_hi:
+            break
+        if lo_exact:
+            y_lo = (y_lo[1] - y_lo[0], y_lo[1])
+        t_lo, t_hi = (y_lo, y_hi) if positive else (y_hi, y_lo)
+        prefix, r = _tuple_descend(rule, prefix, r, d_lo)
+
+    def lo_cover():
+        return _two_step_cover_boundary(
+            rule, sign, *_tuple_descend(rule, prefix, r, d_lo), y_lo, not positive)
+
+    def hi_cover():
+        return _two_step_cover_boundary(
+            rule, sign, *_tuple_descend(rule, prefix, r, d_hi), y_hi, positive)
+
+    if lo_exact or hi_exact:
+        before = () if lo_exact else lo_cover().tight
+        after = () if hi_exact else hi_cover().tight
+        return [*before, FamilySet(sign, prefix, d_hi + 1 - hi_exact, d_lo - 1 + lo_exact), *after]
+    t_lo_q = Fraction(*t_lo)
+    W = Fraction(*t_hi) - t_lo_q
+    if d_lo == d_hi + 1:
+        if 2 * (Fraction(r, d_lo - 1) - t_lo_q) >= W:
+            return [*lo_cover().tight, hi_cover().single]
+        return [lo_cover().single, *hi_cover().tight]
+    mid_w = Fraction(r, d_hi) - Fraction(r, d_lo - 1)
+    if 2 * mid_w >= W:
+        return [lo_cover().single, FamilySet(sign, prefix, d_hi + 1, d_lo - 1), hi_cover().single]
+    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *hi_cover().tight]
+
+
+def fraction_verify_cover(rule, U, sets, alpha):
+    """verify_cover with hull ends and widths as reduced Fractions and the
+    widest by max(): the reference for the one on integer pairs."""
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    sets = list(sets)
+    signs = {fs.sign for fs in sets}
+    if len(signs) > 1:
+        raise DomainError("the sets of a cover must all have one sign")
+    if not sets:
+        return CoverReport(False, Fraction(0), 0.0)
+    (sign,) = signs
+    coverings._interval_conventions(sign, U)
+    common = os.path.commonprefix([fs.prefix for fs in sets])
+    base = _Frame.walk(rule, sign, common)
+    rel = base._replace(off_num=0, sc_num=1, den=1)
+    frames, spans = {}, []
+    for fs in sets:
+        if fs.prefix not in frames:
+            frames[fs.prefix] = rel.extend(fs.prefix[len(common):])
+        lo, hi = frames[fs.prefix].hull(fs.start, fs.end)
+        spans.append((Fraction(*lo), Fraction(*hi)))
+    widths = [hi - lo for lo, hi in spans]
+    sc, den = abs(base.sc_num), base.den
+    cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)
+    w = max(widths)
+    ends = base.relative(U.lo), base.relative(U.hi)
+    (rn, rd), (hn, hd) = ends if base.sc_num > 0 else ends[::-1]
+    covers = False
+    for a, b in sorted(spans):
+        if a.numerator * rd > rn * a.denominator:
+            break
+        if b.numerator * rd > rn * b.denominator:
+            rn, rd = b.numerator, b.denominator
+            if rn * hd >= hn * rd:
+                covers = True
+                break
+    return CoverReport(covers, Fraction(sc * w.numerator, den * w.denominator), cost)
+
+
+DIFF_RULES = [LUROTH, ENGEL, ENGEL_MOD, PIERCE, DigitRule.oppenheim(2, 1), PARITY,
+              DigitRule.oppenheim(1, -5)]
+
+
+@st.composite
+def differential_case(draw):
+    """A rule (every built-in one, oppenheim(2,1), a custom rule, and one
+    whose values drop below 1), a sign, and U nested in the cylinder of a
+    word up to 70 digits deep.  U's ends are child junctions of the word or
+    of a child (so exactly at a cylinder end), points with small relative
+    denominators, or points with large unrelated denominators."""
+    rule = draw(st.sampled_from(DIFF_RULES))
+    sign = draw(st.sampled_from(SIGNS))
+    q = draw(st.integers(2, 10**6))
+    try:
+        word = positive_digits(rule, Fraction(draw(st.integers(1, q - 1)), q),
+                               draw(st.integers(0, 70)))
+    except ValidityError:
+        word = ()
+    lo, hi = _cylinder_ends(rule, sign, word) if word else (Fraction(0), Fraction(1))
+    r = rule_value(rule, word)
+
+    def point():
+        kind = draw(st.sampled_from(["junction", "deep junction", "small", "large"]))
+        if kind == "small":
+            den = draw(st.integers(1, 10**4))
+            return lo + (hi - lo) * Fraction(draw(st.integers(0, den)), den)
+        if kind == "large":
+            den = draw(st.integers(2**60, 2**200))
+            return lo + (hi - lo) * Fraction(draw(st.integers(0, den)), den)
+        child = word + (r + 1 + draw(st.integers(0, 6)),)
+        try:
+            if kind == "deep junction":
+                child += (rule_value(rule, child) + 1 + draw(st.integers(0, 6)),)
+            return draw(st.sampled_from(_cylinder_ends(rule, sign, child)))
+        except ValidityError:
+            return lo
+    x1, x2 = sorted((point(), point()))
+    assume(x1 < x2)
+    return rule, sign, interval_for(sign, x1, x2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(differential_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+def test_cover_and_verify_match_the_two_step_fraction_forms(case, alpha):
+    rule, sign, U = case
+    sets = _outcome(cover_interval, rule, sign, U)
+    assert sets == _outcome(two_step_cover_interval, rule, sign, U)
+    if isinstance(sets, list):
+        report = verify_cover(rule, U, sets, alpha)
+        expected = fraction_verify_cover(rule, U, sets, alpha)
+        assert report == expected
+        assert report.cost.hex() == expected.cost.hex()
+
+
+# ---------------------------------------------------------------------------
+# the inline rule step's fallbacks: each error keeps its text and index
+# ---------------------------------------------------------------------------
+
+# r_1 = 1 after any first digit, then r_2 = 0
+DROPS = DigitRule.custom(lambda prefix: 2 - len(prefix))
+OPP = DigitRule.oppenheim(1, -5)  # r = c - 5, so a digit below 6 gives r < 1
+
+
+def _boundary_high(rule, prefix, cut_rel):
+    """cover_boundary of the high piece above relative cut_rel of prefix's
+    positive cylinder."""
+    cyl = cylinder(rule, prefix, Sign.POSITIVE) if prefix else None
+    lo, hi = (cyl.lo, cyl.hi) if cyl else (Fraction(0), Fraction(1))
+    return cover_boundary(rule, Sign.POSITIVE, prefix, lo + (hi - lo) * cut_rel, TO_SUP)
+
+
+FALLBACKS = [
+    # a digit below r + 1
+    (lambda: cylinder(ENGEL_MOD, (3, 3), Sign.POSITIVE),
+     "digit 3 at position 2 violates c >= 4", 2),
+    (lambda: family_set_hull(ENGEL_MOD, FamilySet(Sign.ALTERNATING, (3, 2), 5, None)),
+     "digit 2 at position 2 violates c >= 4", 2),
+    (lambda: verify_cover(ENGEL_MOD, QInterval(Fraction(1, 8), Fraction(1, 3)),
+                          [FamilySet(Sign.POSITIVE, (2, 2), 3, None)], 1.0),
+     "digit 2 at position 2 violates c >= 3", 2),
+    (lambda: cover_boundary(PIERCE, Sign.POSITIVE, (2, 1), Fraction(1, 3), TO_SUP),
+     "digit 1 at position 2 violates c >= 3", 2),
+    # a float digit and a True digit (a family set refuses both when made)
+    (lambda: cylinder(ENGEL, (2, 3.0), Sign.POSITIVE),
+     "digit 3.0 at position 2 violates c >= 2", 2),
+    (lambda: cylinder(LUROTH, (2, True), Sign.ALTERNATING),
+     "digit True at position 2 violates c >= 2", 2),
+    (lambda: cover_boundary(LUROTH, Sign.POSITIVE, (2.0,), Fraction(3, 4), TO_SUP),
+     "digit 2.0 at position 1 violates c >= 2", 1),
+    (lambda: cover_boundary(ENGEL_MOD, Sign.ALTERNATING, (True,), Fraction(1, 2), FROM_INF),
+     "digit True at position 1 violates c >= 2", 1),
+    (lambda: family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (2, 2.0), 2)),
+     "digit 2.0 at position 2 is not an integer", 2),
+    (lambda: verify_cover(LUROTH, QInterval(Fraction(1, 8), Fraction(1, 3)),
+                          [FamilySet(Sign.POSITIVE, (True,), 2)], 1.0),
+     "digit True at position 1 is not an integer", 1),
+    # a built-in rule value below 1
+    (lambda: cylinder(OPP, (7, 3), Sign.ALTERNATING),
+     "rule value -2 after position 2 is not a positive integer", 2),
+    (lambda: family_set_hull(OPP, FamilySet(Sign.POSITIVE, (4,), 2, None)),
+     "rule value -1 after position 1 is not a positive integer", 1),
+    (lambda: verify_cover(OPP, QInterval(Fraction(1, 8), Fraction(1, 3)),
+                          [FamilySet(Sign.POSITIVE, (8, 5), 2, None)], 1.0),
+     "rule value 0 after position 2 is not a positive integer", 2),
+    (lambda: positive_digits(OPP, Fraction(2, 5), 3),
+     "rule value -2 after position 1 is not a positive integer", 1),
+    (lambda: _boundary_high(OPP, (7,), Fraction(5, 6)),  # r_1 = 2: child 3 gives -2
+     "rule value -2 after position 2 is not a positive integer", 2),
+    # a custom rule value below 1
+    (lambda: cylinder(DROPS, (2, 2), Sign.POSITIVE),
+     "rule value 0 after position 2 is not a positive integer", 2),
+    (lambda: family_set_hull(DROPS, FamilySet(Sign.ALTERNATING, (3, 5), 2, None)),
+     "rule value 0 after position 2 is not a positive integer", 2),
+    (lambda: verify_cover(DROPS, QInterval(Fraction(1, 8), Fraction(1, 3)),
+                          [FamilySet(Sign.POSITIVE, (2, 2), 2, 4)], 1.0),
+     "rule value 0 after position 2 is not a positive integer", 2),
+    (lambda: positive_digits(DROPS, Fraction(2, 7), 3),
+     "rule value 0 after position 2 is not a positive integer", 2),
+    (lambda: _boundary_high(DROPS, (3,), Fraction(2, 3)),  # r_1 = 1: child 2 gives 0
+     "rule value 0 after position 2 is not a positive integer", 2),
+]
+
+
+@pytest.mark.parametrize("call, message, index", FALLBACKS)
+def test_inline_rule_step_falls_back_to_the_checked_step(call, message, index):
+    with pytest.raises(ValidityError) as err:
+        call()
+    assert (str(err.value), err.value.index) == (message, index)

@@ -1,6 +1,7 @@
 """The tools: bench_pairs.py's pair summary on synthetic pairs, its
 export of a working tree and its comparison of output digests,
-output_digest.py on one round of a pool, and
+output_digest.py on one round of a pool (its pool digest and its
+per-op lines), and
 code_lines.py's count and untested_lines.py's list on small fixture
 packages."""
 
@@ -143,6 +144,21 @@ def test_output_digest_is_deterministic_on_a_one_round_pool():
                                            ["cover", "seed", "11", "ops", "101", "sha256"]]
     # one hex digest per seed, and the two pools hash apart
     assert all(len(line[6]) == 64 for line in lines) and lines[0][6] != lines[1][6]
+
+
+def test_output_digest_per_op_prints_each_op_line_hash_and_the_same_pool_digest():
+    argv = [sys.executable, os.path.join(ROOT, "tools", "output_digest.py"),
+            "--workload", "cover", "--seed", "5", "--rounds", "1"]
+    plain, per_op = (
+        subprocess.run(argv + extra, capture_output=True, text=True, timeout=300, check=True).stdout
+        for extra in ([], ["--per-op"])
+    )
+    *ops, pool = per_op.splitlines()
+    assert pool == plain.strip()
+    assert [line.split()[:3] for line in ops] == [["op", str(i), "sha256"] for i in range(101)]
+    assert all(len(line.split()[3]) == 64 for line in ops)
+    # each op's text starts with its position, so a diff of two runs names the op
+    assert all(line.split(maxsplit=4)[4][1:].startswith(f"{i}\\t") for i, line in enumerate(ops))
 
 
 FIXTURE = '''"""A module docstring

@@ -1,7 +1,7 @@
 """Hash every output of the benchmark's op pools, to show that a change keeps
 them bit-identical.
 
-    python3 tools/output_digest.py [--workload W ...] [--seed N ...] [--rounds K]
+    python3 tools/output_digest.py [--workload W ...] [--seed N ...] [--rounds K] [--per-op]
 
 For each workload (default: all of BENCHMARK.json) and seed (default 5, 11
 and 13), the pool is the one bench/run.py draws for that seed at the
@@ -14,7 +14,11 @@ a pressure op).  A repr is exact for every result type the workloads return:
 Fractions, float repr (which round-trips), family sets, reports and digit
 words, and for ``cli`` the exit codes and stdout bytes.  Prints one line per
 workload and seed: the workload, the seed, the op count and the hex digest.
-Run it in two checkouts and compare the lines.  Standard library only.
+Run it in two checkouts and compare the lines.  With --per-op, each op's
+line is printed before its pool's, as the op's position, its sha256 and
+the line itself cut to 120 characters, so a pair of runs whose digests
+differ can be compared line by line (diff the two outputs) to name the
+op.  Standard library only.
 """
 
 from __future__ import annotations
@@ -53,14 +57,17 @@ def parse_args(argv=None):
     p.add_argument("--workload", action="append", choices=workloads)
     p.add_argument("--seed", action="append", type=int)
     p.add_argument("--rounds", type=int, help="hash only the first ROUNDS rounds of each pool")
+    p.add_argument("--per-op", action="store_true", help="also print each op's line and its hash")
     args = p.parse_args(argv)
     args.workload = args.workload or workloads
     args.seed = args.seed or list(SEEDS)
     return args
 
 
-def pool_digest(workload: str, seed: int, rounds: int | None = None) -> tuple[int, str]:
-    """(op count, sha256 hex digest) of the seed's pool of workload."""
+def pool_digest(workload: str, seed: int, rounds: int | None = None,
+                per_op=None) -> tuple[int, str]:
+    """(op count, sha256 hex digest) of the seed's pool of workload; per_op,
+    when given, is called with each op's position and line."""
     wl = importlib.import_module(f"workloads.{workload}")
     spec = argparse.Namespace(workload=workload, seed=seed, seconds=BENCHMARK["run_seconds"], trace=0)
     pool = bench.make_rounds(wl, spec)[:rounds]
@@ -72,16 +79,24 @@ def pool_digest(workload: str, seed: int, rounds: int | None = None) -> tuple[in
             result = wl.run_op(op, counters)
         except Exception as exc:  # a raising op is an output too
             result = exc
-        sha.update(f"{i}\t{result!r}\t{counters.added!r}\n".encode())
+        line = f"{i}\t{result!r}\t{counters.added!r}\n"
+        sha.update(line.encode())
+        if per_op:
+            per_op(i, line)
     return len(ops), sha.hexdigest()
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench.import_perron()
+
+    def print_op(i: int, line: str) -> None:
+        digest = hashlib.sha256(line.encode()).hexdigest()
+        print(f"  op {i} sha256 {digest} {line.rstrip()[:120]!r}", flush=True)
+
     for workload in args.workload:
         for seed in args.seed:
-            count, hexdigest = pool_digest(workload, seed, args.rounds)
+            count, hexdigest = pool_digest(workload, seed, args.rounds, print_op if args.per_op else None)
             print(f"{workload} seed {seed} ops {count} sha256 {hexdigest}", flush=True)
     return 0
 
