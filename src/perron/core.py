@@ -48,10 +48,17 @@ affine self-similar form; see positive_digits / alternating_digits).  Both
 forms run one loop (_digits) that names its sign: the sign picks the domain,
 the remainder step and what a junction means (an included supremum in the
 positive form, an ISPoint in the alternating one), and the next digit, the
-junction and the remainder all come from one child step (_child), one divmod
-per digit.  The same step moves a point's position relative to a frame down
+junction and the remainder all come from one divmod per digit, taken inline:
+the quotient gives the digit, a zero remainder the junction, and the
+remainder the tail pair through _tail, the one statement of the tail
+formula.  The same step moves a point's position relative to a frame down
 one digit: _Frame.relative maps a point into a frame once, and the pair is
-then stepped with one divmod and a product per level.  Every extraction
+then stepped with one divmod and a product per level.  _child is that step
+as a function, for the cover's reads of one digit per op.  Extraction and
+membership do no Fraction arithmetic: extraction reads x as its integer
+pair (making a Fraction only of an x that is not one), the domain test
+(_check_domain) compares that pair, and CylinderInterval.contains
+cross-multiplies integers.  Every extraction
 bounds its digits by the one fixed _MAX_DIGIT_BITS (2**16 bits): it raises
 DomainError naming the position rather than grow one digit past it.  The remainder pair of
 extraction is carried unreduced, like the frame, and reduced only when its
@@ -108,9 +115,9 @@ class Sign(enum.Enum):
     ALTERNATING = "P-"
 
 
-# Module-level aliases for the per-digit loops: reading Sign.POSITIVE is an
-# enum class attribute lookup, several times slower than a global (CPython
-# 3.11), and digit extraction does one per digit through _child.
+# Module-level aliases for the per-call paths (_check_domain, _child, the
+# loops' set-up): reading Sign.POSITIVE is an enum class attribute lookup,
+# several times slower than a global (CPython 3.11).
 _POSITIVE, _ALTERNATING = Sign.POSITIVE, Sign.ALTERNATING
 
 
@@ -318,7 +325,7 @@ class _Frame(NamedTuple):
     message); verify_cover compares and subtracts the pairs as they are.
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
-    (_child, _tail), which needs only the sign and r.
+    (one divmod and _tail), which needs only the sign and r.
     extend(digits) is the one step by which a frame takes digits, checking
     each against r as it composes it (a built-in rule's step inline, the
     rest through _next_r); walk(word) is the root frame extended by word.
@@ -441,22 +448,40 @@ class CylinderInterval(_Record):
         return self.hi - self.lo
 
     def contains(self, x: ExactQ) -> bool:
-        if x < self.lo or x > self.hi:
+        """Whether x lies in the interval, decided exactly.
+
+        x is an int, a Fraction, a float or a Decimal, read as its exact
+        integer ratio and compared with lo and hi by cross-multiplication;
+        NaN and the infinities are in no cylinder.  Anything else is a
+        TypeError.
+        """
+        try:
+            num, den = x.as_integer_ratio()
+        except (ValueError, OverflowError):  # NaN, +-inf
             return False
-        if x == self.lo:
+        except AttributeError:
+            raise TypeError(f"membership of {type(x).__name__!r} is not defined") from None
+        ln, ld = self.lo.as_integer_ratio()
+        hn, hd = self.hi.as_integer_ratio()
+        below, above = num * ld - ln * den, num * hd - hn * den  # signs of x - lo, x - hi
+        if below < 0 or above > 0:
+            return False
+        if not below:
             return self.lo_included
-        if x == self.hi:
+        if not above:
             return self.hi_included
         return True
 
 
-def _check_domain(sign: Sign, x: Fraction) -> None:
-    """DomainError unless x lies in sign's tail space, (0, 1] or (0, 1)."""
+def _check_domain(sign: Sign, num: int, den: int) -> None:
+    """DomainError unless x = num/den (den > 0) lies in sign's tail space,
+    (0, 1] or (0, 1): compared on the integer pair, 0 < num <= den or
+    0 < num < den, with x formed as a Fraction only for the message."""
     if sign is _POSITIVE:
-        if not 0 < x <= 1:
-            raise DomainError(f"x = {x} outside (0, 1]")
-    elif not 0 < x < 1:
-        raise DomainError(f"x = {x} outside (0, 1)")
+        if not 0 < num <= den:
+            raise DomainError(f"x = {Fraction(num, den)} outside (0, 1]")
+    elif not 0 < num < den:
+        raise DomainError(f"x = {Fraction(num, den)} outside (0, 1)")
 
 
 def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int, int]]:
@@ -472,10 +497,12 @@ def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int
     _tail(c, rem).  The pair may be unreduced: the quotient and the zero
     remainder do not depend on a common factor.  Applied to a position
     relative to a frame (_Frame.relative), the tail is the position
-    relative to the child frame of digit c.  Digit extraction and the cover
-    boundary take their next digit and position here; at a junction the
-    same point is y in child c and 1 - y in child c - 1, the child whose
-    closure contains it from below.
+    relative to the child frame of digit c; at a junction the same point is
+    y in child c and 1 - y in child c - 1, the child whose closure contains
+    it from below.  This function serves the cover's reads of one digit per
+    op (cover_interval's high end, _cover_boundary); the per-digit loops,
+    digit extraction and the cover descent, take the same divmod inline and
+    call only _tail.
     """
     rd = r * den
     q, rem = divmod(rd, num)
@@ -490,9 +517,10 @@ def _tail(positive: bool, c: int, rem: int, rd: int) -> tuple[int, int]:
     Positive x = r/c + y*r/((c-1)c) gives y = (num*c - r*den)(c-1)/(r*den)
     = (r*den - rem*c)/(r*den); alternating x = r/(c-1) - y*r/((c-1)c) gives
     y = (r*den - num*(c-1))*c/(r*den) = rem*c/(r*den).  The one statement of
-    the tail: _child reads it at its divmod's remainder, and the cover
-    descent at the remainder one product gives (rem = num is the junction
-    r/(c-1) taken in child c from below, y = 0 positive, 1 alternating).
+    the tail: _child and digit extraction read it at their divmod's
+    remainder, and the cover descent at the remainder one product gives
+    (rem = num is the junction r/(c-1) taken in child c from below, y = 0
+    positive, 1 alternating).
     """
     t = rem * c
     return (rd - t if positive else t), rd
@@ -527,44 +555,52 @@ def alternating_digits(rule: DigitRule, x: ExactQ, n: int) -> DigitWord | ISPoin
 def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoint:
     """The extraction loop of both forms, digits bounded by _MAX_DIGIT_BITS bits.
 
-    The forms differ only in the domain, the remainder step (_child's tail)
-    and the junction rule: a positive junction is the included supremum of
-    its child, an alternating one is an ISPoint.
+    The forms differ only in the domain, the remainder step (_tail) and the
+    junction rule: a positive junction is the included supremum of its
+    child, an alternating one is an ISPoint.  x is made a Fraction only if
+    it is not one, and is read as its integer pair from then on.
 
-    The remainder pair (a, b) is carried unreduced and reduced by its gcd
-    only once b reaches the square of its value at the last reduction,
-    about twice its bits then, so one gcd pays for a doubling rather than
-    for one digit.  Nothing the loop reads depends on a common factor: the
-    digit, the junction test and the digit bound all come from _child,
-    which reads only the ratio a/b.  The bound must double the bits: with a
-    fixed slack, a pair whose common factor grows by many bits per digit
-    would be reduced every few digits, each time by a gcd of the whole
-    pair.  A pair of a few bits is still reduced every digit or two, while
-    its gcd is cheap and its products fit one machine word.
+    Each digit is the child step taken inline, with no call but _tail:
+    with q, rem = divmod(r*b, a) for the remainder a/b, the digit is
+    c = q + 1, the point is a junction iff rem is 0, and the next
+    remainder is the tail _tail(positive, c, rem, r*b), as _child gives
+    them (see there).  The remainder pair (a, b) is carried unreduced and
+    reduced by its gcd only once b reaches the square of its value at the
+    last reduction, about twice its bits then, so one gcd pays for a
+    doubling rather than for one digit.  Nothing the loop reads depends
+    on a common factor: the digit, the junction test and the digit bound
+    come from the quotient and the zero remainder, which read only the
+    ratio a/b.  The bound must double the bits: with a fixed slack, a pair
+    whose common factor grows by many bits per digit would be reduced
+    every few digits, each time by a gcd of the whole pair.  A pair of a
+    few bits is still reduced every digit or two, while its gcd is cheap
+    and its products fit one machine word.
 
-    A digit from _child is at least r + 1 by construction (the point lies
-    at most at 1), so a built-in rule's next value is a*c + b inline, and
-    only a custom rule or a value below 1 goes to _next_r.
+    A digit so made is at least r + 1 (the point lies at most at 1), so a
+    built-in rule's next value is a*c + b inline, and only a custom rule or
+    a value below 1 goes to _next_r.
     """
-    x = Fraction(x)
-    _check_domain(sign, x)
+    a, b = (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    _check_domain(sign, a, b)
     if n < 0:
         raise DomainError("n must be >= 0")
-    a, b = x.numerator, x.denominator
     bound = b * b
     digits: list[int] = []
     r = rule.phi0
-    alternating = sign is _ALTERNATING
+    positive = sign is _POSITIVE
     builtin, ra, rb = rule.fn is None, rule.a, rule.b
     for i in range(1, n + 1):
-        c, at_junction, (a, b) = _child(sign, r, a, b)  # in the tail space again
-        if at_junction and alternating:
+        rd = r * b
+        q, rem = divmod(rd, a)
+        c = q + 1
+        if not (rem or positive):
             return ISPoint(rank=i, digits=tuple(digits))
         if c.bit_length() > _MAX_DIGIT_BITS:
             raise DomainError(
                 f"digit at position {i} has {c.bit_length()} bits, beyond the "
                 f"{_MAX_DIGIT_BITS}-bit digit bound"
             )
+        a, b = _tail(positive, c, rem, rd)  # in the tail space again
         if b >= bound:
             g = gcd(a, b)
             a //= g
@@ -674,9 +710,8 @@ def traditional_pierce_digits(x: ExactQ) -> DigitWord:
     decreases, and the unreduced pair is never reduced, since b//a does
     not depend on a common factor.
     """
-    x = Fraction(x)
-    _check_domain(_ALTERNATING, x)
-    a, b = x.numerator, x.denominator
+    a, b = (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    _check_domain(_ALTERNATING, a, b)
     digits = []
     while a:
         digits.append(b // a)

@@ -271,13 +271,13 @@ def _cover_boundary(
         whole = FamilySet(sign, word, r + 1, None)
         return BoundaryCover((whole,), whole)
     c, exact, _ = _child(sign, r, un, ud)
+    # the constructor checks the word once; the other sets take its range
+    one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
+    if exact:
+        return BoundaryCover((one,), one)
     if low:
-        tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
-        single = one = FamilySet(sign, word, c, None)
-    else:
-        tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
-        single, one = FamilySet(sign, word, r + 1, c), tight[1]
-    return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
+        return BoundaryCover((one._with_range(c + 1, None), one._with_range(c, c)), one)
+    return BoundaryCover((one._with_range(c, c), one), one._with_range(r + 1, c))
 
 
 # ---------------------------------------------------------------------------

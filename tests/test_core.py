@@ -4,14 +4,16 @@ import math
 import pickle
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import (
+    CylinderInterval,
     DigitRule,
     DomainError,
     FamilySet,
@@ -305,6 +307,70 @@ def test_contains_respects_openness():
     for c in (cyl, alt):  # points below lo and above hi, both signs
         for x in (c.lo - c.diameter, c.lo - c.diameter / 1000, c.hi + c.diameter / 1000):
             assert not c.contains(x)
+        for x in ("3/4", None, 0.75j):  # not numbers
+            with pytest.raises(TypeError):
+                c.contains(x)
+
+
+def test_nan_and_infinities_are_in_no_cylinder():
+    assert cylinder(ENGEL, (3, 4), Sign.POSITIVE).contains(float("nan")) is False
+    not_finite = (float("nan"), float("inf"), float("-inf"), Decimal("NaN"),
+                  Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity"))
+    for rule in RULES:
+        for sign in (Sign.POSITIVE, Sign.ALTERNATING):
+            cyl = cylinder(rule, (rule_value(rule, ()) + 1,), sign)
+            for lo_included in (False, True):
+                for hi_included in (False, True):
+                    c = CylinderInterval(cyl.lo, cyl.hi, lo_included, hi_included, sign, cyl.word)
+                    assert not any(c.contains(x) for x in not_finite)
+
+
+def _contains_by_fraction_comparison(cyl, x):
+    """CylinderInterval.contains as it was before it cross-multiplied integer
+    pairs: x compared with the Fraction ends."""
+    if x < cyl.lo or x > cyl.hi:
+        return False
+    if x == cyl.lo:
+        return cyl.lo_included
+    if x == cyl.hi:
+        return cyl.hi_included
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RULES),
+    st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]),
+    st.integers(2, 2**40).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+    st.integers(1, 12),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 80),
+)
+@example(LUROTH, Sign.POSITIVE, (3, 4), 1, True, True, 1)  # (1/2, 1]: int and binary ends
+@example(PIERCE, Sign.ALTERNATING, (3, 4), 1, False, True, 60)  # (1/2, 1)
+def test_contains_matches_the_fraction_comparison(rule, sign, pq, depth, lo_included,
+                                                  hi_included, shift):
+    """Integer cross-multiplication gives the Fraction comparison's answer
+    for an int, a Fraction, a float and a Decimal at each end, just inside
+    it and just outside it, under either inclusion flag."""
+    out = _digits(rule, sign, Fraction(*pq), depth)
+    word = out.digits if isinstance(out, ISPoint) else out
+    assume(word)
+    cyl = cylinder(rule, word, sign)
+    cyl = CylinderInterval(cyl.lo, cyl.hi, lo_included, hi_included, sign, word)
+    step = cyl.diameter / 2**shift
+    points = [-1, 0, 1, 2]
+    for end in (cyl.lo, cyl.hi):
+        for x in (end, end - step, end + step):
+            points += [x, float(x), Decimal(x.numerator) / Decimal(x.denominator)]
+        near = float(end)
+        points += [math.nextafter(near, -math.inf), math.nextafter(near, math.inf),
+                   Decimal(near), Decimal(near).next_minus(), Decimal(near).next_plus()]
+        if end.denominator == 1:
+            points.append(end.numerator)
+    for x in points:
+        assert cyl.contains(x) is _contains_by_fraction_comparison(cyl, x), x
 
 
 def test_empty_word_rejected():
