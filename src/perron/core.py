@@ -39,9 +39,10 @@ phi_0 as it is.  Validation is one walk over the rule values, rule_value,
 which checks each digit against the value before it and each later value
 against 1 (_next_r); code that needs only a word and its r steps r the same
 way, and partial_sum and word_diameter sum or multiply along that one walk.
-The per-digit loops (_Frame.extend, digit extraction and the cover descent)
-take a built-in rule's step a*c + b inline and leave everything else, and
-every error, to _next_r.
+The per-digit loops (_Frame.extend, digit extraction and cover_interval's
+descent) take a built-in rule's step a*c + b inline and leave everything
+else, and every error, to _next_r; the boundary descent of coverings steps
+with _next_r itself.
 
 Digit extraction is a derived recursion (obtained by factoring the series into
 affine self-similar form; see positive_digits / alternating_digits).  Both
@@ -54,9 +55,10 @@ remainder the tail pair through _tail, the one statement of the tail
 formula.  The same step moves a point's position relative to a frame down
 one digit: _Frame.relative maps a point into a frame once, and the pair is
 then stepped with one divmod and a product per level.  _child is that step
-as a function, for the cover's reads of one digit per op.  Extraction and
-membership do no Fraction arithmetic: extraction reads x as its integer
-pair (making a Fraction only of an x that is not one), the domain test
+as a function, for the cover's reads outside cover_interval's descent.
+Extraction and membership do no Fraction arithmetic: extraction reads x as
+its integer pair (making a Fraction only of an x that is not one, by
+_rational, which makes NaN and the infinities a DomainError), the domain test
 (_check_domain) compares that pair, and CylinderInterval.contains
 cross-multiplies integers.  Every extraction
 bounds its digits by the one fixed _MAX_DIGIT_BITS (2**16 bits): it raises
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
@@ -245,6 +248,19 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _rational(name: str, value) -> Fraction:
+    """Fraction(value), or DomainError naming the parameter when value is NaN
+    or an infinity: a float or a Decimal that Fraction refuses is one of
+    those, since every finite one has an integer ratio.  Any other value
+    Fraction refuses keeps Fraction's own error."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        if isinstance(value, (float, Decimal)):
+            raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+        raise
+
+
 def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     """r_i, the rule value after the 1-based position i of word, not checked
     against 1.
@@ -268,10 +284,10 @@ def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
     """Check digit i of word against r = r_{i-1}; return r_i, checked >= 1.
 
     The one place a walk raises a rule error.  The hot loops (_Frame.extend,
-    _digits and the cover descent) take a built-in rule's step a*c + b
-    inline and call this only for what the inline step does not take: a
-    custom rule, a value below 1, and in extend a digit that is not a
-    plain int or is below r + 1.  So each error keeps its text and index.
+    _digits and cover_interval's descent) take a built-in rule's step
+    a*c + b inline and call this only for what the inline step does not
+    take: a custom rule, a value below 1, and in extend a digit that is not
+    a plain int or is below r + 1.  So each error keeps its text and index.
     """
     c = word[i - 1]
     if not isinstance(c, int) or c < r + 1:
@@ -499,10 +515,11 @@ def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int
     relative to a frame (_Frame.relative), the tail is the position
     relative to the child frame of digit c; at a junction the same point is
     y in child c and 1 - y in child c - 1, the child whose closure contains
-    it from below.  This function serves the cover's reads of one digit per
-    op (cover_interval's high end, _cover_boundary); the per-digit loops,
-    digit extraction and the cover descent, take the same divmod inline and
-    call only _tail.
+    it from below.  This function serves the cover's reads outside
+    cover_interval's descent: the high end where that descent stops, and
+    every level of _cover_boundary, its first-child descent and its last
+    read; the per-digit loops, digit extraction and cover_interval's
+    descent, take the same divmod inline and call only _tail.
     """
     rd = r * den
     q, rem = divmod(rd, num)
@@ -518,9 +535,9 @@ def _tail(positive: bool, c: int, rem: int, rd: int) -> tuple[int, int]:
     = (r*den - rem*c)/(r*den); alternating x = r/(c-1) - y*r/((c-1)c) gives
     y = (r*den - num*(c-1))*c/(r*den) = rem*c/(r*den).  The one statement of
     the tail: _child and digit extraction read it at their divmod's
-    remainder, and the cover descent at the remainder one product gives
-    (rem = num is the junction r/(c-1) taken in child c from below, y = 0
-    positive, 1 alternating).
+    remainder, and cover_interval's descent at the remainder one product
+    gives (rem = num is the junction r/(c-1) taken in child c from below,
+    y = 0 positive, 1 alternating).
     """
     t = rem * c
     return (rd - t if positive else t), rd
@@ -580,7 +597,7 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     built-in rule's next value is a*c + b inline, and only a custom rule or
     a value below 1 goes to _next_r.
     """
-    a, b = (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    a, b = (x if type(x) is Fraction else _rational("x", x)).as_integer_ratio()
     _check_domain(sign, a, b)
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -710,7 +727,7 @@ def traditional_pierce_digits(x: ExactQ) -> DigitWord:
     decreases, and the unreduced pair is never reduced, since b//a does
     not depend on a common factor.
     """
-    a, b = (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    a, b = (x if type(x) is Fraction else _rational("x", x)).as_integer_ratio()
     _check_domain(_ALTERNATING, a, b)
     digits = []
     while a:

@@ -41,7 +41,9 @@ positions, with no affine frame: a digit so made is at least r + 1, so a
 built-in rule steps r inline to a*c + b and only a custom rule or a value
 below 1 goes to the checked step (core._next_r), and an alternating digit
 swaps the low and high ends.  A high piece of cover_boundary descends
-through the first child the same way.
+through the first child on core's own steps, one core._child read and one
+core._next_r step per level: a boundary cover is read a few times per op,
+so only cover_interval's descent takes the step inline.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
 both sides alike, so it is never formed.
@@ -50,9 +52,11 @@ prefix: the hull ends and widths are unreduced integer pairs in its tail
 coordinates, compared by cross-multiplication, as are U's ends, and the
 one Fraction formed is the widest diameter, at full scale.
 A FamilySet checks what holds under every rule when it is made: a Sign,
-plain int digits and ends, end >= start.  What depends on the rule (each
-digit against its r, start >= r + 1) is checked where a set is read, by
-core._Frame.extend and core._Frame.hull, in the prefix's whole word.
+plain int digits and ends, end >= start.  It has one constructor, so every
+set, a boundary cover's and a split block included, is checked and laid
+out by the same code.  What depends on the rule (each digit against its r,
+start >= r + 1) is checked where a set is read, by core._Frame.extend and
+core._Frame.hull, in the prefix's whole word.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .core import (
     _Frame,
     _next_r,
     _POSITIVE,
+    _rational,
     _Record,
     _tail,
 )
@@ -97,7 +102,9 @@ class FamilySet(_Record):
     index names a failing prefix digit (1-based).  So tuple equality and
     hashing of prefixes compare checked ints.  What depends on the rule,
     each digit against its r and start >= r + 1, is checked where a set is
-    read (family_set_hull, verify_cover).
+    read (family_set_hull, verify_cover).  This is the one constructor:
+    the sets that cover_boundary, cover_interval and split_to_finite make
+    are checked by it too.
     """
 
     sign: Sign
@@ -115,22 +122,10 @@ class FamilySet(_Record):
         for i, c in enumerate(prefix, 1):
             if type(c) is not int:
                 raise ValidityError(f"digit {c!r} at position {i} is not an integer", index=i)
-        self._check_range()
-
-    def _check_range(self) -> None:
-        if type(self.start) is not int or self.end is not None and type(self.end) is not int:
-            raise ValidityError(f"start {self.start!r} or end {self.end!r} is not an integer")
-        if self.end is not None and self.end < self.start:
-            raise ValidityError(f"end {self.end} below start {self.start}", index=None)
-
-    def _with_range(self, start: int, end: int | None) -> "FamilySet":
-        """The set of this sign and prefix over start..end, of which only
-        the range is checked: the sign and prefix were, when self was made."""
-        fs = object.__new__(FamilySet)
-        for name, value in zip(self.__match_args__, (self.sign, self.prefix, start, end)):
-            object.__setattr__(fs, name, value)
-        fs._check_range()
-        return fs
+        if type(start) is not int or end is not None and type(end) is not int:
+            raise ValidityError(f"start {start!r} or end {end!r} is not an integer")
+        if end is not None and end < start:
+            raise ValidityError(f"end {end} below start {start}", index=None)
 
 
 class QInterval(_Record):
@@ -143,7 +138,7 @@ class QInterval(_Record):
 
     def __init__(self, lo: ExactQ, hi: ExactQ, lo_included: bool = False,
                  hi_included: bool = True):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _rational("lo", lo), _rational("hi", hi)
         if lo >= hi:
             raise DomainError(f"empty interval [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -219,7 +214,7 @@ def cover_boundary(
     """
     if side not in (FROM_INF, TO_SUP):
         raise DomainError(f"unknown side {side!r}")
-    cut = Fraction(cut)
+    cut = _rational("cut", cut)
     frame = _Frame.walk(rule, sign, prefix)
     low = (side == FROM_INF) == (frame.sc_num > 0)
     u = frame.relative(cut)
@@ -237,11 +232,14 @@ def _cover_boundary(
 
     word is a list, which the descent below extends in place, r is the
     rule value after word, and u is an integer pair with 0 < u <= 1 for a
-    low piece and 0 <= u < 1 for a high one.  A high piece strictly
-    inside the first child (digit r+1) descends into it, with the cover
-    descent's step (cover_interval); an alternating child flips, so there
-    it is a low piece.  Then c is the child whose relative interval
-    (r/c, r/(c-1)] holds u:
+    low piece and 0 <= u < 1 for a high one.  A high piece from u = 0 is
+    the whole cylinder, {r+1..inf}, and reads no child.  Otherwise each
+    level is one core._child read, of u's child c, its junction flag and
+    u's position in it: while the piece is high and c is the first child
+    r+1, the descent appends c, takes that position as u, steps r with
+    core._next_r (the one raiser of rule errors) and, after an alternating
+    child, which flips, makes the piece low.  The last read gives c, the
+    child whose relative interval (r/c, r/(c-1)] holds u:
 
       * low, u interior: tight = {c+1..inf} (diameter r/c < u) plus the
         whole child c (diameter below the previous, monotone diameters);
@@ -249,35 +247,29 @@ def _cover_boundary(
       * high, u interior (c >= r+2 after the descent): tight = the whole
         child c plus {r+1..c-1}; single = {r+1..c};
       * u = r/(c-1), an exact junction: one set is the piece exactly, the
-        low single {c..inf} or the high {r+1..c-1} (the whole cylinder
-        when u = 0).
+        low single {c..inf} or the high {r+1..c-1}.
+
+    Every set is made by the FamilySet constructor, which checks the word
+    for each.
     """
-    un, ud = u
-    positive = sign is _POSITIVE
-    while not low:
-        # u lies in child r+1 iff the remainder of r*ud by un at quotient r
-        # is below un
-        rd = r * ud
-        rem = rd - r * un
-        if rem >= un:
-            break
-        word.append(r + 1)
-        un, ud = _tail(positive, r + 1, rem, rd)
-        r_next = rule.a * (r + 1) + rule.b if rule.fn is None else 0
-        r = r_next if r_next >= 1 else _next_r(rule, r, word, len(word))
-        low = not positive
-    word = tuple(word)
-    if un == 0:
-        whole = FamilySet(sign, word, r + 1, None)
+    if not u[0]:  # a high piece from 0: the whole cylinder
+        whole = FamilySet(sign, tuple(word), r + 1, None)
         return BoundaryCover((whole,), whole)
-    c, exact, _ = _child(sign, r, un, ud)
-    # the constructor checks the word once; the other sets take its range
-    one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
+    c, exact, y = _child(sign, r, *u)
+    while not low and c == r + 1:
+        word.append(c)
+        r = _next_r(rule, r, word, len(word))
+        low = sign is not _POSITIVE
+        c, exact, y = _child(sign, r, *y)
+    word = tuple(word)
     if exact:
+        one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
         return BoundaryCover((one,), one)
     if low:
-        return BoundaryCover((one._with_range(c + 1, None), one._with_range(c, c)), one)
-    return BoundaryCover((one._with_range(c, c), one), one._with_range(r + 1, c))
+        return BoundaryCover((FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c)),
+                             FamilySet(sign, word, c, None))
+    return BoundaryCover((FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1)),
+                         FamilySet(sign, word, r + 1, c))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,8 @@ def split_to_finite(
     costs in floating point; far down the stream the diameters drop below
     the double-precision underflow threshold and such terms contribute 0.0.
     The arguments are checked when the call is made, before any block is
-    asked for.
+    asked for; each block is made by the FamilySet constructor, which
+    checks fs's sign and prefix again for it.
     """
     s = split_parameters(alpha, eps)
     if fs.end is not None:
@@ -437,7 +430,7 @@ def split_to_finite(
         t = fs.start
         while True:
             t_next = (s + 1) * (t - 1) + 2
-            yield fs._with_range(t, t_next - 1)
+            yield FamilySet(fs.sign, fs.prefix, t, t_next - 1)
             t = t_next
 
     return blocks()

@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import _LAZY
-from .core import DigitRule, DigitWord, ExactQ, Sign, _Record, _step_r
+from .core import DigitRule, DigitWord, ExactQ, Sign, _rational, _Record, _step_r
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = _LAZY["dimension"]  # declared once, in the package
@@ -134,7 +134,7 @@ def alphabet_restrict(allowed: Sequence[int]) -> DigitPredicate:
 
 def bounded_ratio(k: ExactQ) -> DigitPredicate:
     """Consecutive digit ratios c_{n+1}/c_n bounded by k (exact comparison)."""
-    k = Fraction(k)
+    k = _rational("k", k)
     if k <= 0:
         raise DomainError("ratio bound must be positive")
     num, den = k.numerator, k.denominator
@@ -745,7 +745,7 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
-    ratios = [Fraction(r) for r in ratios]
+    ratios = [_rational("ratio", r) for r in ratios]
     if not ratios:
         raise DomainError("need at least one ratio")
     for r in ratios:

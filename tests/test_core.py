@@ -13,21 +13,28 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import (
+    FROM_INF,
     CylinderInterval,
     DigitRule,
     DomainError,
     FamilySet,
     ISPoint,
+    QInterval,
     Sign,
+    TransformKind,
     ValidityError,
     alternating_digits,
+    bounded_ratio,
+    cover_boundary,
     cylinder,
     family_set_hull,
+    moran_dimension,
     partial_sum,
     pierce_notation_convert,
     positive_digits,
     rule_value,
     traditional_pierce_digits,
+    transform_point,
     validate_word,
     word_diameter,
 )
@@ -323,6 +330,39 @@ def test_nan_and_infinities_are_in_no_cylinder():
                 for hi_included in (False, True):
                     c = CylinderInterval(cyl.lo, cyl.hi, lo_included, hi_included, sign, cyl.word)
                     assert not any(c.contains(x) for x in not_finite)
+
+
+_NON_FINITE_ENTRIES = {
+    # entry point: (the parameter its DomainError names, a call with x there)
+    "positive_digits": ("x", lambda x: positive_digits(LUROTH, x, 3)),
+    "alternating_digits": ("x", lambda x: alternating_digits(LUROTH, x, 3)),
+    "transform_point": ("x", lambda x: transform_point(TransformKind.t_engel(), x, 2)),
+    "traditional_pierce_digits": ("x", traditional_pierce_digits),
+    "QInterval": ("hi", lambda x: QInterval(0, x)),
+    "cover_boundary": ("cut", lambda x: cover_boundary(LUROTH, Sign.POSITIVE, (), x, FROM_INF)),
+    "bounded_ratio": ("k", bounded_ratio),
+    "moran_dimension": ("ratio", lambda x: moran_dimension([Fraction(1, 3), x])),
+}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), Decimal("NaN"),
+                               Decimal("Infinity")], ids=str)
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRIES))
+def test_non_finite_numbers_are_a_domain_error(entry, x):
+    # Fraction refuses them with a ValueError (NaN) or an OverflowError (+-inf)
+    name, call = _NON_FINITE_ENTRIES[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number, got "):
+        call(x)
+
+
+def test_values_fraction_refuses_otherwise_keep_its_error():
+    with pytest.raises(ValueError, match="Invalid literal for Fraction") as exc:
+        positive_digits(LUROTH, "nan", 3)
+    assert type(exc.value) is ValueError
+    with pytest.raises(TypeError):
+        QInterval(0, 1j)
+    # a finite float or Decimal is read exactly, as Fraction reads it
+    assert QInterval(Decimal("0.25"), 0.5) == QInterval(Fraction(1, 4), Fraction(1, 2))
 
 
 def _contains_by_fraction_comparison(cyl, x):

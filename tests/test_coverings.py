@@ -7,12 +7,11 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import (
@@ -41,7 +40,7 @@ from perron import (
     word_diameter,
 )
 from perron import coverings
-from perron.core import _child, _Frame, _next_r
+from perron.core import _child, _Frame, _next_r, _tail
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -648,8 +647,8 @@ def test_split_blocks_are_consecutive_and_follow_the_recurrence():
 @pytest.mark.parametrize("rule, prefix", [(LUROTH, ()), (ENGEL, (2, 2, 5)), (PIERCE, (3, 7, 8))],
                          ids=["luroth", "engel", "pierce"])
 def test_split_blocks_equal_sets_made_the_public_way(rule, prefix, sign):
-    # a block takes its sign and prefix from the checked parent set; it is
-    # the set the constructor makes, field for field, in equality and hash
+    # a block is the set the constructor makes from the parent's sign and
+    # prefix, field for field, in equality and hash
     fs = FamilySet(sign, prefix, rule_value(rule, prefix) + 2, None)
     for blk in itertools.islice(split_to_finite(rule, fs, 0.5, 0.1), 12):
         made = FamilySet(sign, list(prefix), blk.start, blk.end)
@@ -659,26 +658,6 @@ def test_split_blocks_equal_sets_made_the_public_way(rule, prefix, sign):
         with pytest.raises(AttributeError):
             blk.start = 0
         assert blk.start == start
-
-
-def test_split_blocks_are_as_compact_as_sets_made_the_public_way():
-    # a block whose fields were written through its __dict__ carried a dict
-    # of its own: 240 bytes per block against 176 here (CPython 3.11)
-    fs = FamilySet(Sign.POSITIVE, (2, 3), 4, None)
-
-    def bytes_per_set(make):
-        sets = [make(t) for t in range(1000, 1500)]  # first runs allocate once
-        tracemalloc.start()
-        try:
-            sets = [make(t) for t in range(1000, 1500)]
-            size, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return size / len(sets)
-
-    blocks = bytes_per_set(lambda t: fs._with_range(t, t + 1))
-    made = bytes_per_set(lambda t: FamilySet(fs.sign, fs.prefix, t, t + 1))
-    assert blocks <= made + 8
 
 
 def cost_with_residue(rule, fs, alpha, eps, n_blocks):
@@ -1762,3 +1741,67 @@ def test_inline_rule_step_falls_back_to_the_checked_step(call, message, index):
     with pytest.raises(ValidityError) as err:
         call()
     assert (str(err.value), err.value.index) == (message, index)
+
+
+def first_child_step_cover_boundary(rule, sign, prefix, cut, side):
+    """cover_boundary (for a cut inside the cylinder) with the boundary
+    descent written out by hand, as it was before it read each level with
+    core._child: the first child's test as a remainder at quotient r, its
+    tail, and a built-in rule's step a*c + b inline."""
+    frame = _Frame.walk(rule, sign, prefix)
+    low = (side == FROM_INF) == (frame.sc_num > 0)
+    (un, ud), word, r = frame.relative(Fraction(cut)), list(frame.word), frame.r
+    positive = sign is Sign.POSITIVE
+    while not low:
+        rd = r * ud
+        rem = rd - r * un
+        if rem >= un:
+            break
+        word.append(r + 1)
+        un, ud = _tail(positive, r + 1, rem, rd)
+        r_next = rule.a * (r + 1) + rule.b if rule.fn is None else 0
+        r = r_next if r_next >= 1 else _next_r(rule, r, word, len(word))
+        low = not positive
+    word = tuple(word)
+    if un == 0:
+        whole = FamilySet(sign, word, r + 1, None)
+        return BoundaryCover((whole,), whole)
+    c, exact, _ = _child(sign, r, un, ud)
+    one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
+    if exact:
+        return BoundaryCover((one,), one)
+    if low:
+        return BoundaryCover((FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c)), one)
+    return BoundaryCover((FamilySet(sign, word, c, c), one), FamilySet(sign, word, r + 1, c))
+
+
+@st.composite
+def deep_boundary_case(draw):
+    """A rule of DIFF_RULES, a sign, a word up to 6 digits deep, and a cut
+    m/2^k of the cylinder's width (k up to 60) from either end, on either
+    side: from the end where the first child lies, a high piece descends
+    through about k first children under luroth (whose first child holds
+    half its cylinder), and under oppenheim(1,-5) until r drops below 1."""
+    rule = draw(st.sampled_from(DIFF_RULES))
+    sign = draw(st.sampled_from(SIGNS))
+    q = draw(st.integers(2, 10**6))
+    try:
+        word = positive_digits(rule, Fraction(draw(st.integers(1, q - 1)), q),
+                               draw(st.integers(0, 6)))
+    except ValidityError:
+        word = ()
+    lo, hi = _cylinder_ends(rule, sign, word)
+    v = (hi - lo) * Fraction(draw(st.integers(1, 7)), 2 ** draw(st.integers(3, 60)))
+    cut = draw(st.sampled_from([lo + v, hi - v]))
+    return rule, sign, word, cut, draw(st.sampled_from([FROM_INF, TO_SUP]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(deep_boundary_case())
+@example((LUROTH, Sign.POSITIVE, (), 1 - Fraction(1, 2**60), TO_SUP))
+@example((LUROTH, Sign.ALTERNATING, (3,), Fraction(1, 3) + Fraction(1, 6 * 2**60), FROM_INF))
+@example((OPP, Sign.POSITIVE, (40,), Fraction(1, 39) - Fraction(1, 39 * 40 * 2**50), TO_SUP))
+def test_boundary_descent_matches_the_first_child_step(case):
+    rule, sign, word, cut, side = case
+    expected = _outcome(first_child_step_cover_boundary, rule, sign, word, cut, side)
+    assert _outcome(cover_boundary, rule, sign, word, cut, side) == expected

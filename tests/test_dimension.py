@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import warnings
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -1262,6 +1263,42 @@ def test_certified_bisection_evaluates_every_midpoint_when_terms_may_underflow()
     (got, plain), _ = _recorded(lambda: _root_and_plain(
         lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 80, 10, 1e-9)))
     assert got == plain
+
+
+ROUNDING_CASES = {
+    # rule, predicate, rank, cap and the number of bases
+    "luroth-all": (LUROTH, all_digits(), 2, 40, 1521),
+    "engel-all": (ENGEL, all_digits(), 3, 14, 455),
+    "pierce-ratio2": (PIERCE, bounded_ratio(2), 3, 20, 473),
+    "oppenheim21-all": (DigitRule.oppenheim(2, 1), all_digits(), 2, 30, 169),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
+def test_pressure_sum_is_within_its_rounding_bound(case):
+    # the f that pressure_root bisects, against F, a 50-digit decimal sum of
+    # |cylinder|**s over the bases one by one: _sum_error's eps bounds
+    # |f - F| by eps (1 + |f|) for s in [0, 1.5]
+    rule, predicate, rank, cap, count = ROUNDING_CASES[case]
+    seen = []
+    with mock.patch.object(dimension, "_convex_bisect", lambda f, *_: seen.append(f) or (0.0, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapTooSmallWarning)
+            pressure_root(rule, Sign.POSITIVE, predicate, rank, cap, 1e-9)
+            bases = list(enumerate_compatible_bases(rule, predicate, rank, cap))
+    (f,) = seen
+    assert len(bases) == count
+    eps = Decimal(dimension._sum_error(rank, cap))
+    rng = random.Random(case)
+    with localcontext(Context(prec=50)):
+        logs = []
+        for word in bases:
+            d = word_diameter(rule, word)
+            logs.append(Decimal(d.numerator).ln() - Decimal(d.denominator).ln())
+        for s in [rng.uniform(0.0, 1.5) for _ in range(20)]:
+            got = Decimal(f(s))
+            exact = sum((Decimal(s) * lw).exp() for lw in logs) - 1
+            assert abs(got - exact) <= eps * (1 + abs(got)), s
 
 
 # ---------------------------------------------------------------------------
