@@ -62,10 +62,17 @@ _rational, which makes NaN and the infinities a DomainError), the domain test
 (_check_domain) compares that pair, and CylinderInterval.contains
 cross-multiplies integers.  Every extraction
 bounds its digits by the one fixed _MAX_DIGIT_BITS (2**16 bits): it raises
-DomainError naming the position rather than grow one digit past it.  The remainder pair of
-extraction is carried unreduced, like the frame, and reduced only when its
-denominator has doubled in bits since the last reduction, so long
-expansions pay one gcd per doubling rather than one per digit.
+DomainError naming the position rather than grow one digit past it.
+
+The remainder pair of extraction is carried unreduced, like the frame.  A
+positive junction sets it to (1, 1) with no gcd; otherwise it is reduced at
+each doubling of its bits while it is small (_REDUCE_GATE_BITS), and past
+that only while each reduction takes back at least half of what the pair
+grew since the one before.  Digits, ISPoints and errors read only the
+ratio of the pair, so this changes the cost and no output.  The cost is at
+worst that of a loop that never reduces: for x = p/q and rule values
+r_0, ..., r_{n-1}, n divmods on a pair of bits(q) + sum bits(r_i) bits,
+O(n (bits(q) + sum bits(r_i))) for digits of a few machine words.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ import enum
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ValidityError
@@ -91,6 +98,10 @@ DigitWord = tuple
 # bound a short request can run for hours; digits of practical cylinders are
 # far below it.
 _MAX_DIGIT_BITS = 1 << 16
+
+# Up to this many bits, digit extraction reduces its remainder pair at every
+# doubling, whatever a reduction takes back (see _digits).
+_REDUCE_GATE_BITS = 512
 
 __all__ = [
     "ExactQ",
@@ -581,17 +592,38 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     with q, rem = divmod(r*b, a) for the remainder a/b, the digit is
     c = q + 1, the point is a junction iff rem is 0, and the next
     remainder is the tail _tail(positive, c, rem, r*b), as _child gives
-    them (see there).  The remainder pair (a, b) is carried unreduced and
-    reduced by its gcd only once b reaches the square of its value at the
-    last reduction, about twice its bits then, so one gcd pays for a
-    doubling rather than for one digit.  Nothing the loop reads depends
-    on a common factor: the digit, the junction test and the digit bound
-    come from the quotient and the zero remainder, which read only the
-    ratio a/b.  The bound must double the bits: with a fixed slack, a pair
-    whose common factor grows by many bits per digit would be reduced
-    every few digits, each time by a gcd of the whole pair.  A pair of a
-    few bits is still reduced every digit or two, while its gcd is cheap
-    and its products fit one machine word.
+    them (see there).
+
+    The remainder pair (a, b) is carried unreduced.  Nothing the loop reads
+    depends on a common factor: the digit, the junction test and the digit
+    bound come from the quotient and the zero remainder, which read only
+    the ratio a/b, so when the pair is reduced changes the cost and no
+    output.  The step is homogeneous (a pair k times another steps to k
+    times its next pair), so the carried pair is never larger than that of
+    a loop that never reduces, whose denominator after n digits is
+    q r_0 ... r_{n-1} for x = p/q.  At worst, then, the loop does that
+    loop's work: n divmods on a pair of bits(q) + sum bits(r_i) bits,
+    O(n (bits(q) + sum bits(r_i))) for digits of a few machine words.
+    When to reduce:
+
+    - At a positive junction (rem 0) the tail is the top of (0, 1],
+      exactly 1, and every later point is a junction again, so the pair is
+      set to (1, 1) with no gcd.
+    - Otherwise the pair is reduced by its gcd once b reaches the square of
+      its value at the last reduction, about twice its bits then, so one
+      gcd pays for a doubling rather than for one digit.  The bound must
+      double the bits: with a fixed slack, a pair whose common factor grows
+      by many bits per digit would be reduced every few digits, each time
+      by a gcd of the whole pair.
+    - Past _REDUCE_GATE_BITS bits, a reduction must also take back at least
+      half of what b grew since the one before; after the first that does
+      not, the pair is carried unreduced to the end.  Under a rule whose
+      digits must grow (pierce, engel-mod, oppenheim with a >= 1) a
+      reduction takes back a few percent of the pair, and its gcd, which
+      is quadratic in the pair's bits, is a large share of the loop; under
+      oppenheim(0, 3) one takes back most of the growth (61/215 at 20000
+      digits: 9441 -> 5553 bits, against about 31700 never reduced), and
+      reducing goes on.  Below the gate a gcd is cheap.
 
     A digit so made is at least r + 1 (the point lies at most at 1), so a
     built-in rule's next value is a*c + b inline, and only a custom rule or
@@ -601,7 +633,7 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     _check_domain(sign, a, b)
     if n < 0:
         raise DomainError("n must be >= 0")
-    bound = b * b
+    bound, reduced = b * b, b.bit_length()  # reduced: b's bits at the last reduction
     digits: list[int] = []
     r = rule.phi0
     positive = sign is _POSITIVE
@@ -610,19 +642,27 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
         rd = r * b
         q, rem = divmod(rd, a)
         c = q + 1
-        if not (rem or positive):
+        if rem:
+            a, b = _tail(positive, c, rem, rd)  # in the tail space again
+            if b >= bound:
+                bits = b.bit_length()
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                grown, reduced = bits - reduced, b.bit_length()
+                if bits > _REDUCE_GATE_BITS and 2 * (bits - reduced) < grown:
+                    bound = inf  # reducing no longer pays: carry the pair as it is
+                else:
+                    bound = b * b
+        elif positive:
+            a = b = 1  # a junction: the tail is the top, 1, and stays there
+        else:
             return ISPoint(rank=i, digits=tuple(digits))
         if c.bit_length() > _MAX_DIGIT_BITS:
             raise DomainError(
                 f"digit at position {i} has {c.bit_length()} bits, beyond the "
                 f"{_MAX_DIGIT_BITS}-bit digit bound"
             )
-        a, b = _tail(positive, c, rem, rd)  # in the tail space again
-        if b >= bound:
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            bound = b * b
         digits.append(c)
         r_next = ra * c + rb if builtin else 0  # c >= r + 1 by construction
         r = r_next if r_next >= 1 else _next_r(rule, r, digits, i)

@@ -681,6 +681,16 @@ def test_measure_help_states_when_the_cap_may_be_inf(capsys):
         " ".join(out.split()))
 
 
+def test_expand_help_states_what_n_costs(capsys):
+    for command in ("expand", "alt-expand"):
+        code, out, _ = run_cli(capsys, [command, "-h"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "number of digits, not bounded, though a digit past 2^16 bits is an error" in text
+        assert ("the cost is at most about n times (the bits of x's denominator plus the sum "
+                "of the rule values' bits)") in text
+
+
 def test_every_required_flag_is_required(capsys):
     for command, (required, _) in COMMAND_FLAGS.items():
         for i in range(0, len(required), 2):

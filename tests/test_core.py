@@ -702,7 +702,8 @@ def test_cylinder_and_family_set_hulls_read_one_interval(case):
 
 
 # ---------------------------------------------------------------------------
-# digit extraction with amortized reduction against a reduce-every-step loop
+# digit extraction, whenever it reduces its remainder, against a loop that
+# reduces every step; the reduction policy by counts
 # ---------------------------------------------------------------------------
 
 EXTRACTION_RULES = [*RULES, DigitRule.oppenheim(1, -3), PARITY,
@@ -758,7 +759,10 @@ def _extract(rule, sign, x, n, max_bits):
 @example(PIERCE, Sign.POSITIVE, (61, 215), 220, _MAX_DIGIT_BITS)
 @example(DigitRule.oppenheim(2, 1), Sign.POSITIVE, (61, 215), 220, _MAX_DIGIT_BITS)
 @example(PIERCE, Sign.ALTERNATING, (43, 97), 220, _MAX_DIGIT_BITS)
-def test_amortized_extraction_matches_reducing_every_step(rule, sign, pq, n, max_bits):
+@example(DigitRule.oppenheim(0, 3), Sign.POSITIVE, (61, 215), 3000, _MAX_DIGIT_BITS)
+@example(DigitRule.oppenheim(0, 3), Sign.POSITIVE, (2**700 - 1, 3**450), 400, _MAX_DIGIT_BITS)
+@example(ENGEL, Sign.POSITIVE, (61, 215), 4000, _MAX_DIGIT_BITS)  # a junction, then 1
+def test_extraction_matches_reducing_every_step(rule, sign, pq, n, max_bits):
     """Digits, ISPoint rank and digits, and the position of the digit-bound
     or rule-value error are those of the loop that reduces every step, at
     the public bound and at smaller and larger ones."""
@@ -769,6 +773,83 @@ def test_amortized_extraction_matches_reducing_every_step(rule, sign, pq, n, max
     assert _extract(rule, sign, x, n, max_bits) == _extract_reducing_every_step(
         rule, sign, x, n, max_bits
     )
+
+
+def _extraction_steps(rule, sign, x, n):
+    """_digits(rule, sign, x, n) and its steps in order: ("divmod", r*b, a)
+    for the remainder a/b at each digit, and ("gcd", bits of b, bits of b
+    reduced) at each reduction."""
+    steps = []
+
+    def divmod_(u, v):
+        steps.append(("divmod", u, v))
+        return divmod(u, v)
+
+    def gcd(u, v):
+        g = math.gcd(u, v)
+        steps.append(("gcd", v.bit_length(), (v // g).bit_length()))
+        return g
+
+    with mock.patch.object(core, "divmod", divmod_, create=True), \
+         mock.patch.object(core, "gcd", gcd):
+        return _digits(rule, sign, x, n), steps
+
+
+def test_a_positive_junction_leaves_the_pair_at_one_with_no_gcd():
+    # engel's positive digits of 61/215 meet a junction early; the tail is
+    # then 1 at every digit, so the pair is (1, 1) from there on
+    digits, steps = _extraction_steps(ENGEL, Sign.POSITIVE, Fraction(61, 215), 4000)
+    divmods = [i for i, (kind, *_) in enumerate(steps) if kind == "divmod"]
+    junction = next(i for i in divmods if steps[i][1] % steps[i][2] == 0)
+    assert divmods.index(junction) < 100
+    assert [kind for kind, *_ in steps[junction:]] == ["divmod"] * (4000 - divmods.index(junction))
+    r = rule_value(ENGEL, digits[:-1])
+    assert r > 1 and steps[-1] == ("divmod", r, 1)  # r*b = r: the pair is (1, 1)
+
+
+def test_reducing_past_the_gate_stops_at_the_first_reduction_that_does_not_pay():
+    # pierce's digits grow, and a reduction takes back a few percent of the
+    # pair: below the gate the pair is reduced at each doubling, past it once
+    _, steps = _extraction_steps(PIERCE, Sign.POSITIVE, Fraction(61, 215), 220)
+    gcds = [bits for kind, bits, _ in steps if kind == "gcd"]
+    assert sum(bits <= core._REDUCE_GATE_BITS for bits in gcds) >= 4
+    assert sum(bits > core._REDUCE_GATE_BITS for bits in gcds) == 1
+    # the pair is carried on far past the gate
+    assert steps[-1][1].bit_length() > 8 * core._REDUCE_GATE_BITS
+
+
+def test_reducing_goes_on_while_it_takes_back_most_of_the_growth():
+    # under oppenheim(0, 3) every rule value is 3, and a reduction takes back
+    # most of what the pair grew: reducing goes on past the gate, and the
+    # carried pair stays within about twice the reduced pair's bits
+    _, steps = _extraction_steps(DigitRule.oppenheim(0, 3), Sign.POSITIVE, Fraction(61, 215), 3000)
+    gcds = [bits for kind, bits, _ in steps if kind == "gcd"]
+    assert sum(bits > core._REDUCE_GATE_BITS for bits in gcds) >= 5
+    reduced = None
+    for kind, u, v in steps:
+        if kind == "gcd":
+            reduced = v
+        elif reduced is not None:
+            assert u.bit_length() <= 2 * reduced + 4  # u = 3*b
+    assert reduced < 1000  # never reduced, b would have about 4760 bits
+
+
+@pytest.mark.parametrize("rule,sign,n", [
+    (PIERCE, Sign.POSITIVE, 220), (DigitRule.oppenheim(0, 3), Sign.POSITIVE, 3000),
+    (LUROTH, Sign.ALTERNATING, 200), (DigitRule.oppenheim(2, 1), Sign.POSITIVE, 100),
+    (DigitRule.oppenheim(1, 2), Sign.ALTERNATING, 100),
+])
+def test_the_carried_pair_is_never_larger_than_a_pair_never_reduced(rule, sign, n):
+    # the cost bound: never reduced, the dividend r*b at digit i + 1 is
+    # q r_0 ... r_i for x = p/q; the carried one divides it
+    x = Fraction(2**200 + 1, 3**130)
+    digits, steps = _extraction_steps(rule, sign, x, n)
+    dividends = [u for kind, u, _ in steps if kind == "divmod"]
+    assert len(dividends) == len(digits) == n
+    never_reduced = x.denominator
+    for i, u in enumerate(dividends):
+        never_reduced *= rule_value(rule, digits[:i])
+        assert never_reduced % u == 0, i
 
 
 def _two_step_child(sign, r, num, den):

@@ -1274,31 +1274,67 @@ ROUNDING_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
-def test_pressure_sum_is_within_its_rounding_bound(case):
-    # the f that pressure_root bisects, against F, a 50-digit decimal sum of
-    # |cylinder|**s over the bases one by one: _sum_error's eps bounds
-    # |f - F| by eps (1 + |f|) for s in [0, 1.5]
+def _rounding_case(case, bisect):
+    """pressure_root on ROUNDING_CASES[case] with _convex_bisect replaced by
+    bisect(f, *args) (seeing f, the sum minus 1 that pressure_root bisects);
+    the estimate, and F(s), a 50-digit decimal sum of |cylinder|**s - 1
+    over the bases one by one."""
     rule, predicate, rank, cap, count = ROUNDING_CASES[case]
-    seen = []
-    with mock.patch.object(dimension, "_convex_bisect", lambda f, *_: seen.append(f) or (0.0, 0.0)):
+    with mock.patch.object(dimension, "_convex_bisect", bisect):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
-            pressure_root(rule, Sign.POSITIVE, predicate, rank, cap, 1e-9)
+            est = pressure_root(rule, Sign.POSITIVE, predicate, rank, cap, 1e-9)
             bases = list(enumerate_compatible_bases(rule, predicate, rank, cap))
-    (f,) = seen
     assert len(bases) == count
-    eps = Decimal(dimension._sum_error(rank, cap))
-    rng = random.Random(case)
     with localcontext(Context(prec=50)):
         logs = []
         for word in bases:
             d = word_diameter(rule, word)
             logs.append(Decimal(d.numerator).ln() - Decimal(d.denominator).ln())
+
+    def exact(s):
+        with localcontext(Context(prec=50)):
+            return sum((Decimal(s) * lw).exp() for lw in logs) - 1
+
+    return est, exact
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
+def test_pressure_sum_is_within_its_rounding_bound(case):
+    # the f that pressure_root bisects, against F, a 50-digit decimal sum of
+    # |cylinder|**s over the bases one by one: _sum_error's eps bounds
+    # |f - F| by eps (1 + |f|) for s in [0, 1.5]
+    _, _, rank, cap, _ = ROUNDING_CASES[case]
+    seen = []
+    _, exact = _rounding_case(case, lambda f, *_: seen.append(f) or (0.0, 0.0))
+    (f,) = seen
+    eps = Decimal(dimension._sum_error(rank, cap))
+    rng = random.Random(case)
+    with localcontext(Context(prec=50)):
         for s in [rng.uniform(0.0, 1.5) for _ in range(20)]:
             got = Decimal(f(s))
-            exact = sum((Decimal(s) * lw).exp() for lw in logs) - 1
-            assert abs(got - exact) <= eps * (1 + abs(got)), s
+            assert abs(got - exact(s)) <= eps * (1 + abs(got)), s
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
+def test_pressure_roots_last_bracket_encloses_the_exact_root(case):
+    # where the last bracket [lo, hi] of the bisection has f(lo) > E and
+    # f(hi) < -E, E = eps (1 + |f|), the exact sum F changes sign inside it
+    seen, convex_bisect = [], dimension._convex_bisect
+    est, exact = _rounding_case(
+        case, lambda f, *args: seen.append((f, args)) or convex_bisect(f, *args))
+    ((f, (top, _, _, eps)),) = seen
+    lo, hi = 0.0, top  # the bracket whose midpoint is s, by replaying the path to s
+    for _ in range(dimension._MAX_BISECT):
+        mid = (lo + hi) / 2
+        if mid == est.s_value:
+            break
+        lo, hi = (mid, hi) if est.s_value > mid else (lo, mid)
+    assert (lo + hi) / 2 == est.s_value
+    f_lo, f_hi = f(lo), f(hi)
+    # not vacuous: on these configs both ends lie beyond E
+    assert f_lo > eps * (1 + abs(f_lo)) and f_hi < -eps * (1 + abs(f_hi))
+    assert exact(lo) > 0 > exact(hi)
 
 
 # ---------------------------------------------------------------------------

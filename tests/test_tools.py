@@ -1,7 +1,7 @@
 """The tools: bench_pairs.py's pair summary on synthetic pairs, its
-export of a working tree and its comparison of output digests,
-output_digest.py on one round of a pool (its pool digest and its
-per-op lines), and
+export of the two sides (the working tree, and a copy of it with the base
+revision's src/) and its comparison of output digests, output_digest.py on
+one round of a pool (its pool digest and its per-op lines), and
 code_lines.py's count and untested_lines.py's list on small fixture
 packages."""
 
@@ -114,6 +114,38 @@ def test_the_change_side_is_the_working_tree_without_build_output(tmp_path):
                       "src/perron/__init__.py"]
     for name in copied:
         assert (dest / name).read_bytes() == (repo / name).read_bytes(), name
+
+
+def test_the_base_side_takes_only_src_from_the_base_revision(tmp_path):
+    # both sides run the change side's harness; the base differs in src/ alone
+    repo, change, base = tmp_path / "repo", tmp_path / "change", tmp_path / "base"
+    committed = {"BENCHMARK.json": "{}\n", "bench/run.py": "print(1)\n",
+                 "tools/output_digest.py": "print('a')\n", "src/perron/core.py": "x = 1\n",
+                 "src/perron/old.py": ""}
+    for name, text in committed.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base"],
+                   cwd=repo, check=True)
+    edits = {"BENCHMARK.json": '{"run_seconds": 1}\n', "bench/run.py": "print(2)\n",
+             "bench/workloads/new.py": "", "tools/output_digest.py": "print('b')\n",
+             "src/perron/core.py": "x = 2\n", "src/perron/new.py": ""}
+    for name, text in edits.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    (repo / "src/perron/old.py").unlink()
+
+    bench_pairs.export_change(str(change), str(repo))
+    commit = bench_pairs.export_base("HEAD", str(base), str(change), str(repo))
+    assert commit == bench_pairs.git("rev-parse", "HEAD", cwd=str(repo)).decode().strip()
+    files = sorted(p.relative_to(base).as_posix() for p in base.rglob("*") if p.is_file())
+    assert files == ["BENCHMARK.json", "bench/run.py", "bench/workloads/new.py",
+                     "src/perron/core.py", "src/perron/old.py", "tools/output_digest.py"]
+    for name in files:
+        expected = committed if name.startswith("src/") else edits
+        assert (base / name).read_text() == expected[name], name
 
 
 def test_outputs_equal_compares_the_digests_each_checkout_prints(tmp_path):

@@ -2,20 +2,25 @@
 
     python3 tools/bench_pairs.py --out BENCH_6.json [--base HEAD]
 
-The base side is the git revision --base (default HEAD), exported with
-``git archive`` into a temporary directory; the change side is the working
-tree this script belongs to, uncommitted edits included, copied into
-another temporary directory: its tracked files and its untracked files
-that .gitignore does not name (``git ls-files --cached --others
---exclude-standard``).  So neither side runs with bytecode caches
-(``__pycache__``) or other build output that the other lacks.  Every workload
-of BENCHMARK.json runs PAIRS pairs at its run_seconds; pair i runs both
-sides at seed SEEDS[i % len(SEEDS)], the base first when i is even and the
-change first when i is odd, so a slow drift of the host weighs on both
-sides alike.  The protocol is fixed (a performance claim needs at least
-10 pairs on every workload at the benchmark's run length), so only the
-output file and the base revision are options.  One benchmark process
-runs at a time.
+The change side is the working tree this script belongs to, uncommitted
+edits included, copied into a temporary directory: its tracked files and
+its untracked files that .gitignore does not name (``git ls-files --cached
+--others --exclude-standard``), so neither side runs with bytecode caches
+(``__pycache__``) or other build output that the other lacks.  The base
+side is a copy of the change side whose ``src/`` is that of the git
+revision --base (default HEAD), exported with ``git archive``.  So both
+sides run one harness, the change side's ``bench/``, ``BENCHMARK.json`` and
+``tools/output_digest.py``, and differ only in the library: a change to a
+workload, its ROUND_S or the digest tool times and hashes the same pools
+on both sides.
+
+Every workload of BENCHMARK.json runs PAIRS pairs at its run_seconds; pair
+i runs both sides at seed SEEDS[i % len(SEEDS)], the base first when i is
+even and the change first when i is odd, so a slow drift of the host
+weighs on both sides alike.  The protocol is fixed (a performance claim
+needs at least 10 pairs on every workload at the benchmark's run length),
+so only the output file and the base revision are options.  One benchmark
+process runs at a time.
 
 The output file records the host, the Python version, the seeds, every
 run's metrics and verdict counts, and for each end-to-end metric of
@@ -27,9 +32,10 @@ comparison is unresolved: the base IQR, as a share of its median, exceeds
 the bound and not every change run beats every base run.  For each side
 it records the failed share of ops (failed over attempted, summed over the
 pairs) and whether every run was correct.  Before a workload's pairs, each
-side runs its own tools/output_digest.py on that workload once, and
-outputs_equal records whether the two print the same digests: whether the
-change keeps every output of the workload's pools bit-identical.
+side runs tools/output_digest.py on that workload once, against its own
+``src/``, and outputs_equal records whether the two print the same
+digests: whether the change keeps every output of the workload's pools
+bit-identical.
 Standard library only.
 """
 
@@ -65,15 +71,18 @@ def git(*argv, cwd: str = ROOT) -> bytes:
     return subprocess.run(["git", *argv], cwd=cwd, check=True, capture_output=True).stdout
 
 
-def export_base(rev: str, dest: str) -> str:
-    """Unpack revision rev into dest; return its full commit id."""
-    archive = git("archive", "--format=tar", rev)
+def export_base(rev: str, dest: str, change: str, root: str = ROOT) -> str:
+    """Copy the checkout change into dest with its src/ replaced by that of
+    revision rev of the repository at root; return rev's full commit id."""
+    shutil.copytree(change, dest, dirs_exist_ok=True,
+                    ignore=lambda folder, names: ["src"] if folder == change else [])
+    archive = git("archive", "--format=tar", rev, "src", cwd=root)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
-    return git("rev-parse", f"{rev}^{{commit}}").decode().strip()
+    return git("rev-parse", f"{rev}^{{commit}}", cwd=root).decode().strip()
 
 
 def export_change(dest: str, root: str = ROOT) -> None:
@@ -201,8 +210,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir, \
          tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir:
-        record["base"] = export_base(args.base, base_dir)
         export_change(change_dir)
+        record["base"] = export_base(args.base, base_dir, change_dir)
         sides = {"base": base_dir, "change": change_dir}
         for workload in (w["name"] for w in benchmark["workloads"]):
             equal = outputs_equal(base_dir, change_dir, workload)
