@@ -732,16 +732,37 @@ def _bisect(f, hi: float, tol: float, best: float) -> tuple[float, float]:
     )
 
 
+def _ratio_power(ratio: Fraction, s: float) -> float:
+    """ratio**s as a float, for an exact ratio num/den in (0, 1) and s >= 0.
+
+    While the correctly rounded quotient x = float(ratio) is a normal
+    double (x >= 2**-1022) this is x**s: x is within a relative u = 2**-53
+    of the ratio, so x**s is within s*u of ratio**s plus the rounding of
+    the power.  Below that, x keeps fewer bits (a subnormal) or none (0.0
+    below 2**-1075), and the power is exp(s (log num - log den)), as
+    pressure_root forms its weights.  math.log(n) is off ln n by at most
+    2u (ln n + 1) for any int n (see _sum_error), the difference and the
+    product by s add u of their results, and exp one ulp, so this is
+    within a relative 2u (1 + s (ln num + 2 ln den + 2)) of ratio**s, to
+    first order: below 5e-13 for a ratio of 10**-400 at s <= 1.
+    """
+    x = float(ratio)
+    if x >= 2.0**-1022:
+        return x**s
+    return math.exp(s * (math.log(ratio.numerator) - math.log(ratio.denominator)))
+
+
 def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
     """Unique s in [0, 1] with sum ratios**s = 1, by bisection.
 
     Independent of the pressure machinery on purpose (it is the oracle for
     pressure_root on multiplicative digit restrictions): ratios arrive as a
-    plain list, terms are evaluated as float(ratio)**s, and the bracket is
-    [0, 1].  Requires every ratio in (0, 1) exactly and sum of ratios <= 1
-    (so the root lies in the bracket).  As in pressure_root, tol must be
-    finite and positive, and if the bisection runs out before
-    |sum - 1| <= tol, DomainError names the best residual it reached.
+    plain list, each term is _ratio_power(ratio, s), so a ratio below the
+    float range counts too, and the bracket is [0, 1].  Requires every
+    ratio in (0, 1) exactly and sum of ratios <= 1 (so the root lies in
+    the bracket).  As in pressure_root, tol must be finite and positive,
+    and if the bisection runs out before |sum - 1| <= tol, DomainError
+    names the best residual it reached.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
@@ -753,10 +774,9 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
             raise DomainError(f"ratio {r} outside (0, 1)")
     if sum(ratios) > 1:
         raise DomainError("ratios must sum to at most 1")
-    floats = [float(r) for r in ratios]
 
     def f(s: float) -> float:
-        return math.fsum(x**s for x in floats) - 1.0
+        return math.fsum(_ratio_power(r, s) for r in ratios) - 1.0
 
     at_0, at_1 = abs(f(0.0)), abs(f(1.0))
     if at_0 <= tol:

@@ -295,6 +295,14 @@ def test_moran_single_ratio(capsys):
     assert lines(out)[0]["s"] == 0.0
 
 
+def test_moran_counts_a_ratio_below_the_float_range(capsys):
+    # 1e-400 is exactly 10**-400, whose float is 0.0: the command used to
+    # print 9.094947017729282e-13 and exit 0
+    code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2,1e-400"])
+    assert code == 0
+    assert abs(lines(out)[0]["s"] - 0.0059617453508) < 1e-12
+
+
 def test_measure_lowest_terms(capsys):
     code, out, _ = run_cli(
         capsys,

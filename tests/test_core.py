@@ -41,6 +41,8 @@ from perron import (
 from perron import core
 from perron.core import _MAX_DIGIT_BITS, _child, _digits, _Frame
 
+import reference
+
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
 ENGEL_MOD = DigitRule.engel_mod()
@@ -702,47 +704,19 @@ def test_cylinder_and_family_set_hulls_read_one_interval(case):
 
 
 # ---------------------------------------------------------------------------
-# digit extraction, whenever it reduces its remainder, against a loop that
-# reduces every step; the reduction policy by counts
+# digit extraction, whenever it reduces its remainder, against the textbook
+# reference, which reduces every step; the reduction policy by counts
 # ---------------------------------------------------------------------------
 
 EXTRACTION_RULES = [*RULES, DigitRule.oppenheim(1, -3), PARITY,
                     DigitRule.custom(lambda prefix: prefix[-1] % 3 + 1, phi0=2)]
 
 
-def _extract_reducing_every_step(rule, sign, x, n, max_bits):
-    """The digits of x from the factoring x = r/c + y*r/((c-1)c) (positive)
-    or x = r/(c-1) - y*r/((c-1)c) (alternating), with the tail y a Fraction,
-    so reduced after every digit; an error as (type, message or index)."""
-    digits, r = [], rule.phi0
-    for i in range(1, n + 1):
-        c = math.floor(r / x) + 1
-        if sign is Sign.ALTERNATING and r / x == c - 1:
-            return ISPoint(rank=i, digits=tuple(digits))
-        if c.bit_length() > max_bits:
-            return DomainError, (f"digit at position {i} has {c.bit_length()} bits, "
-                                 f"beyond the {max_bits}-bit digit bound")
-        if sign is Sign.POSITIVE:
-            x = (x - Fraction(r, c)) * (c - 1) * c / r
-        else:
-            x = (Fraction(r, c - 1) - x) * (c - 1) * c / r
-        digits.append(c)
-        r = rule.fn(tuple(digits)) if rule.fn else rule.a * c + rule.b
-        if r < 1:
-            return ValidityError, i
-    return tuple(digits)
-
-
 def _extract(rule, sign, x, n, max_bits):
-    """_digits with its digit bound set to max_bits; an error as (type,
-    message or index)."""
-    try:
-        with mock.patch.object(core, "_MAX_DIGIT_BITS", max_bits):
-            return _digits(rule, sign, x, n)
-    except DomainError as exc:
-        return DomainError, str(exc)
-    except ValidityError as exc:
-        return ValidityError, exc.index
+    """_digits with its digit bound set to max_bits, or its error
+    (reference.outcome)."""
+    with mock.patch.object(core, "_MAX_DIGIT_BITS", max_bits):
+        return reference.outcome(_digits, rule, sign, x, n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -763,16 +737,16 @@ def _extract(rule, sign, x, n, max_bits):
 @example(DigitRule.oppenheim(0, 3), Sign.POSITIVE, (2**700 - 1, 3**450), 400, _MAX_DIGIT_BITS)
 @example(ENGEL, Sign.POSITIVE, (61, 215), 4000, _MAX_DIGIT_BITS)  # a junction, then 1
 def test_extraction_matches_reducing_every_step(rule, sign, pq, n, max_bits):
-    """Digits, ISPoint rank and digits, and the position of the digit-bound
-    or rule-value error are those of the loop that reduces every step, at
-    the public bound and at smaller and larger ones."""
+    """Digits, ISPoint rank and digits, and the digit-bound or rule-value
+    error, text and position, are those of the textbook reference, whose
+    tail is a Fraction reduced after every digit, at the public bound and
+    at smaller and larger ones."""
     p, q = pq
     if sign is Sign.ALTERNATING and p == q:
         p = q - 1
     x = Fraction(p, q)
-    assert _extract(rule, sign, x, n, max_bits) == _extract_reducing_every_step(
-        rule, sign, x, n, max_bits
-    )
+    expected = reference.outcome(reference.digits, rule, sign, x, n, max_bits)
+    assert _extract(rule, sign, x, n, max_bits) == expected
 
 
 def _extraction_steps(rule, sign, x, n):
@@ -818,6 +792,17 @@ def test_reducing_past_the_gate_stops_at_the_first_reduction_that_does_not_pay()
     assert steps[-1][1].bit_length() > 8 * core._REDUCE_GATE_BITS
 
 
+def test_a_reduction_taking_back_under_half_of_the_growth_stops_reducing():
+    # under oppenheim(0, 5) the one reduction past the gate takes back 0.46
+    # of what the pair grew since the reduction before: less than half, so
+    # reducing stops there, though more than a quarter
+    _, steps = _extraction_steps(DigitRule.oppenheim(0, 5), Sign.POSITIVE, Fraction(61, 215), 3000)
+    gcds = [(bits, reduced) for kind, bits, reduced in steps if kind == "gcd"]
+    assert [bits > core._REDUCE_GATE_BITS for bits, _ in gcds] == [False] * (len(gcds) - 1) + [True]
+    (_, before), (bits, reduced) = gcds[-2:]
+    assert 0.25 < (bits - reduced) / (bits - before) < 0.5
+
+
 def test_reducing_goes_on_while_it_takes_back_most_of_the_growth():
     # under oppenheim(0, 3) every rule value is 3, and a reduction takes back
     # most of what the pair grew: reducing goes on past the gate, and the
@@ -852,18 +837,6 @@ def test_the_carried_pair_is_never_larger_than_a_pair_never_reduced(rule, sign, 
         assert never_reduced % u == 0, i
 
 
-def _two_step_child(sign, r, num, den):
-    """The child step as two steps: the digit c from one divmod, then the
-    tail from the remainder formulas of the factoring, recomputing r*den."""
-    q, rem = divmod(r * den, num)
-    c = q + 1
-    if sign is Sign.POSITIVE:
-        tail = (num * c - r * den) * (c - 1), den * r
-    else:
-        tail = (r * den - num * (c - 1)) * c, den * r
-    return c, rem == 0, tail
-
-
 @given(
     st.sampled_from([Sign.POSITIVE, Sign.ALTERNATING]),
     st.one_of(st.integers(1, 10), st.integers(1, 2**70)),
@@ -874,10 +847,13 @@ def _two_step_child(sign, r, num, den):
 @example(Sign.ALTERNATING, 3, (3, 4), 1)  # a junction, r/(c-1) = 3/4 for c = 5
 @example(Sign.POSITIVE, 1, (1, 1), 1)  # the top of the tail space
 def test_child_tail_is_the_two_step_integers(sign, r, pair, common):
-    """One divmod gives the digit, the junction and the tail: the same
-    integers, unreduced, as stepping the digit and then the remainder."""
+    """One divmod gives the digit, the junction and the tail: the same as
+    the textbook step, which takes the digit and then the tail, with the
+    tail's integers unreduced over r*den."""
     num, den = pair[0] * common, pair[1] * common
-    assert _child(sign, r, num, den) == _two_step_child(sign, r, num, den)
+    c, at_junction, (tn, td) = _child(sign, r, num, den)
+    assert td == r * den
+    assert (c, at_junction, Fraction(tn, td)) == reference.child(sign, r, Fraction(num, den))
 
 
 @given(st.integers(2, 2**80).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))

@@ -39,8 +39,10 @@ from perron import (
     verify_cover,
     word_diameter,
 )
-from perron import coverings
-from perron.core import _child, _Frame, _next_r, _tail
+from perron.core import _child, _Frame
+
+import reference
+from reference import outcome
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -827,54 +829,8 @@ def test_verify_enforces_the_target_conventions():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass sweep against the rescanning sweep it replaced
+# the one-pass sweep against the reference's rescanning sweep
 # ---------------------------------------------------------------------------
-
-
-def _is_alt_endpoint_oracle(rule, x, depth):
-    if x <= 0 or x >= 1:
-        return True
-    return isinstance(alternating_digits(rule, x, depth), ISPoint)
-
-
-def verify_cover_oracle(rule, U, sets, alpha):
-    """The earlier verify_cover: every prefix walked from the root, and a
-    rescan of all hulls at each advance of reach (quadratic)."""
-    hulls = []
-    max_d = Fraction(0)
-    sign = None
-    depth = 0
-    for fs in sets:
-        h = family_set_hull(rule, fs)
-        hulls.append(h)
-        if h.diameter > max_d:
-            max_d = h.diameter
-        sign = fs.sign
-        depth = max(depth, len(fs.prefix) + 2)
-    cost = math.fsum(float(h.diameter) ** alpha for h in hulls)
-    if not hulls:
-        return CoverReport(False, Fraction(0), 0.0)
-
-    hulls.sort(key=lambda h: (h.lo, h.hi))
-    alternating = sign is Sign.ALTERNATING
-    reach = U.lo
-    while reach < U.hi:
-        best = None
-        for h in hulls:
-            if h.hi <= reach:
-                continue
-            if h.lo < reach or (h.lo == reach and (not alternating or reach == U.lo)):
-                if best is None or h.hi > best:
-                    best = h.hi
-        if best is None and alternating:
-            if _is_alt_endpoint_oracle(rule, reach, depth) and any(
-                h.lo == reach for h in hulls
-            ):
-                best = max(h.hi for h in hulls if h.lo == reach)
-        if best is None or best <= reach:
-            return CoverReport(False, max_d, cost)
-        reach = best
-    return CoverReport(True, max_d, cost)
 
 
 @st.composite
@@ -918,15 +874,7 @@ def set_list_case(draw):
 @given(set_list_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
 def test_one_pass_verify_matches_rescanning_sweep(case, alpha):
     rule, U, sets = case
-    assert verify_cover(rule, U, sets, alpha) == verify_cover_oracle(rule, U, sets, alpha)
-
-
-def _outcome(f, *args):
-    """f(*args), or the type, text and index of the error it raises."""
-    try:
-        return f(*args)
-    except (DomainError, ValidityError) as e:
-        return type(e), str(e), getattr(e, "index", None)
+    assert verify_cover(rule, U, sets, alpha) == reference.verify_cover(rule, U, sets, alpha)
 
 
 @st.composite
@@ -971,7 +919,7 @@ def test_verify_under_split_prefixes_matches_rescanning_sweep(case, alpha):
     assert all(fs.prefix[: len(common)] == common for fs in sets)
     assert len({fs.prefix[len(common)] for fs in sets}) >= 2  # common is the longest
     report = verify_cover(rule, U, sets, alpha)
-    expected = verify_cover_oracle(rule, U, sets, alpha)
+    expected = reference.verify_cover(rule, U, sets, alpha)
     assert report == expected
     assert report.cost.hex() == expected.cost.hex()
 
@@ -995,10 +943,10 @@ def test_verify_chains_across_children_of_the_common_prefix(rule, sign, depth):
     for target in (U, inner):
         report = verify_cover(rule, target, sets, 0.5)
         assert report.covers
-        assert report == verify_cover_oracle(rule, target, sets, 0.5)
+        assert report == reference.verify_cover(rule, target, sets, 0.5)
         for i in range(3):
             rest = sets[:i] + sets[i + 1 :]
-            expected = verify_cover_oracle(rule, target, rest, 0.5)
+            expected = reference.verify_cover(rule, target, rest, 0.5)
             assert verify_cover(rule, target, rest, 0.5) == expected
         assert not verify_cover(rule, target, [sets[0], sets[2]], 0.5).covers
 
@@ -1035,16 +983,16 @@ def test_verify_rejects_invalid_members_as_the_rescanning_sweep(case, data):
     positions = st.integers(0, len(sets) - 1)
     for i in data.draw(st.lists(positions, min_size=1, max_size=2, unique=True)):
         members[i] = _invalid(data.draw, rule, sets[i])
-    got = _outcome(_verify_made, verify_cover, rule, U, members, 1.0)
+    got = outcome(_verify_made, verify_cover, rule, U, members, 1.0)
     assert got[0] is ValidityError
-    assert got == _outcome(_verify_made, verify_cover_oracle, rule, U, members, 1.0)
+    assert got == outcome(_verify_made, reference.verify_cover, rule, U, members, 1.0)
     # a mixed sign is rejected before any member is read, and an empty list
     # is not a cover
-    made = [fs for fs in (_outcome(FamilySet, *m) for m in members) if isinstance(fs, FamilySet)]
+    made = [fs for fs in (outcome(FamilySet, *m) for m in members) if isinstance(fs, FamilySet)]
     fs = sets[0]
     other = Sign.POSITIVE if fs.sign is Sign.ALTERNATING else Sign.ALTERNATING
     mixed = [*made, fs, FamilySet(other, fs.prefix, fs.start, fs.end)]
-    assert _outcome(verify_cover, rule, U, mixed, 1.0) == (
+    assert outcome(verify_cover, rule, U, mixed, 1.0) == (
         DomainError, "the sets of a cover must all have one sign", None,
     )
     assert verify_cover(rule, U, [], 1.0) == CoverReport(False, Fraction(0), 0.0)
@@ -1072,8 +1020,8 @@ def test_verify_rejects_invalid_members_with_the_same_messages():
     for members, message, index in cases:
         members = [(Sign.POSITIVE, *m) for m in members]
         expected = (ValidityError, message, index)
-        assert _outcome(_verify_made, verify_cover, PIERCE, U, members, 1.0) == expected
-        assert _outcome(_verify_made, verify_cover_oracle, PIERCE, U, members, 1.0) == expected
+        assert outcome(_verify_made, verify_cover, PIERCE, U, members, 1.0) == expected
+        assert outcome(_verify_made, reference.verify_cover, PIERCE, U, members, 1.0) == expected
 
 
 def test_verify_checks_float_digits_beyond_the_common_prefix_in_every_order():
@@ -1090,7 +1038,7 @@ def test_verify_checks_float_digits_beyond_the_common_prefix_in_every_order():
     expected = (ValidityError, "digit 3.0 at position 2 is not an integer", 2)
     for some in (members[:2], members):
         for order in itertools.permutations(some):
-            assert _outcome(_verify_made, verify_cover, ENGEL_MOD, U, order, 1.0) == expected
+            assert outcome(_verify_made, verify_cover, ENGEL_MOD, U, order, 1.0) == expected
 
 
 @pytest.mark.parametrize(
@@ -1107,7 +1055,7 @@ def test_verify_checks_float_digits_beyond_the_common_prefix_in_every_order():
 def test_family_set_checks_its_contract_when_made(args, message, index):
     # before, these were made, and (2,) from 4.0 to 5 then failed in
     # family_set_hull with a bare TypeError
-    assert _outcome(FamilySet, Sign.POSITIVE, *args) == (ValidityError, message, index)
+    assert outcome(FamilySet, Sign.POSITIVE, *args) == (ValidityError, message, index)
 
 
 # Each reader of a sign; before, each took any value but Sign.POSITIVE as
@@ -1126,7 +1074,7 @@ _SIGN_READERS = {
 @pytest.mark.parametrize("read", _SIGN_READERS.values(), ids=_SIGN_READERS.keys())
 def test_a_sign_that_is_no_sign_member_is_a_domain_error(read, sign):
     message = f"sign must be Sign.POSITIVE or Sign.ALTERNATING, got {sign!r}"
-    assert _outcome(read, sign) == (DomainError, message, None)
+    assert outcome(read, sign) == (DomainError, message, None)
 
 
 @st.composite
@@ -1151,11 +1099,11 @@ def float_injected_case(draw):
 @given(float_injected_case(), st.randoms(use_true_random=False))
 def test_verify_refuses_float_equal_members_in_every_order(case, rnd):
     rule, U, members, bad = case
-    expected = _outcome(FamilySet, *bad)
+    expected = outcome(FamilySet, *bad)
     assert expected[0] is ValidityError
     for _ in range(6):
         rnd.shuffle(members)
-        assert _outcome(_verify_made, verify_cover, rule, U, members, 1.0) == expected
+        assert outcome(_verify_made, verify_cover, rule, U, members, 1.0) == expected
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
@@ -1303,50 +1251,6 @@ def test_deep_junction_covers_meet_their_contracts(rule, sign, depth):
 BUILT_IN = RULES + [DigitRule.oppenheim(2, 1)]
 
 
-def _textbook_digits(rule, sign, x, n):
-    """The first n digits of x in the sign's form, or None when x is an
-    alternating endpoint (it has no representation) before the n-th digit.
-
-    The recursion of the positive_digits and alternating_digits docstrings,
-    on plain Fractions: the digit is floor(r/x) + 1, and the tail is
-    (x - r/p)(p-1)p/r (positive) or (r/(q-1) - x)(q-1)q/r (alternating);
-    r_n = a*c_n + b for the built-in rules.
-    """
-    digits, r = [], rule.phi0
-    for _ in range(n):
-        c = r // x + 1
-        if sign is Sign.ALTERNATING and r == (c - 1) * x:
-            return None
-        if sign is Sign.POSITIVE:
-            x = (x - Fraction(r, c)) * (c - 1) * c / r
-        else:
-            x = (Fraction(r, c - 1) - x) * (c - 1) * c / r
-        digits.append(c)
-        r = rule.a * c + rule.b
-    return tuple(digits)
-
-
-def _cylinder_ends(rule, sign, word):
-    """The two endpoints of word's cylinder in the sign's form, read off the
-    partial sum and the diameter ((0, 1) for the empty word)."""
-    if not word:
-        return Fraction(0), Fraction(1)
-    s, d = partial_sum(rule, word, sign), word_diameter(rule, word)
-    return (s - d, s) if sign is Sign.ALTERNATING and len(word) % 2 else (s, s + d)
-
-
-def _set_diameter(rule, fs):
-    """The hull diameter of a family set: the spread of its outer children's
-    endpoints, and the children's accumulation point partial_sum(prefix)
-    when the set is unbounded."""
-    ends = [*_cylinder_ends(rule, fs.sign, fs.prefix + (fs.start,))]
-    if fs.end is None:
-        ends.append(partial_sum(rule, fs.prefix, fs.sign) if fs.prefix else Fraction(0))
-    else:
-        ends += _cylinder_ends(rule, fs.sign, fs.prefix + (fs.end,))
-    return max(ends) - min(ends)
-
-
 @st.composite
 def nested_cover_case(draw):
     """U inside a random rank-0..40 cylinder of a built-in rule, its ends
@@ -1359,10 +1263,10 @@ def nested_cover_case(draw):
     for _ in range(draw(st.integers(0, 40))):
         word += (r + 1 + draw(st.integers(0, 3)),)
         r = rule.a * word[-1] + rule.b
-    lo, hi = _cylinder_ends(rule, sign, word)
+    lo, hi = reference.cylinder_ends(rule, sign, word)
     ends = {lo, hi}
     for c, form in itertools.product(range(r + 1, r + 7), SIGNS):
-        ends.update(_cylinder_ends(rule, form, word + (c,)))
+        ends.update(reference.cylinder_ends(rule, form, word + (c,)))
     fine = st.integers(1, 10**6 - 1).map(lambda k: Fraction(k, 10**6))
     position = st.one_of(st.fractions(0, 1, max_denominator=12), fine)
     end = st.one_of(st.sampled_from(sorted(p for p in ends if lo <= p <= hi)),
@@ -1384,10 +1288,10 @@ def _sample_points(rule, word, lo, hi, inner, closed_hi):
     if closed_hi:
         points.add(hi)
     for x in list(points):
-        below = _textbook_digits(rule, Sign.POSITIVE, x, len(word) + 3)
+        below = reference.digits(rule, Sign.POSITIVE, x, len(word) + 3)
         for k in range(len(word) + 1, len(word) + 4):
             for form in SIGNS:
-                points.update(_cylinder_ends(rule, form, below[:k]))
+                points.update(reference.cylinder_ends(rule, form, below[:k]))
     points = sorted(p for p in points if lo < p < hi or (p == hi and closed_hi))
     return points + [(a + b) / 2 for a, b in zip(points, points[1:])]
 
@@ -1395,8 +1299,8 @@ def _sample_points(rule, word, lo, hi, inner, closed_hi):
 def _holders(rule, sign, x, sets):
     """The sets that hold x, read off x's own digits; None when x is an
     alternating endpoint, which no set can hold and no cover needs to."""
-    digits = _textbook_digits(rule, sign, x, max(len(fs.prefix) for fs in sets) + 1)
-    if digits is None:
+    digits = reference.digits(rule, sign, x, max(len(fs.prefix) for fs in sets) + 1)
+    if isinstance(digits, ISPoint):
         return None
     return [
         fs for fs in sets
@@ -1422,7 +1326,7 @@ def test_covers_hold_every_sampled_point(case):
     assert 1 <= len(sets) <= 3
     for fs in sets:
         assert fs.sign is sign
-        assert _set_diameter(rule, fs) <= U.diameter
+        assert reference.diameter(rule, fs) <= U.diameter
     for x in _sample_points(rule, word, lo, hi, inner, sign is Sign.POSITIVE):
         assert _holders(rule, sign, x, sets) != [], (x, sets)
 
@@ -1441,7 +1345,7 @@ def test_boundary_covers_hold_every_sampled_point(case, from_inf, upper):
     the drawn U, inside the piece's range.
     """
     rule, sign, word, x1, x2, inner = case
-    lo, hi = _cylinder_ends(rule, sign, word)
+    lo, hi = reference.cylinder_ends(rule, sign, word)
     cut = x2 if upper else x1
     if not (lo < cut if from_inf else cut < hi):
         cut = x2 if from_inf else x1
@@ -1452,8 +1356,8 @@ def test_boundary_covers_hold_every_sampled_point(case, from_inf, upper):
     assert 1 <= len(cover.tight) <= 2
     for fs in (*cover.tight, cover.single):
         assert fs.sign is sign
-    assert all(_set_diameter(rule, fs) <= w for fs in cover.tight)
-    assert _set_diameter(rule, cover.single) <= 2 * w
+    assert all(reference.diameter(rule, fs) <= w for fs in cover.tight)
+    assert reference.diameter(rule, cover.single) <= 2 * w
     for x in _sample_points(rule, word, *piece, inner, sign is Sign.POSITIVE):
         for sets in (cover.tight, [cover.single]):
             assert _holders(rule, sign, x, sets) != [], (x, side, sets)
@@ -1477,139 +1381,21 @@ def test_split_blocks_hold_every_sampled_point_once(case, offset, alpha, eps):
     fs = FamilySet(sign, word, rule_value(rule, word) + 1 + offset, None)
     s = split_parameters(alpha, eps)
     blocks = list(itertools.islice(split_to_finite(rule, fs, alpha, eps), 5))
-    width = _set_diameter(rule, fs)
+    width = reference.diameter(rule, fs)
     for j, block in enumerate(blocks, start=1):
-        assert _set_diameter(rule, block) < width / (s + 1) ** (j - 1)
+        assert reference.diameter(rule, block) < width / (s + 1) ** (j - 1)
     for block in blocks:
         top = min(block.end + 1, blocks[-1].end)
-        ends = [*_cylinder_ends(rule, sign, word + (block.start,)),
-                *_cylinder_ends(rule, sign, word + (top,))]
+        ends = [*reference.cylinder_ends(rule, sign, word + (block.start,)),
+                *reference.cylinder_ends(rule, sign, word + (top,))]
         for x in _sample_points(rule, word, min(ends), max(ends), inner, sign is Sign.POSITIVE):
             held = _holders(rule, sign, x, blocks)
             assert held is None or len(held) == 1, (x, block, held)
 
 
 # ---------------------------------------------------------------------------
-# the descent and verify_cover against the two-step, Fraction forms
+# the descent and verify_cover against the reference's Fraction forms
 # ---------------------------------------------------------------------------
-
-
-def _two_step_child(sign, r, num, den):
-    """The child step with the tail formula of each form written out."""
-    rd = r * den
-    q, rem = divmod(rd, num)
-    if sign is Sign.POSITIVE:
-        return q + 1, rem == 0, ((num - rem) * q, rd)
-    return q + 1, rem == 0, (rem * (q + 1), rd)
-
-
-def _tuple_descend(rule, word, r, c):
-    word += (c,)
-    return word, _next_r(rule, r, word, len(word))
-
-
-def _two_step_cover_boundary(rule, sign, word, r, u, low):
-    while not low and u[0] * (r + 1) > r * u[1]:
-        u, (word, r) = _two_step_child(sign, r, *u)[2], _tuple_descend(rule, word, r, r + 1)
-        low = sign is Sign.ALTERNATING
-    if u[0] == 0:
-        whole = FamilySet(sign, word, r + 1, None)
-        return BoundaryCover((whole,), whole)
-    c, exact, _ = _two_step_child(sign, r, *u)
-    if low:
-        tight = (FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c))
-        single = one = FamilySet(sign, word, c, None)
-    else:
-        tight = (FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1))
-        single, one = FamilySet(sign, word, r + 1, c), tight[1]
-    return BoundaryCover((one,), one) if exact else BoundaryCover(tight, single)
-
-
-def two_step_cover_interval(rule, sign, U):
-    """cover_interval with one child step per end and a checked,
-    tuple-building rule step per level: the reference for the descent that
-    takes one divmod per level."""
-    coverings._interval_conventions(sign, U)
-    prefix, r = (), rule.phi0
-    t_lo, t_hi = (U.lo.numerator, U.lo.denominator), (U.hi.numerator, U.hi.denominator)
-    positive = sign is Sign.POSITIVE
-    while True:
-        if t_lo[0] == 0:
-            return list(_two_step_cover_boundary(rule, sign, prefix, r, t_hi, True).tight)
-        if t_hi[0] == t_hi[1]:
-            return list(_two_step_cover_boundary(rule, sign, prefix, r, t_lo, False).tight)
-        d_lo, lo_exact, y_lo = _two_step_child(sign, r, *t_lo)
-        d_lo -= lo_exact
-        d_hi, hi_exact, y_hi = _two_step_child(sign, r, *t_hi)
-        if d_lo != d_hi:
-            break
-        if lo_exact:
-            y_lo = (y_lo[1] - y_lo[0], y_lo[1])
-        t_lo, t_hi = (y_lo, y_hi) if positive else (y_hi, y_lo)
-        prefix, r = _tuple_descend(rule, prefix, r, d_lo)
-
-    def lo_cover():
-        return _two_step_cover_boundary(
-            rule, sign, *_tuple_descend(rule, prefix, r, d_lo), y_lo, not positive)
-
-    def hi_cover():
-        return _two_step_cover_boundary(
-            rule, sign, *_tuple_descend(rule, prefix, r, d_hi), y_hi, positive)
-
-    if lo_exact or hi_exact:
-        before = () if lo_exact else lo_cover().tight
-        after = () if hi_exact else hi_cover().tight
-        return [*before, FamilySet(sign, prefix, d_hi + 1 - hi_exact, d_lo - 1 + lo_exact), *after]
-    t_lo_q = Fraction(*t_lo)
-    W = Fraction(*t_hi) - t_lo_q
-    if d_lo == d_hi + 1:
-        if 2 * (Fraction(r, d_lo - 1) - t_lo_q) >= W:
-            return [*lo_cover().tight, hi_cover().single]
-        return [lo_cover().single, *hi_cover().tight]
-    mid_w = Fraction(r, d_hi) - Fraction(r, d_lo - 1)
-    if 2 * mid_w >= W:
-        return [lo_cover().single, FamilySet(sign, prefix, d_hi + 1, d_lo - 1), hi_cover().single]
-    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *hi_cover().tight]
-
-
-def fraction_verify_cover(rule, U, sets, alpha):
-    """verify_cover with hull ends and widths as reduced Fractions and the
-    widest by max(): the reference for the one on integer pairs."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    sets = list(sets)
-    signs = {fs.sign for fs in sets}
-    if len(signs) > 1:
-        raise DomainError("the sets of a cover must all have one sign")
-    if not sets:
-        return CoverReport(False, Fraction(0), 0.0)
-    (sign,) = signs
-    coverings._interval_conventions(sign, U)
-    common = os.path.commonprefix([fs.prefix for fs in sets])
-    base = _Frame.walk(rule, sign, common)
-    rel = base._replace(off_num=0, sc_num=1, den=1)
-    frames, spans = {}, []
-    for fs in sets:
-        if fs.prefix not in frames:
-            frames[fs.prefix] = rel.extend(fs.prefix[len(common):])
-        lo, hi = frames[fs.prefix].hull(fs.start, fs.end)
-        spans.append((Fraction(*lo), Fraction(*hi)))
-    widths = [hi - lo for lo, hi in spans]
-    sc, den = abs(base.sc_num), base.den
-    cost = math.fsum((sc * w.numerator / (den * w.denominator)) ** alpha for w in widths)
-    w = max(widths)
-    ends = base.relative(U.lo), base.relative(U.hi)
-    (rn, rd), (hn, hd) = ends if base.sc_num > 0 else ends[::-1]
-    covers = False
-    for a, b in sorted(spans):
-        if a.numerator * rd > rn * a.denominator:
-            break
-        if b.numerator * rd > rn * b.denominator:
-            rn, rd = b.numerator, b.denominator
-            if rn * hd >= hn * rd:
-                covers = True
-                break
-    return CoverReport(covers, Fraction(sc * w.numerator, den * w.denominator), cost)
 
 
 DIFF_RULES = [LUROTH, ENGEL, ENGEL_MOD, PIERCE, DigitRule.oppenheim(2, 1), PARITY,
@@ -1631,7 +1417,7 @@ def differential_case(draw):
                                draw(st.integers(0, 70)))
     except ValidityError:
         word = ()
-    lo, hi = _cylinder_ends(rule, sign, word) if word else (Fraction(0), Fraction(1))
+    lo, hi = reference.cylinder_ends(rule, sign, word)
     r = rule_value(rule, word)
 
     def point():
@@ -1646,7 +1432,7 @@ def differential_case(draw):
         try:
             if kind == "deep junction":
                 child += (rule_value(rule, child) + 1 + draw(st.integers(0, 6)),)
-            return draw(st.sampled_from(_cylinder_ends(rule, sign, child)))
+            return draw(st.sampled_from(reference.cylinder_ends(rule, sign, child)))
         except ValidityError:
             return lo
     x1, x2 = sorted((point(), point()))
@@ -1654,15 +1440,22 @@ def differential_case(draw):
     return rule, sign, interval_for(sign, x1, x2)
 
 
+# U with a tie in width (see _tie_cases): of the adjacent pieces, of the middle block
+ADJACENT_TIE = interval_for(Sign.POSITIVE, Fraction(22, 75), Fraction(28, 75))
+MIDDLE_TIE = interval_for(Sign.ALTERNATING, Fraction(3, 10), Fraction(19, 30))
+
+
 @settings(max_examples=300, deadline=None)
 @given(differential_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+@example((LUROTH, Sign.POSITIVE, ADJACENT_TIE), 1.0)
+@example((LUROTH, Sign.ALTERNATING, MIDDLE_TIE), 1.0)
 def test_cover_and_verify_match_the_two_step_fraction_forms(case, alpha):
     rule, sign, U = case
-    sets = _outcome(cover_interval, rule, sign, U)
-    assert sets == _outcome(two_step_cover_interval, rule, sign, U)
+    sets = outcome(cover_interval, rule, sign, U)
+    assert sets == outcome(reference.cover_interval, rule, sign, U)
     if isinstance(sets, list):
         report = verify_cover(rule, U, sets, alpha)
-        expected = fraction_verify_cover(rule, U, sets, alpha)
+        expected = reference.verify_cover(rule, U, sets, alpha)
         assert report == expected
         assert report.cost.hex() == expected.cost.hex()
 
@@ -1743,38 +1536,6 @@ def test_inline_rule_step_falls_back_to_the_checked_step(call, message, index):
     assert (str(err.value), err.value.index) == (message, index)
 
 
-def first_child_step_cover_boundary(rule, sign, prefix, cut, side):
-    """cover_boundary (for a cut inside the cylinder) with the boundary
-    descent written out by hand, as it was before it read each level with
-    core._child: the first child's test as a remainder at quotient r, its
-    tail, and a built-in rule's step a*c + b inline."""
-    frame = _Frame.walk(rule, sign, prefix)
-    low = (side == FROM_INF) == (frame.sc_num > 0)
-    (un, ud), word, r = frame.relative(Fraction(cut)), list(frame.word), frame.r
-    positive = sign is Sign.POSITIVE
-    while not low:
-        rd = r * ud
-        rem = rd - r * un
-        if rem >= un:
-            break
-        word.append(r + 1)
-        un, ud = _tail(positive, r + 1, rem, rd)
-        r_next = rule.a * (r + 1) + rule.b if rule.fn is None else 0
-        r = r_next if r_next >= 1 else _next_r(rule, r, word, len(word))
-        low = not positive
-    word = tuple(word)
-    if un == 0:
-        whole = FamilySet(sign, word, r + 1, None)
-        return BoundaryCover((whole,), whole)
-    c, exact, _ = _child(sign, r, un, ud)
-    one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
-    if exact:
-        return BoundaryCover((one,), one)
-    if low:
-        return BoundaryCover((FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c)), one)
-    return BoundaryCover((FamilySet(sign, word, c, c), one), FamilySet(sign, word, r + 1, c))
-
-
 @st.composite
 def deep_boundary_case(draw):
     """A rule of DIFF_RULES, a sign, a word up to 6 digits deep, and a cut
@@ -1790,7 +1551,7 @@ def deep_boundary_case(draw):
                                draw(st.integers(0, 6)))
     except ValidityError:
         word = ()
-    lo, hi = _cylinder_ends(rule, sign, word)
+    lo, hi = reference.cylinder_ends(rule, sign, word)
     v = (hi - lo) * Fraction(draw(st.integers(1, 7)), 2 ** draw(st.integers(3, 60)))
     cut = draw(st.sampled_from([lo + v, hi - v]))
     return rule, sign, word, cut, draw(st.sampled_from([FROM_INF, TO_SUP]))
@@ -1801,7 +1562,8 @@ def deep_boundary_case(draw):
 @example((LUROTH, Sign.POSITIVE, (), 1 - Fraction(1, 2**60), TO_SUP))
 @example((LUROTH, Sign.ALTERNATING, (3,), Fraction(1, 3) + Fraction(1, 6 * 2**60), FROM_INF))
 @example((OPP, Sign.POSITIVE, (40,), Fraction(1, 39) - Fraction(1, 39 * 40 * 2**50), TO_SUP))
+@example((LUROTH, Sign.POSITIVE, (3,), Fraction(1, 3), TO_SUP))  # from the infimum: u = 0
 def test_boundary_descent_matches_the_first_child_step(case):
     rule, sign, word, cut, side = case
-    expected = _outcome(first_child_step_cover_boundary, rule, sign, word, cut, side)
-    assert _outcome(cover_boundary, rule, sign, word, cut, side) == expected
+    expected = outcome(reference.cover_boundary, rule, sign, word, cut, side)
+    assert outcome(cover_boundary, rule, sign, word, cut, side) == expected

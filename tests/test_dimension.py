@@ -25,7 +25,6 @@ from perron import (
     all_digits,
     alphabet_restrict,
     bounded_ratio,
-    cylinder,
     enumerate_compatible_bases,
     growth_floor,
     measure_at_rank,
@@ -33,9 +32,10 @@ from perron import (
     pressure_root,
     ratio_limit_window,
     rule_value,
-    validate_word,
     word_diameter,
 )
+
+import reference
 
 LUROTH = DigitRule.luroth()
 ENGEL = DigitRule.engel()
@@ -347,13 +347,7 @@ def test_degenerate_rule_values_are_pruned(sign):
     # r = c - 3 drops below 1 on the digits 2 and 3: those words are not
     # valid, and neither the enumeration nor the state recursion keeps them
     rule, rank, cap = DigitRule.oppenheim(1, -3), 3, 9
-    words = []
-    for word in itertools.product(range(2, cap + 1), repeat=rank):
-        try:
-            validate_word(rule, word)
-        except ValidityError:
-            continue
-        words.append(word)
+    words = reference.bases(rule, all_digits(), rank, cap)
     assert words and len(words) < (cap - 1) ** rank
     assert list(enumerate_compatible_bases(rule, all_digits(), rank, cap)) == words
     diameters = [word_diameter(rule, w) for w in words]
@@ -392,6 +386,9 @@ def test_moran_examples():
     assert moran_dimension([Fraction(1, 2), Fraction(1, 2)]) == 1.0
     s = moran_dimension([Fraction(1, 2), Fraction(1, 6)])
     assert 0.6 < s < 0.65
+    # ratios that are normal floats keep the bits of float(ratio) ** s
+    assert s == 0.6009668516144302
+    assert moran_dimension([Fraction(1, 2), Fraction(1, 10**300)]) == 0.0075986116439707985
 
 
 def test_moran_truncated_telescoping_lists_rise_toward_one():
@@ -426,6 +423,27 @@ def test_moran_unreachable_tol_is_a_domain_error():
         moran_dimension(ratios, tol=1e-16)
     s = moran_dimension(ratios, tol=1e-15)
     assert abs(math.fsum(float(r) ** s for r in ratios) - 1) <= 1e-15
+
+
+MORAN_TINY = {
+    # a ratio whose float is 0.0, a subnormal one, one below 2**-1075, and
+    # two lists of normal floats
+    "1e-400": [Fraction(1, 2), Fraction(1, 10**400)],
+    "1e-320": [Fraction(1, 2), Fraction(1, 10**320)],
+    "2**-1100": [Fraction(1, 3), Fraction(1, 3), Fraction(1, 2**1100)],
+    "two": [Fraction(1, 2), Fraction(1, 6)],
+    "1e-300": [Fraction(1, 2), Fraction(1, 10**300)],
+}
+
+
+@pytest.mark.parametrize("case", list(MORAN_TINY))
+def test_moran_matches_a_decimal_bisection_below_the_float_range(case):
+    # the terms were float(ratio) ** s, so 10**-400 counted as 0.0 and
+    # [1/2, 10**-400] gave 9.09e-13, not 0.0059617453508; the slope of the
+    # sum is below -0.6 at every root here, so tol 1e-12 puts s within
+    # 2e-12 of it
+    ratios = MORAN_TINY[case]
+    assert abs(Decimal(moran_dimension(ratios)) - reference.moran_dimension(ratios)) < 1e-11
 
 
 @given(st.integers(2, 40))
@@ -566,7 +584,7 @@ def test_rank_1_measure_at_a_large_cap_is_its_closed_form(rule, first, cap):
 
 
 # ---------------------------------------------------------------------------
-# carried diameters against sign-aware cylinders
+# carried diameters against the reference's listed bases
 # ---------------------------------------------------------------------------
 
 ORACLE_RULES = {
@@ -577,30 +595,6 @@ ORACLE_RULES = {
     "oppenheim": DigitRule.oppenheim(2, 1),
     "custom": DigitRule.custom(lambda prefix: 1 + sum(prefix) % 2),
 }
-
-
-def _cylinder_root(rule, sign, pred, rank, cap, tol):
-    """The pressure root with every diameter read off cylinder(); returns the
-    estimate and the exact diameters it summed."""
-    bases = list(enumerate_compatible_bases(rule, pred, rank, cap))
-    diams = [cylinder(rule, w, sign).diameter for w in bases]
-    if not bases:
-        return DimensionEstimate(rank, cap, 0.0, 1.0, 0), diams
-    logs = [math.log(d.numerator) - math.log(d.denominator) for d in diams]
-
-    def f(s):
-        return math.fsum(math.exp(s * ld) for ld in logs) - 1.0
-
-    lo, hi = 0.0, 1.5
-    if abs(f(lo)) <= tol:
-        return DimensionEstimate(rank, cap, 0.0, abs(f(lo)), len(bases)), diams
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return DimensionEstimate(rank, cap, mid, abs(fm), len(bases)), diams
-        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
-    raise AssertionError("reference bisection did not converge")
 
 
 def _assert_same_estimate(got, ref, key):
@@ -620,10 +614,11 @@ def test_carried_diameters_match_cylinder_oracle(name, sign):
         warnings.simplefilter("ignore", CapTooSmallWarning)
         for rank in (1, 2, 3):
             for pred in preds:
-                ref, diams = _cylinder_root(rule, sign, pred, rank, 9, 1e-9)
+                ref = reference.pressure_root(rule, sign, pred, rank, 9, 1e-9)
                 got = pressure_root(rule, sign, pred, rank, 9, 1e-9)
                 _assert_same_estimate(got, ref, (name, sign, rank, pred))
                 measure = measure_at_rank(rule, sign, pred, rank, 9)
+                diams = reference.diameters(rule, sign, pred, rank, 9)
                 assert measure == sum(diams, Fraction(0)), (name, sign, rank, pred)
 
 
@@ -951,7 +946,8 @@ def test_a_decreasing_affine_rule_keys_states_by_word():
     # nondecreasing along a level, and its states must not merge
     rule = DigitRule("falling", a=-2, b=40)
     for pred in (all_digits(), bounded_ratio(2), ratio_limit_window(1.0, 0.5)):
-        (ref, diams), _ = _recorded(lambda: _cylinder_root(rule, Sign.POSITIVE, pred, 3, 19, 1e-9))
+        ref = reference.pressure_root(rule, Sign.POSITIVE, pred, 3, 19, 1e-9)
+        diams = reference.diameters(rule, Sign.POSITIVE, pred, 3, 19)
         assert len(diams) > 100, pred
         est, _ = _recorded(lambda: pressure_root(rule, Sign.POSITIVE, pred, 3, 19, 1e-9))
         _assert_same_estimate(est, ref, pred)
@@ -1027,7 +1023,8 @@ def test_state_recursion_matches_enumeration(config):
     name, sign, make, classify, rank, cap, tol = config
     rule = ORACLE_RULES[name]
     bases, oracle_cuts = _recorded(lambda: list(enumerate_compatible_bases(rule, make(), rank, cap)))
-    (ref, diams), _ = _recorded(lambda: _cylinder_root(rule, sign, make(), rank, cap, tol))
+    ref = reference.pressure_root(rule, sign, make(), rank, cap, tol)
+    diams = reference.diameters(rule, sign, make(), rank, cap)
     got, root_cuts = _recorded(lambda: pressure_root(rule, sign, make(), rank, cap, tol))
     measure, measure_cuts = _recorded(lambda: measure_at_rank(rule, sign, make(), rank, cap))
 
@@ -1266,49 +1263,79 @@ def test_certified_bisection_evaluates_every_midpoint_when_terms_may_underflow()
 
 
 ROUNDING_CASES = {
-    # rule, predicate, rank, cap and the number of bases
+    # rule, predicate, rank, cap and the number of bases, or None where
+    # they are too many to list and F runs over _levels' own states: rank
+    # 60 at cap 16 is L = 3k ln C = 499.07, just inside the range where eps
+    # (2.4e-12 there) is finite, and where the terms are smallest
     "luroth-all": (LUROTH, all_digits(), 2, 40, 1521),
     "engel-all": (ENGEL, all_digits(), 3, 14, 455),
     "pierce-ratio2": (PIERCE, bounded_ratio(2), 3, 20, 473),
     "oppenheim21-all": (DigitRule.oppenheim(2, 1), all_digits(), 2, 30, 169),
+    "luroth-60": (LUROTH, all_digits(), 60, 16, None),
+    "engel-60": (ENGEL, all_digits(), 60, 16, None),
 }
+
+
+def _same_states_sum(rule, predicate, rank, cap):
+    """F(s), the exact sum minus 1 over the states _levels builds for
+    pressure_root, in 50-digit decimal arithmetic: pressure_root's
+    recursion with decimal weights, exps and sums."""
+    def ln(n):
+        return Decimal(n).ln()
+
+    with localcontext(Context(prec=50)):
+        kept, final, _ = dimension._levels(
+            rule, predicate, rank, cap, lambda num, den: ln(num) - ln(den),
+            lambda num, den, digits: [ln(num) - ln(den * (c - 1) * c) for c in digits])
+
+    def F(s):
+        with localcontext(Context(prec=50)):
+            s = Decimal(s)
+
+            def values(level, u):
+                out = []
+                for (lo, hi), lws in level:
+                    total = sum(u[lo:hi])
+                    out += [total * (s * lw).exp() for lw in lws]
+                return out
+
+            u = [(s * ln(rule.phi0)).exp()]
+            for level in kept:
+                u += values(level, u)
+            return sum(values(final, u)) - 1
+
+    return F
 
 
 def _rounding_case(case, bisect):
     """pressure_root on ROUNDING_CASES[case] with _convex_bisect replaced by
     bisect(f, *args) (seeing f, the sum minus 1 that pressure_root bisects);
-    the estimate, and F(s), a 50-digit decimal sum of |cylinder|**s - 1
-    over the bases one by one."""
+    the estimate, and F(s), the exact sum of |cylinder|**s - 1 in 50-digit
+    decimals: the reference's, over the bases it lists one by one, or over
+    the same states as f (_same_states_sum)."""
     rule, predicate, rank, cap, count = ROUNDING_CASES[case]
     with mock.patch.object(dimension, "_convex_bisect", bisect):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
             est = pressure_root(rule, Sign.POSITIVE, predicate, rank, cap, 1e-9)
-            bases = list(enumerate_compatible_bases(rule, predicate, rank, cap))
-    assert len(bases) == count
-    with localcontext(Context(prec=50)):
-        logs = []
-        for word in bases:
-            d = word_diameter(rule, word)
-            logs.append(Decimal(d.numerator).ln() - Decimal(d.denominator).ln())
-
-    def exact(s):
-        with localcontext(Context(prec=50)):
-            return sum((Decimal(s) * lw).exp() for lw in logs) - 1
-
-    return est, exact
+    if count is None:
+        return est, _same_states_sum(rule, predicate, rank, cap)
+    diameters = reference.diameters(rule, Sign.POSITIVE, predicate, rank, cap)
+    assert len(diameters) == count
+    return est, reference.decimal_pressure_sum(diameters)
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
 def test_pressure_sum_is_within_its_rounding_bound(case):
     # the f that pressure_root bisects, against F, a 50-digit decimal sum of
-    # |cylinder|**s over the bases one by one: _sum_error's eps bounds
-    # |f - F| by eps (1 + |f|) for s in [0, 1.5]
+    # |cylinder|**s over the bases one by one or over f's own states:
+    # _sum_error's eps bounds |f - F| by eps (1 + |f|) for s in [0, 1.5]
     _, _, rank, cap, _ = ROUNDING_CASES[case]
     seen = []
     _, exact = _rounding_case(case, lambda f, *_: seen.append(f) or (0.0, 0.0))
     (f,) = seen
     eps = Decimal(dimension._sum_error(rank, cap))
+    assert eps.is_finite()
     rng = random.Random(case)
     with localcontext(Context(prec=50)):
         for s in [rng.uniform(0.0, 1.5) for _ in range(20)]:
