@@ -528,9 +528,10 @@ def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int
     y in child c and 1 - y in child c - 1, the child whose closure contains
     it from below.  This function serves the cover's reads outside
     cover_interval's descent: the high end where that descent stops, and
-    every level of _cover_boundary, its first-child descent and its last
-    read; the per-digit loops, digit extraction and cover_interval's
-    descent, take the same divmod inline and call only _tail.
+    every level of coverings._boundary_read, its first-child descent and
+    its last read; the per-digit loops, digit extraction and
+    cover_interval's descent, take the same divmod inline and call only
+    _tail.
     """
     rd = r * den
     q, rem = divmod(rd, num)

@@ -25,28 +25,36 @@ the side the children accumulate toward, or high (u, 1], on the first
 child's side; only the public cover_boundary reads an absolute side
 (FROM_INF, TO_SUP) and turns it into a relative one.
 Relative positions are unreduced integer pairs, so the descent compares by
-cross-multiplication; Fractions are formed only for the piece widths that
-choose between covers.  The descent runs on the remainder step of digit
-extraction: each endpoint is mapped into the starting cylinder's frame
-once (at the root, a point is its own relative pair; a cut under a prefix
-goes through core._Frame.relative).  A level of cover_interval's descent
-costs one divmod, a few products and two calls of core._tail, the one
-statement of the tail formula, and no other call under a built-in rule:
-the divmod gives the low end's child d and its remainder, one product
-r*hd - (d-1)*hn gives the high end's remainder at the same quotient,
-which is not negative iff the high end lies in child d too, and each
-end's position in child d is core._tail of its remainder.  The
+cross-multiplication, and the piece widths that choose between covers are
+compared on integers too (below).  The descent runs on the remainder step
+of digit extraction: each endpoint is mapped into the starting cylinder's
+frame once (at the root, a point is its own relative pair; a cut under a
+prefix goes through core._Frame.relative).  A level of cover_interval's
+descent costs one divmod, a few products and two calls of core._tail, the
+one statement of the tail formula, and no other call under a built-in
+rule: the divmod gives the low end's child d and its remainder, one
+product r*hd - (d-1)*hn gives the high end's remainder at the same
+quotient, which is not negative iff the high end lies in child d too, and
+each end's position in child d is core._tail of its remainder.  The
 descent tracks only the word (a list, made a tuple once), r and the two
 positions, with no affine frame: a digit so made is at least r + 1, so a
 built-in rule steps r inline to a*c + b and only a custom rule or a value
 below 1 goes to the checked step (core._next_r), and an alternating digit
-swaps the low and high ends.  A high piece of cover_boundary descends
+swaps the low and high ends.
+A one-sided piece is read once, by _boundary_read: a high piece descends
 through the first child on core's own steps, one core._child read and one
-core._next_r step per level: a boundary cover is read a few times per op,
-so only cover_interval's descent takes the step inline.
+core._next_r step per level (a piece is read a few times per op, so only
+cover_interval's descent takes the step inline), and the read gives the
+child that holds the cut and makes no set.  _tight and _single make the
+piece's two variants from the read: cover_interval makes only the variant
+it returns, so it makes exactly the sets it returns, and the public
+cover_boundary makes both.
 The piece widths are compared with |U| in the relative frame, where |U| is
 the distance between the two positions: the cylinder diameter |sc| scales
-both sides alike, so it is never formed.
+both sides alike, so it is never formed.  The comparisons are on integers:
+each end is reduced once by its gcd (the descent's pairs can carry common
+factors of thousands of bits, and reduce to a few), and each test
+2*width >= |U| is multiplied through by its positive denominators.
 verify_cover works in one frame too, that of the sets' longest common
 prefix: the hull ends and widths are unreduced integer pairs in its tail
 coordinates, compared by cross-multiplication, as are U's ends, and the
@@ -222,54 +230,70 @@ def cover_boundary(
         lo, hi = (Fraction(*end) for end in frame.hull(frame.r + 1))
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
         raise DomainError(f"cut {cut} outside {span}")
-    return _cover_boundary(rule, sign, list(frame.word), frame.r, u, low)
+    read = _boundary_read(rule, sign, list(frame.word), frame.r, u, low)
+    return BoundaryCover(_tight(sign, *read), _single(sign, *read))
 
 
-def _cover_boundary(
+def _boundary_read(
     rule: DigitRule, sign: Sign, word: list[int], r: int, u: tuple[int, int], low: bool
-) -> BoundaryCover:
-    """Cover the relative piece (0, u] (low) or (u, 1] (high) of word's cylinder.
+) -> tuple[DigitWord, int, int, bool, bool]:
+    """Where the relative piece (0, u] (low) or (u, 1] (high) of word's
+    cylinder is cut: (word, r, c, exact, low) at the end of the descent,
+    which _tight and _single make into sets.
 
     word is a list, which the descent below extends in place, r is the
     rule value after word, and u is an integer pair with 0 < u <= 1 for a
     low piece and 0 <= u < 1 for a high one.  A high piece from u = 0 is
-    the whole cylinder, {r+1..inf}, and reads no child.  Otherwise each
-    level is one core._child read, of u's child c, its junction flag and
-    u's position in it: while the piece is high and c is the first child
-    r+1, the descent appends c, takes that position as u, steps r with
-    core._next_r (the one raiser of rule errors) and, after an alternating
-    child, which flips, makes the piece low.  The last read gives c, the
-    child whose relative interval (r/c, r/(c-1)] holds u:
+    the whole cylinder, {r+1..inf}, and reads no child: it is returned as
+    the low piece (0, 1], whose cut is the exact junction r/r of child
+    c = r+1.  Otherwise each level is one core._child read, of u's child
+    c, its junction flag and u's position in it: while the piece is high
+    and c is the first child r+1, the descent appends c, takes that
+    position as u, steps r with core._next_r (the one raiser of rule
+    errors) and, after an alternating child, which flips, makes the piece
+    low.  The last read gives c, the child whose relative interval
+    (r/c, r/(c-1)] holds u, and exact, whether u = r/(c-1).
 
-      * low, u interior: tight = {c+1..inf} (diameter r/c < u) plus the
-        whole child c (diameter below the previous, monotone diameters);
-        single = {c..inf}, diameter r/(c-1) < 2u;
-      * high, u interior (c >= r+2 after the descent): tight = the whole
-        child c plus {r+1..c-1}; single = {r+1..c};
-      * u = r/(c-1), an exact junction: one set is the piece exactly, the
-        low single {c..inf} or the high {r+1..c-1}.
-
-    Every set is made by the FamilySet constructor, which checks the word
-    for each.
+    The read makes no set, so a caller makes only the variant it takes:
+    cover_interval one of the two, the public cover_boundary both.
     """
     if not u[0]:  # a high piece from 0: the whole cylinder
-        whole = FamilySet(sign, tuple(word), r + 1, None)
-        return BoundaryCover((whole,), whole)
+        return tuple(word), r, r + 1, True, True
     c, exact, y = _child(sign, r, *u)
     while not low and c == r + 1:
         word.append(c)
         r = _next_r(rule, r, word, len(word))
         low = sign is not _POSITIVE
         c, exact, y = _child(sign, r, *y)
-    word = tuple(word)
+    return tuple(word), r, c, exact, low
+
+
+def _tight(
+    sign: Sign, word: DigitWord, r: int, c: int, exact: bool, low: bool
+) -> tuple[FamilySet, ...]:
+    """The tight variant of a boundary read: 1-2 sets, each of diameter at
+    most the piece width.
+
+      * low, u interior: {c+1..inf} (diameter r/c < u) plus the whole
+        child c (diameter below the previous, monotone diameters);
+      * high, u interior (c >= r+2 after the descent): the whole child c
+        plus {r+1..c-1};
+      * u = r/(c-1), an exact junction: the one set _single makes, which
+        is the piece exactly.
+    """
     if exact:
-        one = FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - 1)
-        return BoundaryCover((one,), one)
+        return (_single(sign, word, r, c, exact, low),)
     if low:
-        return BoundaryCover((FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c)),
-                             FamilySet(sign, word, c, None))
-    return BoundaryCover((FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1)),
-                         FamilySet(sign, word, r + 1, c))
+        return FamilySet(sign, word, c + 1, None), FamilySet(sign, word, c, c)
+    return FamilySet(sign, word, c, c), FamilySet(sign, word, r + 1, c - 1)
+
+
+def _single(sign: Sign, word: DigitWord, r: int, c: int, exact: bool, low: bool) -> FamilySet:
+    """The single variant of a boundary read: one set of diameter at most
+    twice the piece width, {c..inf} (low, diameter r/(c-1) < 2u) or
+    {r+1..c} (high); at an exact junction the piece itself, the low
+    {c..inf} or the high {r+1..c-1}."""
+    return FamilySet(sign, word, c, None) if low else FamilySet(sign, word, r + 1, c - exact)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +309,7 @@ def _interval_conventions(sign: Sign, U: QInterval) -> None:
     form, space = ("half-open (lo, hi]", "(0, 1]") if positive else ("open (lo, hi)", "(0, 1)")
     if U.lo_included or U.hi_included != positive:
         raise DomainError(f"{sign.name.lower()} intervals must be {form}")
-    if not (0 <= U.lo and U.hi <= 1):
+    if U.lo.numerator < 0 or U.hi.numerator > U.hi.denominator:  # 0 <= lo, hi <= 1
         raise DomainError(f"interval {U} not inside {space}")
 
 
@@ -339,9 +363,9 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
         r_next = ra * d + rb if builtin else 0
         r = r_next if r_next >= 1 else _next_r(rule, r, prefix, len(prefix))
     if not ln:
-        return list(_cover_boundary(rule, sign, prefix, r, (hn, hd), True).tight)
+        return list(_tight(sign, *_boundary_read(rule, sign, prefix, r, (hn, hd), True)))
     if hn == hd:
-        return list(_cover_boundary(rule, sign, prefix, r, (ln, ld), False).tight)
+        return list(_tight(sign, *_boundary_read(rule, sign, prefix, r, (ln, ld), False)))
     prefix = tuple(prefix)
 
     # d_lo > d_hi: the lower relative endpoint lies in the larger-digit child.
@@ -353,43 +377,47 @@ def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]
     y_lo = _tail(positive, d_lo, rem, rld)
     d_hi, hi_exact, y_hi = _child(sign, r, hn, hd)
 
-    def cover(d: int, y: tuple[int, int], low: bool) -> BoundaryCover:
-        """The boundary cover of y's piece of child d (the descent's step)."""
+    def read(d: int, y: tuple[int, int], low: bool) -> tuple:
+        """The boundary read of y's piece of child d (the descent's step)."""
         word = [*prefix, d]
-        return _cover_boundary(rule, sign, word, _next_r(rule, r, word, len(word)), y, low)
+        return _boundary_read(rule, sign, word, _next_r(rule, r, word, len(word)), y, low)
 
     # junction endpoints: each exact side's whole child joins the block
     # between (digits d_hi+1 .. d_lo-1, empty when the children are
     # adjacent), and the other side's piece is covered tightly
     if lo_exact or hi_exact:
-        before = () if lo_exact else cover(d_lo, y_lo, not positive).tight
-        after = () if hi_exact else cover(d_hi, y_hi, positive).tight
+        before = () if lo_exact else _tight(sign, *read(d_lo, y_lo, not positive))
+        after = () if hi_exact else _tight(sign, *read(d_hi, y_hi, positive))
         return [*before, FamilySet(sign, prefix, d_hi + 1 - hi_exact, d_lo - 1 + lo_exact), *after]
 
     # the widths of the d_lo piece and of the middle block, against |U|,
-    # decide which pieces are covered tightly; all three are compared in the
-    # relative frame, where |U| is hn/hd - ln/ld (|sc| > 0 scales them alike)
-    lo_q = Fraction(ln, ld)
-    W = Fraction(hn, hd) - lo_q
+    # decide which pieces are covered tightly.  All three are compared in
+    # the relative frame (|sc| > 0 scales them alike), on integers: with
+    # the ends reduced once, lo = ln/ld and hi = hn/hd, |U| = hi - lo, and
+    # each test below is 2*width >= |U| times its positive denominators
+    g, h = math.gcd(ln, ld), math.gcd(hn, hd)
+    ln, ld, hn, hd = ln // g, ld // g, hn // h, hd // h
     if d_lo == d_hi + 1:
-        # adjacent children, no middle block
-        w_lo = Fraction(r, d_lo - 1) - lo_q
-        if 2 * w_lo >= W:
-            return [*cover(d_lo, y_lo, not positive).tight, cover(d_hi, y_hi, positive).single]
-        return [cover(d_lo, y_lo, not positive).single, *cover(d_hi, y_hi, positive).tight]
+        # adjacent children, no middle block: the d_lo piece is
+        # r/(d_lo-1) - lo, so the test is 2r/(d_lo-1) >= hi + lo
+        if 2 * r * ld * hd >= (d_lo - 1) * (hn * ld + ln * hd):
+            return [*_tight(sign, *read(d_lo, y_lo, not positive)),
+                    _single(sign, *read(d_hi, y_hi, positive))]
+        return [_single(sign, *read(d_lo, y_lo, not positive)),
+                *_tight(sign, *read(d_hi, y_hi, positive))]
 
-    # middle block present: digits d_hi+1 .. d_lo-1
-    mid_w = Fraction(r, d_hi) - Fraction(r, d_lo - 1)
-    if 2 * mid_w >= W:
+    # middle block present: digits d_hi+1 .. d_lo-1, of width
+    # r/d_hi - r/(d_lo-1) = r*(d_lo-1-d_hi) / (d_hi*(d_lo-1))
+    if 2 * r * (d_lo - 1 - d_hi) * ld * hd >= (hn * ld - ln * hd) * d_hi * (d_lo - 1):
         return [
-            cover(d_lo, y_lo, not positive).single,
+            _single(sign, *read(d_lo, y_lo, not positive)),
             FamilySet(sign, prefix, d_hi + 1, d_lo - 1),
-            cover(d_hi, y_hi, positive).single,
+            _single(sign, *read(d_hi, y_hi, positive)),
         ]
     # narrow middle: its diameter bounds the larger-digit child's (monotone
     # diameters), so block + that child merge into one set of diameter
-    # < 2*mid_w <= W
-    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *cover(d_hi, y_hi, positive).tight]
+    # below twice the block's, which is below |U|
+    return [FamilySet(sign, prefix, d_hi + 1, d_lo), *_tight(sign, *read(d_hi, y_hi, positive))]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -347,6 +348,13 @@ def _tie_cases():
         ((4,), 3, None), ((), 3, 3), ((2, 2), 2, None)]
 
 
+def _tie(sign, middle):
+    """U at the root with a tie in width (see _tie_cases): of the adjacent
+    pieces, or of the middle block."""
+    lo, hi = (Fraction(3, 10), Fraction(19, 30)) if middle else (Fraction(22, 75), Fraction(28, 75))
+    return interval_for(sign, lo, hi)
+
+
 @pytest.mark.parametrize("depth", [0, 40, 41])
 @pytest.mark.parametrize(
     "sign,rel,expected", [pytest.param(*case[1:], id=case[0]) for case in _tie_cases()]
@@ -410,6 +418,30 @@ def test_cover_interval_contracts(case):
         assert fs.sign is sign
         assert family_set_hull(rule, fs).diameter <= U.diameter
     assert verify_cover(rule, U, sets, 1.0).covers
+
+
+@settings(max_examples=100)
+@given(cover_case())
+# two ties, a junction end, U from 0 (a low piece) and U up to 1 (a high one)
+@example((LUROTH, Sign.POSITIVE, _tie(Sign.POSITIVE, False)))
+@example((LUROTH, Sign.ALTERNATING, _tie(Sign.ALTERNATING, True)))
+@example((ENGEL, Sign.POSITIVE, interval_for(Sign.POSITIVE, Fraction(1, 3), Fraction(5, 7))))
+@example((ENGEL, Sign.POSITIVE, interval_for(Sign.POSITIVE, Fraction(0), Fraction(3, 4))))
+@example((PIERCE, Sign.POSITIVE, interval_for(Sign.POSITIVE, Fraction(1, 2), Fraction(1))))
+def test_cover_interval_makes_only_the_sets_it_returns(case):
+    """Each boundary piece is read once, and only the variant the cover
+    takes, tight or single, is made into sets."""
+    rule, sign, U = case
+    made = []
+    init = FamilySet.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    with mock.patch.object(FamilySet, "__init__", counting):
+        sets = cover_interval(rule, sign, U)
+    assert len(made) == len(sets)
 
 
 PARITY = DigitRule.custom(lambda prefix: 1 + sum(prefix) % 2)
@@ -1440,15 +1472,51 @@ def differential_case(draw):
     return rule, sign, interval_for(sign, x1, x2)
 
 
-# U with a tie in width (see _tie_cases): of the adjacent pieces, of the middle block
-ADJACENT_TIE = interval_for(Sign.POSITIVE, Fraction(22, 75), Fraction(28, 75))
-MIDDLE_TIE = interval_for(Sign.ALTERNATING, Fraction(3, 10), Fraction(19, 30))
+def _tie_below(rule, sign, word, middle):
+    """U inside word's cylinder with a tie in width at its children: the
+    adjacent children c + 1 and c (c = r + 2) split U at its midpoint, or
+    child c + 1 between them is exactly |U|/2.  The descent reaches the
+    tie through word, and its position pairs then carry common factors
+    (in the thousands under the words below), which the width tests
+    reduce away."""
+    off, sc, r = reference.cylinder_map(rule, sign, word)
+    c = r + 2
+    if middle:
+        m = Fraction(r, c) - Fraction(r, c + 1)
+        rel = (Fraction(r, c + 1) - m / 4, Fraction(r, c) + 3 * m / 4)
+    else:
+        w = Fraction(r, 3 * (c + 1) * (c + 2))
+        rel = (Fraction(r, c) - w, Fraction(r, c) + w)
+    return interval_for(sign, *sorted(off + sc * t for t in rel))
+
+
+def _bench_like(sign):
+    """U at relative (2137/9973, 7001/9973] of a depth-90 pierce cylinder,
+    as a deep bench cover op draws it: the descent's position pairs pass
+    13 000 bits there, and reduce to a few bits."""
+    word = positive_digits(PIERCE, Fraction(271828, 314159), 90)
+    off, sc, _ = reference.cylinder_map(PIERCE, sign, word)
+    return interval_for(sign, *sorted(off + sc * t for t in (Fraction(2137, 9973),
+                                                               Fraction(7001, 9973))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(differential_case(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-@example((LUROTH, Sign.POSITIVE, ADJACENT_TIE), 1.0)
-@example((LUROTH, Sign.ALTERNATING, MIDDLE_TIE), 1.0)
+@example((LUROTH, Sign.POSITIVE, _tie(Sign.POSITIVE, False)), 1.0)
+@example((LUROTH, Sign.ALTERNATING, _tie(Sign.ALTERNATING, True)), 1.0)
+@example((LUROTH, Sign.ALTERNATING, _tie(Sign.ALTERNATING, False)), 1.0)
+@example((LUROTH, Sign.POSITIVE, _tie(Sign.POSITIVE, True)), 1.0)
+@example((ENGEL, Sign.POSITIVE, _tie_below(ENGEL, Sign.POSITIVE, (3, 4, 6, 9), False)), 0.5)
+@example((ENGEL, Sign.ALTERNATING, _tie_below(ENGEL, Sign.ALTERNATING, (3, 4, 6, 9), True)), 0.5)
+@example((PIERCE, Sign.ALTERNATING, _tie_below(PIERCE, Sign.ALTERNATING, (2, 3, 5, 8), False)),
+         0.5)
+@example((PIERCE, Sign.POSITIVE, _tie_below(PIERCE, Sign.POSITIVE, (2, 3, 5, 8), True)), 0.5)
+# decisions between ends of unequal denominators, which a width test that
+# paired each end's numerator with its own denominator would flip
+@example((LUROTH, Sign.POSITIVE, interval_for(Sign.POSITIVE, Fraction(2, 5), Fraction(3, 7))), 1.0)
+@example((LUROTH, Sign.POSITIVE, interval_for(Sign.POSITIVE, Fraction(2, 7), Fraction(2, 3))), 1.0)
+@example((PIERCE, Sign.POSITIVE, _bench_like(Sign.POSITIVE)), 0.5)
+@example((PIERCE, Sign.ALTERNATING, _bench_like(Sign.ALTERNATING)), 0.5)
 def test_cover_and_verify_match_the_two_step_fraction_forms(case, alpha):
     rule, sign, U = case
     sets = outcome(cover_interval, rule, sign, U)

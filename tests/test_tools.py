@@ -1,9 +1,10 @@
 """The tools: bench_pairs.py's pair summary on synthetic pairs, its
 export of the two sides (the working tree, and a copy of it with the base
 revision's src/) and its comparison of output digests, output_digest.py on
-one round of a pool (its pool digest and its per-op lines), and
-code_lines.py's count and untested_lines.py's list on small fixture
-packages."""
+one round of a pool (its pool digest and its per-op lines), ab_calls.py's
+summary and its two sides (a throwaway repository's committed package and
+its working tree), and code_lines.py's count and untested_lines.py's list
+on small fixture packages."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ def _tool(name):
     return module
 
 
+ab_calls = _tool("ab_calls")
 bench_pairs = _tool("bench_pairs")
 code_lines = _tool("code_lines")
 untested_lines = _tool("untested_lines")
@@ -191,6 +193,97 @@ def test_output_digest_per_op_prints_each_op_line_hash_and_the_same_pool_digest(
     assert all(len(line.split()[3]) == 64 for line in ops)
     # each op's text starts with its position, so a diff of two runs names the op
     assert all(line.split(maxsplit=4)[4][1:].startswith(f"{i}\\t") for i, line in enumerate(ops))
+
+
+def _repo(path, files):
+    """A throwaway git repository at path with files committed."""
+    for name, text in files.items():
+        (path / name).parent.mkdir(parents=True, exist_ok=True)
+        (path / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=path, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=path, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base"],
+                   cwd=path, check=True)
+
+
+def _ab_calls(repo, *argv):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_calls.py"), "--repo", str(repo), *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_ab_calls_summary_of_synthetic_times():
+    # two calls, three rounds, in seconds: round totals base 5, 7, 9 and
+    # change 3, 3, 10 (ms below)
+    times = {"base": [[1, 2, 3], [4, 5, 6]], "change": [[1, 1, 1], [2, 2, 9]]}
+    report = ab_calls.summarise(times)
+    assert report["base"] == {"total_min_ms": 5e3, "total_median_ms": 7e3,
+                              "call_p50_ms": 1e3, "call_p90_ms": 4e3}
+    assert report["change"] == {"total_min_ms": 3e3, "total_median_ms": 3e3,
+                                "call_p50_ms": 1e3, "call_p90_ms": 2e3}
+    assert report["ratio"] == {"total_min_ms": 0.6, "total_median_ms": 3 / 7,
+                               "call_p50_ms": 1.0, "call_p90_ms": 0.5}
+    assert report["change_won"] == 2
+
+
+def test_ab_calls_runs_the_committed_package_against_the_working_tree(tmp_path):
+    repo = tmp_path / "repo"
+    _repo(repo, {"src/perron/__init__.py": "from . import mod\nN = 1000\n",
+                 "src/perron/mod.py": "def triangle(n):\n    return sum(range(n))\n"})
+    mod = repo / "src/perron/mod.py"
+    argv = ["--call", "mod:triangle", "--args", "perron.N", "--rounds", "3"]
+
+    mod.write_text("def triangle(n):\n    return n * (n - 1) // 2\n")  # the same outputs
+    proc = _ab_calls(repo, *argv)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                            text=True, check=True).stdout.strip()
+    assert record["base_commit"] == commit
+    assert (record["what"], record["calls"], record["rounds"]) == (
+        "call mod:triangle(perron.N)", 1, 3)
+    assert record["outputs_equal"] and 0 <= record["change_won"] <= 3
+    for side in ("base", "change"):
+        assert set(record[side]) == {"total_min_ms", "total_median_ms", "call_p50_ms",
+                                     "call_p90_ms"}
+        assert record[side]["total_min_ms"] <= record[side]["total_median_ms"]
+
+    # each side ran its own code: the base the commit, the change the edit
+    mod.write_text("def triangle(n):\n    return n * (n - 1) // 2 + 1\n")
+    proc = _ab_calls(repo, *argv)
+    assert proc.returncode == 1 and not proc.stdout
+    assert "call 0 differs" in proc.stderr
+    assert "base   499500" in proc.stderr and "change 499501" in proc.stderr
+
+
+def test_ab_calls_runs_a_bench_pool_on_each_side(tmp_path):
+    # a throwaway repository holding this one's package and harness
+    repo = tmp_path / "repo"
+    files = {"BENCHMARK.json": open(os.path.join(ROOT, "BENCHMARK.json")).read()}
+    for top in ("src/perron", "bench"):
+        for folder, dirs, names in os.walk(os.path.join(ROOT, top)):
+            dirs[:] = [d for d in dirs if d not in ("__pycache__", ".bench_out")]
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    with open(path) as f:
+                        files[os.path.relpath(path, ROOT)] = f.read()
+    _repo(repo, files)
+    argv = ["--pool", "cover", "--seed", "5", "--pool-rounds", "1", "--rounds", "1"]
+
+    proc = _ab_calls(repo, *argv)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert (record["what"], record["calls"], record["rounds"]) == ("pool cover seed 5", 101, 1)
+
+    # a change to verify_cover's cost changes every cover op's output
+    coverings = repo / "src/perron/coverings.py"
+    text = coverings.read_text()
+    assert text.count("cost = math.fsum(") == 1
+    coverings.write_text(text.replace("cost = math.fsum(", "cost = 2 * math.fsum("))
+    proc = _ab_calls(repo, *argv)
+    assert proc.returncode == 1 and "differs" in proc.stderr
 
 
 FIXTURE = '''"""A module docstring

@@ -76,7 +76,13 @@ def export_base(rev: str, dest: str, change: str, root: str = ROOT) -> str:
     revision rev of the repository at root; return rev's full commit id."""
     shutil.copytree(change, dest, dirs_exist_ok=True,
                     ignore=lambda folder, names: ["src"] if folder == change else [])
-    archive = git("archive", "--format=tar", rev, "src", cwd=root)
+    return export_tree(rev, "src", dest, root)
+
+
+def export_tree(rev: str, path: str, dest: str, root: str = ROOT) -> str:
+    """Extract path as it is in revision rev of the repository at root into
+    dest (at dest/path), with git archive; return rev's full commit id."""
+    archive = git("archive", "--format=tar", rev, path, cwd=root)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
