@@ -23,7 +23,9 @@ diameter
 
     r_0 r_1 ... r_{k-1} / ((c_1-1)c_1 (c_2-1)c_2 ... (c_k-1)c_k).
 
-Everything in this module is exact rational arithmetic; no floats anywhere.
+Everything in this module is exact rational arithmetic, but for
+_ratio_power, the one float power of an exact ratio, which coverings and
+dimension share.
 Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
 a few integer products and no gcd.  A frame takes digits in one place,
@@ -81,7 +83,7 @@ import enum
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, inf
+from math import exp, frexp, gcd, inf, log
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ValidityError
@@ -153,7 +155,8 @@ class _Record:
     field names are the class's own annotations, in declaration order
     (__match_args__), and _values is the tuple of the fields.  A record
     equals only a record of the same class with equal fields, hashes as
-    the tuple of its fields, reprs as Name(field=value, ...), and raises
+    the tuple of its fields, reprs as Name(field=value, ...) with each
+    value through _shown (a long one prints its size), and raises
     AttributeError on setting or deleting an attribute.
     """
 
@@ -171,7 +174,7 @@ class _Record:
 
     def __repr__(self):
         pairs = zip(self.__match_args__, self._values)
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+        return f"{type(self).__qualname__}({', '.join(f'{k}={_shown(v, repr)}' for k, v in pairs)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -221,7 +224,7 @@ class DigitRule(_Record):
         object.__setattr__(self, "b", _integer("b", b))
         object.__setattr__(self, "fn", fn)
         if self.phi0 < 1:
-            raise DomainError(f"phi0 must be >= 1, got {self.phi0}")
+            raise DomainError(f"phi0 must be >= 1, got {_shown(self.phi0)}")
 
     @classmethod
     def luroth(cls) -> "DigitRule":
@@ -272,6 +275,51 @@ def _rational(name: str, value) -> Fraction:
         raise
 
 
+def _shown(value, form=str) -> str:
+    """form(value), str or repr, for an error message or a record's repr.
+
+    An int or a Fraction past the interpreter's limit on decimal conversion
+    (sys.get_int_max_str_digits, 4300 digits by default) would raise
+    ValueError from inside the message; it is shown by its size in bits
+    instead, as <int of n bits> or <fraction of n/d bits>, signed.  Every
+    other value is form(value) as it was.  The CLI lifts the limit, so its
+    messages print every digit.
+    """
+    try:
+        return form(value)
+    except ValueError:  # an int or a Fraction past the limit; an int is n/1
+        num, den = value.numerator.bit_length(), value.denominator.bit_length()
+        size = f"int of {num}" if den == 1 else f"fraction of {num}/{den}"
+        return f"{'-' * (value < 0)}<{size} bits>"
+
+
+def _ratio_power(num: int, den: int, s: float) -> float:
+    """r**s as a float for the ratio r = num/den of positive ints num and
+    den, and s >= 0: the one float power of an exact ratio, which a cover's
+    cost terms and the Moran sum take.
+
+    While the correctly rounded quotient x = num / den (int true division)
+    is a normal double (x >= 2**-1022) this is x**s: x is within a relative
+    u = 2**-53 of r, so x**s is within s*u of r**s plus the rounding of the
+    power.  Below that, x keeps fewer bits (a subnormal) or none (0.0 below
+    2**-1075), and the power is exp(s ln r) with ln r = ln m + e ln 2 from
+    r = m 2**e, m in [1/2, 1): m is the mantissa of the correctly rounded
+    quotient num 2**k / den, which k puts in (1, 4), so m and e depend on r
+    alone and not on the pair that states it, and no int is converted to a
+    float.  Their logs are off by at most 2.4u (m) and 3u |e| ln 2 (e), the
+    sum and the product by s add u of their results, and exp one ulp, so
+    this is within a relative 2u (1 + s (3 ln(1/r) + 3)) of r**s, to first
+    order (below 7e-13 for r = 10**-400 at s <= 1), and within 2**-1074
+    more where the result is itself below 2**-1022.
+    """
+    x = num / den
+    if x >= 2.0**-1022:
+        return x**s
+    k = den.bit_length() - num.bit_length() + 1
+    m, e = frexp((num << k) / den)
+    return exp(s * (log(m) + (e - k) * log(2)))
+
+
 def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
     """r_i, the rule value after the 1-based position i of word, not checked
     against 1.
@@ -287,7 +335,7 @@ def _step_r(rule: DigitRule, word: DigitWord, i: int) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidityError(
-            f"rule value {value!r} after position {i} is not an integer", index=i
+            f"rule value {_shown(value, repr)} after position {i} is not an integer", index=i
         ) from None
 
 
@@ -303,12 +351,12 @@ def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
     c = word[i - 1]
     if not isinstance(c, int) or c < r + 1:
         raise ValidityError(
-            f"digit {c!r} at position {i} violates c >= {r + 1}", index=i
+            f"digit {_shown(c, repr)} at position {i} violates c >= {_shown(r + 1)}", index=i
         )
     r = _step_r(rule, word, i)
     if r < 1:
         raise ValidityError(
-            f"rule value {r} after position {i} is not a positive integer", index=i
+            f"rule value {_shown(r)} after position {i} is not a positive integer", index=i
         )
     return r
 
@@ -424,7 +472,8 @@ class _Frame(NamedTuple):
         """
         off, sc, den, r = self.off_num, self.sc_num, self.den, self.r
         if start < r + 1:
-            raise ValidityError(f"start {start} below first admissible digit {r + 1}", index=None)
+            raise ValidityError(
+                f"start {_shown(start)} below first admissible digit {_shown(r + 1)}", index=None)
         a = (off, den) if end is None else (off * end + sc * r, den * end)
         b = (off + sc, den) if start == r + 1 else (off * (start - 1) + sc * r, den * (start - 1))
         return (a, b) if sc > 0 else (b, a)
@@ -506,9 +555,9 @@ def _check_domain(sign: Sign, num: int, den: int) -> None:
     0 < num < den, with x formed as a Fraction only for the message."""
     if sign is _POSITIVE:
         if not 0 < num <= den:
-            raise DomainError(f"x = {Fraction(num, den)} outside (0, 1]")
+            raise DomainError(f"x = {_shown(Fraction(num, den))} outside (0, 1]")
     elif not 0 < num < den:
-        raise DomainError(f"x = {Fraction(num, den)} outside (0, 1)")
+        raise DomainError(f"x = {_shown(Fraction(num, den))} outside (0, 1)")
 
 
 def _child(sign: Sign, r: int, num: int, den: int) -> tuple[int, bool, tuple[int, int]]:
@@ -750,10 +799,8 @@ def pierce_notation_convert(word: Sequence[int], direction: str) -> DigitWord:
         prev = 0
         for i, c in enumerate(word, start=1):
             if not isinstance(c, int) or c < 1 or c <= prev:
-                raise ValidityError(
-                    f"traditional digit {c!r} at position {i} must exceed {max(prev, 0)}",
-                    index=i,
-                )
+                raise ValidityError(f"traditional digit {_shown(c, repr)} at position {i} "
+                                    f"must exceed {_shown(prev)}", index=i)
             prev = c
         return tuple(c + 1 for c in word)
     raise DomainError(f"unknown direction {direction!r}")

@@ -87,8 +87,10 @@ from .core import (
     _Frame,
     _next_r,
     _POSITIVE,
+    _ratio_power,
     _rational,
     _Record,
+    _shown,
     _tail,
 )
 from .errors import DomainError, ValidityError
@@ -129,11 +131,13 @@ class FamilySet(_Record):
         _check_sign(sign)
         for i, c in enumerate(prefix, 1):
             if type(c) is not int:
-                raise ValidityError(f"digit {c!r} at position {i} is not an integer", index=i)
+                raise ValidityError(
+                    f"digit {_shown(c, repr)} at position {i} is not an integer", index=i)
         if type(start) is not int or end is not None and type(end) is not int:
-            raise ValidityError(f"start {start!r} or end {end!r} is not an integer")
+            raise ValidityError(
+                f"start {_shown(start, repr)} or end {_shown(end, repr)} is not an integer")
         if end is not None and end < start:
-            raise ValidityError(f"end {end} below start {start}", index=None)
+            raise ValidityError(f"end {_shown(end)} below start {_shown(start)}", index=None)
 
 
 class QInterval(_Record):
@@ -148,7 +152,7 @@ class QInterval(_Record):
                  hi_included: bool = True):
         lo, hi = _rational("lo", lo), _rational("hi", hi)
         if lo >= hi:
-            raise DomainError(f"empty interval [{lo}, {hi}]")
+            raise DomainError(f"empty interval [{_shown(lo)}, {_shown(hi)}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo_included", lo_included)
@@ -227,9 +231,9 @@ def cover_boundary(
     low = (side == FROM_INF) == (frame.sc_num > 0)
     u = frame.relative(cut)
     if not (0 < u[0] <= u[1] if low else 0 <= u[0] < u[1]):
-        lo, hi = (Fraction(*end) for end in frame.hull(frame.r + 1))
+        lo, hi = (_shown(Fraction(*end)) for end in frame.hull(frame.r + 1))
         span = f"({lo}, {hi}]" if side == FROM_INF else f"[{lo}, {hi})"
-        raise DomainError(f"cut {cut} outside {span}")
+        raise DomainError(f"cut {_shown(cut)} outside {span}")
     read = _boundary_read(rule, sign, list(frame.word), frame.r, u, low)
     return BoundaryCover(_tight(sign, *read), _single(sign, *read))
 
@@ -443,8 +447,10 @@ def split_to_finite(
             <  (1 + eps) * |fs|**alpha,
 
     where D(t) is the tail diameter from digit t on.  Callers evaluate the
-    costs in floating point; far down the stream the diameters drop below
-    the double-precision underflow threshold and such terms contribute 0.0.
+    costs in floating point.  verify_cover forms each term from the exact
+    diameter (core._ratio_power), so a term stays representable after the
+    diameter's own float has underflowed, and contributes 0.0 only far
+    down the stream, where |M_j|**alpha itself is below 2**-1075.
     The arguments are checked when the call is made, before any block is
     asked for; each block is made by the FamilySet constructor, which
     checks fs's sign and prefix again for it.
@@ -499,7 +505,9 @@ def split_parameters(alpha: float, eps: float) -> int:
 class CoverReport(_Record):
     """What verify_cover found: covers, whether the sets cover U;
     max_diameter, the largest exact hull diameter among them (0 for no
-    sets); cost, the float sum of each hull's diameter**alpha."""
+    sets); cost, the float sum (math.fsum) of each hull's diameter**alpha,
+    each term formed from the exact diameter by core._ratio_power, so a
+    term is 0.0 only where the power itself is below the float range."""
 
     covers: bool
     max_diameter: ExactQ
@@ -538,12 +546,16 @@ def verify_cover(
     intervals covered modulo endpoint-set points, and abutting open hulls
     meet at a cylinder endpoint, so the same pass decides them.  Each
     diameter is |sc| of P times a relative width w = hi - lo, an unreduced
-    pair (wn, wd).  Each cost term is (|sc_num|*wn / (den*wd))**alpha: int
-    true division rounds the exact diameter correctly whatever common
-    factor the pair holds, as float() of its Fraction does, and math.fsum
-    adds the terms.  The widest w is picked by cross-multiplication, and
-    max_diameter is the one Fraction formed.  Coverage and diameters are
-    exact.
+    pair (wn, wd).  Each cost term is core._ratio_power(|sc_num|*wn,
+    den*wd, alpha): where the exact diameter's correctly rounded float (int
+    true division, whatever common factor the pair holds, as float() of its
+    Fraction gives) is a normal double, that float**alpha, and below
+    2**-1022, where the float keeps fewer bits or none, exp of alpha times
+    the diameter's log, read from a correctly rounded rescaled quotient
+    of the same pair, within the relative error _ratio_power states; so
+    a term depends on the diameter alone, not on the pair.  math.fsum adds the terms.  The widest w is picked
+    by cross-multiplication, and max_diameter is the one Fraction formed.
+    Coverage and diameters are exact.
     """
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -566,7 +578,7 @@ def verify_cover(
     # each width hi - lo as an unreduced pair (num, den), den > 0
     widths = [(hn * ld - ln * hd, ld * hd) for (ln, ld), (hn, hd) in spans]
     sc, den = abs(base.sc_num), base.den
-    cost = math.fsum((sc * wn / (den * wd)) ** alpha for wn, wd in widths)
+    cost = math.fsum(_ratio_power(sc * wn, den * wd, alpha) for wn, wd in widths)
     wn, wd = widths[0]
     for n, d in widths:
         if n * wd > wn * d:

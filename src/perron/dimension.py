@@ -56,7 +56,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import _LAZY
-from .core import DigitRule, DigitWord, ExactQ, Sign, _rational, _Record, _step_r
+from .core import (
+    DigitRule, DigitWord, ExactQ, Sign, _ratio_power, _rational, _Record, _shown, _step_r)
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = _LAZY["dimension"]  # declared once, in the package
@@ -211,7 +212,7 @@ def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if digit_cap < rule.phi0 + 1:
-        raise DomainError(f"digit_cap must be >= {rule.phi0 + 1}")
+        raise DomainError(f"digit_cap must be >= {_shown(rule.phi0 + 1)}")
 
 
 def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
@@ -551,9 +552,8 @@ def pressure_root(
     plain bisection's bits, from about a third of its f calls.
 
     tol must be finite and positive; if the bisection stalls or runs out
-    before |sum - 1| <= tol (a tol below float resolution), the plain
-    bisection runs in full and its DomainError names the best residual
-    over all its midpoints.
+    before |sum - 1| <= tol (a tol below float resolution), DomainError
+    names the best residual over f(0) and the midpoints it evaluated.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
@@ -655,19 +655,21 @@ def _line(p, q, m: float, eps: float, side: int) -> float:
 
 
 def _convex_bisect(f, hi: float, tol: float, f0: float, eps: float) -> tuple[float, float]:
-    """What _bisect(f, hi, tol, |f0|) returns, from fewer calls of f.
+    """(s, |f(s)|) for the first midpoint s of the plain bisection of
+    [0, hi] with |f(s)| <= tol, evaluating only the midpoints it must.
 
     f is the computed form of a convex decreasing F with
     |f(s) - F(s)| <= eps (1 + |f(s)|) on [0, hi], and f0 > tol is F(0)
     within the same bound, so (0, f0) counts as an evaluated point and
-    f(0) is never called.  The midpoints are _bisect's, and one is not
-    evaluated when the points evaluated so far settle its branch beyond
-    T = tol + eps (1 + tol):
+    f(0) is never called.  The plain bisection evaluates every midpoint
+    and sets lo = mid where f(mid) > 0, hi = mid otherwise.  Here a
+    midpoint is not evaluated when the points evaluated so far settle its
+    branch beyond T = tol + eps (1 + tol):
 
     - chord: F lies below its chord between the nearest evaluated points
       on either side.  If that chord is below -T at the midpoint, then
       f(mid) < -tol (were f >= -tol, F >= f - eps (1 + |f|) would be
-      >= -T), and hi = mid as _bisect would set it.
+      >= -T), and hi = mid as the plain bisection would set it.
     - secant: F lies above the line through two evaluated points, outside
       the segment between them.  If the line through the two nearest on
       one side, extended to the midpoint, is above T there, then
@@ -675,17 +677,19 @@ def _convex_bisect(f, hi: float, tol: float, f0: float, eps: float) -> tuple[flo
 
     _line bounds both lines with the rounding of their own arithmetic.  So
     every midpoint where |f| <= tol is possible is evaluated, the first
-    such is the one returned, and s and |f(s)| keep _bisect's bits.
+    such is the one returned, and s and |f(s)| keep the plain bisection's
+    bits.  With eps infinite no midpoint is skipped: that is the plain
+    bisection itself.
 
-    A skipped midpoint is only known to have |f| > tol, so it may hold
-    the least residual that _bisect's DomainError names.  When the bracket
-    stalls (the midpoint equals one of its ends, so _bisect would repeat
-    it) or _MAX_BISECT steps pass, _bisect itself runs from the start, and
-    its answer or its DomainError, text included, is the result.
+    When the bracket stalls (the midpoint equals one of its ends, so no
+    later step moves it) or _MAX_BISECT steps pass, tol is out of reach (a
+    tol below float resolution): DomainError names the best residual, the
+    least |f| among the points evaluated, f0 included.  A skipped midpoint
+    is only known to have |f| > tol and is not among them.
     """
     margin = tol + eps * (1 + tol)
     left, right = [(0.0, f0)], []  # evaluated points beside the bracket, nearest last
-    lo, top = 0.0, hi
+    lo = 0.0
     for _ in range(_MAX_BISECT):
         mid = (lo + hi) / 2
         if not lo < mid < hi:
@@ -705,51 +709,8 @@ def _convex_bisect(f, hi: float, tol: float, f0: float, eps: float) -> tuple[flo
             else:
                 hi = mid
                 right.append((mid, fm))
-    return _bisect(f, top, tol, abs(f0))
-
-
-def _bisect(f, hi: float, tol: float, best: float) -> tuple[float, float]:
-    """(s, |f(s)|) for the first bisection midpoint s in [0, hi] with
-    |f(s)| <= tol, f decreasing with f(0) > 0 > f(hi).
-
-    If _MAX_BISECT steps do not reach tol (a tol below float resolution),
-    DomainError names the best residual: the least of best, which the
-    caller has reached already, and the midpoints' residuals.
-    """
-    lo = 0.0
-    for _ in range(_MAX_BISECT):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid, abs(fm)
-        best = min(best, abs(fm))
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise DomainError(
-        f"tol {tol} not reached in {_MAX_BISECT} bisection steps; best residual {best}"
-    )
-
-
-def _ratio_power(ratio: Fraction, s: float) -> float:
-    """ratio**s as a float, for an exact ratio num/den in (0, 1) and s >= 0.
-
-    While the correctly rounded quotient x = float(ratio) is a normal
-    double (x >= 2**-1022) this is x**s: x is within a relative u = 2**-53
-    of the ratio, so x**s is within s*u of ratio**s plus the rounding of
-    the power.  Below that, x keeps fewer bits (a subnormal) or none (0.0
-    below 2**-1075), and the power is exp(s (log num - log den)), as
-    pressure_root forms its weights.  math.log(n) is off ln n by at most
-    2u (ln n + 1) for any int n (see _sum_error), the difference and the
-    product by s add u of their results, and exp one ulp, so this is
-    within a relative 2u (1 + s (ln num + 2 ln den + 2)) of ratio**s, to
-    first order: below 5e-13 for a ratio of 10**-400 at s <= 1.
-    """
-    x = float(ratio)
-    if x >= 2.0**-1022:
-        return x**s
-    return math.exp(s * (math.log(ratio.numerator) - math.log(ratio.denominator)))
+    raise DomainError(f"tol {tol} not reached in {_MAX_BISECT} bisection steps; "
+                      f"best residual {min(abs(fm) for _, fm in left + right)}")
 
 
 def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
@@ -757,12 +718,14 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
 
     Independent of the pressure machinery on purpose (it is the oracle for
     pressure_root on multiplicative digit restrictions): ratios arrive as a
-    plain list, each term is _ratio_power(ratio, s), so a ratio below the
-    float range counts too, and the bracket is [0, 1].  Requires every
-    ratio in (0, 1) exactly and sum of ratios <= 1 (so the root lies in
-    the bracket).  As in pressure_root, tol must be finite and positive,
-    and if the bisection runs out before |sum - 1| <= tol, DomainError
-    names the best residual it reached.
+    plain list, each term is core._ratio_power of the ratio's integer pair,
+    so a ratio below the float range counts too, and the bracket is
+    [0, 1].  Requires every ratio in (0, 1) exactly and sum of ratios <= 1
+    (so the root lies in the bracket).  The bisection is _convex_bisect
+    with eps infinite, which evaluates every midpoint, from f(0) =
+    len(ratios) - 1 without a call.  As in pressure_root, tol must be
+    finite and positive, and if the bisection stalls or runs out before
+    |sum - 1| <= tol, DomainError names the best residual it reached.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
@@ -771,19 +734,19 @@ def moran_dimension(ratios: Sequence[ExactQ], tol: float = 1e-12) -> float:
         raise DomainError("need at least one ratio")
     for r in ratios:
         if not 0 < r < 1:
-            raise DomainError(f"ratio {r} outside (0, 1)")
+            raise DomainError(f"ratio {_shown(r)} outside (0, 1)")
     if sum(ratios) > 1:
         raise DomainError("ratios must sum to at most 1")
 
     def f(s: float) -> float:
-        return math.fsum(_ratio_power(r, s) for r in ratios) - 1.0
+        return math.fsum(_ratio_power(r.numerator, r.denominator, s) for r in ratios) - 1.0
 
-    at_0, at_1 = abs(f(0.0)), abs(f(1.0))
-    if at_0 <= tol:
+    f0 = len(ratios) - 1.0  # every term is 1 at s = 0
+    if f0 <= tol:
         return 0.0
-    if at_1 <= tol:
+    if abs(f(1.0)) <= tol:
         return 1.0
-    return _bisect(f, 1.0, tol, min(at_0, at_1))[0]
+    return _convex_bisect(f, 1.0, tol, f0, math.inf)[0]
 
 
 def measure_at_rank(

@@ -19,9 +19,10 @@ their texts and indices are the library's, and the digit bound and a start
 below r + 1 are raised with the library's texts.
 
 The floats are formed as the library's docstrings state them: a cover's
-cost is math.fsum of float(diameter) ** alpha, and the pressure sum adds
-exp(s (log num - log den)) per base.  The 50-digit decimal forms of the
-pressure sum and of the Moran equation are the exact oracles for the
+cost is math.fsum of ratio_power(diameter, alpha), the pressure sum adds
+exp(s (log num - log den)) per base, and a root is the first midpoint of
+the plain bisection (bisect) within tol.  The 50-digit decimal forms of
+the pressure sum and of the Moran equation are the exact oracles for the
 library's float ones.
 
 Only fractions, decimal, math and itertools are imported, with perron's
@@ -243,13 +244,13 @@ def verify_cover(rule, U, sets, alpha):
     the positive form, by the half-open hull that ends there; in the
     alternating form, where reach is a cylinder endpoint (its alternating
     digits end in an ISPoint within the sets' depth), which no cover needs.
-    The cost is math.fsum of float(diameter) ** alpha."""
+    The cost is math.fsum of ratio_power(diameter, alpha)."""
     if not sets:
         return CoverReport(False, Fraction(0), 0.0)
     sign = sets[0].sign
     hulls = [hull(rule, fs) for fs in sets]
     widths = [b - a for a, b in hulls]
-    cost = math.fsum(float(w) ** alpha for w in widths)
+    cost = math.fsum(ratio_power(w, alpha) for w in widths)
     depth = max(len(fs.prefix) for fs in sets) + 2
     reach = U.lo
     while reach < U.hi:
@@ -262,6 +263,42 @@ def verify_cover(rule, U, sets, alpha):
             return CoverReport(False, max(widths), cost)
         reach = max(further)
     return CoverReport(True, max(widths), cost)
+
+
+# ---------------------------------------------------------------------------
+# float powers of exact ratios and the plain bisection
+# ---------------------------------------------------------------------------
+
+
+def ratio_power(d, s):
+    """d ** s as a float for a positive Fraction d: float(d) ** s where
+    float(d), the correctly rounded quotient, is a normal double, and below
+    2**-1022, where that float keeps fewer bits or none, exp(s ln d) with
+    ln d = ln m + e ln 2 for d = m 2**e, m in [1/2, 1), read from the float
+    of d 2**k, k putting it in (1, 4)."""
+    x = float(d)
+    if x >= 2.0**-1022:
+        return x**s
+    k = d.denominator.bit_length() - d.numerator.bit_length() + 1
+    m, e = math.frexp(float(d * 2**k))
+    return math.exp(s * (math.log(m) + (e - k) * math.log(2)))
+
+
+def bisect(f, hi, tol, best):
+    """(s, |f(s)|) for the first midpoint s of the plain bisection of
+    [0, hi] with |f(s)| <= tol, f decreasing with f(0) > 0 > f(hi): every
+    midpoint is evaluated, lo = mid where f(mid) > 0 and hi = mid
+    otherwise.  If 200 steps do not reach tol, the library's DomainError
+    names the best residual: the least of best and the midpoints'."""
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid, abs(fm)
+        best = min(best, abs(fm))
+        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
+    raise DomainError(f"tol {tol} not reached in 200 bisection steps; best residual {best}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +344,9 @@ def pressure_root(rule, sign, predicate, rank, cap, tol):
     """pressure_root's estimate from the listed bases: the first midpoint
     of the plain bisection of [0, 1.5] where |f| <= tol, f(s) being the sum
     of d**s over their diameters d minus 1, each term exp(s (log num -
-    log den)) and the sum math.fsum; s = 0 with residual 1.0 for no base."""
+    log den)) and the sum math.fsum (bisect, whose DomainError is the
+    library's where tol is out of reach); s = 0 with residual 1.0 for no
+    base."""
     ds = diameters(rule, sign, predicate, rank, cap)
     if not ds:
         return DimensionEstimate(rank, cap, 0.0, 1.0, 0)
@@ -316,16 +355,10 @@ def pressure_root(rule, sign, predicate, rank, cap, tol):
     def f(s):
         return math.fsum(math.exp(s * lw) for lw in logs) - 1.0
 
-    lo, hi = 0.0, 1.5
-    if abs(f(lo)) <= tol:
-        return DimensionEstimate(rank, cap, 0.0, abs(f(lo)), len(ds))
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return DimensionEstimate(rank, cap, mid, abs(fm), len(ds))
-        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
-    raise AssertionError("the reference bisection did not converge")
+    f0 = abs(f(0.0))
+    if f0 <= tol:
+        return DimensionEstimate(rank, cap, 0.0, f0, len(ds))
+    return DimensionEstimate(rank, cap, *bisect(f, 1.5, tol, f0), len(ds))
 
 
 def moran_dimension(ratios):

@@ -585,6 +585,20 @@ def test_output_digits_past_the_int_string_limit(capsys):
 
 
 @needs_int_limit
+def test_an_error_prints_a_value_past_the_int_string_limit_in_full(capsys):
+    # the library shows such a value by its size in bits; the command lifts
+    # the limit while it runs, so its message prints every digit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        x = f"{10**5000 + 1}/{10**5000}"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    code, out, err = run_cli(capsys, ["expand", "--system", "pierce", "--x", x, "--n", "3"])
+    assert (code, out, err) == (3, "", f"perron: error: x = {x} outside (0, 1]\n")
+
+
+@needs_int_limit
 def test_verify_reads_a_prefix_digit_past_the_int_string_limit(capsys, monkeypatch):
     # a 5000-digit prefix digit on stdin, and its cylinder as the target
     saved = sys.get_int_max_str_digits()

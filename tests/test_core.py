@@ -3,8 +3,9 @@
 import math
 import pickle
 import random
+import sys
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -23,10 +24,13 @@ from perron import (
     Sign,
     TransformKind,
     ValidityError,
+    all_digits,
     alternating_digits,
     bounded_ratio,
     cover_boundary,
+    cover_interval,
     cylinder,
+    enumerate_compatible_bases,
     family_set_hull,
     moran_dimension,
     partial_sum,
@@ -864,3 +868,128 @@ def test_traditional_pierce_matches_a_fraction_greedy_loop(pq):
         digits.append(math.floor(1 / x))
         x = 1 - digits[-1] * x
     assert traditional_pierce_digits(Fraction(*pq)) == tuple(digits)
+
+
+# ---------------------------------------------------------------------------
+# the float power of an exact ratio
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num, den", [(1, 2**1022), (3, 3 * 2**1022), (2**1100 + 1, 2**2122)])
+def test_ratio_power_of_a_quotient_rounding_to_2_to_the_minus_1022_is_its_float_power(num, den):
+    # the least normal double is in the normal range: its power is x ** s,
+    # where exp of the logs would be off by tens of ulps
+    assert num / den == 2.0**-1022
+    for s in (0.1, 0.25, 0.5, 1.0):
+        assert core._ratio_power(num, den, s).hex() == ((num / den) ** s).hex()
+
+
+@pytest.mark.parametrize(
+    "num, den", [(1, 10**400), (1, 2**1022 + 2**970), (7, 10**320), (1, 2**1100)])
+def test_ratio_power_below_the_normal_range_depends_on_the_ratio_alone(num, den):
+    # exp of the logs of the ratio in lowest terms, whatever pair states it,
+    # within the stated error of a 50-digit decimal power (reference)
+    assert num / den < 2.0**-1022
+    for s in (0.25, 0.5, 1.0):
+        got = core._ratio_power(num, den, s)
+        assert core._ratio_power(num * 3**40, den * 3**40, s).hex() == got.hex()
+        assert got == reference.ratio_power(Fraction(num, den), s)
+        with localcontext(Context(prec=50)):
+            ln_r = Decimal(num).ln() - Decimal(den).ln()
+            exact = (Decimal(s) * ln_r).exp()
+            rel = 2 * Decimal(2) ** -53 * (1 + Decimal(s) * (3 * -ln_r + 3))
+            assert abs(Decimal(got) - exact) <= rel * exact + Decimal(2) ** -1074
+
+
+# ---------------------------------------------------------------------------
+# exact values in error messages past the int/str digit limit
+# ---------------------------------------------------------------------------
+
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int/str digit limit, 4300, for the test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+BIG = 10**5000  # 16 610 bits, 5001 decimal digits
+_DEEP = positive_digits(PIERCE, Fraction(61, 215), 130)
+_DEEP_CYL = cylinder(PIERCE, _DEEP, Sign.POSITIVE)  # ends of 22 556-bit denominators
+
+# Each message printed a value past the limit and raised ValueError
+# ("Exceeds the limit (4300 digits) for integer string conversion") from
+# inside it, in place of the error: the call, and the error's type, the
+# start of its text and its index.
+_LONG_VALUE_ERRORS = {
+    "QInterval": (
+        lambda: QInterval(_DEEP_CYL.hi, _DEEP_CYL.lo), DomainError,
+        "empty interval [<fraction of 22552/22554 bits>, <fraction of 22554/22556 bits>]", None),
+    "cover_interval": (
+        lambda: cover_interval(PIERCE, Sign.POSITIVE, QInterval(_DEEP_CYL.lo, _DEEP_CYL.hi + 2)),
+        DomainError, "interval QInterval(lo=<fraction of 22554/22556 bits>, hi=<fraction of", None),
+    "cover_boundary": (
+        lambda: cover_boundary(PIERCE, Sign.POSITIVE, _DEEP, _DEEP_CYL.hi + 1, FROM_INF),
+        DomainError, "cut <fraction of 22554/22554 bits> outside (<fraction of", None),
+    "validate_word": (
+        lambda: validate_word(PIERCE, (2, BIG, 3)), ValidityError,
+        "digit 3 at position 3 violates c >= <int of 16610 bits>", 3),
+    "family_set_hull": (
+        lambda: family_set_hull(PIERCE, FamilySet(Sign.POSITIVE, (BIG,), 3, None)), ValidityError,
+        "start 3 below first admissible digit <int of 16610 bits>", None),
+    "FamilySet": (
+        lambda: FamilySet(Sign.POSITIVE, (), BIG, BIG // 10), ValidityError,
+        "end <int of 16607 bits> below start <int of 16610 bits>", None),
+    "positive_digits": (
+        lambda: positive_digits(PIERCE, Fraction(BIG + 1, BIG), 3), DomainError,
+        "x = <fraction of 16610/16610 bits> outside (0, 1]", None),
+    "moran_dimension": (
+        lambda: moran_dimension([Fraction(BIG + 1, BIG)]), DomainError,
+        "ratio <fraction of 16610/16610 bits> outside (0, 1)", None),
+    # the other messages that print a value the caller gives
+    "phi0": (
+        lambda: DigitRule.oppenheim(1, 0, phi0=-BIG), DomainError,
+        "phi0 must be >= 1, got -<int of 16610 bits>", None),
+    "digit_cap": (
+        lambda: enumerate_compatible_bases(DigitRule.oppenheim(1, 0, phi0=BIG), all_digits(), 1, 3),
+        DomainError, "digit_cap must be >= <int of 16610 bits>", None),
+    "rule value": (
+        lambda: rule_value(DigitRule.custom(lambda w: Fraction(BIG + 1, 2)), (2,)), ValidityError,
+        "rule value <fraction of 16610/2 bits> after position 1 is not an integer", 1),
+    "FamilySet digit": (
+        lambda: FamilySet(Sign.POSITIVE, (Fraction(BIG + 1, 2),), 3), ValidityError,
+        "digit <fraction of 16610/2 bits> at position 1 is not an integer", 1),
+    "FamilySet start": (
+        lambda: FamilySet(Sign.POSITIVE, (), Fraction(BIG + 1, 2)), ValidityError,
+        "start <fraction of 16610/2 bits> or end None is not an integer", None),
+    "pierce_notation_convert": (
+        lambda: pierce_notation_convert((BIG, 3), "traditional-to-perron"), ValidityError,
+        "traditional digit 3 at position 2 must exceed <int of 16610 bits>", 2),
+}
+
+
+@needs_int_limit
+@pytest.mark.parametrize("case", list(_LONG_VALUE_ERRORS))
+def test_an_error_shows_a_value_past_the_digit_limit_by_its_size(case, digit_limit):
+    call, kind, text, index = _LONG_VALUE_ERRORS[case]
+    got_kind, got_text, got_index = reference.outcome(call)
+    assert got_kind is kind
+    assert got_text.startswith(text) and got_index == index
+
+
+@needs_int_limit
+def test_shown_keeps_what_converts_and_sizes_what_does_not(digit_limit):
+    small = [3, -3, Fraction(-2, 3), "x", 4.0, True, None]
+    assert [core._shown(v) for v in small] == [str(v) for v in small]
+    assert [core._shown(v, repr) for v in small] == [repr(v) for v in small]
+    assert core._shown(-BIG) == "-<int of 16610 bits>"
+    assert core._shown(Fraction(-1, BIG), repr) == "-<fraction of 1/16610 bits>"
+    sys.set_int_max_str_digits(0)  # lifted, as the CLI does: every digit
+    assert core._shown(BIG) == str(BIG)
+    assert core._shown(Fraction(1, BIG), repr) == repr(Fraction(1, BIG))

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -40,6 +41,7 @@ from perron import (
     verify_cover,
     word_diameter,
 )
+from perron import coverings
 from perron.core import _child, _Frame
 
 import reference
@@ -1138,13 +1140,12 @@ def test_verify_refuses_float_equal_members_in_every_order(case, rnd):
         assert outcome(_verify_made, verify_cover, rule, U, members, 1.0) == expected
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
-def test_verify_cost_is_bit_identical_in_the_underflow_regime(sign, alpha):
-    # pierce blocks under a prefix whose cylinder is 1/(2(c-1)c), about
-    # 2**-999, wide: block diameters fall by a factor of 5 or more, through
-    # the subnormal range and below 2**-1075, where float() of the diameter
-    # is 0.0
+def _pierce_blocks(sign):
+    """Pierce blocks under a prefix whose cylinder is 1/(2(c-1)c), about
+    2**-999, wide: block diameters fall by a factor of 5 or more, through
+    the subnormal range and below 2**-1075, where float() of the diameter
+    is 0.0.  (U, [(sets, covers), ...]): the blocks chain across U in
+    either order, and from the 21st on they miss its start."""
     c = 2**499
     prefix = (2, 3, c)
     assert cylinder(PIERCE, prefix, sign).diameter == Fraction(1, 2 * (c - 1) * c)
@@ -1154,13 +1155,72 @@ def test_verify_cost_is_bit_identical_in_the_underflow_regime(sign, alpha):
     assert any(0 < float(d) < 2.0**-1022 for d in diameters)
     assert any(d < Fraction(2) ** -1075 for d in diameters)
     U = family_set_hull(PIERCE, FamilySet(sign, prefix, fs.start, blocks[-1].end))
-    for sets, covers in ((blocks, True), (blocks[::-1], True), (blocks[20:], False)):
-        report = verify_cover(PIERCE, U, sets, alpha)
-        hulls = [family_set_hull(PIERCE, b) for b in sets]
-        expected = math.fsum(float(h.diameter) ** alpha for h in hulls)
-        assert report.cost.hex() == expected.hex()
-        assert report.max_diameter == max(h.diameter for h in hulls)
-        assert report.covers == covers
+    return U, [(blocks, True), (blocks[::-1], True), (blocks[20:], False)]
+
+
+def _luroth_thin(sign):
+    """The luroth cover of (1/3, 1/3 + 10**-400] (open in the alternating
+    form): two sets whose diameters are about 10**-400, so float() of each
+    is 0.0."""
+    U = interval_for(sign, Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**400))
+    sets = cover_interval(LUROTH, sign, U)
+    assert len(sets) == 2
+    return U, [(sets, True)]
+
+
+_UNDERFLOW_CASES = [(PIERCE, _pierce_blocks), (LUROTH, _luroth_thin)]
+
+
+def _decimal_power(d, s):
+    """(d ** s in 50-digit decimal arithmetic, the error core._ratio_power
+    states for it: a relative 2u (1 + s (3 ln(1/d) + 3)), u = 2**-53, and
+    2**-1074 more where the power is below 2**-1022)."""
+    with localcontext(Context(prec=50)):
+        ln_d = Decimal(d.numerator).ln() - Decimal(d.denominator).ln()
+        exact = (Decimal(s) * ln_d).exp()
+        u = Decimal(2) ** -53
+        bound = 2 * u * (1 + Decimal(s) * (3 * -ln_d + 3)) * exact
+        if exact < Decimal(2) ** -1022:
+            bound += Decimal(2) ** -1074
+        return exact, bound
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sign", SIGNS, ids=["P", "A"])
+def test_verify_cost_is_bit_identical_in_the_underflow_regime(sign, alpha):
+    # each cost term comes from core._ratio_power, bit for bit as the
+    # reference forms it: one whose quotient is a normal double keeps the
+    # bits of float(d) ** alpha, and one below 2**-1022 lies within the
+    # stated error of d ** alpha in 50-digit decimals.  It used to be
+    # float(d) ** alpha there too, so the luroth cover at alpha 0.5 cost
+    # 0.0, where the exact cost is about 1e-200
+    power = coverings._ratio_power
+
+    def logged(num, den, s):  # each term with its exact ratio
+        terms.append((Fraction(num, den), power(num, den, s)))
+        return terms[-1][1]
+
+    for rule, make in _UNDERFLOW_CASES:
+        U, runs = make(sign)
+        for sets, covers in runs:
+            terms = []
+            with mock.patch.object(coverings, "_ratio_power", logged):
+                report = verify_cover(rule, U, sets, alpha)
+            hulls = [family_set_hull(rule, fs) for fs in sets]
+            assert [d for d, _ in terms] == [h.diameter for h in hulls]
+            assert report.cost == math.fsum(t for _, t in terms)
+            for d, t in terms:
+                if float(d) >= 2.0**-1022:
+                    assert t.hex() == (float(d) ** alpha).hex()
+                else:
+                    exact, bound = _decimal_power(d, alpha)
+                    assert abs(Decimal(t) - exact) <= bound, (d, t)
+            assert report.max_diameter == max(h.diameter for h in hulls)
+            assert report.covers == covers
+            expected = reference.verify_cover(rule, U, sets, alpha)
+            assert report == expected and report.cost.hex() == expected.cost.hex()
+    if alpha == 0.5:  # the luroth cover, last
+        assert 1e-200 < report.cost < 1.01e-200
 
 
 @st.composite

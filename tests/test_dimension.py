@@ -320,12 +320,11 @@ def test_unreachable_tol_is_a_domain_error():
     # bring |sum - 1| within it; the contract residual <= tol cannot be kept
     with pytest.raises(DomainError, match="residual"):
         pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)
-    # the message names the plain loop's best residual, skipped midpoints
-    # included
+    # the plain loop raises too; the message names the least residual over
+    # f(0) and the midpoints the bisection evaluated
     (got, plain), _ = _recorded(lambda: _root_and_plain(
         lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)))
-    assert got == plain
-    assert got.startswith("DomainError: tol 1e-18 not reached in 200 bisection steps")
+    assert got == plain == "DomainError"
 
 
 def test_non_integer_rule_values_are_validity_errors():
@@ -1120,40 +1119,53 @@ def test_luroth_rank_30_factorises():
 # ---------------------------------------------------------------------------
 
 
+_CONVEX = dimension._convex_bisect  # the library's bisection, for the spies below
+
+
 def _outcome(call):
-    """call()'s result, or its DomainError as text."""
+    """call()'s result, or "DomainError" where it raises one."""
     try:
         return call()
+    except DomainError:
+        return "DomainError"
+
+
+def _convex_outcome(f, hi, tol, f0, eps):
+    """_convex_bisect(f, hi, tol, f0, eps), or "DomainError" once its
+    message is checked to name the least |f| over f0 and its own calls."""
+    values = []
+    try:
+        return _CONVEX(lambda s: values.append(f(s)) or values[-1], hi, tol, f0, eps)
     except DomainError as exc:
-        return f"DomainError: {exc}"
+        best = min(abs(v) for v in [f0, *values])
+        assert str(exc) == f"tol {tol} not reached in 200 bisection steps; best residual {best}"
+        return "DomainError"
 
 
 def _root_and_plain(call):
-    """(the outcome of call(), which runs pressure_root, and that of the
-    plain _bisect loop over the same f) as (s_value.hex(), residual.hex(),
-    bases_count) or DomainError text.  Without a bisection (no base, one
-    base, or f(0) within tol) both are the estimate."""
+    """(the outcome of call(), which runs pressure_root, and that of
+    reference.bisect over the same f) as (s_value.hex(), residual.hex())
+    or "DomainError"; where the bisection raises, its message is checked
+    by _convex_outcome.  Without a bisection (no base, one base, or f(0)
+    within tol) both are the estimate's."""
     seen = []
-    certified = dimension._convex_bisect
 
     def spy(f, hi, tol, f0, eps):
         seen.append((f, hi, tol, f0))
-        return certified(f, hi, tol, f0, eps)
+        got = _convex_outcome(f, hi, tol, f0, eps)
+        if got == "DomainError":
+            raise DomainError("checked by _convex_outcome")
+        return got
 
     with mock.patch.object(dimension, "_convex_bisect", spy):
         est = _outcome(call)
-    if isinstance(est, str):
-        bases = None
-    else:
-        bases = est.bases_count
-        est = (est.s_value.hex(), est.residual.hex(), bases)
+    if est != "DomainError":
+        est = (est.s_value.hex(), est.residual.hex())
     if not seen:
         return est, est
     f, hi, tol, f0 = seen[0]
-    plain = _outcome(lambda: dimension._bisect(f, hi, tol, abs(f0)))
-    if not isinstance(plain, str):
-        plain = (plain[0].hex(), plain[1].hex(), bases)
-    return est, plain
+    plain = _outcome(lambda: reference.bisect(f, hi, tol, abs(f0)))
+    return est, plain if plain == "DomainError" else (plain[0].hex(), plain[1].hex())
 
 
 @st.composite
@@ -1202,7 +1214,7 @@ def test_certified_bisection_skips_by_chord_and_secant(case, tol):
     ratios = MORAN_CASES[case]
     f0 = float(len(ratios) - 1)
     plain_f, plain_calls = _moran(ratios)
-    plain = dimension._bisect(plain_f, 1.5, tol, f0)
+    plain = reference.bisect(plain_f, 1.5, tol, f0)
     f, calls = _moran(ratios)
     assert dimension._convex_bisect(f, 1.5, tol, f0, 1e-12) == plain
     assert 0.0 not in calls and len(calls) < len(plain_calls)
@@ -1229,22 +1241,34 @@ def test_certified_bisection_keeps_its_margins_under_noise(seed, tol):
         calls[s] = exact + noise * eps * (1 + abs(exact))
         return calls[s]
 
-    plain = _outcome(lambda: dimension._bisect(f, 1.5, tol, 1.0))
+    plain = _outcome(lambda: reference.bisect(f, 1.5, tol, 1.0))
     plain_calls, calls = calls, {}
-    assert _outcome(lambda: dimension._convex_bisect(f, 1.5, tol, 1.0, eps)) == plain
-    # a stall hands over to the plain loop, which calls f again
-    assert isinstance(plain, str) or len(calls) < len(plain_calls)
+    assert _convex_outcome(f, 1.5, tol, 1.0, eps) == plain
+    assert len(calls) < len(plain_calls)
 
 
-def test_certified_bisection_hands_a_stall_to_the_plain_loop():
-    # 1e-18 is out of reach: the bracket stalls at adjacent floats, and the
-    # plain loop, run from the start, names its best residual
+def test_a_stalled_bisection_raises_without_starting_again():
+    # 1e-18 is out of reach: the bracket stalls at adjacent floats.  A stall
+    # used to run the plain loop again from the start, so the Moran sum was
+    # formed 202 times and pressure_root's f called 219 times
     ratios = [Fraction(1, 25), Fraction(1, 8), Fraction(1, 10), Fraction(1, 25)]
-    plain_f, _ = _moran(ratios)
+    message = "^tol 1e-18 not reached in 200 bisection steps; best residual"
+    terms, power = [], dimension._ratio_power
+    with mock.patch.object(dimension, "_ratio_power", lambda *a: terms.append(a) or power(*a)):
+        with pytest.raises(DomainError, match=message):
+            moran_dimension(ratios, tol=1e-18)
+    assert len(terms) <= 64 * len(ratios)
+    calls = []
+    with mock.patch.object(dimension, "_convex_bisect",
+                           lambda f, *args: _CONVEX(lambda s: calls.append(s) or f(s), *args)):
+        with pytest.raises(DomainError, match=message):
+            pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6, 1e-18)
+    assert 0 < len(calls) <= 40
+    # the stalled Moran bisection against the plain loop: both raise, and
+    # the library names the least |f| over f0 and its own calls
     f, _ = _moran(ratios)
-    plain = _outcome(lambda: dimension._bisect(plain_f, 1.5, 1e-18, 3.0))
-    assert plain.startswith("DomainError: tol 1e-18 not reached")
-    assert _outcome(lambda: dimension._convex_bisect(f, 1.5, 1e-18, 3.0, 1e-12)) == plain
+    assert _convex_outcome(f, 1.0, 1e-18, 3.0, math.inf) == "DomainError"
+    assert _outcome(lambda: reference.bisect(f, 1.0, 1e-18, 3.0)) == "DomainError"
 
 
 def test_certified_bisection_evaluates_every_midpoint_when_terms_may_underflow():
@@ -1254,7 +1278,7 @@ def test_certified_bisection_evaluates_every_midpoint_when_terms_may_underflow()
     assert dimension._sum_error(4, 20_000) < 1e-12
     f, calls = _moran(MORAN_CASES["luroth-10"])
     plain_f, plain_calls = _moran(MORAN_CASES["luroth-10"])
-    assert dimension._convex_bisect(f, 1.5, 1e-9, 8.0, math.inf) == dimension._bisect(
+    assert dimension._convex_bisect(f, 1.5, 1e-9, 8.0, math.inf) == reference.bisect(
         plain_f, 1.5, 1e-9, 8.0)
     assert list(calls) == list(plain_calls)
     (got, plain), _ = _recorded(lambda: _root_and_plain(
