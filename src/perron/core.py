@@ -30,17 +30,18 @@ Cylinder geometry runs on integers: a word's affine frame (see _Frame) keeps
 off and sc as numerators over one common denominator, updated per digit with
 a few integer products and no gcd.  A frame takes digits in one place,
 _Frame.extend, and the frame of a word is the root frame extended by it
-(_Frame.walk).  Every endpoint is read through one method,
+(_Frame.walk).  Every range's ends are read through one method,
 _Frame.hull(start, end), the hull of a range of children, as unreduced
 integer pairs: a cylinder is the hull of its whole child range, and a
 family set (see coverings) the hull of its digit range, each reduced to
-lowest-terms Fractions once, by the reader that needs them.  The frame is
+lowest-terms Fractions once, by the reader that needs them.  partial_sum
+reads the one end that is the image of 0, the frame's offset.  The frame is
 geometry only.  A rule is a plain value that
 checks r_0 = phi_0 >= 1 once, when it is made, so every walk starts from
 phi_0 as it is.  Validation is one walk over the rule values, rule_value,
 which checks each digit against the value before it and each later value
 against 1 (_next_r); code that needs only a word and its r steps r the same
-way, and partial_sum and word_diameter sum or multiply along that one walk.
+way, and word_diameter multiplies along that one walk.
 The per-digit loops (_Frame.extend, digit extraction and cover_interval's
 descent) take a built-in rule's step a*c + b inline and leave everything
 else, and every error, to _next_r; the boundary descent of coverings steps
@@ -254,12 +255,18 @@ class DigitRule(_Record):
         return cls("custom", phi0=phi0, fn=fn)
 
 
-def _integer(name: str, value) -> int:
-    """value as operator.index reads it, or DomainError naming the parameter."""
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as operator.index reads it, or DomainError naming the parameter;
+    with least given, DomainError "name must be >= least" below it.  It
+    reads a, b and phi0 of a rule, n of digit extraction, and every rank
+    and digit_cap."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value, repr)}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {_shown(least)}")
+    return value
 
 
 def _rational(name: str, value) -> Fraction:
@@ -392,11 +399,12 @@ class _Frame(NamedTuple):
     off and sc are carried as integers over one common denominator,
     off = off_num/den and sc = sc_num/den with den > 0, and are never reduced
     along the walk: each digit is a few integer products and no gcd.  Points
-    are read through hull(), the one read path, which gives the ordered
+    are read through hull(), the read of every range, which gives the ordered
     ends of a range of children as unreduced pairs (the cylinder itself is
     hull(r + 1)), and relative(), which maps a point back into the
-    unreduced relative frame.  Only the callers that need a lowest-terms
-    value reduce a pair (cylinder, family_set_hull, cover_boundary's
+    unreduced relative frame; partial_sum reads the offset off/den, the
+    image of 0.  Only the callers that need a lowest-terms value reduce a
+    pair (cylinder, partial_sum, family_set_hull, cover_boundary's
     message); verify_cover compares and subtracts the pairs as they are.
     relative() multiplies two numbers that both grow with the rank, so a
     descent calls it once and then steps the pair down one digit at a time
@@ -681,8 +689,7 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
     """
     a, b = (x if type(x) is Fraction else _rational("x", x)).as_integer_ratio()
     _check_domain(sign, a, b)
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = _integer("n", n, 0)
     bound, reduced = b * b, b.bit_length()  # reduced: b's bits at the last reduction
     digits: list[int] = []
     r = rule.phi0
@@ -722,30 +729,19 @@ def _digits(rule: DigitRule, sign: Sign, x: ExactQ, n: int) -> DigitWord | ISPoi
 def partial_sum(rule: DigitRule, word: Sequence[int], sign: Sign) -> ExactQ:
     """Exact value of the first k series terms for the rank-k word.
 
-    Positive: equals the infimum of the word's cylinder.  Alternating: equals
-    the supremum for odd k and the infimum for even k (orientation flips each
-    rank).  Computed by direct term-by-term summation of the series, in the
-    one validating walk over the rule values (_next_r checks each digit
-    before its term is formed) — kept independent of cylinder(), which
-    composes affine maps instead, so the two routes cross-check each other.
+    The image of y = 0 under the composed maps of the word's digits, which
+    is the frame's offset: each map sends 0 to its digit's term over the
+    prefix's factor, r/c (positive) or r/(c-1) (alternating).  Positive:
+    equals the infimum of the word's cylinder.  Alternating: equals the
+    supremum for odd k and the infimum for even k (orientation flips each
+    rank).  Read from the word's frame (_Frame.walk), which checks each
+    digit with _next_r, as cylinder() does; the series summed term by
+    term is left to the tests, as the oracle of both.
     """
-    _check_sign(sign)
-    word = tuple(word)
-    r = rule.phi0
-    if not word:
+    frame = _Frame.walk(rule, sign, word)
+    if not frame.word:
         raise ValidityError("word must be nonempty", index=None)
-    total = Fraction(0)
-    num = den = 1  # r_0 ... r_{i-1} and (c_1-1)c_1 ... (c_{i-1}-1)c_{i-1}
-    for i, c in enumerate(word, start=1):
-        num *= r
-        r = _next_r(rule, r, word, i)  # checks c before it is used
-        if sign is Sign.POSITIVE:
-            total += Fraction(num, den * c)
-        else:
-            term = Fraction(num, den * (c - 1))
-            total += term if i % 2 else -term
-        den *= (c - 1) * c
-    return total
+    return Fraction(frame.off_num, frame.den)
 
 
 def cylinder(rule: DigitRule, word: Sequence[int], sign: Sign) -> CylinderInterval:

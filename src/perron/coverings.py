@@ -458,7 +458,7 @@ def split_to_finite(
     s = split_parameters(alpha, eps)
     if fs.end is not None:
         raise DomainError("split_to_finite needs an unbounded family set")
-    family_set_hull(rule, fs)  # checks the prefix and the digit range
+    _Frame.walk(rule, fs.sign, fs.prefix).hull(fs.start)  # checks the prefix and the start
 
     def blocks() -> Iterator[FamilySet]:
         t = fs.start

@@ -57,7 +57,8 @@ from typing import Callable, Iterator, Sequence
 
 from . import _LAZY
 from .core import (
-    DigitRule, DigitWord, ExactQ, Sign, _ratio_power, _rational, _Record, _shown, _step_r)
+    DigitRule, DigitWord, ExactQ, Sign, _check_sign, _integer, _ratio_power, _rational, _Record,
+    _shown, _step_r)
 from .errors import CapTooSmallWarning, DomainError
 
 __all__ = _LAZY["dimension"]  # declared once, in the package
@@ -207,14 +208,6 @@ def ratio_limit_window(alpha: float, delta: float) -> DigitPredicate:
     return _LocalPredicate(f"ratio-window({alpha},{delta})", span)
 
 
-def _check_rank_cap(rule: DigitRule, rank: int, digit_cap: int) -> None:
-    """DomainError unless rank >= 1 and digit_cap admits a first digit."""
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
-    if digit_cap < rule.phi0 + 1:
-        raise DomainError(f"digit_cap must be >= {_shown(rule.phi0 + 1)}")
-
-
 def _children(predicate: DigitPredicate, word: DigitWord, r: int, digit_cap: int):
     """The digits that extend a compatible word whose rule value is r, in
     increasing order, and whether the cap cuts the word off.
@@ -320,9 +313,9 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     it is a DomainError naming the level and the states it reached, so one
     level costs at most that many words times the cap in candidate tests.
     The largest word-keyed level of the benchmark's pressure pools is 808
-    states and that of the tests 3375, far below the bound.
+    states and that of the tests 3375, far below the bound.  rank and
+    digit_cap come checked from the caller (core._integer).
     """
-    _check_rank_cap(rule, rank, digit_cap)
     merge = rule.fn is None and rule.a >= 0 and isinstance(predicate, _LocalPredicate)
     if merge:  # a c + b >= 1 exactly for the digits c >= least
         least = -((rule.b - 1) // rule.a) if rule.a else (0 if rule.b >= 1 else math.inf)
@@ -454,7 +447,7 @@ def enumerate_compatible_bases(
     how many compatible prefixes it cuts off there.  The arguments are
     checked when the call is made, before any base is asked for.
     """
-    _check_rank_cap(rule, rank, digit_cap)
+    rank, digit_cap = _integer("rank", rank, 1), _integer("digit_cap", digit_cap, rule.phi0 + 1)
 
     def walk() -> Iterator[DigitWord]:
         cuts = [0] * rank  # cuts[n - 1]: compatible prefixes cut off at position n
@@ -557,6 +550,8 @@ def pressure_root(
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
+    _check_sign(sign)
+    rank, digit_cap = _integer("rank", rank, 1), _integer("digit_cap", digit_cap, rule.phi0 + 1)
     log, exp, fsum = math.log, math.exp, math.fsum
 
     def weigh_run(num, den, digits):
@@ -778,8 +773,8 @@ def measure_at_rank(
     per run, so a rank-1 measure at cap C makes one Fraction, not C.  A
     run with gaps (an alphabet, a custom rule) makes one per digit.
     """
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
+    _check_sign(sign)
+    rank = _integer("rank", rank, 1)
     if digit_cap is None:
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
@@ -793,6 +788,7 @@ def measure_at_rank(
             if m >= before:
                 break
         return Fraction(1)
+    digit_cap = _integer("digit_cap", digit_cap, rule.phi0 + 1)
     kept, final, _ = _levels(rule, predicate, rank, digit_cap, Fraction, _run_weights)
     sums = [0, Fraction(rule.phi0)]  # sums[i]: the sum of the first i values
     for level in kept:

@@ -38,6 +38,7 @@ from .core import (
     ISPoint,
     Sign,
     _digits,
+    _integer,
     _Record,
     cylinder,
     validate_word,
@@ -121,8 +122,7 @@ def transform_point(
     an ISPoint carrying the transformed digits (the image is then the
     corresponding endpoint on the target side).
     """
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
+    rank = _integer("rank", rank, 1)
     source, source_sign, target, target_sign, shift = _spec(kind)
     outcome = _digits(source, source_sign, x, rank)
     if isinstance(outcome, ISPoint):

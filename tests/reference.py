@@ -10,6 +10,8 @@ after the value r maps the tail space into its parent's by
 so child c covers the relative interval (r/c, r/(c-1)], a word's cylinder is
 the image of the tail space under its digits' maps composed, and the digit
 of a point y is c = floor(r/y) + 1, its tail y's preimage under the map of c.
+A partial sum is the series itself, summed term by term, and not the image
+of 0 under the maps, which is how the library reads it.
 Nothing here carries integer pairs, reduces lazily or steps a rule value
 inline: every point and end is a Fraction, and every rule value comes from
 the rule's definition.  The arguments are taken as the library accepts
@@ -109,7 +111,7 @@ def digits(rule, sign, x, n, max_bits=DIGIT_BITS):
 
 
 # ---------------------------------------------------------------------------
-# cylinders and family-set hulls
+# cylinders, partial sums and family-set hulls
 # ---------------------------------------------------------------------------
 
 
@@ -133,6 +135,31 @@ def cylinder_ends(rule, sign, word):
     """(lo, hi) of word's cylinder; (0, 1) for the empty word."""
     off, sc, _ = cylinder_map(rule, sign, word)
     return min(off, off + sc), max(off, off + sc)
+
+
+def partial_sum(rule, word, sign):
+    """The first k terms of the series of a rank-k word, as the core module
+    states it: the sum over n < k of
+
+        r_0 ... r_n / ((c_1-1)c_1 ... (c_n-1)c_n * c_{n+1})              (positive)
+        (-1)^n r_0 ... r_n / ((c_1-1)c_1 ... (c_n-1)c_n * (c_{n+1}-1))   (alternating)
+
+    An empty word is the library's ValidityError, an invalid one
+    validate_word's."""
+    word = tuple(word)
+    if not word:
+        raise ValidityError("word must be nonempty", index=None)
+    validate_word(rule, word)
+    total, num, den = Fraction(0), rule.phi0, 1  # r_0 ... r_n, prod (c_i-1)c_i for i <= n
+    for n, c in enumerate(word):
+        if n:
+            num *= next_value(rule, word[:n])
+        if sign is Sign.POSITIVE:
+            total += Fraction(num, den * c)
+        else:
+            total += (-1) ** n * Fraction(num, den * (c - 1))
+        den *= (c - 1) * c
+    return total
 
 
 def hull(rule, fs):

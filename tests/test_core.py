@@ -361,6 +361,31 @@ def test_non_finite_numbers_are_a_domain_error(entry, x):
         call(x)
 
 
+_INTEGER_ARGUMENTS = [
+    # (call, the parameter its DomainError names); each raised TypeError
+    # before n went through core._integer
+    (lambda: positive_digits(LUROTH, Fraction(1, 3), 2.5), "n"),
+    (lambda: positive_digits(LUROTH, Fraction(1, 3), None), "n"),
+    (lambda: alternating_digits(LUROTH, Fraction(1, 3), Fraction(2)), "n"),
+]
+
+
+@pytest.mark.parametrize("call, name", _INTEGER_ARGUMENTS,
+                         ids=["positive-2.5", "positive-None", "alternating-Fraction"])
+def test_a_non_integer_count_is_a_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_integer_arguments_are_read_as_operator_index_reads_them():
+    x = Fraction(271828, 314159)
+    assert positive_digits(LUROTH, x, _Index(5)) == positive_digits(LUROTH, x, 5)
+    assert alternating_digits(ENGEL, x, True) == alternating_digits(ENGEL, x, 1)
+    # out of range, the text is the one it was
+    for digits in (positive_digits, alternating_digits):
+        assert reference.outcome(digits, LUROTH, x, -1) == (DomainError, "n must be >= 0", None)
+
+
 def test_values_fraction_refuses_otherwise_keep_its_error():
     with pytest.raises(ValueError, match="Invalid literal for Fraction") as exc:
         positive_digits(LUROTH, "nan", 3)
@@ -579,15 +604,16 @@ def test_alternating_orientation_flips_by_rank(rw):
     for k in range(1, len(word) + 1):
         cyl = cylinder(rule, word[:k], Sign.ALTERNATING)
         value = partial_sum(rule, word[:k], Sign.ALTERNATING)
+        assert value == reference.partial_sum(rule, word[:k], Sign.ALTERNATING)
         assert value == (cyl.hi if k % 2 else cyl.lo)
 
 
 @given(rule_and_word(max_rank=7))
 def test_positive_partial_sum_is_infimum(rw):
     rule, word = rw
-    assert partial_sum(rule, word, Sign.POSITIVE) == cylinder(
-        rule, word, Sign.POSITIVE
-    ).lo
+    value = partial_sum(rule, word, Sign.POSITIVE)
+    assert value == reference.partial_sum(rule, word, Sign.POSITIVE)
+    assert value == cylinder(rule, word, Sign.POSITIVE).lo
 
 
 @given(rule_and_word(max_rank=6), st.booleans())
@@ -641,8 +667,9 @@ def test_deep_cylinders_match_series_oracles(rule, sign):
     """Rank 40-80 words from the positive digits of random rationals.
 
     The cylinder's frame carries its endpoints unreduced over one growing
-    common denominator; partial_sum and word_diameter sum the series term by
-    term instead, so exact equality checks the reduction at depth.
+    common denominator, and partial_sum reads its offset; the reference
+    sums the series term by term and word_diameter multiplies its factors
+    instead, so exact equality checks the reduction at depth.
     """
     rng = random.Random(40)
     for _ in range(4):
@@ -652,7 +679,9 @@ def test_deep_cylinders_match_series_oracles(rule, sign):
         cyl = cylinder(rule, word, sign)
         assert cyl.diameter == word_diameter(rule, word)
         upper = sign is Sign.ALTERNATING and len(word) % 2
-        assert partial_sum(rule, word, sign) == (cyl.hi if upper else cyl.lo)
+        value = partial_sum(rule, word, sign)
+        assert value == reference.partial_sum(rule, word, sign)
+        assert value == (cyl.hi if upper else cyl.lo)
         if sign is Sign.POSITIVE:
             assert cyl.contains(x)
 
@@ -689,6 +718,20 @@ def test_frame_extend_continues_any_frame(case, data):
         _Frame.walk(rule, sign, w1).extend(w2)
     assert str(extended.value) == str(whole.value)
     assert extended.value.index == whole.value.index == k + j + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader_case(), st.data())
+def test_partial_sum_is_the_series_on_valid_and_invalid_words(case, data):
+    # partial_sum reads the frame's offset; the reference sums the series
+    # term by term.  Value, or error type, text and index, agree on the
+    # word, its empty prefix, and the word with one digit made invalid
+    rule, sign, word = case
+    j = data.draw(st.integers(0, len(word) - 1))
+    bad = data.draw(st.sampled_from([1, rule_value(rule, word[:j]), "x", 2.5, None]))
+    for w in (word, (), word[:j] + (bad,) + word[j + 1:]):
+        expected = reference.outcome(reference.partial_sum, rule, w, sign)
+        assert reference.outcome(partial_sum, rule, w, sign) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -959,6 +1002,12 @@ _LONG_VALUE_ERRORS = {
     "digit_cap": (
         lambda: enumerate_compatible_bases(DigitRule.oppenheim(1, 0, phi0=BIG), all_digits(), 1, 3),
         DomainError, "digit_cap must be >= <int of 16610 bits>", None),
+    "n": (
+        lambda: positive_digits(LUROTH, Fraction(1, 3), Fraction(BIG + 1, 2)), DomainError,
+        "n must be an integer, got <fraction of 16610/2 bits>", None),
+    "a": (
+        lambda: DigitRule.oppenheim(Fraction(BIG + 1, 2), 0), DomainError,
+        "a must be an integer, got <fraction of 16610/2 bits>", None),
     "rule value": (
         lambda: rule_value(DigitRule.custom(lambda w: Fraction(BIG + 1, 2)), (2,)), ValidityError,
         "rule value <fraction of 16610/2 bits> after position 1 is not an integer", 1),

@@ -28,13 +28,16 @@ from perron import (
     QInterval,
     Sign,
     ValidityError,
+    all_digits,
     alternating_digits,
     cover_boundary,
     cover_interval,
     cylinder,
     family_set_hull,
+    measure_at_rank,
     partial_sum,
     positive_digits,
+    pressure_root,
     rule_value,
     split_parameters,
     split_to_finite,
@@ -486,7 +489,9 @@ def test_custom_rule_deep_cylinders_and_covers(sign):
         cyl = cylinder(PARITY, word[:k], sign)
         assert cyl.diameter == word_diameter(PARITY, word[:k])
         upper = sign is Sign.ALTERNATING and k % 2
-        assert partial_sum(PARITY, word[:k], sign) == (cyl.hi if upper else cyl.lo)
+        value = partial_sum(PARITY, word[:k], sign)
+        assert value == reference.partial_sum(PARITY, word[:k], sign)
+        assert value == (cyl.hi if upper else cyl.lo)
 
     cyl = cylinder(PARITY, word, sign)
     U = interval_for(sign, cyl.lo + cyl.diameter / 7, cyl.lo + cyl.diameter * 5 / 9)
@@ -1093,7 +1098,8 @@ def test_family_set_checks_its_contract_when_made(args, message, index):
 
 
 # Each reader of a sign; before, each took any value but Sign.POSITIVE as
-# the alternating form, or failed on it with an AttributeError
+# the alternating form, or failed on it with an AttributeError (with "P",
+# pressure_root returned s = 0.868831230327487 and measure_at_rank 25/36)
 _SIGN_READERS = {
     "cylinder": lambda sign: cylinder(ENGEL, (2, 3), sign),
     "partial_sum": lambda sign: partial_sum(ENGEL, (2, 3), sign),
@@ -1101,6 +1107,8 @@ _SIGN_READERS = {
     "cover_interval": lambda sign: cover_interval(
         ENGEL, sign, QInterval(Fraction(1, 5), Fraction(1, 2), False, True)),
     "FamilySet": lambda sign: FamilySet(sign, (2,), 3),
+    "pressure_root": lambda sign: pressure_root(LUROTH, sign, all_digits(), 2, 6, 1e-9),
+    "measure_at_rank": lambda sign: measure_at_rank(LUROTH, sign, all_digits(), 2, 6),
 }
 
 

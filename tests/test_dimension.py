@@ -89,6 +89,45 @@ def test_enumeration_checks_its_arguments_at_the_call():
         enumerate_compatible_bases(LUROTH, all_digits(), 2, 1)
 
 
+_INTEGER_ARGUMENTS = [
+    # (call, the parameter its DomainError names, its value); each raised
+    # TypeError before rank and digit_cap went through core._integer.  The
+    # enumeration raises at the call, before any base is asked for
+    (lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2.5, 6, 1e-9), "rank", "2.5"),
+    (lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 6.5, 1e-9), "digit_cap", "6.5"),
+    (lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, None, 1e-9), "digit_cap",
+     "None"),
+    (lambda: measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 2, 6.5), "digit_cap", "6.5"),
+    (lambda: measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 2.0, None), "rank", "2.0"),
+    (lambda: enumerate_compatible_bases(LUROTH, all_digits(), 1.5, 6), "rank", "1.5"),
+    (lambda: enumerate_compatible_bases(LUROTH, all_digits(), 2, 6.0), "digit_cap", "6.0"),
+    (lambda: enumerate_compatible_bases(LUROTH, all_digits(), 2, None), "digit_cap", "None"),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _INTEGER_ARGUMENTS, ids=[
+    "pressure-rank", "pressure-cap", "pressure-cap-None", "measure-cap", "measure-rank-cap-None",
+    "enumerate-rank", "enumerate-cap", "enumerate-cap-None"])
+def test_a_non_integer_rank_or_cap_is_a_domain_error(call, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value}$"):
+        call()
+
+
+def test_rank_and_cap_keep_their_range_texts():
+    calls = [
+        (lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 0, 6, 1e-9), "rank must be >= 1"),
+        (lambda: pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 2, 1, 1e-9),
+         "digit_cap must be >= 2"),
+        (lambda: measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 0, None), "rank must be >= 1"),
+        (lambda: measure_at_rank(LUROTH, Sign.POSITIVE, all_digits(), 2, 1),
+         "digit_cap must be >= 2"),
+        (lambda: enumerate_compatible_bases(LUROTH, all_digits(), 0, 6), "rank must be >= 1"),
+        (lambda: enumerate_compatible_bases(ENGEL, all_digits(), 2, 1), "digit_cap must be >= 2"),
+    ]
+    for call, text in calls:
+        assert reference.outcome(call) == (DomainError, text, None)
+
+
 def test_cap_warning_when_digits_run_out():
     # strictly increasing digits need 2,3,4 by rank 3; cap 3 starves rank 3,
     # and the prefix (3,) is already cut off at position 2

@@ -183,8 +183,13 @@ def test_g_pierce_point_and_termination():
 
 
 def test_transform_point_rank_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^rank must be >= 1$"):
         transform_point(TransformKind.t_engel(), Fraction(1, 2), 0)
+    # a rank that is not an integer raised TypeError from the extraction
+    with pytest.raises(DomainError, match="^rank must be an integer, got 2.5$"):
+        transform_point(TransformKind.t_engel(), Fraction(1, 3), 2.5)
+    assert transform_point(TransformKind.t_engel(), Fraction(1, 3), True) == transform_point(
+        TransformKind.t_engel(), Fraction(1, 3), 1)
 
 
 # ---------------------------------------------------------------------------
