@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,59 +38,8 @@ def lines(out):
 
 
 # ---------------------------------------------------------------------------
-# worked command outputs, byte-exact
+# command outputs checked by their shape or against library calls
 # ---------------------------------------------------------------------------
-
-
-def test_expand(capsys):
-    code, out, _ = run_cli(capsys, ["expand", "--system", "engel", "--x", "3/8", "--n", "4"])
-    assert code == 0
-    assert out == '{"digits":[3,9,9,9]}\n'
-
-
-def test_cylinder(capsys):
-    code, out, _ = run_cli(
-        capsys, ["cylinder", "--system", "engel", "--word", "2,3", "--sign", "P"]
-    )
-    assert code == 0
-    assert out == '{"lo":"2/3","hi":"3/4","diam":"1/12"}\n'
-
-
-def test_alt_expand_termination(capsys):
-    code, out, _ = run_cli(
-        capsys, ["alt-expand", "--system", "pierce", "--x", "2/5", "--n", "4"]
-    )
-    assert code == 0
-    assert out == '{"digits":[3],"is_point":true,"rank":2}\n'
-
-
-def test_alt_expand_full_word(capsys):
-    code, out, _ = run_cli(
-        capsys, ["alt-expand", "--system", "luroth", "--x", "2/3", "--n", "3"]
-    )
-    assert code == 0
-    assert out == '{"digits":[2,2,2]}\n'
-
-
-def test_eval(capsys):
-    code, out, _ = run_cli(
-        capsys, ["eval", "--system", "luroth", "--word", "2", "--sign", "P"]
-    )
-    assert code == 0
-    assert out == '{"value":"1/2"}\n'
-
-
-def test_cover_three_sets(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["cover", "--system", "luroth", "--sign", "P", "--lo", "21/100", "--hi", "3/5"],
-    )
-    assert code == 0
-    assert lines(out) == [
-        {"sign": "P", "prefix": [5], "from": 2, "to": 5},
-        {"sign": "P", "prefix": [], "from": 3, "to": 4},
-        {"sign": "P", "prefix": [2], "from": 6, "to": "inf"},
-    ]
 
 
 def test_split_blocks(capsys):
@@ -106,49 +56,6 @@ def test_split_blocks(capsys):
     assert blocks[0]["from"] == 2
     for a, b in zip(blocks, blocks[1:]):
         assert b["from"] == a["to"] + 1
-
-
-def test_split_negative_blocks_is_a_domain_error(capsys):
-    code, out, err = run_cli(
-        capsys,
-        [
-            "split", "--system", "luroth", "--sign", "P",
-            "--from", "2", "--alpha", "1", "--eps", "0.5", "--blocks", "-1",
-        ],
-    )
-    assert code == 3
-    assert out == ""
-    assert "--blocks" in err
-
-
-@pytest.mark.parametrize("start,alpha,code", [("1", "0.5", 2), ("2", "-1", 3)])
-def test_split_checks_its_arguments_without_blocks(capsys, start, alpha, code):
-    # --blocks 0 asks for no block; a bad --from or --alpha is still an error
-    got, out, err = run_cli(
-        capsys,
-        [
-            "split", "--system", "luroth", "--sign", "P",
-            "--from", start, "--alpha", alpha, "--eps", "0.5", "--blocks", "0",
-        ],
-    )
-    assert (got, out) == (code, "") and "error" in err
-
-
-def test_split_ratio_whose_power_overflows_a_float(capsys):
-    # 2**2000 is beyond float range, so s = 2 passes s**alpha > 1 + 1/eps;
-    # the ratio search used to end in an OverflowError traceback (exit 1)
-    code, out, err = run_cli(
-        capsys,
-        [
-            "split", "--system", "luroth", "--sign", "P",
-            "--from", "2", "--alpha", "2000", "--eps", "0.5", "--blocks", "2",
-        ],
-    )
-    assert (code, err) == (0, "")
-    assert out == (
-        '{"sign":"P","prefix":[],"from":2,"to":4}\n'
-        '{"sign":"P","prefix":[],"from":5,"to":13}\n'
-    )
 
 
 def test_float_flags_exit_with_a_documented_code(capsys):
@@ -189,26 +96,6 @@ def test_cover_pipes_into_verify(capsys, monkeypatch):
     assert set(report) == {"covers", "max_diameter", "cost"}
 
 
-def test_verify_rejects_malformed_stdin(capsys, monkeypatch):
-    code, _, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "engel", "--sign", "P",
-            "--lo", "1/7", "--hi", "5/9", "--alpha", "1",
-        ],
-        stdin="{not json}\n",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 2
-    assert "error" in err
-
-
-def test_transform(capsys):
-    code, out, _ = run_cli(capsys, ["transform", "--kind", "t", "--word", "2,3,5"])
-    assert code == 0
-    assert out == '{"digits":[2,4,7]}\n'
-
-
 def test_transform_point_bracket(capsys):
     code, out, _ = run_cli(
         capsys, ["transform-point", "--kind", "t", "--x", "3/8", "--rank", "3"]
@@ -217,14 +104,6 @@ def test_transform_point_bracket(capsys):
     obj = lines(out)[0]
     assert set(obj) == {"lo", "hi", "diam"}
     assert obj["diam"].count("/") == 1
-
-
-def test_transform_point_termination(capsys):
-    code, out, _ = run_cli(
-        capsys, ["transform-point", "--kind", "g", "--x", "2/5", "--rank", "4"]
-    )
-    assert code == 0
-    assert out == '{"digits":[4],"is_point":true,"rank":2}\n'
 
 
 def test_transform_fp_reads_its_system(capsys):
@@ -283,18 +162,6 @@ def test_dim_cost_does_not_grow_with_the_base_count(capsys):
     assert '"bases":118827850' in out
 
 
-def test_moran(capsys):
-    code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2,1/2"])
-    assert code == 0
-    assert lines(out)[0]["s"] == 1.0
-
-
-def test_moran_single_ratio(capsys):
-    code, out, _ = run_cli(capsys, ["moran", "--ratios", "1/2"])
-    assert code == 0
-    assert lines(out)[0]["s"] == 0.0
-
-
 def test_moran_counts_a_ratio_below_the_float_range(capsys):
     # 1e-400 is exactly 10**-400, whose float is 0.0: the command used to
     # print 9.094947017729282e-13 and exit 0
@@ -303,256 +170,192 @@ def test_moran_counts_a_ratio_below_the_float_range(capsys):
     assert abs(lines(out)[0]["s"] - 0.0059617453508) < 1e-12
 
 
-def test_measure_lowest_terms(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "measure", "--system", "pierce", "--sign", "P-",
-            "--predicate", "all", "--rank", "1", "--cap", "5",
-        ],
-    )
-    assert code == 0
-    assert out == '{"measure":"4/5"}\n'
-
-
-def test_measure_infinite_cap(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["measure", "--system", "luroth", "--rank", "3", "--cap", "inf"],
-    )
-    assert code == 0
-    assert out == '{"measure":"1"}\n'
-
-
-def test_measure_infinite_cap_refuses_a_rule_that_prunes_words(capsys):
-    # digits 2..5 lead to r < 1, so the cylinders do not tile: with a cap
-    # of 100000 the total is 19999/100000, and with none it read 1
-    code, out, err = run_cli(
-        capsys,
-        ["measure", "--system", "oppenheim:1,-5", "--rank", "1", "--cap", "inf"],
-    )
-    assert (code, out) == (3, "") and "the rule prunes words at position 1" in err
+def rows(table):
+    """The rows of a table, each led by its test id, as pytest params."""
+    return [pytest.param(*row[1:], id=row[0]) for row in table]
 
 
 # ---------------------------------------------------------------------------
-# frozen stdout: exact bytes of representative commands, both signs
+# frozen stdout: exact bytes of worked and representative commands, both
+# signs; each row exits 0 and writes nothing to stderr
 # ---------------------------------------------------------------------------
 
 # the first 64 luroth digits of 271828/314159
-LUROTH_64 = (
-    "2,2,3,2,2,16,2,419,2,3,7,919,3,3,2,5,2,2,2,13,3,2,3,2,4,3,15,2,8,6,2,2,"
-    "13,2,2,2,2,15,2,2,2,3,2,4,6,2,2,2,2,2,7,2,2,2,2,2,2,5,2,2,6,2,2,4"
-)
-ENGEL_COVER_P = (
-    '{"sign":"P","prefix":[5],"from":6,"to":25}\n'
-    '{"sign":"P","prefix":[],"from":3,"to":4}\n'
-    '{"sign":"P","prefix":[2],"from":11,"to":"inf"}\n'
-)
-PIERCE_COVER_A = (
-    '{"sign":"P-","prefix":[],"from":3,"to":7}\n'
-    '{"sign":"P-","prefix":[2,3],"from":10,"to":"inf"}\n'
-)
+LUROTH_64 = ("2,2,3,2,2,16,2,419,2,3,7,919,3,3,2,5,2,2,2,13,3,2,3,2,4,3,15,2,8,6,2,2,"
+             "13,2,2,2,2,15,2,2,2,3,2,4,6,2,2,2,2,2,7,2,2,2,2,2,2,5,2,2,6,2,2,4")
+ENGEL_COVER_P = ('{"sign":"P","prefix":[5],"from":6,"to":25}\n'
+                 '{"sign":"P","prefix":[],"from":3,"to":4}\n'
+                 '{"sign":"P","prefix":[2],"from":11,"to":"inf"}\n')
+PIERCE_COVER_A = ('{"sign":"P-","prefix":[],"from":3,"to":7}\n'
+                  '{"sign":"P-","prefix":[2,3],"from":10,"to":"inf"}\n')
+# (test id, command line, stdin, stdout)
 FROZEN_STDOUT = [
-    (["expand", "--system", "engel", "--x", "271828/314159", "--n", "12"], "",
+    ("test_expand", "expand --system engel --x 3/8 --n 4", "", '{"digits":[3,9,9,9]}\n'),
+    ("test_cylinder", "cylinder --system engel --word 2,3 --sign P", "",
+     '{"lo":"2/3","hi":"3/4","diam":"1/12"}\n'),
+    ("test_alt_expand_termination", "alt-expand --system pierce --x 2/5 --n 4", "",
+     '{"digits":[3],"is_point":true,"rank":2}\n'),
+    ("test_alt_expand_full_word", "alt-expand --system luroth --x 2/3 --n 3", "",
+     '{"digits":[2,2,2]}\n'),
+    ("test_eval", "eval --system luroth --word 2 --sign P", "", '{"value":"1/2"}\n'),
+    ("test_rationals_always_lowest_terms", "eval --system luroth --word 2,2 --sign P", "",
+     '{"value":"3/4"}\n'),
+    ("test_cover_three_sets", "cover --system luroth --sign P --lo 21/100 --hi 3/5", "",
+     '{"sign":"P","prefix":[5],"from":2,"to":5}\n{"sign":"P","prefix":[],"from":3,"to":4}\n'
+     '{"sign":"P","prefix":[2],"from":6,"to":"inf"}\n'),
+    ("test_transform", "transform --kind t --word 2,3,5", "", '{"digits":[2,4,7]}\n'),
+    ("test_transform_point_termination", "transform-point --kind g --x 2/5 --rank 4", "",
+     '{"digits":[4],"is_point":true,"rank":2}\n'),
+    # 2**2000 is beyond float range, so s = 2 passes s**alpha > 1 + 1/eps;
+    # the ratio search used to end in an OverflowError traceback (exit 1)
+    ("test_split_ratio_whose_power_overflows_a_float",
+     "split --system luroth --sign P --from 2 --alpha 2000 --eps 0.5 --blocks 2", "",
+     '{"sign":"P","prefix":[],"from":2,"to":4}\n{"sign":"P","prefix":[],"from":5,"to":13}\n'),
+    ("test_moran", "moran --ratios 1/2,1/2", "", '{"s":1.0}\n'),
+    ("test_moran_single_ratio", "moran --ratios 1/2", "", '{"s":0.0}\n'),
+    ("test_measure_lowest_terms",
+     "measure --system pierce --sign P- --predicate all --rank 1 --cap 5", "",
+     '{"measure":"4/5"}\n'),
+    ("test_measure_infinite_cap", "measure --system luroth --rank 3 --cap inf", "",
+     '{"measure":"1"}\n'),
+    ("expand-engel-12", "expand --system engel --x 271828/314159 --n 12", "",
      '{"digits":[2,2,3,3,7,23,41,189,933,1200,1304,2992]}\n'),
-    (["alt-expand", "--system", "pierce", "--x", "271828/314159", "--n", "10"], "",
+    ("alt-expand-pierce-10", "alt-expand --system pierce --x 271828/314159 --n 10", "",
      '{"digits":[2,8,18,29,30,33,76,92,189,276]}\n'),
-    (["cylinder", "--system", "luroth", "--word", LUROTH_64, "--sign", "P"], "",
+    ("cylinder-luroth-64", f"cylinder --system luroth --word {LUROTH_64} --sign P", "",
      '{"lo":"3114251192524793433652144150720073282972780409412803071/'
      '3599224658211797829225554226371335927518304665600000000",'
      '"hi":"700706518318078522571732433912016488668875592117880691/'
      '809825548097654511575749700933550583691618549760000000",'
      '"diam":"1/32393021923906180463029988037342023347664741990400000000"}\n'),
-    (["cylinder", "--system", "engel", "--word", ",".join(["3"] * 60), "--sign", "P-"], "",
+    ("cylinder-engel-60", f"cylinder --system engel --word {','.join(['3'] * 60)} --sign P-", "",
      '{"lo":"5298894784402025439286804150/14130386091738734504764811067",'
      '"hi":"31793368706412152635720824901/84782316550432407028588866402",'
      '"diam":"1/84782316550432407028588866402"}\n'),
-    (["cover", "--system", "engel-mod", "--sign", "P", "--lo", "21/100", "--hi", "3/5"], "",
+    ("cover-engel-mod", "cover --system engel-mod --sign P --lo 21/100 --hi 3/5", "",
      ENGEL_COVER_P),
-    (["verify", "--system", "engel-mod", "--sign", "P", "--lo", "21/100", "--hi", "3/5",
-      "--alpha", "0.5"], ENGEL_COVER_P,
-     '{"covers":true,"max_diameter":"1/4","cost":1.016227766016838}\n'),
-    (["cover", "--system", "pierce", "--sign", "P-", "--lo", "1/7", "--hi", "5/9"], "",
-     PIERCE_COVER_A),
-    (["verify", "--system", "pierce", "--sign", "P-", "--lo", "1/7", "--hi", "5/9",
-      "--alpha", "0.5"], PIERCE_COVER_A,
-     '{"covers":true,"max_diameter":"5/14","cost":0.8333165650627126}\n'),
-    (["dim", "--system", "luroth", "--predicate", "alphabet:2,3", "--rank", "4",
-      "--cap", "3"], "",
-     '{"s":0.6009668516926467,"rank":4,"cap":3,"residual":3.371858348089063e-10,'
-     '"bases":16}\n'),
-    (["dim", "--system", "engel", "--sign", "P-", "--predicate", "bounded-ratio:3/2",
-      "--rank", "3", "--cap", "12"], "",
-     '{"s":0.7004208251601085,"rank":3,"cap":12,"residual":3.700004747031471e-10,'
-     '"bases":98}\n'),
-    (["measure", "--system", "luroth", "--sign", "P-", "--predicate", "bounded-ratio:2",
-      "--rank", "3", "--cap", "8"], "",
+    ("verify-engel-mod", "verify --system engel-mod --sign P --lo 21/100 --hi 3/5 --alpha 0.5",
+     ENGEL_COVER_P, '{"covers":true,"max_diameter":"1/4","cost":1.016227766016838}\n'),
+    ("cover-pierce", "cover --system pierce --sign P- --lo 1/7 --hi 5/9", "", PIERCE_COVER_A),
+    ("verify-pierce", "verify --system pierce --sign P- --lo 1/7 --hi 5/9 --alpha 0.5",
+     PIERCE_COVER_A, '{"covers":true,"max_diameter":"5/14","cost":0.8333165650627126}\n'),
+    ("dim-luroth-alphabet", "dim --system luroth --predicate alphabet:2,3 --rank 4 --cap 3", "",
+     '{"s":0.6009668516926467,"rank":4,"cap":3,"residual":3.371858348089063e-10,"bases":16}\n'),
+    ("dim-engel-bounded-ratio",
+     "dim --system engel --sign P- --predicate bounded-ratio:3/2 --rank 3 --cap 12", "",
+     '{"s":0.7004208251601085,"rank":3,"cap":12,"residual":3.700004747031471e-10,"bases":98}\n'),
+    ("measure-luroth-bounded-ratio",
+     "measure --system luroth --sign P- --predicate bounded-ratio:2 --rank 3 --cap 8", "",
      '{"measure":"2527/4608"}\n'),
-    (["measure", "--system", "engel", "--predicate", "alphabet:3,4,6", "--rank", "3",
-      "--cap", "6"], "",
+    ("measure-engel-alphabet",
+     "measure --system engel --predicate alphabet:3,4,6 --rank 3 --cap 6", "",
      '{"measure":"91/1728"}\n'),
 ]
 
 
-def test_stdout_bytes_are_frozen(capsys, monkeypatch):
-    for argv, stdin, expected in FROZEN_STDOUT:
-        code, out, _ = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
-        assert (code, out) == (0, expected), argv
+@pytest.mark.parametrize("command,stdin,expected", rows(FROZEN_STDOUT))
+def test_stdout_bytes_are_frozen(capsys, monkeypatch, command, stdin, expected):
+    argv = shlex.split(command)
+    assert run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------
-# exit codes
+# exit codes: each failing command exits with its code, writes nothing to
+# stdout and states its own message on stderr
 # ---------------------------------------------------------------------------
 
-
-def test_usage_errors_exit_64(capsys):
-    dim = ["dim", "--system", "luroth", "--rank", "2", "--cap", "9", "--predicate"]
-    for argv, message in (
-        (["no-such-command"], "invalid choice"),
-        (["expand", "--system", "martian", "--x", "1/2", "--n", "3"],
-         "unknown system 'martian'"),
-        (["expand", "--system", "engel", "--x", "one half", "--n", "3"],
-         "Invalid literal for Fraction: 'one half'"),
-        (["expand", "--system", "engel", "--x", "1/0", "--n", "3"], "Fraction(1, 0)"),
-        (["expand", "--system", "engel", "--x", "1/2"], "--n"),
-        (["expand", "--system", "oppenheim:-1,2", "--x", "1/2", "--n", "3"],
-         "oppenheim needs a >= 0"),
-        (["expand", "--system", "oppenheim:1", "--x", "1/2", "--n", "3"],
-         "oppenheim needs two parameters: oppenheim:a,b"),
-        (["eval", "--system", "engel", "--word", "2,3", "--sign", "Q"],
-         "sign must be P or P-, got 'Q'"),
-        (dim + ["ratio-window:nan,0.1"], "alpha and delta must not be NaN"),
-        (dim + ["ratio-window:1,-0.1"], "delta must be >= 0"),
-        (dim + ["ratio-window:1"], "ratio-window needs two parameters: ratio-window:a,d"),
-        (dim + ["bounded-ratio:0"], "ratio bound must be positive"),
-        (dim + ["growth:x"], "growth shape 'x' not one of: c, n^k, b^n"),
-        (dim + ["foo"], "unknown predicate 'foo'"),
-        (["moran", "--ratios", "1/2,1/0"], "Fraction(1, 0)"),
-        (["transform", "--kind", "z", "--word", "2,3"], "kind must be fp, t, or g, got 'z'"),
-        ([], "required"),
-    ):
-        code, _, err = run_cli(capsys, argv)
-        assert code == 64, argv
-        assert message in err, argv
-
-
-def test_validity_errors_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, ["eval", "--system", "engel-mod", "--word", "2,2", "--sign", "P"]
-    )
-    assert code == 2
-    assert "error" in err
-
-
-def test_domain_errors_exit_3(capsys):
-    for argv, message in (
-        (["expand", "--system", "engel", "--x", "5/4", "--n", "3"], "outside (0, 1]"),
-        (["cover", "--system", "luroth", "--sign", "P", "--lo", "1/2", "--hi", "1/3"],
-         "empty interval"),
-        # fp reinterprets a rule, so it needs --system; t and g ignore it
-        (["transform", "--kind", "fp", "--word", "2,3"], "fp"),
-        (["transform-point", "--kind", "fp", "--x", "3/8", "--rank", "3"], "fp"),
-        (["moran", "--ratios", "1/25,1/8,1/10,1/25", "--tol", "1e-16"], "best residual"),
-    ):
-        code, out, err = run_cli(capsys, argv)
-        assert (code, out) == (3, ""), argv
-        assert message in err, argv
-
-
-@pytest.mark.parametrize("alpha", ["nan", "0", "-1"])
-def test_verify_non_positive_alpha_exits_3(capsys, monkeypatch, alpha):
-    # --alpha nan printed "cost":NaN, which is not JSON, and -1 a cost of 3.33
-    code, out, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "luroth", "--sign", "P",
-            "--lo", "1/5", "--hi", "1/2", "--alpha", alpha,
-        ],
-        stdin='{"sign":"P","prefix":[],"from":3,"to":5}\n',
-        monkeypatch=monkeypatch,
-    )
-    assert (code, out) == (3, "") and "alpha" in err
-
-
-def test_verify_mixed_signs_exits_3(capsys, monkeypatch):
-    code, out, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "luroth", "--sign", "P",
-            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
-        ],
-        stdin='{"sign":"P","prefix":[],"from":3,"to":3}\n'
-        '{"sign":"P-","prefix":[],"from":4,"to":5}\n',
-        monkeypatch=monkeypatch,
-    )
-    assert (code, out) == (3, "") and "sign" in err
-
-
-def test_oversized_digit_exits_3(capsys):
-    code, out, err = run_cli(
-        capsys, ["alt-expand", "--system", "engel", "--x", "61/215", "--n", "48"]
-    )
-    assert (code, out) == (3, "") and "position 31" in err
-
-
-def test_verify_positive_target_with_alternating_sets_exits_3(capsys, monkeypatch):
-    # --sign P makes the target half-open, which no alternating cover follows
-    code, out, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "luroth", "--sign", "P",
-            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
-        ],
-        stdin='{"sign":"P-","prefix":[],"from":3,"to":5}\n',
-        monkeypatch=monkeypatch,
-    )
-    assert (code, out) == (3, "") and "open" in err
-
-
-@pytest.mark.parametrize(
-    "record",
-    [
-        '{"sign":"P","prefix":[],"from":3.9,"to":5.9}',
-        '{"sign":"P","prefix":[2.5],"from":2,"to":"inf"}',
-        '{"sign":"P","prefix":"2","from":2,"to":"inf"}',
-        '{"sign":"P","prefix":[],"from":true,"to":5}',
-        '{"sign":"P","prefix":[],"from":3,"to":false}',
-        '{"sign":"P","prefix":[false],"from":3,"to":5}',
-    ],
-)
-def test_verify_reads_family_sets_strictly(capsys, monkeypatch, record):
+DIM = "dim --system luroth --rank 2 --cap 9 --predicate"
+SPLIT = "split --system luroth --sign P --eps 0.5 --from"
+VERIFY = "verify --system luroth --sign P --lo 1/5 --hi 1/2 --alpha"
+MALFORMED = (2, "malformed family set")
+# (test id, command line, stdin, exit code, text of the message)
+ERRORS = [
+    # usage errors exit 64
+    ("unknown-command", "no-such-command", "", 64, "invalid choice"),
+    ("system", "expand --system martian --x 1/2 --n 3", "", 64, "unknown system 'martian'"),
+    ("x-not-a-number", "expand --system engel --x 'one half' --n 3", "",
+     64, "Invalid literal for Fraction: 'one half'"),
+    ("x-over-0", "expand --system engel --x 1/0 --n 3", "", 64, "Fraction(1, 0)"),
+    ("n-missing", "expand --system engel --x 1/2", "", 64, "--n"),
+    ("oppenheim-a", "expand --system oppenheim:-1,2 --x 1/2 --n 3", "",
+     64, "oppenheim needs a >= 0"),
+    ("oppenheim-one-parameter", "expand --system oppenheim:1 --x 1/2 --n 3", "",
+     64, "oppenheim needs two parameters: oppenheim:a,b"),
+    ("sign", "eval --system engel --word 2,3 --sign Q", "", 64, "sign must be P or P-, got 'Q'"),
+    ("window-nan", f"{DIM} ratio-window:nan,0.1", "", 64, "alpha and delta must not be NaN"),
+    ("window-delta", f"{DIM} ratio-window:1,-0.1", "", 64, "delta must be >= 0"),
+    ("window-one-parameter", f"{DIM} ratio-window:1", "",
+     64, "ratio-window needs two parameters: ratio-window:a,d"),
+    ("bounded-ratio", f"{DIM} bounded-ratio:0", "", 64, "ratio bound must be positive"),
+    ("growth", f"{DIM} growth:x", "", 64, "growth shape 'x' not one of: c, n^k, b^n"),
+    ("predicate", f"{DIM} foo", "", 64, "unknown predicate 'foo'"),
+    ("ratios", "moran --ratios 1/2,1/0", "", 64, "Fraction(1, 0)"),
+    ("kind", "transform --kind z --word 2,3", "", 64, "kind must be fp, t, or g, got 'z'"),
+    ("no-command", "", "", 64, "required"),
+    # validity errors exit 2
+    ("test_validity_errors_exit_2", "eval --system engel-mod --word 2,2 --sign P", "",
+     2, "digit 2 at position 2 violates c >= 3"),
+    ("test_verify_rejects_malformed_stdin",
+     "verify --system engel --sign P --lo 1/7 --hi 5/9 --alpha 1", "{not json}\n",
+     2, "bad JSON input line"),
+    # --blocks 0 asks for no block; a bad --from or --alpha is still an error
+    ("test_split_checks_its_arguments_without_blocks-1-0.5-2",
+     f"{SPLIT} 1 --alpha 0.5 --blocks 0", "", 2, "below first admissible digit"),
+    ("test_split_checks_its_arguments_without_blocks-2--1-3",
+     f"{SPLIT} 2 --alpha -1 --blocks 0", "", 3, "alpha and eps must be positive"),
     # a float was truncated (3.9 read as 3) and a string split into digits
-    code, out, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "luroth", "--sign", "P",
-            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
-        ],
-        stdin=record + "\n",
-        monkeypatch=monkeypatch,
-    )
-    assert (code, out) == (2, "") and "malformed family set" in err
+    *[(f"test_verify_reads_family_sets_strictly-{name}", f"{VERIFY} 1", record + "\n", *MALFORMED)
+      for name, record in [
+          ("float-ends", '{"sign":"P","prefix":[],"from":3.9,"to":5.9}'),
+          ("float-digit", '{"sign":"P","prefix":[2.5],"from":2,"to":"inf"}'),
+          ("string-prefix", '{"sign":"P","prefix":"2","from":2,"to":"inf"}'),
+          ("bool-start", '{"sign":"P","prefix":[],"from":true,"to":5}'),
+          ("bool-end", '{"sign":"P","prefix":[],"from":3,"to":false}'),
+          ("bool-digit", '{"sign":"P","prefix":[false],"from":3,"to":5}'),
+      ]],
+    # the set checks its own contract when it is made, inside the reader; the
+    # first read "end 3 below start 5" before, the second would read as an empty prefix
+    ("test_verify_reads_an_end_below_start_as_a_malformed_family_set-end-below-start",
+     f"{VERIFY} 1", '{"sign":"P","prefix":[],"from":5,"to":3}\n', *MALFORMED),
+    ("test_verify_reads_an_end_below_start_as_a_malformed_family_set-object-prefix",
+     f"{VERIFY} 1", '{"sign":"P","prefix":{},"from":3,"to":5}\n', *MALFORMED),
+    # domain errors exit 3
+    ("x-outside", "expand --system engel --x 5/4 --n 3", "", 3, "outside (0, 1]"),
+    ("empty", "cover --system luroth --sign P --lo 1/2 --hi 1/3", "", 3, "empty interval"),
+    # fp reinterprets a rule, so it needs --system; t and g ignore it
+    ("transform-fp", "transform --kind fp --word 2,3", "", 3, "fp"),
+    ("transform-point-fp", "transform-point --kind fp --x 3/8 --rank 3", "", 3, "fp"),
+    ("tol-unreached", "moran --ratios 1/25,1/8,1/10,1/25 --tol 1e-16", "", 3, "best residual"),
+    ("test_split_negative_blocks_is_a_domain_error", f"{SPLIT} 2 --alpha 1 --blocks -1", "",
+     3, "--blocks"),
+    # --alpha nan printed "cost":NaN, which is not JSON, and -1 a cost of 3.33
+    *[(f"test_verify_non_positive_alpha_exits_3-{alpha}", f"{VERIFY} {alpha}",
+       '{"sign":"P","prefix":[],"from":3,"to":5}\n', 3, "alpha") for alpha in ("nan", "0", "-1")],
+    ("test_verify_mixed_signs_exits_3", f"{VERIFY} 1",
+     '{"sign":"P","prefix":[],"from":3,"to":3}\n{"sign":"P-","prefix":[],"from":4,"to":5}\n',
+     3, "sign"),
+    ("test_oversized_digit_exits_3", "alt-expand --system engel --x 61/215 --n 48", "",
+     3, "position 31"),
+    # --sign P makes the target half-open, which no alternating cover follows
+    ("test_verify_positive_target_with_alternating_sets_exits_3", f"{VERIFY} 1",
+     '{"sign":"P-","prefix":[],"from":3,"to":5}\n', 3, "open"),
+    *[(f"test_non_finite_tol_exits_3-{command.split()[0]}-{tol}", f"{command} --tol {tol}", "",
+       3, "tol")
+      for command in ("dim --system luroth --rank 1 --cap 5", "moran --ratios 1/2,1/6")
+      for tol in ("nan", "inf")],
+    # digits 2..5 lead to r < 1, so the cylinders do not tile: with a cap
+    # of 100000 the total is 19999/100000, and with none it read 1
+    ("test_measure_infinite_cap_refuses_a_rule_that_prunes_words",
+     "measure --system oppenheim:1,-5 --rank 1 --cap inf", "",
+     3, "the rule prunes words at position 1"),
+]
 
 
-@pytest.mark.parametrize(
-    "record",
-    [
-        '{"sign":"P","prefix":[],"from":5,"to":3}',  # before: "end 3 below start 5"
-        '{"sign":"P","prefix":{},"from":3,"to":5}',  # would read as an empty prefix
-    ],
-)
-def test_verify_reads_an_end_below_start_as_a_malformed_family_set(capsys, monkeypatch, record):
-    # the set checks its own contract when it is made, inside the reader
-    code, out, err = run_cli(
-        capsys,
-        [
-            "verify", "--system", "luroth", "--sign", "P",
-            "--lo", "1/5", "--hi", "1/2", "--alpha", "1",
-        ],
-        stdin=record + "\n",
-        monkeypatch=monkeypatch,
-    )
-    assert (code, out) == (2, "") and "malformed family set" in err
+@pytest.mark.parametrize("command,stdin,code,text", rows(ERRORS))
+def test_failing_commands(capsys, monkeypatch, command, stdin, code, text):
+    argv = shlex.split(command)
+    got, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (got, out) == (code, "") and text in err
 
 
 needs_int_limit = pytest.mark.skipif(
@@ -622,16 +425,6 @@ def test_verify_reads_a_prefix_digit_past_the_int_string_limit(capsys, monkeypat
     assert (report["covers"], report["max_diameter"]) == (True, diam)
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_tol_exits_3(capsys, tol):
-    code, out, err = run_cli(
-        capsys, ["dim", "--system", "luroth", "--rank", "1", "--cap", "5", "--tol", tol]
-    )
-    assert (code, out) == (3, "") and "tol" in err
-    code, out, err = run_cli(capsys, ["moran", "--ratios", "1/2,1/6", "--tol", tol])
-    assert (code, out) == (3, "") and "tol" in err
-
-
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -645,15 +438,6 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
-
-
-def test_rationals_always_lowest_terms(capsys):
-    code, out, _ = run_cli(
-        capsys, ["eval", "--system", "luroth", "--word", "2,2", "--sign", "P"]
-    )
-    assert code == 0
-    value = lines(out)[0]["value"]
-    assert value == "3/4"
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +530,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def test_python_m_cover_pipes_into_verify():
     # the pierce pair of FROZEN_STDOUT, as two processes joined by a pipe
-    cover = next(argv for argv, _, out in FROZEN_STDOUT if out == PIERCE_COVER_A)
-    verify, _, verify_out = next(case for case in FROZEN_STDOUT if case[1] == PIERCE_COVER_A)
+    cover = next(command for _, command, _, out in FROZEN_STDOUT if out == PIERCE_COVER_A)
+    _, verify, _, verify_out = next(case for case in FROZEN_STDOUT if case[2] == PIERCE_COVER_A)
     env = dict(os.environ, PYTHONPATH=SRC)
     entry = [sys.executable, "-m", "perron.cli"]
-    with subprocess.Popen(entry + cover, stdout=subprocess.PIPE, env=env) as first:
+    with subprocess.Popen(entry + shlex.split(cover), stdout=subprocess.PIPE, env=env) as first:
         with subprocess.Popen(
-            entry + verify, stdin=first.stdout, stdout=subprocess.PIPE, env=env
+            entry + shlex.split(verify), stdin=first.stdout, stdout=subprocess.PIPE, env=env
         ) as second:
             first.stdout.close()
             out, _ = second.communicate(timeout=120)

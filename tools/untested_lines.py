@@ -7,16 +7,17 @@ executed in frames whose code lives in the package (DIR defaults to
 src/perron of the repository this script belongs to; its parent directory
 goes first on sys.path).  A statement counts as run when any line of it ran:
 the whole of a simple statement, the header of a compound one (its lines
-before the body).  Docstrings and global/nonlocal declarations, which
-compile to no code, are not statements here, and neither is a module's
-`if __name__ == "__main__":` block, which no test run in this process can
-enter (coverage tools skip it by default too).  Hypothesis deadlines are
+before the body).  Docstrings (those tools/code_lines.py skips) and
+global/nonlocal declarations, which compile to no code, are not statements
+here, and neither is a module's `if __name__ == "__main__":` block, which
+no test run in this process can enter (coverage tools skip it by default
+too).  Hypothesis deadlines are
 turned off, since tracing slows every example.  PYTEST_ARGS default to the
 repository's tests without tests/test_acceptance.py.
 
 Prints each statement line that never ran as module:line and its source,
 then the count per module.  Exits with pytest's exit code.  Standard
-library plus pytest and hypothesis.
+library plus pytest, hypothesis and tools/code_lines.py.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+from code_lines import docstring_lines  # noqa: E402  the docstrings code_lines skips too
+
 DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"),
                 "--ignore", os.path.join(ROOT, "tests", "test_acceptance.py")]
-BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 NO_CODE = (ast.Global, ast.Nonlocal)
 MAIN_GUARD = "__name__ == '__main__'"  # as ast.unparse spells the test
 
@@ -37,37 +41,28 @@ def statement_spans(source: str) -> dict[int, range]:
     """The lines of each statement of source, keyed by its first line.
 
     A compound statement's span ends before its body; decorators belong to
-    the statement they decorate.  A top-level main guard has no span.
+    the statement they decorate.  A statement that starts on a line of a
+    docstring or of a top-level main guard has no span.
     """
     tree = ast.parse(source)
-    skipped = {
-        id(node.body[0])
-        for node in ast.walk(tree)
-        if isinstance(node, BODIES) and node.body and _is_docstring(node.body[0])
-    }
+    skipped = docstring_lines(tree)
     skipped.update(
-        id(inner)
+        n
         for node in tree.body
         if isinstance(node, ast.If) and ast.unparse(node.test) == MAIN_GUARD
-        for inner in ast.walk(node)
+        for n in range(node.lineno, node.end_lineno + 1)
     )
     spans = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, NO_CODE) or id(node) in skipped:
+        if not isinstance(node, ast.stmt) or isinstance(node, NO_CODE):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        if first in skipped:
+            continue
         body = getattr(node, "body", None)
         last = max(first, body[0].lineno - 1) if body else node.end_lineno
         spans[first] = range(first, last + 1)
     return spans
-
-
-def _is_docstring(node: ast.stmt) -> bool:
-    return (
-        isinstance(node, ast.Expr)
-        and isinstance(node.value, ast.Constant)
-        and isinstance(node.value.value, str)
-    )
 
 
 def untested(source: str, ran: set[int]) -> list[int]:
