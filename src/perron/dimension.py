@@ -275,10 +275,11 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     finds every slice, with one step per state and none per (source, digit)
     pair, and prefix sums of the states' counts give each slice's count.
     A run's digits whose rule value is below 1 are admissible but
-    degenerate, and pruned.  Merged, a c + b is nondecreasing in c, so the
-    run keeps its tail c >= ceil((1 - b)/a) (all of it or none when a = 0),
-    found with one bisection and no step per digit; a word-keyed run asks
-    the rule about each child word.
+    degenerate, and pruned.  Under an affine rule (a >= 0) a c + b is
+    nondecreasing in c, so every run, merged or word-keyed, keeps its tail
+    c >= ceil((1 - b)/a) (all of it or none when a = 0), found with one
+    bisection and no step per digit; only a custom or decreasing rule is
+    asked about each child word.
 
     A word's diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i is phi_0 times
     one factor r / (c - 1)c per digit, r being the rule value the digit
@@ -316,8 +317,9 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     states and that of the tests 3375, far below the bound.  rank and
     digit_cap come checked from the caller (core._integer).
     """
-    merge = rule.fn is None and rule.a >= 0 and isinstance(predicate, _LocalPredicate)
-    if merge:  # a c + b >= 1 exactly for the digits c >= least
+    affine = rule.fn is None and rule.a >= 0
+    merge = affine and isinstance(predicate, _LocalPredicate)
+    if affine:  # a c + b >= 1 exactly for the digits c >= least
         least = -((rule.b - 1) // rule.a) if rule.a else (0 if rule.b >= 1 else math.inf)
     # the states of the level before: keys (last digits when merged, words
     # otherwise), rule values, counts, expressions
@@ -343,18 +345,16 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
         covered = shift = 0  # the states made values so far end at covered; i is value i + shift
         for i, j, run in _slices(children, merge):
             # live: the run's digits whose rule value is at least 1
-            if merge:  # a >= 0, so they are a tail of the run
+            if affine:  # a >= 0, so they are a tail of the run
                 live = run[bisect.bisect_left(run, least):]
                 if not last:
-                    live_keys, live_rs = live, [rule.a * c + rule.b for c in live]
-            else:
-                live, live_keys, live_rs = [], [], []
+                    live_rs = [rule.a * c + rule.b for c in live]
+            else:  # a custom or decreasing rule: asked about each child word
+                live, live_rs = [], []
                 for c in run:
-                    child = keys[i] + (c,)
-                    r_child = _step_r(rule, child, n)
+                    r_child = _step_r(rule, keys[i] + (c,), n)
                     if r_child >= 1:
                         live.append(c)
-                        live_keys.append(child)
                         live_rs.append(r_child)
             if not live:
                 continue
@@ -376,7 +376,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                 bases += count * len(live)
                 states += len(live)
             else:
-                t_key += live_keys
+                t_key += live if merge else [keys[i] + (c,) for c in live]
                 t_r += live_rs
                 t_frac += [(num * r, den * (c - 1) * c) for c, r in zip(live, live_rs)]
                 t_srcs += [sources] * len(live)

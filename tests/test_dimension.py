@@ -383,17 +383,19 @@ def test_non_integer_rule_values_are_validity_errors():
 @pytest.mark.parametrize("sign", [Sign.POSITIVE, Sign.ALTERNATING])
 def test_degenerate_rule_values_are_pruned(sign):
     # r = c - 3 drops below 1 on the digits 2 and 3: those words are not
-    # valid, and neither the enumeration nor the state recursion keeps them
+    # valid, and neither the enumeration nor the state recursion keeps them,
+    # on merged levels (all_digits) or word-keyed ones (an opaque predicate)
     rule, rank, cap = DigitRule.oppenheim(1, -3), 3, 9
     words = reference.bases(rule, all_digits(), rank, cap)
     assert words and len(words) < (cap - 1) ** rank
-    assert list(enumerate_compatible_bases(rule, all_digits(), rank, cap)) == words
     diameters = [word_diameter(rule, w) for w in words]
-    assert measure_at_rank(rule, sign, all_digits(), rank, cap) == sum(diameters)
-    est = pressure_root(rule, sign, all_digits(), rank, cap, 1e-9)
-    assert est.bases_count == len(words)
-    total = math.fsum(float(d) ** est.s_value for d in diameters)
-    assert abs(total - 1) <= 1e-9 + 1e-12
+    for pred in (all_digits(), DigitPredicate(lambda word: True, "any")):
+        assert list(enumerate_compatible_bases(rule, pred, rank, cap)) == words, pred
+        assert measure_at_rank(rule, sign, pred, rank, cap) == sum(diameters), pred
+        est = pressure_root(rule, sign, pred, rank, cap, 1e-9)
+        assert est.bases_count == len(words), pred
+        total = math.fsum(float(d) ** est.s_value for d in diameters)
+        assert abs(total - 1) <= 1e-9 + 1e-12, pred
 
 
 def test_custom_rule_enumeration_never_reevaluates_prefixes():

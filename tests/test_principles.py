@@ -4,7 +4,7 @@ t_engel carries classical Engel words onto modified Engel words and
 g_pierce carries Pierce words onto Pierce words.  For each map, a rank k
 and a cap C, the image of the source's compatible bases (every digit <= C)
 is a set of bases that the public enumeration lists directly: each row
-states it by an image predicate and an image cap.  Each row checks two
+states it by an image predicate and an image cap.  Each row checks three
 things:
 
 1. transform_digits maps the source's bases one to one onto the image's.
@@ -28,6 +28,13 @@ things:
    least ratio falls fast with the rank (t_ratio on the all-2 word is
    2^k / (k+1)!).
 
+3. The image's root is the source's sum reweighted: pressure_root on the
+   image equals reference.pressure_root over the source's bases, each
+   diameter d times its word's exact ratio t, so each term is d'^s.  The
+   two sum the same terms in different orders, so they must agree as
+   the state recursion and the enumeration do: equal bases_count and
+   s_value, and residuals within 1e-15.
+
 The fp map is criterion 08 of tests/test_acceptance.py.  Pierce words at
 cap C warn CapTooSmallWarning at position 2, since no digit <= C follows
 the word (C,); the image at cap C + 1 does the same.  The rows expect
@@ -38,6 +45,7 @@ import contextlib
 import math
 
 import pytest
+import reference
 
 from perron import (
     CapTooSmallWarning,
@@ -99,8 +107,14 @@ def test_a_digit_map_carries_bases_and_bounds_the_root_shift(
     with capped():
         s1 = pressure_root(source, sign, all_digits(), rank, cap, 1e-12).s_value
     with capped():
-        s2 = pressure_root(target, sign, image, rank, image_cap, 1e-12).s_value
+        image_root = pressure_root(target, sign, image, rank, image_cap, 1e-12)
+    s2 = image_root.s_value
     ratios = [word_diameter(target, v) / word_diameter(source, w) for w, v in zip(bases, mapped)]
     largest = max(word_diameter(source, word) for word in bases)
     spread = max(math.log(max(ratios)), -math.log(min(ratios)))
     assert abs(s2 - s1) <= s2 * spread / -math.log(largest)
+
+    ratio = dict(zip(bases, ratios))
+    ref = reference.pressure_root(source, sign, all_digits(), rank, cap, 1e-12, ratio.__getitem__)
+    assert (image_root.bases_count, s2) == (ref.bases_count, ref.s_value)
+    assert abs(image_root.residual - ref.residual) <= 1e-15
