@@ -349,12 +349,10 @@ def bases(rule, predicate, rank, cap):
     return words
 
 
-def diameters(rule, sign, predicate, rank, cap, ratio=None):
-    """The exact cylinder diameter of each base, in the order of bases,
-    times ratio(word) when a ratio is given."""
-    words = bases(rule, predicate, rank, cap)
-    ds = [hi - lo for lo, hi in (cylinder_ends(rule, sign, word) for word in words)]
-    return ds if ratio is None else [d * ratio(word) for d, word in zip(ds, words)]
+def diameters(rule, sign, predicate, rank, cap):
+    """The exact cylinder diameter of each base, in the order of bases."""
+    ends = (cylinder_ends(rule, sign, word) for word in bases(rule, predicate, rank, cap))
+    return [hi - lo for lo, hi in ends]
 
 
 def decimal_pressure_sum(ds):
@@ -369,15 +367,14 @@ def decimal_pressure_sum(ds):
     return F
 
 
-def pressure_root(rule, sign, predicate, rank, cap, tol, ratio=None):
+def pressure_root(rule, sign, predicate, rank, cap, tol):
     """pressure_root's estimate from the listed bases: the first midpoint
     of the plain bisection of [0, 1.5] where |f| <= tol, f(s) being the sum
     of d**s over their diameters d minus 1, each term exp(s (log num -
     log den)) and the sum math.fsum (bisect, whose DomainError is the
     library's where tol is out of reach); s = 0 with residual 1.0 for no
-    base.  ratio, when given, is a function of the word whose exact value
-    multiplies that base's diameter d before the sum (diameters)."""
-    ds = diameters(rule, sign, predicate, rank, cap, ratio)
+    base."""
+    ds = diameters(rule, sign, predicate, rank, cap)
     if not ds:
         return DimensionEstimate(rank, cap, 0.0, 1.0, 0)
     logs = [math.log(d.numerator) - math.log(d.denominator) for d in ds]
