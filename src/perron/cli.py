@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -432,14 +433,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     Digits, endpoints and diameters can have more decimal digits than
     CPython's int/str conversion limit (4300 by default), which int() and
     json enforce, so the limit is lifted while the command runs and
-    restored afterwards for in-process callers.
+    restored afterwards for in-process callers.  So is the warning format:
+    a warning (a cap that cuts off digits) prints as one "perron: warning:"
+    line, as an error does; the warning filters are left as they are.
     """
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:
         sys.set_int_max_str_digits(0)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"perron: warning: {message}\n"
     try:
         return _run(argv)
     finally:
+        warnings.formatwarning = formatwarning
         if saved is not None:
             sys.set_int_max_str_digits(saved)
 

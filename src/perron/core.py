@@ -187,10 +187,11 @@ class _Record:
 class DigitRule(_Record):
     """A digit rule: phi_0 plus the map from digit prefixes to r_n.
 
-    Every built-in rule is affine in the digit, r_n = a*c_n + b, and has fn
-    None; a custom rule has r_n = fn(prefix).  kind names the rule.  Use the
-    constructors below, which set a and b, rather than instantiating
-    directly.
+    Every built-in rule is affine in the digit, r_n = a*c_n + b with a >= 0,
+    so nondecreasing in it, and has fn None; a custom rule has r_n =
+    fn(prefix), and states any other rule, a decreasing one included.  kind
+    names the rule.  Use the constructors below, which set a and b, rather
+    than instantiating directly.
 
       luroth:    a = 0, b = 1    r_n = 1 for all n
       engel:     a = 1, b = -1   r_n = c_n - 1  (digits may repeat)
@@ -206,9 +207,9 @@ class DigitRule(_Record):
                  each prefix once.
 
     phi_0 is 1 unless oppenheim or custom is given another.  a, b and phi_0
-    are read as operator.index reads them, and phi_0 must be >= 1, however
-    the rule is made; anything else is a DomainError, raised here, so no
-    walk checks phi_0 again.
+    are read as operator.index reads them, and a must be >= 0 and phi_0
+    >= 1, however the rule is made; anything else is a DomainError, raised
+    here, so no walk checks phi_0 again and no walk asks for the sign of a.
     """
 
     kind: str
@@ -221,7 +222,7 @@ class DigitRule(_Record):
                  fn: Callable[[DigitWord], int] | None = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "phi0", _integer("phi0", phi0))
-        object.__setattr__(self, "a", _integer("a", a))
+        object.__setattr__(self, "a", _integer("a", a, 0))
         object.__setattr__(self, "b", _integer("b", b))
         object.__setattr__(self, "fn", fn)
         if self.phi0 < 1:
@@ -245,10 +246,7 @@ class DigitRule(_Record):
 
     @classmethod
     def oppenheim(cls, a: int, b: int, phi0: int = 1) -> "DigitRule":
-        rule = cls("oppenheim", phi0=phi0, a=a, b=b)
-        if rule.a < 0:
-            raise DomainError("oppenheim needs a >= 0")
-        return rule
+        return cls("oppenheim", phi0=phi0, a=a, b=b)
 
     @classmethod
     def custom(cls, fn: Callable[[DigitWord], int], phi0: int = 1) -> "DigitRule":
@@ -357,9 +355,8 @@ def _next_r(rule: DigitRule, r: int, word: DigitWord, i: int) -> int:
     """
     c = word[i - 1]
     if not isinstance(c, int) or c < r + 1:
-        raise ValidityError(
-            f"digit {_shown(c, repr)} at position {i} violates c >= {_shown(r + 1)}", index=i
-        )
+        why = f"violates c >= {_shown(r + 1)}" if isinstance(c, int) else "is not an integer"
+        raise ValidityError(f"digit {_shown(c, repr)} at position {i} {why}", index=i)
     r = _step_r(rule, word, i)
     if r < 1:
         raise ValidityError(

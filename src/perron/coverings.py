@@ -314,7 +314,7 @@ def _interval_conventions(sign: Sign, U: QInterval) -> None:
     if U.lo_included or U.hi_included != positive:
         raise DomainError(f"{sign.name.lower()} intervals must be {form}")
     if U.lo.numerator < 0 or U.hi.numerator > U.hi.denominator:  # 0 <= lo, hi <= 1
-        raise DomainError(f"interval {U} not inside {space}")
+        raise DomainError(f"interval ({_shown(U.lo)}, {_shown(U.hi)}{space[-1]} not inside {space}")
 
 
 def cover_interval(rule: DigitRule, sign: Sign, U: QInterval) -> list[FamilySet]:

@@ -275,11 +275,11 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     finds every slice, with one step per state and none per (source, digit)
     pair, and prefix sums of the states' counts give each slice's count.
     A run's digits whose rule value is below 1 are admissible but
-    degenerate, and pruned.  Under an affine rule (a >= 0) a c + b is
-    nondecreasing in c, so every run, merged or word-keyed, keeps its tail
-    c >= ceil((1 - b)/a) (all of it or none when a = 0), found with one
-    bisection and no step per digit; only a custom or decreasing rule is
-    asked about each child word.
+    degenerate, and pruned.  Under a built-in rule a c + b is nondecreasing
+    in c (a >= 0, checked when the rule is made), so every run, merged or
+    word-keyed, keeps its tail c >= ceil((1 - b)/a) (all of it or none when
+    a = 0), found with one bisection and no step per digit; only a custom
+    rule is asked about each child word.
 
     A word's diameter phi_0 r_1...r_{k-1} / prod (c_i - 1)c_i is phi_0 times
     one factor r / (c - 1)c per digit, r being the rule value the digit
@@ -317,7 +317,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
     states and that of the tests 3375, far below the bound.  rank and
     digit_cap come checked from the caller (core._integer).
     """
-    affine = rule.fn is None and rule.a >= 0
+    affine = rule.fn is None
     merge = affine and isinstance(predicate, _LocalPredicate)
     if affine:  # a c + b >= 1 exactly for the digits c >= least
         least = -((rule.b - 1) // rule.a) if rule.a else (0 if rule.b >= 1 else math.inf)
@@ -349,7 +349,7 @@ def _levels(rule: DigitRule, predicate: DigitPredicate, rank: int, digit_cap: in
                 live = run[bisect.bisect_left(run, least):]
                 if not last:
                     live_rs = [rule.a * c + rule.b for c in live]
-            else:  # a custom or decreasing rule: asked about each child word
+            else:  # a custom rule: asked about each child word
                 live, live_rs = [], []
                 for c in run:
                     r_child = _step_r(rule, keys[i] + (c,), n)
@@ -778,7 +778,7 @@ def measure_at_rank(
     if digit_cap is None:
         if not predicate._unrestricted:
             raise DomainError("digit_cap required for restricted predicates")
-        if rule.fn is not None or rule.a < 0:
+        if rule.fn is not None:
             raise DomainError("digit_cap required for a rule other than a*c + b with a >= 0")
         m = rule.phi0
         for n in range(1, rank + 1):

@@ -278,7 +278,7 @@ ERRORS = [
     ("x-over-0", "expand --system engel --x 1/0 --n 3", "", 64, "Fraction(1, 0)"),
     ("n-missing", "expand --system engel --x 1/2", "", 64, "--n"),
     ("oppenheim-a", "expand --system oppenheim:-1,2 --x 1/2 --n 3", "",
-     64, "oppenheim needs a >= 0"),
+     64, "a must be >= 0"),
     ("oppenheim-one-parameter", "expand --system oppenheim:1 --x 1/2 --n 3", "",
      64, "oppenheim needs two parameters: oppenheim:a,b"),
     ("sign", "eval --system engel --word 2,3 --sign Q", "", 64, "sign must be P or P-, got 'Q'"),
@@ -322,6 +322,11 @@ ERRORS = [
     # domain errors exit 3
     ("x-outside", "expand --system engel --x 5/4 --n 3", "", 3, "outside (0, 1]"),
     ("empty", "cover --system luroth --sign P --lo 1/2 --hi 1/3", "", 3, "empty interval"),
+    # the refusal printed the QInterval's repr
+    ("interval-outside", "cover --system luroth --sign P --lo 0 --hi 3/2", "",
+     3, "perron: error: interval (0, 3/2] not inside (0, 1]\n"),
+    ("interval-outside-alternating", "cover --system luroth --sign P- --lo 1/3 --hi 3/2", "",
+     3, "perron: error: interval (1/3, 3/2) not inside (0, 1)\n"),
     # fp reinterprets a rule, so it needs --system; t and g ignore it
     ("transform-fp", "transform --kind fp --word 2,3", "", 3, "fp"),
     ("transform-point-fp", "transform-point --kind fp --x 3/8 --rank 3", "", 3, "fp"),
@@ -543,6 +548,19 @@ def test_python_m_cover_pipes_into_verify():
         assert first.wait(timeout=120) == 0
     assert second.returncode == 0
     assert out.decode() == verify_out
+
+
+def test_a_warning_is_one_perron_warning_line():
+    # stderr held Python's default format: the path of cli.py, a line
+    # number, the category and the source line that warned
+    argv = [sys.executable, "-m", "perron.cli", "dim", "--system", "engel-mod", "--rank", "3",
+            "--cap", "4"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, '{"s":0.0,"rank":3,"cap":4,"residual":0.0,"bases":1}\n',
+        "perron: warning: digit_cap 4 excludes all digits at position 2, cutting off 1 "
+        "compatible prefix(es)\n")
 
 
 @pytest.mark.parametrize(

@@ -70,32 +70,31 @@ def test_rule_value_examples():
 def test_validate_word_examples():
     validate_word(ENGEL, [2, 3])
     validate_word(ENGEL, [2, 2])  # repeats allowed, r = c - 1
-    with pytest.raises(ValidityError) as exc:
-        validate_word(ENGEL_MOD, [2, 2])  # strictly increasing, needs c2 >= 3
-    assert exc.value.index == 2
+    # strictly increasing, needs c2 >= 3
+    assert reference.outcome(validate_word, ENGEL_MOD, [2, 2]) == (
+        ValidityError, "digit 2 at position 2 violates c >= 3", 2)
 
 
 def test_validate_word_first_digit():
-    with pytest.raises(ValidityError) as exc:
-        validate_word(LUROTH, [1])  # needs c >= r0 + 1 = 2
-    assert exc.value.index == 1
+    # needs c >= r0 + 1 = 2
+    assert reference.outcome(validate_word, LUROTH, [1]) == (
+        ValidityError, "digit 1 at position 1 violates c >= 2", 1)
 
 
 def test_oppenheim_rule_value_can_degenerate():
     # r_n = c_n - 2 hits zero on digit 2
-    rule = DigitRule.oppenheim(1, -2)
-    with pytest.raises(ValidityError) as exc:
-        validate_word(rule, [2, 3])
-    assert exc.value.index == 1
+    assert reference.outcome(validate_word, DigitRule.oppenheim(1, -2), [2, 3]) == (
+        ValidityError, "rule value 0 after position 1 is not a positive integer", 1)
 
 
 def test_oppenheim_constructor_domain():
-    with pytest.raises(DomainError):
-        DigitRule.oppenheim(-1, 0)
-    with pytest.raises(DomainError):
-        DigitRule.oppenheim(1, 0, phi0=0)
-    with pytest.raises(DomainError):
-        DigitRule.custom(lambda w: 1, phi0=0)
+    calls = [
+        (lambda: DigitRule.oppenheim(-1, 0), "a must be >= 0"),
+        (lambda: DigitRule.oppenheim(1, 0, phi0=0), "phi0 must be >= 1, got 0"),
+        (lambda: DigitRule.custom(lambda w: 1, phi0=0), "phi0 must be >= 1, got 0"),
+    ]
+    for call, text in calls:
+        assert reference.outcome(call) == (DomainError, text, None)
 
 
 def test_phi0_below_one_is_refused_however_the_rule_is_made():
@@ -103,10 +102,9 @@ def test_phi0_below_one_is_refused_however_the_rule_is_made():
     # extraction divided by it (ZeroDivisionError) and the alternating
     # form returned ISPoint(rank=1)
     for phi0 in (0, -3):
-        with pytest.raises(DomainError, match=f"phi0 must be >= 1, got {phi0}"):
-            DigitRule("x", phi0=phi0, a=1, b=0)
-        with pytest.raises(DomainError, match="phi0 must be >= 1"):
-            DigitRule.custom(_parity, phi0=phi0)
+        refused = (DomainError, f"phi0 must be >= 1, got {phi0}", None)
+        assert reference.outcome(DigitRule, "x", phi0, 1, 0) == refused
+        assert reference.outcome(DigitRule.custom, _parity, phi0) == refused
 
 
 class _Index:
@@ -150,16 +148,44 @@ def test_integer_like_rule_values_are_accepted():
 
 def test_rule_parameters_must_be_integers():
     makers = [
-        lambda: DigitRule.oppenheim(1.5, 0),
-        lambda: DigitRule.oppenheim(1, 0.5),
-        lambda: DigitRule.oppenheim(1, 0, phi0=Fraction(3, 2)),
-        lambda: DigitRule.custom(lambda w: 1, phi0=1.5),
-        lambda: DigitRule("affine", a=Fraction(1, 2), b=1),
+        (lambda: DigitRule.oppenheim(1.5, 0), "a must be an integer, got 1.5"),
+        (lambda: DigitRule.oppenheim(1, 0.5), "b must be an integer, got 0.5"),
+        (lambda: DigitRule.oppenheim(1, 0, phi0=Fraction(3, 2)),
+         "phi0 must be an integer, got Fraction(3, 2)"),
+        (lambda: DigitRule.custom(lambda w: 1, phi0=1.5), "phi0 must be an integer, got 1.5"),
+        (lambda: DigitRule("affine", a=Fraction(1, 2), b=1),
+         "a must be an integer, got Fraction(1, 2)"),
     ]
-    for make in makers:
-        with pytest.raises(DomainError, match="must be an integer"):
-            make()
+    for make, text in makers:
+        assert reference.outcome(make) == (DomainError, text, None)
     assert DigitRule.oppenheim(_Index(2), _Index(1)) == DigitRule.oppenheim(2, 1)
+
+
+# (id, call, error, text, index): refusals of a rule or a word, each with
+# its exact text and index
+REFUSALS = [
+    # a < 0 is refused however the rule is made; before, only oppenheim
+    # refused it, and a rule made directly walked on with falling values
+    ("direct-a", lambda: DigitRule("falling", a=-2, b=40), DomainError, "a must be >= 0", None),
+    # a digit that is not an int is refused as one; each read "violates c >= 2"
+    ("validate-float", lambda: validate_word(LUROTH, [3.0]),
+     ValidityError, "digit 3.0 at position 1 is not an integer", 1),
+    ("diameter-str", lambda: word_diameter(LUROTH, [2, "x"]),
+     ValidityError, "digit 'x' at position 2 is not an integer", 2),
+    ("rule-value-fraction", lambda: rule_value(LUROTH, [Fraction(3)]),
+     ValidityError, "digit Fraction(3, 1) at position 1 is not an integer", 1),
+    ("partial-sum-decimal", lambda: partial_sum(LUROTH, (Decimal(2),), Sign.POSITIVE),
+     ValidityError, "digit Decimal('2') at position 1 is not an integer", 1),
+    # an int keeps its range text, a bool included
+    ("validate-bool", lambda: validate_word(LUROTH, [2, True]),
+     ValidityError, "digit True at position 2 violates c >= 2", 2),
+]
+
+
+@pytest.mark.parametrize("call, error, text, index",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_refusals(call, error, text, index):
+    assert reference.outcome(call) == (error, text, index)
 
 
 def _parity(prefix):
@@ -238,12 +264,10 @@ def test_positive_digits_examples():
 
 
 def test_positive_digits_domain():
-    with pytest.raises(DomainError):
-        positive_digits(ENGEL, Fraction(0), 3)
-    with pytest.raises(DomainError):
-        positive_digits(ENGEL, Fraction(9, 8), 3)
-    with pytest.raises(DomainError):
-        positive_digits(ENGEL, Fraction(1, 2), -1)
+    cases = [(0, 3, "x = 0 outside (0, 1]"), (Fraction(9, 8), 3, "x = 9/8 outside (0, 1]"),
+             (Fraction(1, 2), -1, "n must be >= 0")]
+    for x, n, text in cases:
+        assert reference.outcome(positive_digits, ENGEL, x, n) == (DomainError, text, None)
 
 
 def test_alternating_digits_examples():
@@ -253,10 +277,9 @@ def test_alternating_digits_examples():
 
 
 def test_alternating_digits_domain():
-    with pytest.raises(DomainError):
-        alternating_digits(PIERCE, Fraction(1), 3)
-    with pytest.raises(DomainError):
-        alternating_digits(PIERCE, Fraction(0), 3)
+    for x in (1, 0):
+        assert reference.outcome(alternating_digits, PIERCE, Fraction(x), 3) == (
+            DomainError, f"x = {x} outside (0, 1)", None)
 
 
 def test_digit_bit_length_is_bounded():
@@ -445,11 +468,10 @@ def test_contains_matches_the_fraction_comparison(rule, sign, pq, depth, lo_incl
 
 
 def test_empty_word_rejected():
+    refused = (ValidityError, "word must be nonempty", None)
     for op in (partial_sum, cylinder):
-        with pytest.raises(ValidityError):
-            op(ENGEL, (), Sign.POSITIVE)
-    with pytest.raises(ValidityError):
-        word_diameter(ENGEL, ())
+        assert reference.outcome(op, ENGEL, (), Sign.POSITIVE) == refused
+    assert reference.outcome(word_diameter, ENGEL, ()) == refused
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +482,15 @@ def test_empty_word_rejected():
 def test_pierce_notation_convert_examples():
     assert pierce_notation_convert([3, 5, 9], "perron-to-traditional") == (2, 4, 8)
     assert pierce_notation_convert([1, 2, 5], "traditional-to-perron") == (2, 3, 6)
-    with pytest.raises(ValidityError):
-        pierce_notation_convert([2, 2], "perron-to-traditional")
+    assert reference.outcome(pierce_notation_convert, [2, 2], "perron-to-traditional") == (
+        ValidityError, "digit 2 at position 2 violates c >= 3", 2)
     # traditional words increase strictly from 1
-    for word, index in (([2, 2], 2), ([0, 3], 1)):
-        with pytest.raises(ValidityError, match="must exceed") as exc:
-            pierce_notation_convert(word, "traditional-to-perron")
-        assert exc.value.index == index
-    with pytest.raises(DomainError):
-        pierce_notation_convert([2, 3], "sideways")
+    for word, (text, index) in (([2, 2], ("traditional digit 2 at position 2 must exceed 2", 2)),
+                                ([0, 3], ("traditional digit 0 at position 1 must exceed 0", 1))):
+        assert reference.outcome(pierce_notation_convert, word, "traditional-to-perron") == (
+            ValidityError, text, index)
+    assert reference.outcome(pierce_notation_convert, [2, 3], "sideways") == (
+        DomainError, "unknown direction 'sideways'", None)
 
 
 def test_traditional_pierce_examples():
@@ -976,7 +998,8 @@ _LONG_VALUE_ERRORS = {
         "empty interval [<fraction of 22552/22554 bits>, <fraction of 22554/22556 bits>]", None),
     "cover_interval": (
         lambda: cover_interval(PIERCE, Sign.POSITIVE, QInterval(_DEEP_CYL.lo, _DEEP_CYL.hi + 2)),
-        DomainError, "interval QInterval(lo=<fraction of 22554/22556 bits>, hi=<fraction of", None),
+        DomainError, "interval (<fraction of 22554/22556 bits>, <fraction of 22555/22554 bits>] "
+        "not inside (0, 1]", None),
     "cover_boundary": (
         lambda: cover_boundary(PIERCE, Sign.POSITIVE, _DEEP, _DEEP_CYL.hi + 1, FROM_INF),
         DomainError, "cut <fraction of 22554/22554 bits> outside (<fraction of", None),

@@ -1624,13 +1624,14 @@ FALLBACKS = [
      "digit 2 at position 2 violates c >= 3", 2),
     (lambda: cover_boundary(PIERCE, Sign.POSITIVE, (2, 1), Fraction(1, 3), TO_SUP),
      "digit 1 at position 2 violates c >= 3", 2),
-    # a float digit and a True digit (a family set refuses both when made)
+    # a float digit and a True digit (a family set refuses both when made);
+    # a float read "violates c >= 2", a True still does
     (lambda: cylinder(ENGEL, (2, 3.0), Sign.POSITIVE),
-     "digit 3.0 at position 2 violates c >= 2", 2),
+     "digit 3.0 at position 2 is not an integer", 2),
     (lambda: cylinder(LUROTH, (2, True), Sign.ALTERNATING),
      "digit True at position 2 violates c >= 2", 2),
     (lambda: cover_boundary(LUROTH, Sign.POSITIVE, (2.0,), Fraction(3, 4), TO_SUP),
-     "digit 2.0 at position 1 violates c >= 2", 1),
+     "digit 2.0 at position 1 is not an integer", 1),
     (lambda: cover_boundary(ENGEL_MOD, Sign.ALTERNATING, (True,), Fraction(1, 2), FROM_INF),
      "digit True at position 1 violates c >= 2", 1),
     (lambda: family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (2, 2.0), 2)),
