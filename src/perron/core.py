@@ -792,8 +792,9 @@ def pierce_notation_convert(word: Sequence[int], direction: str) -> DigitWord:
         prev = 0
         for i, c in enumerate(word, start=1):
             if not isinstance(c, int) or c < 1 or c <= prev:
-                raise ValidityError(f"traditional digit {_shown(c, repr)} at position {i} "
-                                    f"must exceed {_shown(prev)}", index=i)
+                why = f"must exceed {_shown(prev)}" if isinstance(c, int) else "is not an integer"
+                raise ValidityError(f"traditional digit {_shown(c, repr)} at position {i} {why}",
+                                    index=i)
             prev = c
         return tuple(c + 1 for c in word)
     raise DomainError(f"unknown direction {direction!r}")

@@ -42,7 +42,10 @@ sweep per level), so a merged level is built with one step per state and
 none per (source, digit) pair; f(s) sums each slice with one math.fsum,
 and measure_at_rank as a difference of exact prefix sums.  The last
 digits of one slice are handed over as one run: measure_at_rank sums a run
-without gaps in closed form, since its cylinders abut.
+without gaps in closed form, since its cylinders abut, and f(s) sums one
+of at least _SERIES_RUN digits by a series past its first _SERIES_HEAD
+(_run_sum), so such a run costs a bounded number of terms whatever its
+length.  A slice of a kept level, below rank k, still costs its length.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ _MAX_BISECT = 200
 _MAX_WORD_STATES = 1 << 19  # states of one word-keyed level in _levels
 _ROUND = 10 * 2.0**-53  # rounding allowance of one line test (_line)
 _TOP = 1 << 46  # ratio_limit_window's span is its float test's up to here
+# pressure_root sums a gapless last-level run of at least _SERIES_RUN (L)
+# digits by _run_sum past its first _SERIES_HEAD (M) digits
+_SERIES_RUN = 512
+_SERIES_HEAD = 64
+_BINOMIAL_TERMS = 5
+# B_2k(1/2) / (2k)! = (2^(1-2k) - 1) B_2k / (2k)!, k = 1..6: the midpoint
+# Euler-Maclaurin coefficients
+_EULER_MACLAURIN = (-1 / 24, 7 / 5760, -31 / 967680, 127 / 154828800, -73 / 3503554560,
+                    1414477 / 2678117105664000)
 
 
 class DigitPredicate:
@@ -527,7 +539,15 @@ def pressure_root(
     value of its own.  With the built-in rules and predicates a level has at
     most one state per digit, so the build grows with rank times the cap,
     and each f(s) adds at most rank times the cap squared terms inside
-    math.fsum: neither grows with the number of bases.
+    math.fsum: neither grows with the number of bases.  A run of last
+    digits without gaps, p..q, shares its sources and its factor num/den,
+    so it adds total * (num/den)**s * sum ((c - 1)c)**-s; from
+    _SERIES_RUN digits on, that sum takes the first _SERIES_HEAD digits
+    one term each and the rest as one term from a series (_run_sum), so the
+    run costs O(1) terms, and a rank-1 root at any cap about 65 per f(s).
+    Shorter runs, runs with gaps (an alphabet, a custom rule or an opaque
+    predicate leaving digits out) and every config whose eps is infinite
+    keep one term per digit.
     The diameter r_0...r_{k-1} / prod (c_i - 1)c_i does not depend on the
     sign (the equal-diameter law), so the positive and alternating
     estimates agree bit for bit.
@@ -553,15 +573,24 @@ def pressure_root(
     _check_sign(sign)
     rank, digit_cap = _integer("rank", rank, 1), _integer("digit_cap", digit_cap, rule.phi0 + 1)
     log, exp, fsum = math.log, math.exp, math.fsum
+    eps = _sum_error(rank, digit_cap)
+    runs = []  # (lw, tail) per long run: its digits past the head as one term
 
     def weigh_run(num, den, digits):
         log_num = log(num)
+        if (len(digits) >= _SERIES_RUN and eps < math.inf
+                and digits[-1] - digits[0] == len(digits) - 1):  # long and without gaps
+            runs.append((log_num - log(den), _run_sum(digits[_SERIES_HEAD], digits[-1])))
+            return [log_num - log(den * (c - 1) * c) for c in digits[:_SERIES_HEAD]] + runs[-1:]
         return [log_num - log(den * (c - 1) * c) for c in digits]
 
     kept, final, bases = _levels(
         rule, predicate, rank, digit_cap, lambda num, den: log(num) - log(den), weigh_run)
     if not bases:
         return DimensionEstimate(rank, digit_cap, 0.0, 1.0, 0)
+    if runs:  # each (lw, tail) rode in its run's weights; take it out with its group's sources
+        runs = [(sources, w) for sources, ws in final for w in ws if type(w) is tuple]
+        final = [(sources, [w for w in ws if type(w) is float]) for sources, ws in final]
     log_phi0 = log(rule.phi0)
 
     def values(level, u, s):  # one compensated sum per group, one exp per value
@@ -576,12 +605,14 @@ def pressure_root(
         u = [exp(s * log_phi0)]
         for level in kept:
             u += values(level, u, s)
-        return fsum(values(final, u, s)) - 1.0
+        terms = values(final, u, s)
+        terms += [fsum(u[lo:hi]) * exp(s * lw) * tail(s) for (lo, hi), (lw, tail) in runs]
+        return fsum(terms) - 1.0
 
     f_lo = float(bases - 1)  # f(0): every term is 1
     if abs(f_lo) <= tol:
         return DimensionEstimate(rank, digit_cap, 0.0, abs(f_lo), bases)
-    s, residual = _convex_bisect(f, 1.5, tol, f_lo, _sum_error(rank, digit_cap))
+    s, residual = _convex_bisect(f, 1.5, tol, f_lo, eps)
     return DimensionEstimate(rank, digit_cap, s, residual, bases)
 
 
@@ -589,8 +620,9 @@ def _sum_error(rank: int, digit_cap: int) -> float:
     """eps with |f(s) - F(s)| <= eps (1 + |f(s)|) for s in [0, 1.5]: f is
     pressure_root's computed sum minus 1, F the exact one.
 
-    Assumed: binary64 arithmetic rounding to nearest, u = 2^-53; math.log
-    and math.exp within one ulp (relative error <= 2u) at normal results;
+    Assumed: binary64 arithmetic rounding to nearest, u = 2^-53; math.log,
+    math.exp, math.expm1 and math.log1p within one ulp (relative error
+    <= 2u) at normal results;
     math.fsum correctly rounded; an int below 2^1024 converted to float
     correctly rounded inside math.log (as CPython does).
 
@@ -624,9 +656,77 @@ def _sum_error(rank: int, digit_cap: int) -> float:
     adds u|f|.  So |f - F| <= 1.01t (1 + |F|) + u|f|
     <= 2(1.01t + u)(1 + |f|) < 2^-48 (L + 3k + 3)(1 + |f|), which leaves
     room for the roundings of eps itself and of the tests that use it.
+
+    Runs.  pressure_root sums the digits of a long gapless run of last
+    digits past its head as one term, total * exp(s (log num - log den)) *
+    S, S the sum of ((c - 1)c)**-s over them (_run_sum).  Its path has the
+    weights of its digits' paths, the last one's den without the factor
+    (c - 1)c, so its exponents are off by no more, and it takes one
+    product more; S is within a relative u (7 ln C + 40) of the exact sum,
+    its series' truncation (below 1e-19) and any underflow of its
+    corrections included.  So its t is at most u(6L + 16k + 16) +
+    u(7 ln C + 40) <= u(9L + 16k + 56), as L >= 3 ln C, and
+    2(1.01t + u) <= u(18.2L + 32.4k + 116) is below 2^-48 (L + 3k + 3) =
+    u(32L + 96k + 96) by more than a third of it, since such a run needs
+    C >= 513, so L >= 18.7: the same eps covers it.
     """
     spread = 3 * rank * math.log(digit_cap)
     return (spread + 3 * rank + 3) * 2.0**-48 if spread <= 500 else math.inf
+
+
+def _run_sum(p: int, q: int) -> Callable[[float], float]:
+    """s -> sum ((c - 1)c)**-s over the digits c = p..q, in O(1) operations,
+    for s in [0, 1.5] and q >= p >= _SERIES_HEAD + 2: the tail of a long
+    run past its head, the run's first digit being at least 2.
+
+    Series.  (c - 1)c = (c - 1/2)**2 (1 - x), x = 1/(4 (c - 1/2)**2), so
+    ((c - 1)c)**-s = sum_j (s)_j / (j! 4**j) (c - 1/2)**-(s_j), s_j = 2s + 2j
+    ((s)_j rising), and the sum is sum_j (s)_j / (j! 4**j) Z(s_j) with
+    Z(t) = sum_{c=p..q} (c - 1/2)**-t.  The midpoint Euler-Maclaurin
+    formula, on P = p - 1 and q, the ends of [p - 1/2, q + 1/2] shifted by
+    1/2, gives Z(t) = P**(1-t) E(1 - t) + sum_k B_2k(1/2) / (2k)! (t)_(2k-1)
+    (P**(1-t-2k) - q**(1-t-2k)), where E(a) = (e^(a d) - 1)/a (d at a = 0),
+    d = ln(q/P), makes the integral of y**-t over [P, q].  Taken out
+    P**(1-2s), every term is P**-2j or P**-2k times E or (1 - e^(-m d)),
+    so Z costs the same for any run length.
+
+    Truncation, past _BINOMIAL_TERMS = 5 terms in j and
+    len(_EULER_MACLAURIN) = 6 in k.  x <= 1/(4 * 65.5**2) < 5.9e-5, so the
+    binomial tail is below (1.5)_5 / 5! x**5 < 2e-21 of the sum.  The
+    Euler-Maclaurin remainder is below 2 |B_12| / 12! (t)_11 P**(-t-11),
+    under 4e-20 of the sum at t <= 3 and far less for j >= 1.
+
+    Rounding (u = 2^-53).  d = log1p((q - P)/P) is within 3u relative,
+    so a product a d is within 5u (j = 0) or 7u, and E(a) within
+    (1 + max(a d, 0)) 7u + 6u, a d <= ln(q/P).  Every other term of the
+    sum taken out P**(1-2s) is below 1e-3 of the j = 0 one, E(1 - 2s) >=
+    e^-2 min(d, 1), so with the sums' roundings that sum is within
+    7u ln(q/P) + 25u; a term that underflows there is off by less than
+    2^-1074, far below u times E(1 - 2s) while P <= e^166 (as eps finite
+    requires).  P**(1-2s) = exp((1 - 2s) log P) is within 6u ln P + 7u.
+    So the result is within a relative u (7 ln q + 40) of the exact sum,
+    which _sum_error allows for.
+    """
+    big_p = p - 1
+    log_p, d, inv_p2 = math.log(big_p), math.log1p((q - big_p) / big_p), 1 / (big_p * big_p)
+    bernoulli = [(b * inv_p2 ** k, 2 * k - 1) for k, b in enumerate(_EULER_MACLAURIN, 1)]
+    exp, expm1 = math.exp, math.expm1
+
+    def at(s: float) -> float:
+        total, coef = 0.0, 1.0  # coef = (s)_j / (j! (4 P**2)**j)
+        for j in range(_BINOMIAL_TERMS):
+            t = 2 * s + 2 * j
+            a = 1 - t
+            z = expm1(a * d) / a if a else d
+            rising = t  # (t)_(2k-1)
+            for b, m in bernoulli:
+                z -= b * rising * expm1(-(t + m) * d)
+                rising *= (t + m) * (t + m + 1)
+            total += coef * z
+            coef *= (s + j) / (4 * j + 4) * inv_p2
+        return exp((1 - 2 * s) * log_p) * total
+
+    return at
 
 
 def _line(p, q, m: float, eps: float, side: int) -> float:

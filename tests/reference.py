@@ -24,8 +24,8 @@ The floats are formed as the library's docstrings state them: a cover's
 cost is math.fsum of ratio_power(diameter, alpha), the pressure sum adds
 exp(s (log num - log den)) per base, and a root is the first midpoint of
 the plain bisection (bisect) within tol.  The 50-digit decimal forms of
-the pressure sum and of the Moran equation are the exact oracles for the
-library's float ones.
+the pressure sum, of a run's sum and of the Moran equation are the exact
+oracles for the library's float ones.
 
 Only fractions, decimal, math and itertools are imported, with perron's
 public names; no private perron name is read.
@@ -365,6 +365,15 @@ def decimal_pressure_sum(ds):
             return sum((Decimal(s) * lw).exp() for lw in logs) - 1
 
     return F
+
+
+def run_sum(p, q, s):
+    """The sum of ((c - 1)c)**-s over the digits c = p..q, the diameters of
+    a run of last digits without their common factor, in PRECISION-digit
+    decimal arithmetic, one term per digit."""
+    with localcontext(Context(prec=PRECISION)):
+        s = Decimal(s)
+        return sum((-s * Decimal((c - 1) * c).ln()).exp() for c in range(p, q + 1))
 
 
 def pressure_root(rule, sign, predicate, rank, cap, tol):

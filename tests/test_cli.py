@@ -244,6 +244,11 @@ FROZEN_STDOUT = [
     ("dim-engel-bounded-ratio",
      "dim --system engel --sign P- --predicate bounded-ratio:3/2 --rank 3 --cap 12", "",
      '{"s":0.7004208251601085,"rank":3,"cap":12,"residual":3.700004747031471e-10,"bases":98}\n'),
+    # one gapless run of 19 999 last digits: summed by a series past its
+    # first 64, with the bytes the digit-by-digit sum printed
+    ("dim-luroth-long-run", "dim --system luroth --predicate all --rank 1 --cap 20000", "",
+     '{"s":0.9999755532480776,"rank":1,"cap":20000,"residual":5.618459031353495e-10,'
+     '"bases":19999}\n'),
     ("measure-luroth-bounded-ratio",
      "measure --system luroth --sign P- --predicate bounded-ratio:2 --rank 3 --cap 8", "",
      '{"measure":"2527/4608"}\n'),

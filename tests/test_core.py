@@ -179,6 +179,13 @@ REFUSALS = [
     # an int keeps its range text, a bool included
     ("validate-bool", lambda: validate_word(LUROTH, [2, True]),
      ValidityError, "digit True at position 2 violates c >= 2", 2),
+    # so does a traditional pierce word; each non-int read "must exceed 0"
+    ("traditional-float", lambda: pierce_notation_convert([3.0, 4], "traditional-to-perron"),
+     ValidityError, "traditional digit 3.0 at position 1 is not an integer", 1),
+    ("traditional-half", lambda: pierce_notation_convert([2.5, 4], "traditional-to-perron"),
+     ValidityError, "traditional digit 2.5 at position 1 is not an integer", 1),
+    ("traditional-bool", lambda: pierce_notation_convert([2, True], "traditional-to-perron"),
+     ValidityError, "traditional digit True at position 2 must exceed 2", 2),
 ]
 
 

@@ -96,19 +96,20 @@ def test_alternating_hull_is_open():
 
 
 def test_family_set_validation():
-    with pytest.raises(ValidityError):
-        family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (), 1, 5))  # start < 2
-    with pytest.raises(ValidityError):
-        family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (), 5, 3))  # end < start
-    with pytest.raises(ValidityError):
-        family_set_hull(ENGEL_MOD, FamilySet(Sign.POSITIVE, (2, 2), 4, None))
+    assert outcome(lambda: family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (), 1, 5))) == (
+        ValidityError, "start 1 below first admissible digit 2", None)
+    assert outcome(lambda: family_set_hull(LUROTH, FamilySet(Sign.POSITIVE, (), 5, 3))) == (
+        ValidityError, "end 3 below start 5", None)
+    assert outcome(lambda: family_set_hull(
+        ENGEL_MOD, FamilySet(Sign.POSITIVE, (2, 2), 4, None))) == (
+        ValidityError, "digit 2 at position 2 violates c >= 3", 2)
 
 
 def test_qinterval_must_be_nonempty():
-    with pytest.raises(DomainError):
-        QInterval(Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        QInterval(Fraction(2, 3), Fraction(1, 3))
+    assert outcome(QInterval, Fraction(1, 2), Fraction(1, 2)) == (
+        DomainError, "empty interval [1/2, 1/2]", None)
+    assert outcome(QInterval, Fraction(2, 3), Fraction(1, 3)) == (
+        DomainError, "empty interval [2/3, 1/3]", None)
 
 
 @st.composite
@@ -221,13 +222,13 @@ def test_alternating_boundary_covers_are_frozen(rule, prefix, cut, side, tight, 
 
 
 def test_boundary_cut_outside_cylinder():
-    with pytest.raises(DomainError):
-        cover_boundary(LUROTH, Sign.POSITIVE, (2,), Fraction(1, 4), FROM_INF)
-    with pytest.raises(DomainError):
-        cover_boundary(LUROTH, Sign.POSITIVE, (), Fraction(1, 2), "upward")
+    assert outcome(cover_boundary, LUROTH, Sign.POSITIVE, (2,), Fraction(1, 4), FROM_INF) == (
+        DomainError, "cut 1/4 outside (1/2, 1]", None)
+    assert outcome(cover_boundary, LUROTH, Sign.POSITIVE, (), Fraction(1, 2), "upward") == (
+        DomainError, "unknown side 'upward'", None)
     # side endpoints: FROM_INF allows the supremum but not the infimum
-    with pytest.raises(DomainError):
-        cover_boundary(LUROTH, Sign.POSITIVE, (2,), Fraction(1, 2), FROM_INF)
+    assert outcome(cover_boundary, LUROTH, Sign.POSITIVE, (2,), Fraction(1, 2), FROM_INF) == (
+        DomainError, "cut 1/2 outside (1/2, 1]", None)
     cover_boundary(LUROTH, Sign.POSITIVE, (2,), Fraction(1, 2), TO_SUP)
 
 
@@ -386,14 +387,17 @@ def test_cover_width_ties_are_exact(sign, rel, expected, depth):
 
 
 def test_cover_interval_conventions():
-    with pytest.raises(DomainError):
-        cover_interval(LUROTH, Sign.POSITIVE, QInterval(0, Fraction(1, 2), True, True))
-    with pytest.raises(DomainError):
-        cover_interval(LUROTH, Sign.POSITIVE, QInterval(0, Fraction(1, 2), False, False))
-    with pytest.raises(DomainError):
-        cover_interval(LUROTH, Sign.ALTERNATING, QInterval(0, Fraction(1, 2), False, True))
-    with pytest.raises(DomainError):
-        cover_interval(LUROTH, Sign.POSITIVE, QInterval(0, Fraction(3, 2), False, True))
+    half_open = (DomainError, "positive intervals must be half-open (lo, hi]", None)
+    assert outcome(cover_interval, LUROTH, Sign.POSITIVE,
+                   QInterval(0, Fraction(1, 2), True, True)) == half_open
+    assert outcome(cover_interval, LUROTH, Sign.POSITIVE,
+                   QInterval(0, Fraction(1, 2), False, False)) == half_open
+    assert outcome(cover_interval, LUROTH, Sign.ALTERNATING,
+                   QInterval(0, Fraction(1, 2), False, True)) == (
+        DomainError, "alternating intervals must be open (lo, hi)", None)
+    assert outcome(cover_interval, LUROTH, Sign.POSITIVE,
+                   QInterval(0, Fraction(3, 2), False, True)) == (
+        DomainError, "interval (0, 3/2] not inside (0, 1]", None)
 
 
 @st.composite
@@ -576,10 +580,9 @@ def test_split_parameter_choice():
     # geometric tail 1/(s-1) < eps first holds at s = 4 for eps = 1/2, alpha = 1
     assert split_parameters(1.0, 0.5) == 4
     assert split_parameters(1.0, 1.0) == 3
-    with pytest.raises(DomainError):
-        split_parameters(0.0, 0.5)
-    with pytest.raises(DomainError):
-        split_parameters(1.0, -1.0)
+    for alpha, eps in ((0.0, 0.5), (1.0, -1.0)):
+        assert outcome(split_parameters, alpha, eps) == (
+            DomainError, "alpha and eps must be positive", None)
 
 
 def _split_parameters_by_search(alpha, eps):
@@ -604,10 +607,10 @@ def test_split_parameters_far_beyond_linear_search():
     assert s**alpha > 1 + 1 / eps >= (s - 1) ** alpha
     # guesses that overflow a float (or pass 2**53) are rejected, not searched
     for alpha, eps in ((0.001, 0.5), (0.01, 1e-300), (0.02, 0.5)):
-        with pytest.raises(DomainError):
-            split_parameters(alpha, eps)
-    with pytest.raises(DomainError):
-        split_parameters(float("nan"), 0.5)
+        assert outcome(split_parameters, alpha, eps) == (
+            DomainError, f"split ratio for alpha={alpha}, eps={eps} exceeds 2**53", None)
+    assert outcome(split_parameters, float("nan"), 0.5) == (
+        DomainError, "alpha and eps must be positive", None)
 
 
 def test_split_parameters_steps_down_from_an_overshooting_guess():
@@ -665,10 +668,12 @@ def test_split_parameters_far_from_the_start():
 
 
 def test_split_requires_unbounded_set():
-    with pytest.raises(DomainError):
-        next(split_to_finite(ENGEL, FamilySet(Sign.POSITIVE, (), 2, 9), 1.0, 1.0))
-    with pytest.raises(DomainError):
-        next(split_to_finite(ENGEL, FamilySet(Sign.POSITIVE, (), 2, None), -1.0, 1.0))
+    assert outcome(lambda: next(split_to_finite(
+        ENGEL, FamilySet(Sign.POSITIVE, (), 2, 9), 1.0, 1.0))) == (
+        DomainError, "split_to_finite needs an unbounded family set", None)
+    assert outcome(lambda: next(split_to_finite(
+        ENGEL, FamilySet(Sign.POSITIVE, (), 2, None), -1.0, 1.0))) == (
+        DomainError, "alpha and eps must be positive", None)
 
 
 def test_split_blocks_are_consecutive_and_follow_the_recurrence():

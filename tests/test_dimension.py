@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import dimension
@@ -1334,6 +1334,12 @@ ROUNDING_CASES = {
     "oppenheim21-all": (DigitRule.oppenheim(2, 1), all_digits(), 2, 30, 169),
     "luroth-60": (LUROTH, all_digits(), 60, 16, None),
     "engel-60": (ENGEL, all_digits(), 60, 16, None),
+    # one gapless last-level run of _SERIES_RUN digits or more, summed by
+    # _run_sum past its head: merged, and keyed by the word (an opaque
+    # predicate), where its tail starts at 66 and at 67
+    "luroth-run": (LUROTH, all_digits(), 1, 20_000, 19_999),
+    "oppenheim21-run": (DigitRule.oppenheim(2, 1), bounded_ratio(2), 1, 10_228, 10_227),
+    "luroth-opaque-run": (LUROTH, DigitPredicate(lambda w: True, "all, opaque"), 1, 700, 699),
 }
 
 
@@ -1423,6 +1429,61 @@ def test_pressure_roots_last_bracket_encloses_the_exact_root(case):
     # not vacuous: on these configs both ends lie beyond E
     assert f_lo > eps * (1 + abs(f_lo)) and f_hi < -eps * (1 + abs(f_hi))
     assert exact(lo) > 0 > exact(hi)
+
+
+# ---------------------------------------------------------------------------
+# a long run of last digits, summed by a series
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 1.5), st.one_of(st.integers(66, 2000), st.integers(66, 10**15)),
+       st.integers(1, 800))
+@example(0.0, 66, 448)
+@example(0.5, 66, 448)
+@example(1.5, 66, 448)
+@example(0.25, 10**15, 800)
+def test_a_runs_series_is_within_its_stated_bound(s, p, length):
+    # the tail of a run, p >= _SERIES_HEAD + 2, against one 50-digit decimal
+    # term per digit: within the relative 2^-53 (7 ln q + 40) that
+    # _run_sum states and _sum_error allows for
+    q = p + length - 1
+    got = dimension._run_sum(p, q)(s)
+    with localcontext(Context(prec=50)):
+        exact = reference.run_sum(p, q, s)
+        assert abs(Decimal(got) - exact) <= Decimal(2.0**-53 * (7 * math.log(q) + 40)) * exact
+
+
+def _series_calls(call):
+    """The (p, q) of each _run_sum that call() makes."""
+    calls, run_sum = [], dimension._run_sum
+    with mock.patch.object(dimension, "_run_sum",
+                           lambda p, q: calls.append((p, q)) or run_sum(p, q)):
+        call()
+    return calls
+
+
+def test_only_a_gapless_run_of_L_digits_takes_the_series():
+    def root(predicate, rank, cap):
+        return lambda: pressure_root(LUROTH, Sign.POSITIVE, predicate, rank, cap, 1e-9)
+
+    # 512 last digits 2..513 take it past their first 64; 511 do not
+    assert _series_calls(root(all_digits(), 1, 513)) == [(66, 513)]
+    assert _series_calls(root(all_digits(), 1, 512)) == []
+    # 697 digits with one gap, and 599 where eps is infinite (3k ln C > 500)
+    assert _series_calls(root(alphabet_restrict([*range(2, 300), *range(301, 700)]), 1, 700)) == []
+    assert dimension._sum_error(30, 600) == math.inf
+    assert _series_calls(root(all_digits(), 30, 600)) == []
+
+
+def test_a_long_runs_terms_do_not_grow_with_the_cap():
+    # at rank 1 and cap 10**6 the last digits are one gapless run: each f(s)
+    # sums its first 64 terms and one for the rest, where it summed 10**6
+    lengths, fsum = [], math.fsum
+    with mock.patch.object(math, "fsum", lambda xs: lengths.append(len(xs)) or fsum(xs)):
+        est = pressure_root(LUROTH, Sign.POSITIVE, all_digits(), 1, 10**6, 1e-9)
+    assert est.bases_count == 10**6 - 1 and est.residual <= 1e-9
+    assert lengths and max(lengths) == dimension._SERIES_HEAD + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ export of the two sides (the working tree, and a copy of it with the base
 revision's src/) and its comparison of output digests, output_digest.py on
 one round of a pool (its pool digest and its per-op lines), ab_calls.py's
 summary and its two sides (a throwaway repository's committed package and
-its working tree), and code_lines.py's count and untested_lines.py's list
-on small fixture packages."""
+its working tree), code_lines.py's count and untested_lines.py's list
+on small fixture packages, and bench_trajectory.py's lines on two small
+synthetic BENCH files."""
 
 import importlib.util
 import json
@@ -24,6 +25,7 @@ def _tool(name):
 
 ab_calls = _tool("ab_calls")
 bench_pairs = _tool("bench_pairs")
+bench_trajectory = _tool("bench_trajectory")
 code_lines = _tool("code_lines")
 untested_lines = _tool("untested_lines")
 
@@ -92,6 +94,33 @@ def test_every_end_to_end_metric_of_the_benchmark_has_a_bound():
     for spec in end_to_end:
         assert summary[spec["name"]]["bound"] == spec["bound"]
         assert not summary[spec["name"]]["worse_beyond_bound"]
+
+
+def _bench_file(path, workloads):
+    """A BENCH file whose summary holds, per workload, each metric's
+    (base median, change median, base IQR)."""
+    summary = {w: {"summary": {"failures": {}, **{
+        name: {"base_median": b, "change_median": c, "base_iqr": iqr}
+        for name, (b, c, iqr) in metrics.items()}}} for w, metrics in workloads.items()}
+    path.write_text(json.dumps({"workloads": summary}))
+    return str(path)
+
+
+def test_bench_trajectory_prints_each_files_metrics_in_the_order_given(tmp_path, capsys):
+    early = _bench_file(tmp_path / "BENCH_9.json", {
+        "pressure": {"ops_per_s": (2000.0, 2500.0, 100.0), "latency_p50_ms": (0.25, 0.2, 0.01)}})
+    late = _bench_file(tmp_path / "BENCH_10.json", {
+        "cover": {"peak_rss_mb": (24.0, 24.6, 0.12), "unknown": (1.0, 1.0, 0.0)},
+        "cli": {"ops_per_s": (12.5, 12.0, 0.5)}})
+    assert bench_trajectory.main([early, late]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  pr  workload  metric               change   ratio base_iqr",
+        "   9  pressure  ops_per_s              2500   1.250    0.050",
+        "   9  pressure  latency_p50_ms          0.2   0.800    0.040",
+        "  10  cover     peak_rss_mb            24.6   1.025    0.005",
+        "  10  cli       ops_per_s                12   0.960    0.040",
+    ]
+    assert sorted([late, early], key=bench_trajectory.pr_number) == [early, late]
 
 
 def test_the_change_side_is_the_working_tree_without_build_output(tmp_path):

@@ -29,6 +29,8 @@ from perron import (
     validate_word,
 )
 
+from reference import outcome
+
 ENGEL = DigitRule.engel()
 ENGEL_MOD = DigitRule.engel_mod()
 PIERCE = DigitRule.pierce()
@@ -48,14 +50,14 @@ def test_transform_digits_examples():
 
 
 def test_transform_digits_validates_source():
-    with pytest.raises(ValidityError):
-        transform_digits(TransformKind.t_engel(), [3, 2])  # not engel-valid
-    with pytest.raises(ValidityError):
-        transform_digits(TransformKind.g_pierce(), [2, 2])  # must increase
-    with pytest.raises(DomainError):
-        transform_digits(TransformKind("fp"), [2, 2])  # fp without a rule
-    with pytest.raises(DomainError):
-        transform_digits(TransformKind("spin"), [2, 2])
+    # not engel-valid, and not increasing
+    for kind, word in ((TransformKind.t_engel(), [3, 2]), (TransformKind.g_pierce(), [2, 2])):
+        assert outcome(transform_digits, kind, word) == (
+            ValidityError, "digit 2 at position 2 violates c >= 3", 2)
+    assert outcome(transform_digits, TransformKind("fp"), [2, 2]) == (
+        DomainError, "fp transform needs a digit rule", None)
+    assert outcome(transform_digits, TransformKind("spin"), [2, 2]) == (
+        DomainError, "unknown transform 'spin'", None)
 
 
 def test_t_engel_is_a_rankwise_bijection():
